@@ -3,7 +3,9 @@
 // flat offset-compacted neighborhood table, batched query processing,
 // SWAR/arena extension loops). Both kernels produce bit-identical HSPs
 // and counters — the kernel differential suite enforces that — so this
-// bench measures pure host-side throughput on identical work.
+// bench measures pure host-side throughput on identical work. The fast
+// kernel splits the fragment across every core (the scalar one runs on
+// one), so its row and the speedup depend on the `nproc` each row carries.
 //
 // Reported rates use the engine's own deterministic counters: "cells" are
 // extension DP cells (ungapped + gapped + traceback) and "seeds" are word
@@ -14,6 +16,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blast/engine.h"
@@ -65,9 +68,10 @@ KernelRun run_kernel(std::span<const blast::QueryContext> contexts,
 void emit_row(const char* type, const char* kernel, const KernelRun& r) {
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"%s\","
-      "\"wall_s\":%.6f,\"cells\":%llu,\"cells_per_s\":%.0f,"
+      "\"nproc\":%u,\"wall_s\":%.6f,\"cells\":%llu,\"cells_per_s\":%.0f,"
       "\"seeds\":%llu,\"seeds_per_s\":%.0f,\"hsps\":%llu}\n",
-      type, kernel, r.wall, static_cast<unsigned long long>(r.cells),
+      type, kernel, std::thread::hardware_concurrency(), r.wall,
+      static_cast<unsigned long long>(r.cells),
       static_cast<double>(r.cells) / r.wall,
       static_cast<unsigned long long>(r.seeds),
       static_cast<double>(r.seeds) / r.wall,
@@ -144,8 +148,8 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
   }
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"speedup\","
-      "\"speedup\":%.3f}\n",
-      name, speedup);
+      "\"nproc\":%u,\"speedup\":%.3f}\n",
+      name, std::thread::hardware_concurrency(), speedup);
 }
 
 }  // namespace

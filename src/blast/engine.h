@@ -90,11 +90,20 @@ FragmentSearchResult search_fragment(const QueryContext& query,
 FragmentSearchResult search_fragment_fast(const QueryContext& query,
                                           const seqdb::LoadedFragment& fragment);
 
+/// Residue grain of the fast kernel's host-parallel split. A fragment of R
+/// residues, R at least two grains, is searched as about R / grain chunks
+/// of consecutive subjects on util::parallel_for; a smaller one in one
+/// piece on the calling thread. The plan depends on the fragment alone,
+/// never on the host's core count, so every host runs the same splits.
+inline constexpr std::uint64_t kSplitGrainResidues = 2048;
+
 /// Searches every query of a batch against `fragment` with the chosen
 /// kernel; results are index-aligned with `queries`. The fast kernel scans
 /// and packs the fragment ONCE (FragmentIndex) and services the whole
 /// batch from the precomputed word codes — the per-fragment cost the
-/// scalar kernel pays per query. Output is bit-identical across kernels.
+/// scalar kernel pays per query — split across the host's cores (see
+/// kSplitGrainResidues). Output is bit-identical across kernels, and
+/// concurrent calls are safe.
 std::vector<FragmentSearchResult> search_fragment_batch(
     std::span<const QueryContext> queries,
     const seqdb::LoadedFragment& fragment, KernelKind kernel);

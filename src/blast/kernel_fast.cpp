@@ -1,6 +1,6 @@
 // The fast search kernel: batched twin of engine.cpp's search_fragment.
 //
-// Three structural changes over the scalar loop, none of which alter any
+// Four structural changes over the scalar loop, none of which alter any
 // search decision (the differential kernel tests assert bit-identical HSP
 // lists and counters):
 //
@@ -13,17 +13,22 @@
 //      vector-of-vectors (protein) / hash map (nucleotide).
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
+//   4. A fragment of at least two grains (kSplitGrainResidues) is split
+//      into chunks of consecutive subjects that run on util::parallel_for;
+//      the merge reassembles exactly the one-chunk result (scan_split).
 //
 // The per-(query, subject) control flow below is a line-for-line mirror of
 // the scalar loop: same counter accounting, same two-hit rule, same
 // coverage and envelope skips, same cutoffs and culling. Keep them in
 // lockstep when editing either.
 #include <algorithm>
+#include <iterator>
 
 #include "blast/engine.h"
 #include "blast/engine_detail.h"
 #include "blast/fragment_index.h"
 #include "util/error.h"
+#include "util/fork_join.h"
 
 namespace pioblast::blast {
 
@@ -54,7 +59,7 @@ struct FastDiags {
 /// Per-query scan state, persistent across subjects (reusable vectors,
 /// exactly like the scalar loop's locals). The diagonal table is NOT per
 /// query: process_seeds leaves it all-{-1,-1}, so one table serves every
-/// (query, subject) pair — see search_fragment_batch.
+/// (query, subject) pair — see scan_protein.
 struct QueryState {
   std::vector<std::uint64_t> seeds;  ///< (spos << 32) | qpos, one subject
   std::vector<Hsp> subject_hsps;
@@ -263,10 +268,14 @@ void scan_subject_dna(const QueryContext& query,
 struct BatchNeighborhood {
   static constexpr std::uint32_t kQposBits = 22;
   static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
+  /// Query ids fit in the 32 - kQposBits bits above the position.
+  static constexpr std::size_t kMaxQueries = std::size_t{1} << (32 - kQposBits);
   std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
   std::vector<std::uint32_t> entries;  ///< (query id << 22) | query position
 
   explicit BatchNeighborhood(std::span<const QueryContext> queries) {
+    PIOBLAST_CHECK_MSG(queries.size() <= kMaxQueries,
+                       "fast kernel: batch exceeds query-id tag range");
     constexpr std::uint32_t kWords = 24u * 24u * 24u;
     offsets.assign(kWords + 1, 0);
     std::size_t total = 0;
@@ -291,6 +300,184 @@ struct BatchNeighborhood {
   }
 };
 
+/// Nucleotide scan of subjects [lo, hi) into `results` (index-aligned with
+/// `queries`). Query-outer keeps each query's probe table cache-hot across
+/// the subjects (the precomputed codes stream sequentially, so re-reading
+/// them per query is cheap; seeds are sparse).
+void scan_dna(std::span<const QueryContext> queries,
+              const seqdb::LoadedFragment& fragment, const FragmentIndex& index,
+              std::uint64_t lo, std::uint64_t hi,
+              std::span<FragmentSearchResult> results) {
+  const std::size_t w = static_cast<std::size_t>(queries[0].params().word_size);
+  QueryState state;
+  FastDiags diags;
+  GappedScratch scratch;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    // A query shorter than the word size produces an empty result with
+    // zero counters in the scalar kernel; mirror that exactly.
+    if (queries[i].residues().size() < w) continue;
+    for (std::uint64_t local = lo; local < hi; ++local) {
+      const std::span<const std::uint8_t> s = fragment.sequence(local);
+      results[i].counters.db_residues_scanned += s.size();
+      if (s.size() < w) continue;
+      // FastDiags stores positions as int32; subject lengths outside that
+      // range would need the scalar kernel's 64-bit table.
+      PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
+                         "fast kernel: subject exceeds int32 position range");
+      scan_subject_dna(queries[i], s, fragment.global_id(local),
+                       index.codes64(local), state, diags, scratch,
+                       results[i]);
+    }
+  }
+}
+
+/// Protein scan of subjects [lo, hi) into `results`: subject-outer with a
+/// merged batch neighborhood. Each subject position is probed ONCE for the
+/// whole batch; the bucket scatters (spos, qpos) seeds into per-query
+/// buffers which are then run through the diagonal automaton query by
+/// query. Bucket entries are query-id-major with ascending positions, so
+/// every query sees exactly the seed sequence its own per-query scan would
+/// produce.
+void scan_protein(std::span<const QueryContext> queries,
+                  const BatchNeighborhood& batch,
+                  const seqdb::LoadedFragment& fragment,
+                  const FragmentIndex& index, std::uint64_t lo,
+                  std::uint64_t hi, std::span<FragmentSearchResult> results) {
+  const SearchParams& params = queries[0].params();
+  const std::size_t w = static_cast<std::size_t>(params.word_size);
+  const std::uint32_t* const offs = batch.offsets.data();
+  const std::uint32_t* const ent = batch.entries.data();
+  const bool two_hit = params.two_hit_window > 0;
+
+  std::vector<QueryState> states(queries.size());
+  // Cached per-query buffer pointers so the scatter loop avoids chasing
+  // vector internals per seed; refreshed when a buffer grows.
+  std::vector<std::uint64_t*> bufs(queries.size());
+  std::vector<std::uint32_t> caps(queries.size(), 0);
+  std::vector<std::uint32_t> cur(queries.size());
+  GappedScratch scratch;
+  // ONE diagonal table for the whole batch: process_seeds restores it to
+  // all-{-1,-1} after each (query, subject) pair, so sharing it is safe
+  // and keeps the hot table L1-resident (a few KB) instead of spreading
+  // the seed automaton's loads across per-query tables.
+  FastDiags diags;
+  std::size_t max_qlen = 0;
+  for (const QueryContext& qc : queries)
+    max_qlen = std::max(max_qlen, qc.residues().size());
+
+  // Residues scanned is a pure per-subject sum: accumulate it once and
+  // credit every participating query (the scalar loop adds it subject by
+  // subject; queries shorter than the word size never scan at all).
+  std::uint64_t total_residues = 0;
+  for (std::uint64_t local = lo; local < hi; ++local)
+    total_residues += fragment.sequence(local).size();
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    if (queries[i].residues().size() >= w)
+      results[i].counters.db_residues_scanned += total_residues;
+
+  for (std::uint64_t local = lo; local < hi; ++local) {
+    const std::span<const std::uint8_t> s = fragment.sequence(local);
+    if (s.size() < w) continue;
+    PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
+                       "fast kernel: subject exceeds int32 position range");
+    const std::span<const std::uint32_t> codes32 = index.codes32(local);
+    const std::size_t nwords = codes32.size();
+    diags.ensure(max_qlen, s.size());
+
+    // Scatter this subject's seeds into the per-query buffers.
+    std::fill(cur.begin(), cur.end(), 0u);
+    for (std::size_t spos = 0; spos < nwords; ++spos) {
+      const std::uint32_t c = codes32[spos];
+      const std::uint64_t spos_hi = static_cast<std::uint64_t>(spos) << 32;
+      const std::uint32_t e = offs[c + 1];
+      for (std::uint32_t k = offs[c]; k < e; ++k) {
+        const std::uint32_t tag = ent[k];
+        const std::uint32_t qi = tag >> BatchNeighborhood::kQposBits;
+        if (cur[qi] >= caps[qi]) [[unlikely]] {
+          std::vector<std::uint64_t>& sv = states[qi].seeds;
+          sv.resize(std::max<std::size_t>(256, sv.size() * 2));
+          bufs[qi] = sv.data();
+          caps[qi] = static_cast<std::uint32_t>(sv.size());
+        }
+        bufs[qi][cur[qi]++] = spos_hi | (tag & BatchNeighborhood::kQposMask);
+      }
+    }
+
+    // Run each query's diagonal automaton over its seeds.
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::size_t nseeds = cur[i];
+      if (nseeds == 0) continue;
+      QueryState& st = states[i];
+      const std::size_t qlen = queries[i].residues().size();
+      results[i].counters.seed_hits += nseeds;  // == the scalar per-seed ++
+      st.subject_hsps.clear();
+      st.explored.clear();
+      TriggerCtx ctx{queries[i], s,       fragment.global_id(local),
+                     st,         scratch, results[i]};
+      if (two_hit) {
+        process_seeds<true>(ctx, diags, nseeds, qlen, params.word_size,
+                            params.two_hit_window);
+      } else {
+        process_seeds<false>(ctx, diags, nseeds, qlen, params.word_size,
+                             params.two_hit_window);
+      }
+      if (!st.subject_hsps.empty()) cull_and_flush(st, results[i]);
+    }
+  }
+}
+
+/// The chunk plan of a fragment of `residues` residues (at least two
+/// grains): subject bounds 0 = b_0 < ... < b_m = num_seqs, chunk k being
+/// subjects [b_k, b_k+1). With shares = residues / grain, chunk k closes at
+/// the first subject boundary where the residues so far reach
+/// (k + 1) * residues / shares. A subject longer than a grain closes the
+/// chunk it lands in, which then holds more than one share, and m may be
+/// less than shares. A function of the fragment alone.
+std::vector<std::uint64_t> chunk_bounds(const seqdb::LoadedFragment& fragment,
+                                        std::uint64_t residues) {
+  const std::uint64_t shares = residues / kSplitGrainResidues;
+  std::vector<std::uint64_t> bounds{0};
+  std::uint64_t done = 0;
+  for (std::uint64_t local = 0; local + 1 < fragment.num_seqs(); ++local) {
+    done += fragment.sequence(local).size();
+    if (done * shares >= residues * bounds.size()) bounds.push_back(local + 1);
+  }
+  bounds.push_back(fragment.num_seqs());
+  return bounds;
+}
+
+/// Runs `scan(lo, hi, out)`, which searches subjects [lo, hi) into `out`
+/// (index-aligned with `results`), over the whole fragment. Below two
+/// grains that is one call straight into `results`. Otherwise every chunk
+/// of the plan scans into its own partial results on the fork-join pool,
+/// and the merge sums each query's counters and concatenates its HSPs
+/// chunk by chunk. Every search decision depends on one (query, subject)
+/// pair only, and a scan appends HSPs in subject order, so the merged list
+/// is element for element the one the single call produces: the
+/// Hsp::better sort and the hit-list cut then give identical output.
+template <class Scan>
+void scan_split(const seqdb::LoadedFragment& fragment, std::uint64_t residues,
+                std::span<FragmentSearchResult> results, const Scan& scan) {
+  if (residues / kSplitGrainResidues < 2) {
+    scan(0, fragment.num_seqs(), results);
+    return;
+  }
+  const std::vector<std::uint64_t> bounds = chunk_bounds(fragment, residues);
+  std::vector<std::vector<FragmentSearchResult>> parts(bounds.size() - 1);
+  util::parallel_for(parts.size(), [&](std::size_t c) {
+    parts[c].resize(results.size());
+    scan(bounds[c], bounds[c + 1], std::span(parts[c]));
+  });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::vector<Hsp>& hsps = results[i].hsps;
+    for (std::vector<FragmentSearchResult>& part : parts) {
+      results[i].counters += part[i].counters;
+      hsps.insert(hsps.end(), std::make_move_iterator(part[i].hsps.begin()),
+                  std::make_move_iterator(part[i].hsps.end()));
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<FragmentSearchResult> search_fragment_batch(
@@ -306,132 +493,42 @@ std::vector<FragmentSearchResult> search_fragment_batch(
   }
 
   const SearchParams& params = queries[0].params();
-  const std::size_t w = static_cast<std::size_t>(params.word_size);
-  const bool is_dna = params.type == seqdb::SeqType::kNucleotide;
   for (const QueryContext& qc : queries) {
     PIOBLAST_CHECK_MSG(qc.params().type == params.type &&
                            qc.params().word_size == params.word_size,
                        "batched queries must share word size and type");
   }
 
-  // One fragment scan for the whole batch.
+  // One fragment scan for the whole batch, shared read-only by every chunk.
   const FragmentIndex index(fragment, params);
+  std::uint64_t residues = 0;
+  for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local)
+    residues += fragment.sequence(local).size();
 
-  if (is_dna) {
-    // Nucleotide: query-outer keeps each query's probe table cache-hot
-    // across the fragment (the precomputed codes stream sequentially, so
-    // re-reading them per query is cheap; seeds are sparse).
-    QueryState state;
-    FastDiags diags;
-    GappedScratch scratch;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      // A query shorter than the word size produces an empty result with
-      // zero counters in the scalar kernel; mirror that exactly.
-      if (queries[i].residues().size() < w) continue;
-      for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local) {
-        const std::span<const std::uint8_t> s = fragment.sequence(local);
-        results[i].counters.db_residues_scanned += s.size();
-        if (s.size() < w) continue;
-        // FastDiags stores positions as int32; subject lengths outside that
-        // range would need the scalar kernel's 64-bit table.
-        PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
-                           "fast kernel: subject exceeds int32 position range");
-        scan_subject_dna(queries[i], s, fragment.global_id(local),
-                         index.codes64(local), state, diags, scratch,
-                         results[i]);
-      }
-    }
+  if (params.type == seqdb::SeqType::kNucleotide) {
+    scan_split(fragment, residues, results,
+               [&](std::uint64_t lo, std::uint64_t hi,
+                   std::span<FragmentSearchResult> out) {
+                 scan_dna(queries, fragment, index, lo, hi, out);
+               });
   } else {
-    // Protein: subject-outer with a merged batch neighborhood. Each subject
-    // position is probed ONCE for the whole QuerySet; the bucket scatters
-    // (spos, qpos) seeds into per-query buffers which are then run through
-    // the diagonal automaton query by query. Bucket entries are
-    // query-id-major with ascending positions, so every query sees exactly
-    // the seed sequence its own per-query scan would produce.
-    PIOBLAST_CHECK_MSG(queries.size() < (1u << 10),
-                       "fast kernel: batch exceeds query-id tag range");
     for (const QueryContext& qc : queries)
       PIOBLAST_CHECK_MSG(qc.residues().size() < (1u << BatchNeighborhood::kQposBits),
                          "fast kernel: query exceeds position tag range");
-    const BatchNeighborhood batch(queries);
-    const std::uint32_t* const offs = batch.offsets.data();
-    const std::uint32_t* const ent = batch.entries.data();
-    const bool two_hit = params.two_hit_window > 0;
-
-    std::vector<QueryState> states(queries.size());
-    // Cached per-query buffer pointers so the scatter loop avoids chasing
-    // vector internals per seed; refreshed when a buffer grows.
-    std::vector<std::uint64_t*> bufs(queries.size());
-    std::vector<std::uint32_t> caps(queries.size(), 0);
-    std::vector<std::uint32_t> cur(queries.size());
-    GappedScratch scratch;
-    // ONE diagonal table for the whole batch: process_seeds restores it to
-    // all-{-1,-1} after each (query, subject) pair, so sharing it is safe
-    // and keeps the hot table L1-resident (a few KB) instead of spreading
-    // the seed automaton's loads across per-query tables.
-    FastDiags diags;
-    std::size_t max_qlen = 0;
-    for (const QueryContext& qc : queries)
-      max_qlen = std::max(max_qlen, qc.residues().size());
-
-    // Residues scanned is a pure per-subject sum: accumulate it once and
-    // credit every participating query (the scalar loop adds it subject by
-    // subject; queries shorter than the word size never scan at all).
-    std::uint64_t total_residues = 0;
-    for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local)
-      total_residues += fragment.sequence(local).size();
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      if (queries[i].residues().size() >= w)
-        results[i].counters.db_residues_scanned += total_residues;
-
-    for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local) {
-      const std::span<const std::uint8_t> s = fragment.sequence(local);
-      if (s.size() < w) continue;
-      PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
-                         "fast kernel: subject exceeds int32 position range");
-      const std::span<const std::uint32_t> codes32 = index.codes32(local);
-      const std::size_t nwords = codes32.size();
-      diags.ensure(max_qlen, s.size());
-
-      // Scatter this subject's seeds into the per-query buffers.
-      std::fill(cur.begin(), cur.end(), 0u);
-      for (std::size_t spos = 0; spos < nwords; ++spos) {
-        const std::uint32_t c = codes32[spos];
-        const std::uint64_t hi = static_cast<std::uint64_t>(spos) << 32;
-        const std::uint32_t e = offs[c + 1];
-        for (std::uint32_t k = offs[c]; k < e; ++k) {
-          const std::uint32_t tag = ent[k];
-          const std::uint32_t qi = tag >> BatchNeighborhood::kQposBits;
-          if (cur[qi] >= caps[qi]) [[unlikely]] {
-            std::vector<std::uint64_t>& sv = states[qi].seeds;
-            sv.resize(std::max<std::size_t>(256, sv.size() * 2));
-            bufs[qi] = sv.data();
-            caps[qi] = static_cast<std::uint32_t>(sv.size());
-          }
-          bufs[qi][cur[qi]++] = hi | (tag & BatchNeighborhood::kQposMask);
-        }
-      }
-
-      // Run each query's diagonal automaton over its seeds.
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::size_t nseeds = cur[i];
-        if (nseeds == 0) continue;
-        QueryState& st = states[i];
-        const std::size_t qlen = queries[i].residues().size();
-        results[i].counters.seed_hits += nseeds;  // == the scalar per-seed ++
-        st.subject_hsps.clear();
-        st.explored.clear();
-        TriggerCtx ctx{queries[i], s,       fragment.global_id(local),
-                       st,         scratch, results[i]};
-        if (two_hit) {
-          process_seeds<true>(ctx, diags, nseeds, qlen, params.word_size,
-                              params.two_hit_window);
-        } else {
-          process_seeds<false>(ctx, diags, nseeds, qlen, params.word_size,
-                               params.two_hit_window);
-        }
-        if (!st.subject_hsps.empty()) cull_and_flush(st, results[i]);
-      }
+    // A batch larger than the query-id tag range runs as sub-batches, each
+    // with its own merged neighborhood; every query's search is its own, so
+    // this does not show in the results.
+    constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
+    for (std::size_t first = 0; first < queries.size(); first += kMaxQueries) {
+      const std::span<const QueryContext> sub = queries.subspan(
+          first, std::min(kMaxQueries, queries.size() - first));
+      const BatchNeighborhood batch(sub);
+      scan_split(fragment, residues,
+                 std::span(results).subspan(first, sub.size()),
+                 [&](std::uint64_t lo, std::uint64_t hi,
+                     std::span<FragmentSearchResult> out) {
+                   scan_protein(sub, batch, fragment, index, lo, hi, out);
+                 });
     }
   }
 

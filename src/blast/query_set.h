@@ -2,10 +2,12 @@
 //
 // Building a QueryContext (word index + statistics) is identical on every
 // rank, so the drivers prepare one QuerySet per job and share it read-only
-// across all simulated processes. This is a host-side memory/CPU
-// optimization only: the virtual-time cost of query preparation is charged
-// by the drivers exactly as before, and search results are unaffected
-// (contexts are immutable during the search).
+// across all simulated processes, and the fast kernel shares it across the
+// pool threads searching one fragment's chunks. This is a host-side
+// memory/CPU optimization only: the virtual-time cost of query preparation
+// is charged by the drivers exactly as before, and search results are
+// unaffected (contexts are immutable during the search, so any number of
+// threads may read them at once).
 #pragma once
 
 #include <memory>

@@ -27,8 +27,10 @@ void SearchStage::search_slot(mpisim::Process& p, std::size_t slot) {
   p.compute(p.cost().fragment_setup_seconds());
   std::uint64_t cached = 0;
   // One batched call services every query (the fast kernel indexes the
-  // fragment once); virtual time is still charged per query, in query
-  // order, from the per-query counters — identical to the scalar loop.
+  // fragment once and splits it across the host's cores inside the call,
+  // so this rank neither yields nor reorders against other ranks). Virtual
+  // time is still charged per query, in query order, from the per-query
+  // counters — identical to the scalar loop and independent of the host.
   auto results = blast::search_fragment_batch(contexts, frag, kernel_);
   for (std::uint32_t q = 0; q < queries_.size(); ++q) {
     auto& result = results[q];

@@ -42,36 +42,41 @@ bool ProtocolVerifier::tag_registered(int tag) const {
                    tag) != opts_.registered_tags.end();
 }
 
+void ProtocolVerifier::fail_bad_tag_locked(int tag, const std::string& use) {
+  // Send and receive sides word a bad tag identically: on the threads
+  // backend either side may reach the audit first, and the report must not
+  // depend on which one did.
+  std::ostringstream os;
+  os << "protocol verifier: " << use << " uses ";
+  if (tag >= kDriverTagLimit) {
+    os << "tag " << tag << " inside the runtime-internal band (>= "
+       << kDriverTagLimit
+       << ") that no runtime protocol claims; driver tags must be registered "
+          "in driver/tags.h below the band";
+  } else {
+    os << "unregistered driver tag " << tag_label(tag)
+       << "; every driver tag must be declared in driver/tags.h";
+  }
+  fail_locked(os.str());
+}
+
 void ProtocolVerifier::on_send(int src, int dst, int tag) {
   std::lock_guard lock(mu_);
   if (disabled_ || opts_.registered_tags.empty()) return;
   if (tag_registered(tag)) return;
-  std::ostringstream os;
-  os << "protocol verifier: ";
-  if (tag >= kDriverTagLimit) {
-    os << "send from rank " << src << " to rank " << dst << " uses tag " << tag
-       << " inside the runtime-internal band (>= " << kDriverTagLimit
-       << ") that no runtime protocol claims; driver tags must be registered "
-          "in driver/tags.h below the band";
-  } else {
-    os << "unregistered driver tag " << tag_label(tag) << " in send from rank "
-       << src << " to rank " << dst
-       << "; every driver tag must be declared in driver/tags.h";
-  }
-  fail_locked(os.str());
+  fail_bad_tag_locked(tag, "send from rank " + std::to_string(src) +
+                               " to rank " + std::to_string(dst));
 }
 
 void ProtocolVerifier::on_recv_posted(int rank, int src, int tag) {
   std::lock_guard lock(mu_);
   if (disabled_ || opts_.registered_tags.empty()) return;
   if (tag_registered(tag)) return;
-  std::ostringstream os;
-  os << "protocol verifier: rank " << rank << " posted a receive from "
-     << (src == kAnySource ? std::string("any source")
-                           : "rank " + std::to_string(src))
-     << " on unregistered tag " << tag_label(tag)
-     << "; every driver tag must be declared in driver/tags.h";
-  fail_locked(os.str());
+  fail_bad_tag_locked(tag, "receive posted by rank " + std::to_string(rank) +
+                               " from " +
+                               (src == kAnySource
+                                    ? std::string("any source")
+                                    : "rank " + std::to_string(src)));
 }
 
 std::string ProtocolVerifier::render_cycle_locked() const {

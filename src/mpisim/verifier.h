@@ -147,6 +147,12 @@ class ProtocolVerifier {
 
   bool tag_registered(int tag) const;
 
+  /// Fails the run for an unregistered tag seen in `use` ("send from rank
+  /// 0 to rank 1", ...). The one place a bad tag is classified and worded,
+  /// so the report does not depend on which side audits it first. Caller
+  /// holds mu_.
+  [[noreturn]] void fail_bad_tag_locked(int tag, const std::string& use);
+
   VerifyOptions opts_;
   Tracer* tracer_;
   std::vector<int> internal_tags_;

@@ -367,7 +367,9 @@ TEST(Drivers, DynamicSchedulingHelpsOnHeterogeneousNodes) {
   // §5: "ideal for scenarios where we have heterogeneous nodes". With two
   // half-speed workers, static round-robin assignment is bound by the
   // stragglers; greedy dynamic scheduling with finer fragments lets fast
-  // workers absorb the slack.
+  // workers absorb the slack. Both runs use the event backend: on threads
+  // the greedy master serves requests in host arrival order, so the
+  // dynamic makespan would depend on host load.
   const auto& w = protein_workload();
   auto cluster = sim::ClusterConfig::ornl_altix();
   const int nprocs = 5;
@@ -379,11 +381,13 @@ TEST(Drivers, DynamicSchedulingHelpsOnHeterogeneousNodes) {
 
   pio::PioBlastOptions stat;
   stat.job.nfragments = 16;
+  stat.exec = mpisim::ExecModel::kEvents;
   const auto static_run = run_pio(cluster, nprocs, s1, w, stat);
 
   pio::PioBlastOptions dyn;
   dyn.dynamic_scheduling = true;
   dyn.job.nfragments = 16;
+  dyn.exec = mpisim::ExecModel::kEvents;
   const auto dynamic_run = run_pio(cluster, nprocs, s2, w, dyn);
 
   EXPECT_EQ(s1.shared().read_all("out.pio.txt"),

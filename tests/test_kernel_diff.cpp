@@ -24,6 +24,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blast/engine.h"
@@ -402,6 +403,139 @@ TEST(KernelDiff, FuzzDnaCorpora) {
       FAIL() << "fast kernel diverged from scalar oracle at iteration " << iter;
     }
   }
+}
+
+// ---------- host-parallel split ----------------------------------------------
+//
+// search_fragment_batch splits a fragment of two or more grains
+// (kSplitGrainResidues) into chunks on the fork-join pool. The plan depends
+// on the fragment only, so these cases run the same splits on every host.
+
+std::uint64_t residues_of(const seqdb::LoadedFragment& frag) {
+  std::uint64_t n = 0;
+  for (std::uint64_t local = 0; local < frag.num_seqs(); ++local)
+    n += frag.sequence(local).size();
+  return n;
+}
+
+/// Contexts for every `stride`-th database sequence (at most `count`).
+std::vector<QueryContext> contexts_from(const std::vector<seqdb::FastaRecord>& db,
+                                        SeqType type, const SearchParams& params,
+                                        const ScoringMatrix& m,
+                                        const GlobalDbStats& gstats,
+                                        std::size_t count) {
+  std::vector<QueryContext> contexts;
+  const std::size_t stride = std::max<std::size_t>(1, db.size() / count);
+  for (std::size_t i = 0; i < db.size() && contexts.size() < count; i += stride) {
+    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()),
+                          seqdb::encode_sequence(type, db[i].sequence), params,
+                          m, gstats);
+  }
+  return contexts;
+}
+
+/// The fast batch kernel against per-query scalar calls.
+void expect_batch_matches_scalar(const std::vector<QueryContext>& contexts,
+                                 const seqdb::LoadedFragment& frag,
+                                 const std::string& what) {
+  const auto fast = search_fragment_batch(contexts, frag, KernelKind::kFast);
+  ASSERT_EQ(fast.size(), contexts.size());
+  for (std::size_t i = 0; i < contexts.size(); ++i) {
+    const std::string label = what + " query " + std::to_string(i);
+    expect_results_identical(search_fragment(contexts[i], frag), fast[i],
+                             label.c_str());
+  }
+}
+
+TEST(KernelSplit, ProteinFragmentOfManyGrains) {
+  const auto db = family_db(20 * kSplitGrainResidues, 131);
+  const auto frag = whole_db(db);
+  ASSERT_GE(residues_of(frag), 16 * kSplitGrainResidues);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  expect_batch_matches_scalar(
+      contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 6), frag,
+      "protein");
+}
+
+TEST(KernelSplit, DnaFragmentOfManyGrains) {
+  const auto db = family_db(20 * kSplitGrainResidues, 137, SeqType::kNucleotide);
+  const auto frag = whole_db(db, SeqType::kNucleotide);
+  ASSERT_GE(residues_of(frag), 16 * kSplitGrainResidues);
+  const auto params = SearchParams::blastn_defaults();
+  const auto m = make_matrix(params);
+  expect_batch_matches_scalar(
+      contexts_from(db, SeqType::kNucleotide, params, m, stats_of(db), 4), frag,
+      "dna");
+}
+
+TEST(KernelSplit, SubjectLargerThanAGrain) {
+  // One subject of three grains (family members glued together, so it
+  // still hits) between ordinary ones: the chunk it lands in closes with
+  // it and holds more than one share.
+  auto db = family_db(6 * kSplitGrainResidues, 139);
+  seqdb::FastaRecord big{"big", "", ""};
+  for (std::size_t i = 0; big.sequence.size() < 3 * kSplitGrainResidues; ++i)
+    big.sequence += db[i % db.size()].sequence;
+  db.insert(db.begin() + static_cast<std::ptrdiff_t>(db.size() / 2), big);
+  const auto frag = whole_db(db);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  expect_batch_matches_scalar(
+      contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 6), frag,
+      "big subject");
+}
+
+TEST(KernelSplit, ConcurrentCallersMatchSerialResults) {
+  // Three threads, as the threads backend's rank threads do, each searching
+  // its own fragment through the shared pool at the same time.
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  const std::size_t ncallers = 3;
+  std::vector<seqdb::LoadedFragment> frags;
+  std::vector<std::vector<QueryContext>> contexts;
+  std::vector<std::vector<FragmentSearchResult>> serial;
+  for (std::size_t c = 0; c < ncallers; ++c) {
+    const auto db = family_db(8 * kSplitGrainResidues, 149 + c);
+    frags.push_back(whole_db(db));
+    contexts.push_back(
+        contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 4));
+    serial.push_back(
+        search_fragment_batch(contexts[c], frags[c], KernelKind::kFast));
+  }
+  std::vector<std::vector<FragmentSearchResult>> concurrent(ncallers);
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < ncallers; ++c) {
+    threads.emplace_back([&, c] {
+      concurrent[c] =
+          search_fragment_batch(contexts[c], frags[c], KernelKind::kFast);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t c = 0; c < ncallers; ++c) {
+    ASSERT_EQ(concurrent[c].size(), serial[c].size());
+    for (std::size_t i = 0; i < serial[c].size(); ++i)
+      expect_results_identical(serial[c][i], concurrent[c][i], "concurrent");
+  }
+}
+
+TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
+  // More queries than the protein batch's query-id tag holds (1024): the
+  // fast kernel runs them in sub-batches, each with its own neighborhood.
+  const auto db = family_db(4 * kSplitGrainResidues, 151);
+  const auto frag = whole_db(db);
+  const auto gstats = stats_of(db);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  std::vector<QueryContext> contexts;
+  for (std::size_t i = 0; contexts.size() < 1100; ++i) {
+    const std::string& s = db[i % db.size()].sequence;
+    const std::size_t off = (i * 7) % (s.size() > 40 ? s.size() - 40 : 1);
+    const auto q = seqdb::encode_sequence(SeqType::kProtein, s.substr(off, 40));
+    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
+                          params, m, gstats);
+  }
+  expect_batch_matches_scalar(contexts, frag, "1100 queries");
 }
 
 // ---------- FlatNeighborhood / FragmentIndex properties ---------------------
@@ -802,6 +936,10 @@ std::vector<std::uint8_t> run_pio_kernel(const DriverWorkload& w, int nprocs,
   if (dynamic) {
     opts.dynamic_scheduling = true;
     opts.job.nfragments = 6;
+    // The greedy master serves requests in host arrival order on the
+    // threads backend; a crash point read off one run must replay in
+    // another, so dynamic runs use the deterministic event backend.
+    opts.exec = mpisim::ExecModel::kEvents;
   }
   pio::run_pioblast(cluster, nprocs, storage, opts);
   return storage.shared().read_all("out.pio.txt");

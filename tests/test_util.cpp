@@ -1,11 +1,16 @@
 // Unit tests for util: RNG determinism, tables, unit formatting, phase
-// accounting, and the contract-check macros.
+// accounting, the contract-check macros, and the fork-join pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/error.h"
+#include "util/fork_join.h"
 #include "util/phase_timer.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -174,6 +179,61 @@ TEST(PhaseTimer, ClearResets) {
   t.add("x", 1.0);
   t.clear();
   EXPECT_DOUBLE_EQ(t.total(), 0.0);
+}
+
+// ---------- fork-join pool --------------------------------------------------
+
+/// Runs parallel_for(n) and returns how often each index ran.
+std::vector<int> run_counts(std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+  std::vector<int> out;
+  for (const auto& h : hits) out.push_back(h.load());
+  return out;
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 1000u})
+    EXPECT_EQ(run_counts(n), std::vector<int>(n, 1)) << "n = " << n;
+}
+
+TEST(ParallelFor, RethrowsFirstErrorOnlyAfterEveryIndexFinished) {
+  const std::size_t n = 32;
+  std::atomic<std::size_t> finished{0};
+  try {
+    parallel_for(n, [&](std::size_t i) {
+      if (i == 0) throw RuntimeError("index 0 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished.fetch_add(1);
+    });
+    FAIL() << "expected the body's exception";
+  } catch (const RuntimeError& e) {
+    EXPECT_EQ(finished.load(), n - 1);
+    EXPECT_EQ(std::string(e.what()), "index 0 failed");
+  }
+}
+
+TEST(ParallelFor, ConcurrentCallersEachRunTheirOwnIndices) {
+  std::vector<std::vector<int>> counts(3);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    callers.emplace_back([&counts, c] { counts[c] = run_counts(500); });
+  for (std::thread& t : callers) t.join();
+  for (const auto& one : counts) EXPECT_EQ(one, std::vector<int>(500, 1));
+}
+
+TEST(ParallelFor, NestedCallRunsInline) {
+  std::vector<std::atomic<int>> hits(8 * 8);
+  std::atomic<int> moved{0};
+  parallel_for(8, [&](std::size_t i) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(8, [&](std::size_t j) {
+      if (std::this_thread::get_id() != outer) moved.fetch_add(1);
+      hits[i * 8 + j].fetch_add(1);
+    });
+  });
+  EXPECT_EQ(moved.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace
