@@ -12,6 +12,13 @@
 // hits examined, both identical across kernels by construction. One
 // machine-readable `ROW {...}` line per (type, kernel) plus a summary row
 // per type; tools/bench_to_json.py folds them into BENCH_kernel.json.
+//
+// Protein gets one more fast row: the same database cut into fragments of
+// about kCutResidues residues, every one searched with the same prepared
+// batch. That is pioBLAST's regime at thousands of ranks (its dynamic
+// partitioning hands each worker a few hundred residues), where what a
+// call costs besides the scan shows as microseconds per call.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -23,6 +30,7 @@
 #include "blast/query_set.h"
 #include "pario/vfs.h"
 #include "seqdb/generator.h"
+#include "seqdb/partition.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -37,45 +45,69 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Fragment size of the protein cut row.
+constexpr std::uint64_t kCutResidues = 512;
+
 struct KernelRun {
+  std::size_t calls = 0;  ///< fragment searches per pass
   double wall = 0;
   std::uint64_t cells = 0;
   std::uint64_t seeds = 0;
   std::uint64_t hsps = 0;
 };
 
-/// Runs the whole query batch against the fragment `repeats` times with
-/// the given kernel and accumulates wall time; counters are taken from one
-/// pass (they are per-pass deterministic).
-KernelRun run_kernel(std::span<const blast::QueryContext> contexts,
-                     const seqdb::LoadedFragment& frag,
+/// Runs the whole query batch against every fragment `repeats` times with
+/// the given kernel and accumulates wall time per pass; counters are taken
+/// from one pass (they are per-pass deterministic).
+KernelRun run_kernel(const blast::PreparedBatch& batch,
+                     std::span<const seqdb::LoadedFragment> frags,
                      blast::KernelKind kernel, int repeats) {
   KernelRun out;
-  const auto t0 = std::chrono::steady_clock::now();
+  out.calls = frags.size();
   std::vector<blast::FragmentSearchResult> results;
-  for (int r = 0; r < repeats; ++r)
-    results = blast::search_fragment_batch(contexts, frag, kernel);
-  out.wall = seconds_since(t0) / repeats;
-  for (const auto& res : results) {
-    out.cells += res.counters.ungapped_cells + res.counters.gapped_cells +
-                 res.counters.traceback_cells;
-    out.seeds += res.counters.seed_hits;
-    out.hsps += res.counters.hsps_found;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int r = 0; r < repeats; ++r) {
+    for (const seqdb::LoadedFragment& frag : frags) {
+      results = blast::search_fragment_batch(batch, frag, kernel);
+      if (r > 0) continue;
+      for (const auto& res : results) {
+        out.cells += res.counters.ungapped_cells + res.counters.gapped_cells +
+                     res.counters.traceback_cells;
+        out.seeds += res.counters.seed_hits;
+        out.hsps += res.counters.hsps_found;
+      }
+    }
   }
+  out.wall = seconds_since(t0) / repeats;
   return out;
+}
+
+double us_per_call(const KernelRun& r) {
+  return r.wall / static_cast<double>(r.calls) * 1e6;
 }
 
 void emit_row(const char* type, const char* kernel, const KernelRun& r) {
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"%s\","
-      "\"nproc\":%u,\"wall_s\":%.6f,\"cells\":%llu,\"cells_per_s\":%.0f,"
-      "\"seeds\":%llu,\"seeds_per_s\":%.0f,\"hsps\":%llu}\n",
-      type, kernel, std::thread::hardware_concurrency(), r.wall,
-      static_cast<unsigned long long>(r.cells),
+      "\"nproc\":%u,\"fragments\":%zu,\"wall_s\":%.6f,\"us_per_call\":%.1f,"
+      "\"cells\":%llu,\"cells_per_s\":%.0f,\"seeds\":%llu,"
+      "\"seeds_per_s\":%.0f,\"hsps\":%llu}\n",
+      type, kernel, std::thread::hardware_concurrency(), r.calls, r.wall,
+      us_per_call(r), static_cast<unsigned long long>(r.cells),
       static_cast<double>(r.cells) / r.wall,
       static_cast<unsigned long long>(r.seeds),
       static_cast<double>(r.seeds) / r.wall,
       static_cast<unsigned long long>(r.hsps));
+}
+
+void add_table_row(util::Table& table, const char* type, const char* kernel,
+                   const KernelRun& r, const std::string& speedup) {
+  table.add_row(
+      {type, kernel, std::to_string(r.calls), util::fixed(r.wall * 1e3, 1),
+       util::fixed(us_per_call(r), 1),
+       util::fixed(static_cast<double>(r.cells) / r.wall / 1e6, 1),
+       util::fixed(static_cast<double>(r.seeds) / r.wall / 1e6, 1),
+       std::to_string(r.hsps), speedup});
 }
 
 void bench_type(seqdb::SeqType type, std::uint64_t residues,
@@ -126,30 +158,39 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
         static_cast<std::uint32_t>(contexts.size()),
         seqdb::encode_sequence(type, q.sequence), params, matrix, stats);
   }
+  const blast::PreparedBatch batch(std::move(contexts));
 
   // Warm-up pass (page in the fragment, size the scratch), then timed runs.
-  (void)blast::search_fragment_batch(contexts, frag, blast::KernelKind::kFast);
+  (void)blast::search_fragment_batch(batch, frag, blast::KernelKind::kFast);
   const auto scalar =
-      run_kernel(contexts, frag, blast::KernelKind::kScalar, repeats);
+      run_kernel(batch, {&frag, 1}, blast::KernelKind::kScalar, repeats);
   const auto fast =
-      run_kernel(contexts, frag, blast::KernelKind::kFast, repeats);
+      run_kernel(batch, {&frag, 1}, blast::KernelKind::kFast, repeats);
   const double speedup = scalar.wall / fast.wall;
 
-  for (const auto* kr : {&scalar, &fast}) {
-    const char* kname = kr == &scalar ? "scalar" : "fast";
-    emit_row(name, kname, *kr);
-    table.add_row({name, kname, util::fixed(kr->wall * 1e3, 1),
-                   util::fixed(static_cast<double>(kr->cells) / kr->wall / 1e6,
-                               1),
-                   util::fixed(static_cast<double>(kr->seeds) / kr->wall / 1e6,
-                               1),
-                   std::to_string(kr->hsps),
-                   kr == &fast ? util::fixed(speedup, 2) + "x" : "1.00x"});
-  }
+  emit_row(name, "scalar", scalar);
+  add_table_row(table, name, "scalar", scalar, "1.00x");
+  emit_row(name, "fast", fast);
+  add_table_row(table, name, "fast", fast, util::fixed(speedup, 2) + "x");
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"speedup\","
       "\"nproc\":%u,\"speedup\":%.3f}\n",
       name, std::thread::hardware_concurrency(), speedup);
+
+  if (type != seqdb::SeqType::kProtein) return;
+  const auto cut_db = seqdb::mpiformatdb(
+      fs, db, "cut", type, "bench",
+      static_cast<int>(std::min<std::uint64_t>(
+          db.size(),
+          std::max<std::uint64_t>(1, stats.total_residues / kCutResidues))));
+  std::vector<seqdb::LoadedFragment> cut;
+  for (std::size_t i = 0; i < cut_db.fragment_bases.size(); ++i)
+    cut.push_back(seqdb::load_volumes(fs, cut_db.fragment_bases[i], type,
+                                      cut_db.ranges[i].first));
+  const auto cut_fast =
+      run_kernel(batch, cut, blast::KernelKind::kFast, repeats);
+  emit_row(name, "fast", cut_fast);
+  add_table_row(table, name, "fast", cut_fast, "");
 }
 
 }  // namespace
@@ -177,8 +218,8 @@ int main(int argc, char** argv) {
   const int repeats = args.get_int("repeats");
   const std::string types = args.get("types");
 
-  util::Table table({"Type", "Kernel", "Wall (ms)", "Mcells/s", "Mseeds/s",
-                     "HSPs", "Speedup"});
+  util::Table table({"Type", "Kernel", "Fragments", "Wall (ms)", "us/call",
+                     "Mcells/s", "Mseeds/s", "HSPs", "Speedup"});
   if (types == "both" || types == "protein")
     bench_type(seqdb::SeqType::kProtein, residues, query_bytes, query_chunk,
                repeats, table);

@@ -1,4 +1,5 @@
-// The BLAST search engine: query context + fragment search.
+// The BLAST search engine: query context, prepared query batch, and
+// fragment search.
 //
 // For each (query, database fragment) pair the engine runs the classic
 // pipeline: word scan over every subject sequence probing the query word
@@ -85,11 +86,6 @@ struct FragmentSearchResult {
 FragmentSearchResult search_fragment(const QueryContext& query,
                                      const seqdb::LoadedFragment& fragment);
 
-/// Fast-kernel twin of search_fragment: same HSPs, same counters, computed
-/// via the flat neighborhood table and SWAR/arena extension paths.
-FragmentSearchResult search_fragment_fast(const QueryContext& query,
-                                          const seqdb::LoadedFragment& fragment);
-
 /// Residue grain of the fast kernel's host-parallel split. A fragment of R
 /// residues, R at least two grains, is searched as about R / grain chunks
 /// of consecutive subjects on util::parallel_for; a smaller one in one
@@ -97,16 +93,62 @@ FragmentSearchResult search_fragment_fast(const QueryContext& query,
 /// never on the host's core count, so every host runs the same splits.
 inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 
+/// Merged blastp neighborhood over a sub-batch of queries: per word, the
+/// concatenation of every query's bucket in query-id-major order
+/// (positions stay ascending within a query, exactly the per-query bucket
+/// order). One probe of it per subject position services the whole
+/// sub-batch; the scalar path probes per (query, position). PreparedBatch
+/// builds it and the fast kernel only reads it.
+struct BatchNeighborhood {
+  static constexpr std::uint32_t kQposBits = 22;
+  static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
+  /// Query ids fit in the 32 - kQposBits bits above the position.
+  static constexpr std::size_t kMaxQueries = std::size_t{1} << (32 - kQposBits);
+  std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
+  std::vector<std::uint32_t> entries;  ///< (query id << 22) | query position
+
+  explicit BatchNeighborhood(std::span<const QueryContext> queries);
+};
+
+/// Query contexts prepared for search_fragment_batch, its only query
+/// argument, and indexable like the vector of contexts it holds.
+/// Preparation checks what a batched search needs (one sequence type and
+/// word size; blastp query positions that fit BatchNeighborhood's tag) and
+/// builds blastp's merged neighborhoods, one per sub-batch of
+/// BatchNeighborhood::kMaxQueries queries. The drivers prepare once per
+/// job (QuerySet::build), so a fragment search does only per-fragment
+/// work; searches only read the batch, so any number may share it at once.
+class PreparedBatch {
+ public:
+  PreparedBatch() = default;
+  /// Throws util::ContractViolation if the contexts cannot share a batch.
+  explicit PreparedBatch(std::vector<QueryContext> contexts);
+
+  std::size_t size() const { return contexts_.size(); }
+  bool empty() const { return contexts_.empty(); }
+  const QueryContext& operator[](std::size_t i) const { return contexts_[i]; }
+  auto begin() const { return contexts_.begin(); }
+  auto end() const { return contexts_.end(); }
+
+  /// blastp: table k serves queries k * kMaxQueries up to (k + 1) *
+  /// kMaxQueries; blastn: none.
+  const std::vector<BatchNeighborhood>& merged() const { return merged_; }
+
+ private:
+  std::vector<QueryContext> contexts_;
+  std::vector<BatchNeighborhood> merged_;
+};
+
 /// Searches every query of a batch against `fragment` with the chosen
 /// kernel; results are index-aligned with `queries`. The fast kernel scans
-/// and packs the fragment ONCE (FragmentIndex) and services the whole
-/// batch from the precomputed word codes — the per-fragment cost the
-/// scalar kernel pays per query — split across the host's cores (see
-/// kSplitGrainResidues). Output is bit-identical across kernels, and
-/// concurrent calls are safe.
+/// and packs the fragment ONCE (FragmentIndex) — the per-fragment cost the
+/// scalar kernel pays per query — and services the whole batch from the
+/// precomputed word codes and the batch's prepared tables, split across
+/// the host's cores (see kSplitGrainResidues). Output is bit-identical
+/// across kernels, and concurrent calls are safe, on one batch too.
 std::vector<FragmentSearchResult> search_fragment_batch(
-    std::span<const QueryContext> queries,
-    const seqdb::LoadedFragment& fragment, KernelKind kernel);
+    const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
+    KernelKind kernel);
 
 /// Builds the scoring matrix implied by `params`.
 ScoringMatrix make_matrix(const SearchParams& params);

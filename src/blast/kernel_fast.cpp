@@ -7,7 +7,9 @@
 //   1. The fragment is scanned ONCE per batch: FragmentIndex materializes
 //      the packed word code at every subject position, so each of the Q
 //      queries probes precomputed codes instead of re-packing the subject
-//      (the scalar path pays that packing Q times).
+//      (the scalar path pays that packing Q times). The query side is
+//      prepared once per query set instead: PreparedBatch, constructed
+//      below, merges the blastp neighborhoods (BatchNeighborhood).
 //   2. Word probes go through FlatNeighborhood — a contiguous
 //      offset-compacted bucket table — instead of WordIndex's
 //      vector-of-vectors (protein) / hash map (nucleotide).
@@ -260,46 +262,6 @@ void scan_subject_dna(const QueryContext& query,
   cull_and_flush(st, result);
 }
 
-/// Merged neighborhood over the whole protein batch: per word, the
-/// concatenation of every query's bucket in query-id-major order (positions
-/// stay ascending within a query, exactly the per-query bucket order). One
-/// probe of this table per subject position services the entire QuerySet —
-/// the scalar path probes per (query, position).
-struct BatchNeighborhood {
-  static constexpr std::uint32_t kQposBits = 22;
-  static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
-  /// Query ids fit in the 32 - kQposBits bits above the position.
-  static constexpr std::size_t kMaxQueries = std::size_t{1} << (32 - kQposBits);
-  std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
-  std::vector<std::uint32_t> entries;  ///< (query id << 22) | query position
-
-  explicit BatchNeighborhood(std::span<const QueryContext> queries) {
-    PIOBLAST_CHECK_MSG(queries.size() <= kMaxQueries,
-                       "fast kernel: batch exceeds query-id tag range");
-    constexpr std::uint32_t kWords = 24u * 24u * 24u;
-    offsets.assign(kWords + 1, 0);
-    std::size_t total = 0;
-    for (const QueryContext& qc : queries) {
-      const std::span<const std::uint32_t> offs = qc.flat_index().offsets();
-      for (std::uint32_t c = 0; c < kWords; ++c)
-        offsets[c + 1] += offs[c + 1] - offs[c];
-      total += qc.flat_index().total_entries();
-    }
-    for (std::uint32_t c = 0; c < kWords; ++c) offsets[c + 1] += offsets[c];
-    entries.resize(total);
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      const FlatNeighborhood& flat = queries[qi].flat_index();
-      const std::span<const std::uint32_t> offs = flat.offsets();
-      const std::span<const std::uint32_t> ent = flat.entries();
-      const std::uint32_t tag = static_cast<std::uint32_t>(qi) << kQposBits;
-      for (std::uint32_t c = 0; c < kWords; ++c)
-        for (std::uint32_t k = offs[c]; k < offs[c + 1]; ++k)
-          entries[cursor[c]++] = tag | ent[k];
-    }
-  }
-};
-
 /// Nucleotide scan of subjects [lo, hi) into `results` (index-aligned with
 /// `queries`). Query-outer keeps each query's probe table cache-hot across
 /// the subjects (the precomputed codes stream sequentially, so re-reading
@@ -480,9 +442,58 @@ void scan_split(const seqdb::LoadedFragment& fragment, std::uint64_t residues,
 
 }  // namespace
 
+BatchNeighborhood::BatchNeighborhood(std::span<const QueryContext> queries) {
+  PIOBLAST_CHECK_MSG(queries.size() <= kMaxQueries,
+                     "fast kernel: batch exceeds query-id tag range");
+  constexpr std::uint32_t kWords = 24u * 24u * 24u;
+  offsets.assign(kWords + 1, 0);
+  std::size_t total = 0;
+  for (const QueryContext& qc : queries) {
+    const std::span<const std::uint32_t> offs = qc.flat_index().offsets();
+    for (std::uint32_t c = 0; c < kWords; ++c)
+      offsets[c + 1] += offs[c + 1] - offs[c];
+    total += qc.flat_index().total_entries();
+  }
+  for (std::uint32_t c = 0; c < kWords; ++c) offsets[c + 1] += offsets[c];
+  entries.resize(total);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const FlatNeighborhood& flat = queries[qi].flat_index();
+    const std::span<const std::uint32_t> offs = flat.offsets();
+    const std::span<const std::uint32_t> ent = flat.entries();
+    const std::uint32_t tag = static_cast<std::uint32_t>(qi) << kQposBits;
+    for (std::uint32_t c = 0; c < kWords; ++c)
+      for (std::uint32_t k = offs[c]; k < offs[c + 1]; ++k)
+        entries[cursor[c]++] = tag | ent[k];
+  }
+}
+
+PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
+    : contexts_(std::move(contexts)) {
+  if (contexts_.empty()) return;
+  const SearchParams& params = contexts_[0].params();
+  for (const QueryContext& qc : contexts_) {
+    PIOBLAST_CHECK_MSG(qc.params().type == params.type &&
+                           qc.params().word_size == params.word_size,
+                       "batched queries must share word size and type");
+  }
+  if (params.type == seqdb::SeqType::kNucleotide) return;
+  for (const QueryContext& qc : contexts_)
+    PIOBLAST_CHECK_MSG(qc.residues().size() < (1u << BatchNeighborhood::kQposBits),
+                       "fast kernel: query exceeds position tag range");
+  // A batch larger than the query-id tag range gets one merged table per
+  // sub-batch; every query's search is its own, so this does not show in
+  // the results.
+  constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
+  const std::span<const QueryContext> all(contexts_);
+  for (std::size_t first = 0; first < all.size(); first += kMaxQueries)
+    merged_.emplace_back(
+        all.subspan(first, std::min(kMaxQueries, all.size() - first)));
+}
+
 std::vector<FragmentSearchResult> search_fragment_batch(
-    std::span<const QueryContext> queries,
-    const seqdb::LoadedFragment& fragment, KernelKind kernel) {
+    const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
+    KernelKind kernel) {
   std::vector<FragmentSearchResult> results(queries.size());
   if (queries.empty()) return results;
 
@@ -492,37 +503,26 @@ std::vector<FragmentSearchResult> search_fragment_batch(
     return results;
   }
 
-  const SearchParams& params = queries[0].params();
-  for (const QueryContext& qc : queries) {
-    PIOBLAST_CHECK_MSG(qc.params().type == params.type &&
-                           qc.params().word_size == params.word_size,
-                       "batched queries must share word size and type");
-  }
-
   // One fragment scan for the whole batch, shared read-only by every chunk.
+  const SearchParams& params = queries[0].params();
   const FragmentIndex index(fragment, params);
   std::uint64_t residues = 0;
   for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local)
     residues += fragment.sequence(local).size();
 
+  const std::span<const QueryContext> all(queries.begin(), queries.end());
   if (params.type == seqdb::SeqType::kNucleotide) {
     scan_split(fragment, residues, results,
                [&](std::uint64_t lo, std::uint64_t hi,
                    std::span<FragmentSearchResult> out) {
-                 scan_dna(queries, fragment, index, lo, hi, out);
+                 scan_dna(all, fragment, index, lo, hi, out);
                });
   } else {
-    for (const QueryContext& qc : queries)
-      PIOBLAST_CHECK_MSG(qc.residues().size() < (1u << BatchNeighborhood::kQposBits),
-                         "fast kernel: query exceeds position tag range");
-    // A batch larger than the query-id tag range runs as sub-batches, each
-    // with its own merged neighborhood; every query's search is its own, so
-    // this does not show in the results.
     constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
-    for (std::size_t first = 0; first < queries.size(); first += kMaxQueries) {
-      const std::span<const QueryContext> sub = queries.subspan(
-          first, std::min(kMaxQueries, queries.size() - first));
-      const BatchNeighborhood batch(sub);
+    for (std::size_t first = 0; first < all.size(); first += kMaxQueries) {
+      const std::span<const QueryContext> sub =
+          all.subspan(first, std::min(kMaxQueries, all.size() - first));
+      const BatchNeighborhood& batch = queries.merged()[first / kMaxQueries];
       scan_split(fragment, residues,
                  std::span(results).subspan(first, sub.size()),
                  [&](std::uint64_t lo, std::uint64_t hi,
@@ -542,13 +542,6 @@ std::vector<FragmentSearchResult> search_fragment_batch(
     r.counters.hsps_found = r.hsps.size();
   }
   return results;
-}
-
-FragmentSearchResult search_fragment_fast(const QueryContext& query,
-                                          const seqdb::LoadedFragment& fragment) {
-  std::vector<FragmentSearchResult> results =
-      search_fragment_batch({&query, 1}, fragment, KernelKind::kFast);
-  return std::move(results.front());
 }
 
 }  // namespace pioblast::blast

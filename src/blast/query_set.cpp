@@ -1,5 +1,7 @@
 #include "blast/query_set.h"
 
+#include <utility>
+
 #include "seqdb/alphabet.h"
 
 namespace pioblast::blast {
@@ -11,13 +13,15 @@ std::shared_ptr<const QuerySet> QuerySet::build(const std::string& fasta_text,
   set->queries_ = seqdb::parse_fasta(fasta_text);
   set->matrix_ = std::make_shared<const ScoringMatrix>(make_matrix(params));
   set->stats_ = stats;
-  set->contexts_.reserve(set->queries_.size());
+  std::vector<QueryContext> contexts;
+  contexts.reserve(set->queries_.size());
   for (std::uint32_t q = 0; q < set->queries_.size(); ++q) {
-    set->contexts_.emplace_back(
+    contexts.emplace_back(
         q,
         seqdb::encode_sequence(params.type, set->queries_[q].sequence),
         params, *set->matrix_, stats);
   }
+  set->contexts_ = PreparedBatch(std::move(contexts));
   return set;
 }
 

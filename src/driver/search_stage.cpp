@@ -23,15 +23,16 @@ std::size_t SearchStage::add_fragment(seqdb::LoadedFragment frag) {
 void SearchStage::search_slot(mpisim::Process& p, std::size_t slot) {
   PIOBLAST_CHECK(slot < fragments_.size());
   const seqdb::LoadedFragment& frag = fragments_[slot];
-  const auto& contexts = queries_.contexts();
   p.compute(p.cost().fragment_setup_seconds());
   std::uint64_t cached = 0;
   // One batched call services every query (the fast kernel indexes the
-  // fragment once and splits it across the host's cores inside the call,
+  // fragment once, reads the query tables the QuerySet prepared once per
+  // job, and splits the fragment across the host's cores inside the call,
   // so this rank neither yields nor reorders against other ranks). Virtual
   // time is still charged per query, in query order, from the per-query
   // counters — identical to the scalar loop and independent of the host.
-  auto results = blast::search_fragment_batch(contexts, frag, kernel_);
+  auto results =
+      blast::search_fragment_batch(queries_.contexts(), frag, kernel_);
   for (std::uint32_t q = 0; q < queries_.size(); ++q) {
     auto& result = results[q];
     p.compute(p.cost().search_seconds(result.counters));

@@ -30,12 +30,14 @@
 #include "blast/engine.h"
 #include "blast/extend.h"
 #include "blast/fragment_index.h"
+#include "blast/query_set.h"
 #include "blast/seed.h"
 #include "mpiblast/mpiblast.h"
 #include "pario/vfs.h"
 #include "pioblast/pioblast.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
+#include "util/error.h"
 
 namespace pioblast::blast {
 namespace {
@@ -115,6 +117,19 @@ void expect_results_identical(const FragmentSearchResult& scalar,
   EXPECT_EQ(scalar.counters.hsps_found, fast.counters.hsps_found) << what;
 }
 
+/// One query through both kernels: the scalar oracle, and the fast kernel
+/// on a one-query prepared batch.
+void expect_single_query_identical(QueryContext ctx,
+                                   const seqdb::LoadedFragment& frag,
+                                   const char* what) {
+  std::vector<QueryContext> one;
+  one.push_back(std::move(ctx));
+  const PreparedBatch batch(std::move(one));
+  expect_results_identical(
+      search_fragment(batch[0], frag),
+      search_fragment_batch(batch, frag, KernelKind::kFast)[0], what);
+}
+
 // ---------- corpus differential tests --------------------------------------
 
 TEST(KernelDiff, ProteinFamilyCorpus) {
@@ -125,10 +140,8 @@ TEST(KernelDiff, ProteinFamilyCorpus) {
   const auto params = SearchParams::blastp_defaults();
   for (std::size_t i = 0; i < db.size(); i += 5) {
     const auto query = seqdb::encode_sequence(SeqType::kProtein, db[i].sequence);
-    QueryContext ctx(0, query, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, db[i].id.c_str());
+    expect_single_query_identical(QueryContext(0, query, params, m, gstats),
+                                  frag, db[i].id.c_str());
   }
 }
 
@@ -141,10 +154,8 @@ TEST(KernelDiff, DnaFamilyCorpus) {
   for (std::size_t i = 0; i < db.size(); i += 5) {
     const auto query =
         seqdb::encode_sequence(SeqType::kNucleotide, db[i].sequence);
-    QueryContext ctx(0, query, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, db[i].id.c_str());
+    expect_single_query_identical(QueryContext(0, query, params, m, gstats),
+                                  frag, db[i].id.c_str());
   }
 }
 
@@ -169,20 +180,21 @@ TEST(KernelDiff, BatchMatchesPerQueryScalar) {
                         params, m, gstats);
   contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()),
                         std::vector<std::uint8_t>{}, params, m, gstats);
+  const PreparedBatch batch(std::move(contexts));
 
-  const auto batch = search_fragment_batch(contexts, frag, KernelKind::kFast);
-  ASSERT_EQ(batch.size(), contexts.size());
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const auto scalar = search_fragment(contexts[i], frag);
-    expect_results_identical(scalar, batch[i],
+  const auto fast = search_fragment_batch(batch, frag, KernelKind::kFast);
+  ASSERT_EQ(fast.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto scalar = search_fragment(batch[i], frag);
+    expect_results_identical(scalar, fast[i],
                              ("batch member " + std::to_string(i)).c_str());
   }
 
   // The batch API's scalar arm must equal per-query scalar calls too.
   const auto scalar_batch =
-      search_fragment_batch(contexts, frag, KernelKind::kScalar);
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    expect_results_identical(search_fragment(contexts[i], frag),
+      search_fragment_batch(batch, frag, KernelKind::kScalar);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_results_identical(search_fragment(batch[i], frag),
                              scalar_batch[i], "scalar batch");
   }
 }
@@ -218,10 +230,8 @@ TEST(KernelDiff, DegenerateProteinInputs) {
   };
   for (const std::string& qs : queries) {
     const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
-    QueryContext ctx(0, q, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, qs.empty() ? "<empty>" : qs.c_str());
+    expect_single_query_identical(QueryContext(0, q, params, m, gstats), frag,
+                                  qs.empty() ? "<empty>" : qs.c_str());
   }
 }
 
@@ -249,10 +259,8 @@ TEST(KernelDiff, DegenerateDnaInputs) {
   };
   for (const std::string& qs : queries) {
     const auto q = seqdb::encode_sequence(SeqType::kNucleotide, qs);
-    QueryContext ctx(0, q, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, qs.empty() ? "<empty>" : qs.c_str());
+    expect_single_query_identical(QueryContext(0, q, params, m, gstats), frag,
+                                  qs.empty() ? "<empty>" : qs.c_str());
   }
 }
 
@@ -341,10 +349,8 @@ TEST(KernelDiff, FuzzProteinCorpora) {
     const auto frag = whole_db(db);
     const auto gstats = stats_of(db);
     const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
-    QueryContext ctx(0, q, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, "fuzz");
+    expect_single_query_identical(QueryContext(0, q, params, m, gstats), frag,
+                                  "fuzz");
     if (::testing::Test::HasNonfatalFailure() ||
         ::testing::Test::HasFatalFailure()) {
       dump_case(iter, params, db, qs);
@@ -393,10 +399,8 @@ TEST(KernelDiff, FuzzDnaCorpora) {
     const auto frag = whole_db(db, SeqType::kNucleotide);
     const auto gstats = stats_of(db);
     const auto q = seqdb::encode_sequence(SeqType::kNucleotide, qs);
-    QueryContext ctx(0, q, params, m, gstats);
-    const auto scalar = search_fragment(ctx, frag);
-    const auto fast = search_fragment_fast(ctx, frag);
-    expect_results_identical(scalar, fast, "dna fuzz");
+    expect_single_query_identical(QueryContext(0, q, params, m, gstats), frag,
+                                  "dna fuzz");
     if (::testing::Test::HasNonfatalFailure() ||
         ::testing::Test::HasFatalFailure()) {
       dump_case(iter, params, db, qs);
@@ -418,12 +422,11 @@ std::uint64_t residues_of(const seqdb::LoadedFragment& frag) {
   return n;
 }
 
-/// Contexts for every `stride`-th database sequence (at most `count`).
-std::vector<QueryContext> contexts_from(const std::vector<seqdb::FastaRecord>& db,
-                                        SeqType type, const SearchParams& params,
-                                        const ScoringMatrix& m,
-                                        const GlobalDbStats& gstats,
-                                        std::size_t count) {
+/// A batch of every `stride`-th database sequence (at most `count`).
+PreparedBatch contexts_from(const std::vector<seqdb::FastaRecord>& db,
+                            SeqType type, const SearchParams& params,
+                            const ScoringMatrix& m, const GlobalDbStats& gstats,
+                            std::size_t count) {
   std::vector<QueryContext> contexts;
   const std::size_t stride = std::max<std::size_t>(1, db.size() / count);
   for (std::size_t i = 0; i < db.size() && contexts.size() < count; i += stride) {
@@ -431,18 +434,18 @@ std::vector<QueryContext> contexts_from(const std::vector<seqdb::FastaRecord>& d
                           seqdb::encode_sequence(type, db[i].sequence), params,
                           m, gstats);
   }
-  return contexts;
+  return PreparedBatch(std::move(contexts));
 }
 
 /// The fast batch kernel against per-query scalar calls.
-void expect_batch_matches_scalar(const std::vector<QueryContext>& contexts,
+void expect_batch_matches_scalar(const PreparedBatch& batch,
                                  const seqdb::LoadedFragment& frag,
                                  const std::string& what) {
-  const auto fast = search_fragment_batch(contexts, frag, KernelKind::kFast);
-  ASSERT_EQ(fast.size(), contexts.size());
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
+  const auto fast = search_fragment_batch(batch, frag, KernelKind::kFast);
+  ASSERT_EQ(fast.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::string label = what + " query " + std::to_string(i);
-    expect_results_identical(search_fragment(contexts[i], frag), fast[i],
+    expect_results_identical(search_fragment(batch[i], frag), fast[i],
                              label.c_str());
   }
 }
@@ -493,7 +496,7 @@ TEST(KernelSplit, ConcurrentCallersMatchSerialResults) {
   const auto params = SearchParams::blastp_defaults();
   const std::size_t ncallers = 3;
   std::vector<seqdb::LoadedFragment> frags;
-  std::vector<std::vector<QueryContext>> contexts;
+  std::vector<PreparedBatch> contexts;
   std::vector<std::vector<FragmentSearchResult>> serial;
   for (std::size_t c = 0; c < ncallers; ++c) {
     const auto db = family_db(8 * kSplitGrainResidues, 149 + c);
@@ -535,7 +538,112 @@ TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
     contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
                           params, m, gstats);
   }
-  expect_batch_matches_scalar(contexts, frag, "1100 queries");
+  expect_batch_matches_scalar(PreparedBatch(std::move(contexts)), frag,
+                              "1100 queries");
+}
+
+// ---------- prepared batches -------------------------------------------------
+//
+// A QuerySet prepares its batch once per job and every fragment search only
+// reads it. pioBLAST at thousands of ranks makes thousands of calls on one
+// set, each on a fragment below the split threshold, and the threads
+// backend makes them from several rank threads at once.
+
+/// `db` cut into residue-balanced fragments of about `residues` each.
+std::vector<seqdb::LoadedFragment> cut_into_fragments(
+    const std::vector<seqdb::FastaRecord>& db, std::uint64_t residues) {
+  pario::VirtualFS fs;
+  const auto parts = seqdb::mpiformatdb(
+      fs, db, "cut", SeqType::kProtein, "t",
+      static_cast<int>(stats_of(db).total_residues / residues));
+  std::vector<seqdb::LoadedFragment> frags;
+  for (std::size_t i = 0; i < parts.fragment_bases.size(); ++i) {
+    frags.push_back(seqdb::load_volumes(fs, parts.fragment_bases[i],
+                                        SeqType::kProtein,
+                                        parts.ranges[i].first));
+  }
+  return frags;
+}
+
+TEST(KernelPrepared, OneSetAcrossSubGrainFragmentsAndThreads) {
+  const auto db = family_db(40'000, 157);
+  const auto frags = cut_into_fragments(db, 512);
+  ASSERT_GE(frags.size(), 60u);
+  for (const auto& frag : frags)
+    ASSERT_LT(residues_of(frag), 2 * kSplitGrainResidues);  // unsplit calls
+  std::string fasta;
+  for (std::size_t i = 0; i < db.size(); i += db.size() / 4)
+    fasta += ">q" + std::to_string(i) + "\n" + db[i].sequence + "\n";
+  const auto set =
+      QuerySet::build(fasta, SearchParams::blastp_defaults(), stats_of(db));
+  const PreparedBatch& batch = set->contexts();
+
+  std::vector<std::vector<FragmentSearchResult>> serial;
+  std::size_t hsps = 0;
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    serial.push_back(search_fragment_batch(batch, frags[f], KernelKind::kFast));
+    ASSERT_EQ(serial[f].size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::string label =
+          "fragment " + std::to_string(f) + " query " + std::to_string(i);
+      expect_results_identical(search_fragment(batch[i], frags[f]),
+                               serial[f][i], label.c_str());
+      hsps += serial[f][i].hsps.size();
+    }
+  }
+  EXPECT_GT(hsps, 0u);
+
+  // Three threads share the set, each over every third fragment.
+  const std::size_t nthreads = 3;
+  std::vector<std::vector<FragmentSearchResult>> concurrent(frags.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t f = t; f < frags.size(); f += nthreads)
+        concurrent[f] = search_fragment_batch(batch, frags[f], KernelKind::kFast);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    ASSERT_EQ(concurrent[f].size(), serial[f].size());
+    for (std::size_t i = 0; i < serial[f].size(); ++i)
+      expect_results_identical(serial[f][i], concurrent[f][i], "concurrent");
+  }
+}
+
+TEST(KernelPrepared, MixedTypesOrWordSizesRejected) {
+  const GlobalDbStats gstats{100'000, 100};
+  const auto protein = SearchParams::blastp_defaults();
+  const auto dna = SearchParams::blastn_defaults();
+  auto dna_short = dna;
+  dna_short.word_size = 8;
+  const auto pm = make_matrix(protein);
+  const auto dm = make_matrix(dna);
+  const auto pq = seqdb::encode_sequence(SeqType::kProtein, "MKVLAARNDCQEGHILK");
+  const auto dq =
+      seqdb::encode_sequence(SeqType::kNucleotide, "ACGTACGTACGTACGTACGT");
+  auto expect_rejected = [](std::vector<QueryContext> contexts,
+                            const char* what) {
+    try {
+      const PreparedBatch batch(std::move(contexts));
+      ADD_FAILURE() << what << ": batch accepted";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "batched queries must share word size and type"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+
+  std::vector<QueryContext> types;
+  types.emplace_back(0, pq, protein, pm, gstats);
+  types.emplace_back(1, dq, dna, dm, gstats);
+  expect_rejected(std::move(types), "blastp + blastn");
+
+  std::vector<QueryContext> words;
+  words.emplace_back(0, dq, dna, dm, gstats);
+  words.emplace_back(1, dq, dna_short, dm, gstats);
+  expect_rejected(std::move(words), "word sizes 11 + 8");
 }
 
 // ---------- FlatNeighborhood / FragmentIndex properties ---------------------
