@@ -17,7 +17,6 @@
 // size); tools/bench_to_json.py folds them into BENCH_scalability.json.
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,20 +28,6 @@
 using namespace pioblast;
 
 namespace {
-
-std::vector<int> parse_ranks(const std::string& spec) {
-  std::vector<int> out;
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const int n = std::stoi(field);
-    if (n < 2) throw util::RuntimeError("--ranks: world size must be >= 2");
-    out.push_back(n);
-  }
-  if (out.empty()) throw util::RuntimeError("--ranks: empty list");
-  return out;
-}
 
 void emit_row(const char* driver, int nprocs, mpisim::ExecModel exec,
               const blast::DriverResult& r) {
@@ -73,7 +58,7 @@ int main(int argc, char** argv) {
     std::cerr << args.error();
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
-  const auto ranks = parse_ranks(args.get("ranks"));
+  const auto ranks = bench::parse_ranks(args.get("ranks"));
   const auto exec = mpisim::parse_exec_model(args.get("exec-model"));
   const std::string drivers = args.get("drivers");
   const bool run_mpi = drivers == "both" || drivers == "mpiblast";

@@ -2,10 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "driver/metrics.h"
 #include "pario/env.h"
 #include "seqdb/partition.h"
+#include "util/error.h"
 
 namespace pioblast::bench {
 
@@ -216,6 +218,20 @@ blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
 
 void print_banner(const std::string& title, const std::string& detail) {
   std::printf("=== %s ===\n%s\n\n", title.c_str(), detail.c_str());
+}
+
+std::vector<int> parse_ranks(const std::string& spec) {
+  std::vector<int> out;
+  std::istringstream in(spec);
+  std::string field;
+  while (std::getline(in, field, ',')) {
+    if (field.empty()) continue;
+    const int n = std::stoi(field);
+    if (n < 2) throw util::RuntimeError("--ranks: world size must be >= 2");
+    out.push_back(n);
+  }
+  if (out.empty()) throw util::RuntimeError("--ranks: empty list");
+  return out;
 }
 
 void emit_metrics(const std::string& label, const blast::DriverResult& result) {

@@ -82,6 +82,10 @@ blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
 /// Prints a one-line experiment banner (database/query/cluster summary).
 void print_banner(const std::string& title, const std::string& detail);
 
+/// Parses a `--ranks` list ("64,512,4096"). Throws util::RuntimeError on an
+/// empty list or a world size below 2.
+std::vector<int> parse_ranks(const std::string& spec);
+
 /// Prints the run's structured counters as one machine-readable line:
 /// `METRICS <label> {"name":value,...}` (names sorted; see driver/metrics.h).
 void emit_metrics(const std::string& label, const blast::DriverResult& result);

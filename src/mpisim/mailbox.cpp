@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -23,12 +24,20 @@ void Mailbox::push(Message msg) {
   // may poison mailboxes on a report, which would self-deadlock under mu_.
   // The mailbox's own lock identity is passed explicitly instead.
   annotate_access(this, "Mailbox::push", /*write=*/true, {this});
+  const int src = msg.src;
+  const int tag = msg.tag;
+  std::uint64_t seq = 0;
   {
     std::lock_guard lock(mu_);
     if (sealed_) return;  // the owning rank crashed; its mail vanishes
+    seq = next_seq_++;
     queue_.push_back(std::move(msg));
-    seq_.push_back(next_seq_++);
+    seq_.push_back(seq);
   }
+  // Called unlocked, like on_block in pop_any: the verifier takes mailbox
+  // locks under its own. The arrival ordinal keeps a late call from
+  // clearing a wait registered after the message was already taken.
+  if (verifier_ != nullptr) verifier_->on_push(rank_, src, tag, seq);
   cv_.notify_all();
   if (schedule_ != nullptr) schedule_->wake(rank_);
 }
@@ -69,13 +78,15 @@ Message Mailbox::pop(int src, int tag) {
 Message Mailbox::pop_any(int src, std::span<const int> tags) {
   annotate_access(this, "Mailbox::pop", /*write=*/true, {this});
   for (;;) {
+    std::uint64_t seq = 0;  // first arrival ordinal this wait has not seen
     {
       std::unique_lock lock(mu_);
       const std::size_t idx = find_match(src, tags);
       if (idx != kNpos) return take_at(idx);
+      seq = next_seq_;
       if (poisoned_) {
-        if (verify_poison_) throw VerifyError(poison_reason_);
-        throw util::RuntimeError(poison_reason_);
+        if (verify_poison_) throw VerifyError(*poison_reason_);
+        throw util::RuntimeError(*poison_reason_);
       }
       if (src != kAnySource && dead_.count(src) != 0) {
         throw PeerLostError(src, "mpisim: receive from rank " +
@@ -91,7 +102,7 @@ Message Mailbox::pop_any(int src, std::span<const int> tags) {
     // message arriving in the unlocked window is safe: the wait predicate
     // re-checks before sleeping, and the scan consults has_match() before
     // declaring a registered rank truly stuck.
-    if (verifier_ != nullptr) verifier_->on_block(rank_, src, tags);
+    if (verifier_ != nullptr) verifier_->on_block(rank_, src, tags, seq);
     if (schedule_ != nullptr) {
       // Cooperative mode: park on the scheduler instead of the condition
       // variable. This rank still holds the run token between the match
@@ -133,6 +144,12 @@ void Mailbox::notify_dead(int rank) {
 void Mailbox::poison() { poison(kDefaultPoisonReason, false); }
 
 void Mailbox::poison(std::string reason, bool verify_failure) {
+  poison(std::make_shared<const std::string>(std::move(reason)),
+         verify_failure);
+}
+
+void Mailbox::poison(std::shared_ptr<const std::string> reason,
+                     bool verify_failure) {
   {
     std::lock_guard lock(mu_);
     if (!poisoned_) {  // first reason wins; later poisons keep it

@@ -5,13 +5,15 @@
 // layered on top by Process (receiver clocks max-merge with arrivals).
 //
 // When a ProtocolVerifier is bound (see verifier.h), every blocking pop
-// that finds no match registers the rank as blocked, which is the event
-// stream the verifier's deadlock detection runs on.
+// that finds no match registers the rank as blocked and every push reports
+// the queued message, which is the event stream the verifier's deadlock
+// detection runs on.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -82,6 +84,10 @@ class Mailbox {
   /// unwind as the job's error regardless of which rank records it first.
   void poison(std::string reason, bool verify_failure = false);
 
+  /// Same, with the reason shared: a job-wide report can name every rank,
+  /// and one copy per mailbox would cost memory quadratic in the ranks.
+  void poison(std::shared_ptr<const std::string> reason, bool verify_failure);
+
   /// Binds the protocol verifier (not owned) and this mailbox's rank.
   /// Must happen before any rank thread starts popping.
   void bind_verifier(ProtocolVerifier* verifier, int rank);
@@ -120,7 +126,7 @@ class Mailbox {
   bool sealed_ = false;
   bool poisoned_ = false;
   bool verify_poison_ = false;
-  std::string poison_reason_;
+  std::shared_ptr<const std::string> poison_reason_;
   ProtocolVerifier* verifier_ = nullptr;
   ScheduleHook* schedule_ = nullptr;
   int rank_ = -1;

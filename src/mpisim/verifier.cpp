@@ -1,6 +1,7 @@
 #include "mpisim/verifier.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "mpisim/fault.h"
@@ -19,6 +20,7 @@ void ProtocolVerifier::attach(const std::vector<Mailbox*>& mailboxes) {
   std::lock_guard lock(mu_);
   mailboxes_ = mailboxes;
   live_ranks_ = static_cast<int>(mailboxes.size());
+  blocked_ = 0;
   waits_.assign(mailboxes.size(), {});
   done_.assign(mailboxes.size(), false);
   crashed_.assign(mailboxes.size(), false);
@@ -119,14 +121,7 @@ std::string ProtocolVerifier::render_cycle_locked() const {
 }
 
 std::string ProtocolVerifier::deadlock_report_locked() const {
-  if (live_ranks_ <= 0) return "";
-  int blocked = 0;
-  for (std::size_t r = 0; r < waits_.size(); ++r) {
-    if (done_[r]) continue;
-    if (!waits_[r].blocked) return "";  // somebody is still running
-    ++blocked;
-  }
-  if (blocked == 0) return "";
+  if (live_ranks_ <= 0 || blocked_ < live_ranks_) return "";
   // Every live rank is registered blocked; exonerate any rank whose wait
   // became deliverable between its match check and its registration, and
   // any rank waiting specifically on a crashed peer (it will wake with
@@ -140,7 +135,7 @@ std::string ProtocolVerifier::deadlock_report_locked() const {
     if (mailboxes_[r]->has_match_any(w.src, w.tags)) return "";
   }
   std::ostringstream os;
-  os << "protocol verifier: deadlock: all " << blocked
+  os << "protocol verifier: deadlock: all " << live_ranks_
      << " live ranks blocked in recv with no deliverable message\n";
   for (std::size_t r = 0; r < waits_.size(); ++r) {
     if (done_[r]) continue;
@@ -160,7 +155,8 @@ std::string ProtocolVerifier::deadlock_report_locked() const {
 void ProtocolVerifier::flag_locked(const std::string& report) {
   disabled_ = true;  // one report per job; unwinding must not re-trigger
   if (tracer_ != nullptr) tracer_->record(0, 0.0, TraceKind::kVerify, report);
-  for (Mailbox* mb : mailboxes_) mb->poison(report, /*verify_failure=*/true);
+  const auto shared = std::make_shared<const std::string>(report);
+  for (Mailbox* mb : mailboxes_) mb->poison(shared, /*verify_failure=*/true);
 }
 
 void ProtocolVerifier::fail_locked(const std::string& report) {
@@ -168,30 +164,46 @@ void ProtocolVerifier::fail_locked(const std::string& report) {
   throw VerifyError(report);
 }
 
-void ProtocolVerifier::on_block(int rank, int src, int tag) {
-  const int tags[] = {tag};
-  on_block(rank, src, std::span<const int>(tags));
+void ProtocolVerifier::clear_wait_locked(int rank) {
+  auto& w = waits_[static_cast<std::size_t>(rank)];
+  if (!w.blocked) return;
+  w.blocked = false;
+  --blocked_;
 }
 
-void ProtocolVerifier::on_block(int rank, int src, std::span<const int> tags) {
+void ProtocolVerifier::on_block(int rank, int src, std::span<const int> tags,
+                                std::uint64_t seq) {
   std::lock_guard lock(mu_);
   if (disabled_) return;
   auto& w = waits_[static_cast<std::size_t>(rank)];
+  if (!w.blocked) ++blocked_;
   w.blocked = true;
   w.src = src;
   w.tags.assign(tags.begin(), tags.end());
+  w.seq = seq;
   const std::string report = deadlock_report_locked();
   if (!report.empty()) fail_locked(report);
 }
 
+void ProtocolVerifier::on_push(int dst, int src, int tag, std::uint64_t seq) {
+  std::lock_guard lock(mu_);
+  if (disabled_) return;
+  const Wait& w = waits_[static_cast<std::size_t>(dst)];
+  if (!w.blocked || seq < w.seq) return;
+  if (w.src != kAnySource && w.src != src) return;
+  if (std::find(w.tags.begin(), w.tags.end(), tag) == w.tags.end()) return;
+  clear_wait_locked(dst);
+}
+
 void ProtocolVerifier::on_unblock(int rank) {
   std::lock_guard lock(mu_);
-  waits_[static_cast<std::size_t>(rank)].blocked = false;
+  clear_wait_locked(rank);
 }
 
 void ProtocolVerifier::on_rank_done(int rank) {
   std::lock_guard lock(mu_);
   if (disabled_) return;
+  clear_wait_locked(rank);
   done_[static_cast<std::size_t>(rank)] = true;
   --live_ranks_;
   const std::string report = deadlock_report_locked();
@@ -204,6 +216,7 @@ void ProtocolVerifier::on_rank_crashed(int rank) {
   std::lock_guard lock(mu_);
   if (disabled_) return;
   if (crashed_[static_cast<std::size_t>(rank)]) return;
+  clear_wait_locked(rank);
   crashed_[static_cast<std::size_t>(rank)] = true;
   done_[static_cast<std::size_t>(rank)] = true;
   --live_ranks_;

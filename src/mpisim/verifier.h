@@ -4,11 +4,14 @@
 // Four checks, all free of false positives on a correct program:
 //
 //   1. Deadlock detection — every blocking Mailbox::pop with no match
-//      registers the rank in a wait-for table; whenever the last live rank
-//      blocks (or a rank finishes while the rest are blocked), the
-//      verifier scans all blocked ranks' mailboxes and, if no registered
-//      wait is deliverable, poisons the job with a readable wait-for-cycle
-//      report instead of letting ctest hang.
+//      registers the rank in a wait-for table, and every Mailbox::push of
+//      a message that satisfies a registered wait clears it; the verifier
+//      counts the live ranks with a registered wait. Whenever the last
+//      live rank blocks (or a rank finishes while the rest are blocked),
+//      which that count shows in O(1), the verifier scans all blocked
+//      ranks' mailboxes and, if no registered wait is deliverable,
+//      poisons the job with a readable wait-for-cycle report instead of
+//      letting ctest hang.
 //   2. Collective-order checking — every collective entry records an
 //      (op, root) fingerprint at the rank's next sequence number; the
 //      first rank to reach sequence #n defines the expectation and any
@@ -83,14 +86,22 @@ class ProtocolVerifier {
   /// precise report before deadlock detection has to).
   void on_recv_posted(int rank, int src, int tag);
 
-  /// Registers `rank` as blocked waiting for (src, tag); runs the
-  /// deadlock scan. Throws VerifyError when this block completes a
-  /// deadlock. Called without the mailbox lock held.
-  void on_block(int rank, int src, int tag);
+  /// Registers `rank` as blocked until a message with any of `tags`
+  /// arrives from `src` (kAnySource: from anyone). `seq` is the mailbox's
+  /// next arrival ordinal at the failed match: only messages queued at or
+  /// after it can satisfy this wait. When this block leaves every live
+  /// rank registered, runs the deadlock scan and throws VerifyError if it
+  /// completes a deadlock. Called without the mailbox lock held.
+  void on_block(int rank, int src, std::span<const int> tags,
+                std::uint64_t seq);
 
-  /// Multi-tag variant for waits registered by Mailbox::pop_any: the rank
-  /// is blocked until a message with any of `tags` arrives from `src`.
-  void on_block(int rank, int src, std::span<const int> tags);
+  /// A message from `src` with `tag` was queued in `dst`'s mailbox at
+  /// arrival ordinal `seq`. Clears dst's registered wait if the message
+  /// satisfies it. Messages queued before the wait's ordinal were already
+  /// seen by its failed match, so a late call for one (the threads
+  /// backend runs it after the mailbox lock drops) never clears a later
+  /// wait. Called without the mailbox lock held.
+  void on_push(int dst, int src, int tag, std::uint64_t seq);
 
   /// Clears the blocked registration after the wait returns.
   void on_unblock(int rank);
@@ -122,6 +133,7 @@ class ProtocolVerifier {
     bool blocked = false;
     int src = 0;
     std::vector<int> tags;  ///< acceptable tags (usually one)
+    std::uint64_t seq = 0;  ///< mailbox arrival ordinal at the failed match
   };
   struct CollectiveRecord {
     std::string op;
@@ -129,9 +141,13 @@ class ProtocolVerifier {
     int first_rank = 0;
   };
 
-  /// Scans for a deadlock among the currently blocked ranks. Returns the
-  /// report ("" when progress is still possible). Caller holds mu_.
+  /// Scans for a deadlock among the currently blocked ranks once every
+  /// live rank has a registered wait. Returns the report ("" when
+  /// progress is still possible). Caller holds mu_.
   std::string deadlock_report_locked() const;
+
+  /// Drops `rank`'s registered wait, if any. Caller holds mu_.
+  void clear_wait_locked(int rank);
 
   /// Renders the wait-for cycle (or the blocked set when any-source waits
   /// make the cycle non-unique). Caller holds mu_.
@@ -160,6 +176,7 @@ class ProtocolVerifier {
   mutable std::mutex mu_;
   bool disabled_ = false;
   int live_ranks_ = 0;
+  int blocked_ = 0;  ///< live ranks with a registered wait
   std::vector<Mailbox*> mailboxes_;
   std::vector<Wait> waits_;
   std::vector<bool> done_;

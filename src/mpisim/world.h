@@ -48,10 +48,12 @@ class World {
   /// Signals a fatal error: every blocked receive throws, unwinding all
   /// rank threads so the runtime can report the original exception. The
   /// verifier (if any) is disabled first so the unwind cannot trigger
-  /// cascading protocol reports.
+  /// cascading protocol reports. Every unwinding rank calls this; only
+  /// the first poisons the mailboxes, so a job of P ranks pays P poisons,
+  /// not P^2.
   void abort() {
-    aborted_.store(true, std::memory_order_release);
     if (verifier_) verifier_->on_abort();
+    if (aborted_.exchange(true, std::memory_order_acq_rel)) return;
     for (auto& mb : mailboxes_) mb->poison();
   }
 

@@ -7,14 +7,17 @@
 // CI's scale job pairs it with a 1024-rank fig3a tiny sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
 #include "mpisim/exec.h"
 #include "mpisim/runtime.h"
+#include "mpisim/verify.h"
 
 namespace pioblast {
 namespace {
@@ -101,6 +104,29 @@ TEST(Scale, FourThousandRankBarrierTree) {
       nranks, altix(), [](mpisim::Process& p) { p.barrier(); }, event_opts());
   EXPECT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   EXPECT_GT(report.makespan(), 0.0);
+}
+
+TEST(Scale, VerifierReports4096RankDeadlock) {
+  REQUIRE_EVENTS();
+  // A ring wait at the headline world size: the verifier skips its full
+  // scan until the last live rank blocks, and that one scan must still
+  // find and render the whole cycle.
+  const int nranks = 4096;
+  std::string report;
+  try {
+    mpisim::run(
+        nranks, altix(),
+        [](mpisim::Process& p) { p.recv((p.rank() + 1) % p.size(), 5); },
+        event_opts());
+  } catch (const mpisim::VerifyError& e) {
+    report = e.what();
+  }
+  ASSERT_FALSE(report.empty()) << "the ring wait finished without a report";
+  EXPECT_NE(report.find("all 4096 live ranks blocked"), std::string::npos);
+  const auto cycle = report.find("wait-for cycle: 0 -> 1 -> 2 -> ");
+  ASSERT_NE(cycle, std::string::npos);
+  EXPECT_TRUE(report.ends_with(" -> 4095 -> 0\n"))
+      << report.substr(report.size() - std::min<std::size_t>(report.size(), 80));
 }
 
 }  // namespace

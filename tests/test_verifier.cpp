@@ -6,13 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/channel.h"
 #include "driver/messages.h"
 #include "driver/tags.h"
+#include "mpisim/exec.h"
+#include "mpisim/fault.h"
+#include "mpisim/mailbox.h"
 #include "mpisim/runtime.h"
 #include "mpisim/trace.h"
+#include "mpisim/verifier.h"
 #include "mpisim/verify.h"
 #include "util/error.h"
 
@@ -21,16 +30,21 @@ namespace {
 
 sim::ClusterConfig test_cluster() { return sim::ClusterConfig::ornl_altix(); }
 
-/// Runs `fn` expecting a VerifyError; returns its report text.
-std::string verify_failure(int nranks, const std::function<void(Process&)>& fn,
-                           const RunOptions& opts = {}) {
+/// Runs `body` expecting a VerifyError; returns its report text.
+std::string verify_error(const std::function<void()>& body) {
   try {
-    run(nranks, test_cluster(), fn, opts);
+    body();
   } catch (const VerifyError& e) {
     return e.what();
   }
-  ADD_FAILURE() << "job completed without a VerifyError";
+  ADD_FAILURE() << "no VerifyError was thrown";
   return {};
+}
+
+/// Runs a job expecting a VerifyError; returns its report text.
+std::string verify_failure(int nranks, const std::function<void(Process&)>& fn,
+                           const RunOptions& opts = {}) {
+  return verify_error([&] { run(nranks, test_cluster(), fn, opts); });
 }
 
 // ---------- type stamps ---------------------------------------------------
@@ -110,6 +124,189 @@ TEST(VerifierDeadlock, DeliverableMessageIsNotADeadlock) {
     if (p.rank() == 0) p.send(1, 7, std::vector<std::uint8_t>(8));
     if (p.rank() == 1) p.recv(0, 7);
   }));
+}
+
+// ---------- wait accounting -----------------------------------------------
+//
+// The verifier counts live ranks with a registered wait: a blocking pop
+// registers one, a push whose message satisfies it clears it, and the full
+// deadlock scan runs only when the count reaches the live-rank count. A
+// wait cleared by the wrong message would hide a real deadlock (on the
+// threads backend the receiver goes back to sleep without registering
+// again, so the job would hang instead of failing). The real runs below
+// must still end in today's report text, on both exec models.
+
+constexpr ExecModel kExecModels[] = {ExecModel::kThreads, ExecModel::kEvents};
+
+RunOptions on_exec(ExecModel exec) {
+  RunOptions opts;
+  opts.exec_model = exec;
+  return opts;
+}
+
+constexpr const char* kTwoRankCycle =
+    "protocol verifier: deadlock: all 2 live ranks blocked in recv with no "
+    "deliverable message\n"
+    "  rank 0 waiting for src=1 tag=7\n"
+    "  rank 1 waiting for src=0 tag=7\n"
+    "  wait-for cycle: 0 -> 1 -> 0\n";
+
+constexpr const char* kThreeRankCycle =
+    "protocol verifier: deadlock: all 3 live ranks blocked in recv with no "
+    "deliverable message\n"
+    "  rank 0 waiting for src=1 tag=7\n"
+    "  rank 1 waiting for src=2 tag=7\n"
+    "  rank 2 waiting for src=0 tag=7\n"
+    "  wait-for cycle: 0 -> 1 -> 2 -> 0\n";
+
+TEST(VerifierAccounting, NonMatchingTagLeavesWaitRegistered) {
+  for (const ExecModel exec : kExecModels) {
+    if (exec == ExecModel::kEvents && !events_supported()) continue;
+    SCOPED_TRACE(to_string(exec));
+    const std::string report = verify_failure(
+        2,
+        [](Process& p) {
+          // Rank 1 pings rank 0 and waits for tag 7; only then does rank 0
+          // send it tag 8, so the stray message lands on a registered wait.
+          if (p.rank() == 1) {
+            p.send(0, 3, std::vector<std::uint8_t>(1));
+            p.recv(0, 7);
+          }
+          if (p.rank() == 0) {
+            p.recv(1, 3);
+            p.send(1, 8, std::vector<std::uint8_t>(4));
+            p.recv(1, 7);
+          }
+        },
+        on_exec(exec));
+    EXPECT_EQ(report, kTwoRankCycle);
+  }
+}
+
+TEST(VerifierAccounting, WrongSourceLeavesWaitRegistered) {
+  for (const ExecModel exec : kExecModels) {
+    if (exec == ExecModel::kEvents && !events_supported()) continue;
+    SCOPED_TRACE(to_string(exec));
+    const std::string report = verify_failure(
+        3,
+        [](Process& p) {
+          // Rank 2 pings rank 1 and waits for tag 7 from rank 0; rank 1
+          // then sends it tag 7: right tag, wrong sender.
+          if (p.rank() == 2) {
+            p.send(1, 3, std::vector<std::uint8_t>(1));
+            p.recv(0, 7);
+          }
+          if (p.rank() == 1) {
+            p.recv(2, 3);
+            p.send(2, 7, std::vector<std::uint8_t>(4));
+            p.recv(2, 7);
+          }
+          if (p.rank() == 0) p.recv(1, 7);
+        },
+        on_exec(exec));
+    EXPECT_EQ(report, kThreeRankCycle);
+  }
+}
+
+/// A verifier over real mailboxes that are attached but not bound to it,
+/// so a test reports every block and push itself, with explicit arrival
+/// ordinals: on the threads backend the windows these cases pin down
+/// depend on host timing.
+struct HandDriven {
+  explicit HandDriven(int n) : boxes(static_cast<std::size_t>(n)) {
+    std::vector<Mailbox*> ptrs;
+    for (Mailbox& mb : boxes) ptrs.push_back(&mb);
+    verifier.attach(ptrs);
+  }
+  std::deque<Mailbox> boxes;
+  ProtocolVerifier verifier{VerifyOptions{}, nullptr, {}};
+};
+
+/// Rank 1 already took rank 0's message #0 and now waits for the next one
+/// (its wait starts at ordinal 1); then push reports a message at
+/// `reported_seq`. Nothing is queued in rank 1's mailbox, so only the
+/// accounting decides whether rank 0's block completes a deadlock.
+void wait_then_report_arrival(HandDriven& h, std::uint64_t reported_seq) {
+  Message first;
+  first.src = 0;
+  first.tag = 7;
+  h.boxes[1].push(first);
+  ASSERT_TRUE(h.boxes[1].try_pop(0, 7).has_value());
+  const int tag7[] = {7};
+  h.verifier.on_block(1, 0, tag7, 1);
+  h.verifier.on_push(1, 0, 7, reported_seq);
+}
+
+TEST(VerifierAccounting, StaleArrivalLeavesLaterWaitRegistered) {
+  // Message #0's push reports after rank 1 consumed it and blocked again:
+  // the late report must not clear the newer wait.
+  HandDriven h(2);
+  wait_then_report_arrival(h, 0);
+  const int tag7[] = {7};
+  EXPECT_EQ(verify_error([&] { h.verifier.on_block(0, 1, tag7, 0); }),
+            kTwoRankCycle);
+}
+
+TEST(VerifierAccounting, CurrentArrivalClearsWait) {
+  HandDriven h(2);
+  wait_then_report_arrival(h, 1);
+  const int tag7[] = {7};
+  EXPECT_NO_THROW(h.verifier.on_block(0, 1, tag7, 0));
+}
+
+TEST(VerifierAccounting, WrongSourceOrTagArrivalLeavesWaitRegistered) {
+  // Rank 2 waits for tag 7 from rank 0. A message from rank 1, or one with
+  // tag 8, is queued but cannot wake it.
+  const int tag7[] = {7};
+  for (const auto& [src, tag] : {std::pair{1, 7}, std::pair{0, 8}}) {
+    SCOPED_TRACE("tag " + std::to_string(tag) + " from rank " +
+                 std::to_string(src));
+    HandDriven h(3);
+    h.verifier.on_block(2, 0, tag7, 0);
+    Message stray;
+    stray.src = src;
+    stray.tag = tag;
+    h.boxes[2].push(stray);
+    h.verifier.on_push(2, src, tag, 0);
+    h.verifier.on_block(1, 2, tag7, 0);
+    EXPECT_EQ(verify_error([&] { h.verifier.on_block(0, 1, tag7, 0); }),
+              kThreeRankCycle);
+  }
+}
+
+TEST(VerifierAccounting, AnyListedTagFromAnySenderClearsWait) {
+  // Rank 0 waits for a work request or a fault notice from anyone (the
+  // serve loop's pop_any), or for tag 7 from anyone. Nothing is queued in
+  // its mailbox, so only a cleared wait keeps the last block from
+  // reporting.
+  const int work_or_notice[] = {driver::kTagWorkReq, kTagFaultNotice};
+  const int tag7[] = {7};
+  const int tag9[] = {9};
+  for (const std::span<const int> wait_tags :
+       {std::span<const int>(work_or_notice), std::span<const int>(tag7)}) {
+    for (const int tag : wait_tags) {
+      for (const int src : {1, 2}) {
+        SCOPED_TRACE("tag " + std::to_string(tag) + " from rank " +
+                     std::to_string(src));
+        HandDriven h(3);
+        h.verifier.on_block(0, kAnySource, wait_tags, 0);
+        h.verifier.on_push(0, src, tag, 0);
+        h.verifier.on_block(1, 0, tag9, 0);
+        EXPECT_NO_THROW(h.verifier.on_block(2, 0, tag9, 0));
+      }
+    }
+    // An unlisted tag leaves the wait registered.
+    HandDriven h(3);
+    h.verifier.on_block(0, kAnySource, wait_tags, 0);
+    h.verifier.on_push(0, 1, 9, 0);
+    h.verifier.on_block(1, 0, tag9, 0);
+    const std::string report =
+        verify_error([&] { h.verifier.on_block(2, 0, tag9, 0); });
+    EXPECT_NE(report.find("all 3 live ranks blocked"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("rank 0 waiting for any source"), std::string::npos)
+        << report;
+  }
 }
 
 // ---------- collective order ----------------------------------------------
