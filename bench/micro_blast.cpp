@@ -1,6 +1,7 @@
 // Micro-benchmarks of the BLAST engine stages (google-benchmark, real wall
-// time): word-index construction, subject scanning, ungapped and gapped
-// extension, and whole fragment searches in both protein and DNA modes.
+// time): neighborhood-table construction, ungapped and gapped extension,
+// and whole fragment searches in both protein and DNA modes, each through
+// the code production runs.
 #include <benchmark/benchmark.h>
 
 #include "blast/engine.h"
@@ -14,6 +15,11 @@ using blast::ScoringMatrix;
 using blast::SearchParams;
 
 namespace {
+
+/// A one-query batch, the kernel's query argument.
+blast::PreparedBatch one_query(const blast::QueryContext& ctx) {
+  return blast::PreparedBatch({ctx});
+}
 
 struct ProteinFixture {
   std::vector<seqdb::FastaRecord> db;
@@ -46,29 +52,30 @@ struct ProteinFixture {
   }
 };
 
-void BM_WordIndexBuild(benchmark::State& state) {
+void BM_NeighborhoodBuild(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto query =
       seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[0].sequence);
   for (auto _ : state) {
-    blast::WordIndex idx(query, fx.matrix, fx.params);
+    const blast::FlatNeighborhood idx(query, fx.matrix, fx.params);
     benchmark::DoNotOptimize(idx.total_entries());
   }
   state.counters["query_len"] = static_cast<double>(query.size());
 }
-BENCHMARK(BM_WordIndexBuild);
+BENCHMARK(BM_NeighborhoodBuild);
 
 void BM_FragmentSearchProtein(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto query = seqdb::encode_sequence(
       seqdb::SeqType::kProtein, fx.db[static_cast<std::size_t>(state.range(0))]
                                     .sequence);
-  blast::QueryContext ctx(0, query, fx.params, fx.matrix, fx.stats);
+  const auto batch = one_query(
+      blast::QueryContext(0, query, fx.params, fx.matrix, fx.stats));
   std::uint64_t residues = 0;
   for (auto _ : state) {
-    auto result = blast::search_fragment(ctx, fx.frag);
-    residues = result.counters.db_residues_scanned;
-    benchmark::DoNotOptimize(result.hsps.size());
+    auto results = blast::search_fragment_batch(batch, fx.frag);
+    residues = results[0].counters.db_residues_scanned;
+    benchmark::DoNotOptimize(results[0].hsps.size());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(residues) *
                           static_cast<std::int64_t>(state.iterations()));
@@ -79,8 +86,10 @@ void BM_UngappedExtension(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto q =
       seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[1].sequence);
+  const blast::SelfScoreProfile self(q, fx.matrix);
   for (auto _ : state) {
-    auto ext = blast::extend_ungapped(q, q, 10, 10, 3, fx.matrix, 16);
+    auto ext =
+        blast::extend_ungapped_fast(q, q, 10, 10, 3, fx.matrix, 16, self);
     benchmark::DoNotOptimize(ext.score);
   }
 }
@@ -90,10 +99,12 @@ void BM_GappedExtension(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto q =
       seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[1].sequence);
+  blast::GappedScratch scratch;
   std::uint64_t cells = 0;
   for (auto _ : state) {
-    auto ext = blast::extend_gapped(q, q, static_cast<std::uint32_t>(q.size() / 2),
-                                    q.size() / 2, fx.matrix, 11, 1, 38);
+    auto ext = blast::extend_gapped_fast(
+        q, q, static_cast<std::uint32_t>(q.size() / 2), q.size() / 2,
+        fx.matrix, 11, 1, 38, scratch);
     cells = ext.cells;
     benchmark::DoNotOptimize(ext.score);
   }
@@ -123,10 +134,11 @@ void BM_FragmentSearchDna(benchmark::State& state) {
   const auto matrix = blast::make_matrix(params);
   const auto query = seqdb::encode_sequence(seqdb::SeqType::kNucleotide,
                                             setup->first[2].sequence);
-  blast::QueryContext ctx(0, query, params, matrix, stats);
+  const auto batch =
+      one_query(blast::QueryContext(0, query, params, matrix, stats));
   for (auto _ : state) {
-    auto result = blast::search_fragment(ctx, setup->second);
-    benchmark::DoNotOptimize(result.hsps.size());
+    auto results = blast::search_fragment_batch(batch, setup->second);
+    benchmark::DoNotOptimize(results[0].hsps.size());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(stats.total_residues) *
                           static_cast<std::int64_t>(state.iterations()));
@@ -137,8 +149,9 @@ void BM_FormatAlignment(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto query =
       seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[5].sequence);
-  blast::QueryContext ctx(0, query, fx.params, fx.matrix, fx.stats);
-  const auto result = blast::search_fragment(ctx, fx.frag);
+  const auto result = blast::search_fragment_batch(
+      one_query(blast::QueryContext(0, query, fx.params, fx.matrix, fx.stats)),
+      fx.frag)[0];
   if (result.hsps.empty()) {
     state.SkipWithError("no HSPs to format");
     return;

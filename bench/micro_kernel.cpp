@@ -1,11 +1,14 @@
-// Micro-benchmark (real wall time) of the search kernels: the scalar
-// reference engine vs the fast path (per-assignment fragment indexing,
-// flat offset-compacted neighborhood table, batched query processing,
-// SWAR/arena extension loops). Both kernels produce bit-identical HSPs
-// and counters — the kernel differential suite enforces that — so this
-// bench measures pure host-side throughput on identical work. The fast
-// kernel splits the fragment across every core (the scalar one runs on
-// one), so its row and the speedup depend on the `nproc` each row carries.
+// Micro-benchmark (real wall time) of the search kernel against the scalar
+// reference oracle the tests keep (tests/support/scalar_oracle.h): the
+// oracle's per-query loop vs the production kernel (per-assignment
+// fragment indexing, flat offset-compacted neighborhood table, batched
+// query processing, SWAR/arena extension loops). Both produce
+// bit-identical HSPs and counters — the kernel differential suite enforces
+// that — so this bench measures pure host-side throughput on identical
+// work. Each query's tables, the oracle's word index included, are built
+// before any timed pass. The fast kernel splits the fragment across every
+// core (the oracle runs on one), so its row and the speedup depend on the
+// `nproc` each row carries.
 //
 // Reported rates use the engine's own deterministic counters: "cells" are
 // extension DP cells (ungapped + gapped + traceback) and "seeds" are word
@@ -31,6 +34,7 @@
 #include "pario/vfs.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
+#include "support/scalar_oracle.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -56,19 +60,19 @@ struct KernelRun {
   std::uint64_t hsps = 0;
 };
 
-/// Runs the whole query batch against every fragment `repeats` times with
-/// the given kernel and accumulates wall time per pass; counters are taken
-/// from one pass (they are per-pass deterministic).
-KernelRun run_kernel(const blast::PreparedBatch& batch,
-                     std::span<const seqdb::LoadedFragment> frags,
-                     blast::KernelKind kernel, int repeats) {
+/// Runs `search` (the whole query batch against one fragment) on every
+/// fragment `repeats` times and accumulates wall time per pass; counters
+/// are taken from one pass (they are per-pass deterministic).
+template <class Search>
+KernelRun run_kernel(std::span<const seqdb::LoadedFragment> frags,
+                     const Search& search, int repeats) {
   KernelRun out;
   out.calls = frags.size();
   std::vector<blast::FragmentSearchResult> results;
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < repeats; ++r) {
     for (const seqdb::LoadedFragment& frag : frags) {
-      results = blast::search_fragment_batch(batch, frag, kernel);
+      results = search(frag);
       if (r > 0) continue;
       for (const auto& res : results) {
         out.cells += res.counters.ungapped_cells + res.counters.gapped_cells +
@@ -159,13 +163,18 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
         seqdb::encode_sequence(type, q.sequence), params, matrix, stats);
   }
   const blast::PreparedBatch batch(std::move(contexts));
+  const blast::oracle::ScalarBatch reference(batch);
+  auto scalar_search = [&](const seqdb::LoadedFragment& f) {
+    return reference.search(f);
+  };
+  auto fast_search = [&](const seqdb::LoadedFragment& f) {
+    return blast::search_fragment_batch(batch, f);
+  };
 
   // Warm-up pass (page in the fragment, size the scratch), then timed runs.
-  (void)blast::search_fragment_batch(batch, frag, blast::KernelKind::kFast);
-  const auto scalar =
-      run_kernel(batch, {&frag, 1}, blast::KernelKind::kScalar, repeats);
-  const auto fast =
-      run_kernel(batch, {&frag, 1}, blast::KernelKind::kFast, repeats);
+  (void)fast_search(frag);
+  const auto scalar = run_kernel({&frag, 1}, scalar_search, repeats);
+  const auto fast = run_kernel({&frag, 1}, fast_search, repeats);
   const double speedup = scalar.wall / fast.wall;
 
   emit_row(name, "scalar", scalar);
@@ -187,8 +196,7 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
   for (std::size_t i = 0; i < cut_db.fragment_bases.size(); ++i)
     cut.push_back(seqdb::load_volumes(fs, cut_db.fragment_bases[i], type,
                                       cut_db.ranges[i].first));
-  const auto cut_fast =
-      run_kernel(batch, cut, blast::KernelKind::kFast, repeats);
+  const auto cut_fast = run_kernel(cut, fast_search, repeats);
   emit_row(name, "fast", cut_fast);
   add_table_row(table, name, "fast", cut_fast, "");
 }
@@ -197,8 +205,9 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
 
 int main(int argc, char** argv) {
   util::ArgParser args("micro_kernel",
-                       "search-kernel throughput: scalar reference vs fast "
-                       "path (fragment indexing + batched SWAR extension)");
+                       "search-kernel throughput: scalar reference oracle vs "
+                       "the kernel (fragment indexing + batched SWAR "
+                       "extension)");
   args.add("residues", "1048576", "database residues per sequence type")
       .add("query-bytes", "16384", "query-set FASTA bytes")
       .add("query-chunk", "64",

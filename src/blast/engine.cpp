@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-
-#include "blast/engine_detail.h"
-#include "util/error.h"
 
 namespace pioblast::blast {
 
@@ -13,18 +9,6 @@ ScoringMatrix make_matrix(const SearchParams& params) {
   return params.type == seqdb::SeqType::kProtein
              ? ScoringMatrix::blosum62()
              : ScoringMatrix::dna(params.dna_match, params.dna_mismatch);
-}
-
-KernelKind parse_kernel(std::string_view name) {
-  if (name == "scalar") return KernelKind::kScalar;
-  if (name == "fast") return KernelKind::kFast;
-  PIOBLAST_CHECK_MSG(false, "unknown kernel '" + std::string(name) +
-                                "' (expected 'scalar' or 'fast')");
-  return KernelKind::kFast;  // unreachable
-}
-
-const char* kernel_name(KernelKind kind) {
-  return kind == KernelKind::kScalar ? "scalar" : "fast";
 }
 
 QueryContext::QueryContext(std::uint32_t query_id,
@@ -36,7 +20,6 @@ QueryContext::QueryContext(std::uint32_t query_id,
       params_(params),
       matrix_(matrix),
       db_(db),
-      index_(residues_, matrix, params),
       flat_(residues_, matrix, params),
       self_(residues_, matrix),
       adjust_(length_adjustment(matrix.gapped(), residues_.size(), db)) {
@@ -53,140 +36,6 @@ QueryContext::QueryContext(std::uint32_t query_id,
   const double s = std::log(kp.K * m_eff * n_eff / params.evalue_cutoff) / kp.lambda;
   cutoff_score_ = std::max(params.cutoff_score_min,
                            static_cast<int>(std::ceil(std::max(s, 1.0))));
-}
-
-FragmentSearchResult search_fragment(const QueryContext& query,
-                                     const seqdb::LoadedFragment& fragment) {
-  using detail::DiagTable;
-  using detail::Envelope;
-  using detail::annotate_alignment;
-  using detail::contained_in;
-  FragmentSearchResult result;
-  const SearchParams& params = query.params();
-  const ScoringMatrix& matrix = query.matrix();
-  const std::span<const std::uint8_t> q = query.residues();
-  const std::size_t qlen = q.size();
-  const int w = params.word_size;
-  const bool two_hit = params.two_hit_window > 0;
-
-  if (qlen < static_cast<std::size_t>(w)) return result;
-
-  DiagTable diags;
-  std::vector<Hsp> subject_hsps;
-  std::vector<Envelope> explored;
-
-  for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local) {
-    const std::span<const std::uint8_t> s = fragment.sequence(local);
-    result.counters.db_residues_scanned += s.size();
-    if (s.size() < static_cast<std::size_t>(w)) continue;
-    diags.begin_subject(qlen, s.size());
-    subject_hsps.clear();
-    explored.clear();
-
-    const std::size_t last_word = s.size() - static_cast<std::size_t>(w);
-    for (std::size_t spos = 0; spos <= last_word; ++spos) {
-      const PositionList* hits = query.index().probe(s.data() + spos);
-      if (hits == nullptr) continue;
-      for (const std::uint32_t qpos : *hits) {
-        ++result.counters.seed_hits;
-        const std::size_t diag = spos + qlen - qpos;
-
-        // Skip seeds inside a region an extension already covered.
-        if (static_cast<std::int64_t>(spos) <= diags.covered_until(diag)) continue;
-
-        if (two_hit) {
-          // NCBI two-hit rule: a fresh hit or one beyond the window resets
-          // the diagonal; a hit overlapping the previous one (distance
-          // < w) is ignored *without* updating it — otherwise runs of
-          // consecutive seeds (identical sequences!) would never trigger.
-          const std::int64_t prev = diags.last_seed(diag);
-          const std::int64_t gap =
-              prev < 0 ? -1 : static_cast<std::int64_t>(spos) - prev;
-          if (prev < 0 || gap > params.two_hit_window) {
-            diags.set_last_seed(diag, static_cast<std::int64_t>(spos));
-            continue;
-          }
-          if (gap < w) continue;  // overlapping hit: keep the older one
-          diags.set_last_seed(diag, static_cast<std::int64_t>(spos));
-        }
-
-        ++result.counters.two_hit_triggers;
-        const UngappedExtension ung =
-            extend_ungapped(q, s, qpos, spos, w, matrix, params.xdrop_ungapped);
-        result.counters.ungapped_cells += ung.cells;
-        diags.set_covered(diag, static_cast<std::int64_t>(ung.send) - w);
-        if (ung.score < params.gap_trigger) continue;
-
-        // Seeds whose ungapped segment lies inside a region some gapped
-        // extension already explored would re-derive (a piece of) the same
-        // alignment: skip them before the expensive gapped pass, as NCBI
-        // BLAST does. Homologs with indels otherwise trigger one
-        // near-full-length gapped extension per indel-shifted diagonal.
-        bool inside_existing = false;
-        for (const Envelope& env : explored) {
-          if (ung.qstart >= env.qstart && ung.qend <= env.qend &&
-              ung.sstart >= env.sstart && ung.send <= env.send) {
-            inside_existing = true;
-            break;
-          }
-        }
-        if (inside_existing) continue;
-
-        // Anchor the gapped pass at the midpoint of the ungapped segment.
-        const std::uint32_t half =
-            (ung.qend - ung.qstart) / 2;
-        const std::uint32_t anchor_q = ung.qstart + half;
-        const std::uint64_t anchor_s = ung.sstart + half;
-        GappedExtension gap = extend_gapped(q, s, anchor_q, anchor_s, matrix,
-                                            params.gap_open, params.gap_extend,
-                                            params.xdrop_gapped);
-        result.counters.gapped_cells += gap.cells;
-        result.counters.traceback_cells += gap.ops.size();
-        diags.set_covered(diag, static_cast<std::int64_t>(gap.send) - w);
-        explored.push_back({gap.qstart, gap.qend, gap.sstart, gap.send});
-        if (gap.score < query.cutoff_score()) continue;
-
-        Hsp hsp;
-        hsp.query_id = query.query_id();
-        hsp.subject_global_id = fragment.global_id(local);
-        hsp.qstart = gap.qstart;
-        hsp.qend = gap.qend;
-        hsp.sstart = gap.sstart;
-        hsp.send = gap.send;
-        hsp.score = gap.score;
-        hsp.ops = std::move(gap.ops);
-        const KarlinParams& kp = matrix.gapped();
-        hsp.bits = bit_score(kp, hsp.score);
-        hsp.evalue = evalue(kp, hsp.score, qlen, query.db(), query.length_adjust());
-        if (hsp.evalue > params.evalue_cutoff) continue;
-        annotate_alignment(hsp, q, s, matrix);
-        subject_hsps.push_back(std::move(hsp));
-      }
-    }
-
-    // Containment culling within the subject: keep an HSP only if it is not
-    // enveloped by a better one.
-    std::sort(subject_hsps.begin(), subject_hsps.end(), Hsp::better);
-    std::vector<Hsp> kept;
-    for (Hsp& cand : subject_hsps) {
-      bool dominated = false;
-      for (const Hsp& better_hsp : kept) {
-        if (contained_in(cand, better_hsp)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) kept.push_back(std::move(cand));
-    }
-    for (Hsp& h : kept) result.hsps.push_back(std::move(h));
-  }
-
-  // Rank and apply the per-fragment hit-list cut ("local cut").
-  std::sort(result.hsps.begin(), result.hsps.end(), Hsp::better);
-  if (result.hsps.size() > static_cast<std::size_t>(params.hitlist_size))
-    result.hsps.resize(static_cast<std::size_t>(params.hitlist_size));
-  result.counters.hsps_found = result.hsps.size();
-  return result;
 }
 
 }  // namespace pioblast::blast

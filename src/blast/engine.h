@@ -2,8 +2,8 @@
 // fragment search.
 //
 // For each (query, database fragment) pair the engine runs the classic
-// pipeline: word scan over every subject sequence probing the query word
-// index; two-hit filtering on diagonals (blastp); ungapped X-drop
+// pipeline: word scan over every subject sequence probing the query's
+// neighborhood table; two-hit filtering on diagonals (blastp); ungapped X-drop
 // extension; gap-triggered gapped extension with traceback; containment
 // culling; Karlin–Altschul E-value filtering against the *global* database
 // statistics; and a final per-fragment hit-list cut (the "local cut" whose
@@ -16,7 +16,6 @@
 
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "blast/extend.h"
@@ -29,8 +28,9 @@
 
 namespace pioblast::blast {
 
-/// Per-query precomputation shared across fragment searches: the word
-/// index, the scoring matrix, and the query's length adjustment.
+/// Per-query precomputation shared across fragment searches: the
+/// neighborhood table, the self-score profile, the scoring matrix, and the
+/// query's length adjustment.
 class QueryContext {
  public:
   QueryContext(std::uint32_t query_id, std::span<const std::uint8_t> residues,
@@ -39,7 +39,6 @@ class QueryContext {
 
   std::uint32_t query_id() const { return query_id_; }
   std::span<const std::uint8_t> residues() const { return residues_; }
-  const WordIndex& index() const { return index_; }
   const FlatNeighborhood& flat_index() const { return flat_; }
   const SelfScoreProfile& self_profile() const { return self_; }
   const ScoringMatrix& matrix() const { return matrix_; }
@@ -57,34 +56,17 @@ class QueryContext {
   SearchParams params_;
   const ScoringMatrix& matrix_;
   GlobalDbStats db_;
-  WordIndex index_;
   FlatNeighborhood flat_;
   SelfScoreProfile self_;
   std::uint64_t adjust_ = 0;
   int cutoff_score_ = 0;
 };
 
-/// Which search-kernel implementation runs the fragment scan. Both produce
-/// bit-identical HSP lists and counters; `kScalar` is the straightforward
-/// reference implementation, `kFast` the batched/flat-table/SWAR rebuild
-/// that the differential kernel tests check against it.
-enum class KernelKind { kScalar, kFast };
-
-/// Parses "scalar" / "fast" (aborts on anything else; used by CLI parsing).
-KernelKind parse_kernel(std::string_view name);
-
-/// Inverse of parse_kernel, for logs and test output.
-const char* kernel_name(KernelKind kind);
-
 /// Result of searching one query against one fragment.
 struct FragmentSearchResult {
   std::vector<Hsp> hsps;          ///< sorted by Hsp::better, capped at hitlist_size
   sim::SearchCounters counters;   ///< feeds the virtual-time cost model
 };
-
-/// Searches `query` against every sequence of `fragment` (scalar kernel).
-FragmentSearchResult search_fragment(const QueryContext& query,
-                                     const seqdb::LoadedFragment& fragment);
 
 /// Residue grain of the fast kernel's host-parallel split. A fragment of R
 /// residues, R at least two grains, is searched as about R / grain chunks
@@ -97,8 +79,8 @@ inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 /// concatenation of every query's bucket in query-id-major order
 /// (positions stay ascending within a query, exactly the per-query bucket
 /// order). One probe of it per subject position services the whole
-/// sub-batch; the scalar path probes per (query, position). PreparedBatch
-/// builds it and the fast kernel only reads it.
+/// sub-batch, where a per-query scan would probe once per (query,
+/// position). PreparedBatch builds it and the kernel only reads it.
 struct BatchNeighborhood {
   static constexpr std::uint32_t kQposBits = 22;
   static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
@@ -139,16 +121,21 @@ class PreparedBatch {
   std::vector<BatchNeighborhood> merged_;
 };
 
-/// Searches every query of a batch against `fragment` with the chosen
-/// kernel; results are index-aligned with `queries`. The fast kernel scans
-/// and packs the fragment ONCE (FragmentIndex) — the per-fragment cost the
-/// scalar kernel pays per query — and services the whole batch from the
-/// precomputed word codes and the batch's prepared tables, split across
-/// the host's cores (see kSplitGrainResidues). Output is bit-identical
-/// across kernels, and concurrent calls are safe, on one batch too.
+/// The one value pbbench passes as search_fragment_batch's third argument.
+/// Kept only so the benchmark's call compiles; a benchmark change drops it.
+enum class KernelKind { kFast };
+
+/// Searches every query of a batch against `fragment`; results are
+/// index-aligned with `queries`. The kernel scans and packs the fragment
+/// ONCE (FragmentIndex), not once per query, and services the whole batch
+/// from the precomputed word codes and the batch's prepared tables, split
+/// across the host's cores (see kSplitGrainResidues). Output is
+/// bit-identical to the scalar reference oracle the kernel tests compare it
+/// against (tests/support/), and concurrent calls are safe, on one batch
+/// too.
 std::vector<FragmentSearchResult> search_fragment_batch(
     const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
-    KernelKind kernel);
+    KernelKind = KernelKind::kFast);
 
 /// Builds the scoring matrix implied by `params`.
 ScoringMatrix make_matrix(const SearchParams& params);

@@ -1,64 +1,24 @@
-// Internals shared by the scalar engine (engine.cpp) and the fast kernel
-// (kernel_fast.cpp). Both search loops must make identical decisions from
-// identical state — the differential kernel tests compare their outputs
-// byte for byte — so the per-diagonal bookkeeping and HSP annotation live
-// here rather than being duplicated.
+// Internals the search kernel (kernel_fast.cpp, extend.cpp) shares with
+// the scalar reference oracle the kernel tests compare it against
+// (tests/support/scalar_oracle.h). Both must make identical decisions from
+// identical state — the differential tests compare their outputs byte for
+// byte — so the explored-envelope and containment rules, HSP annotation,
+// the gapped pass's sentinel and traceback encoding, and the step that
+// joins its two directions live here once rather than being duplicated.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "blast/extend.h"
 #include "blast/hsp.h"
 #include "blast/scoring.h"
 #include "util/error.h"
 
 namespace pioblast::blast::detail {
-
-/// Epoch-stamped per-diagonal table, reused across subjects so the scan
-/// does not reallocate or clear for every sequence.
-class DiagTable {
- public:
-  void begin_subject(std::size_t qlen, std::size_t slen) {
-    const std::size_t need = qlen + slen + 1;
-    if (entries_.size() < need) entries_.resize(need);
-    ++epoch_;
-  }
-
-  /// Last seed position recorded on the diagonal (or -1).
-  std::int64_t last_seed(std::size_t diag) const {
-    const Entry& e = entries_[diag];
-    return e.seed_epoch == epoch_ ? e.last_seed : -1;
-  }
-  void set_last_seed(std::size_t diag, std::int64_t pos) {
-    Entry& e = entries_[diag];
-    e.seed_epoch = epoch_;
-    e.last_seed = pos;
-  }
-
-  /// Subject offset up to which this diagonal is covered by an extension.
-  std::int64_t covered_until(std::size_t diag) const {
-    const Entry& e = entries_[diag];
-    return e.cover_epoch == epoch_ ? e.covered : -1;
-  }
-  void set_covered(std::size_t diag, std::int64_t until) {
-    Entry& e = entries_[diag];
-    const std::int64_t prev = e.cover_epoch == epoch_ ? e.covered : -1;
-    e.cover_epoch = epoch_;
-    e.covered = std::max(prev, until);
-  }
-
- private:
-  struct Entry {
-    std::uint64_t seed_epoch = 0;
-    std::uint64_t cover_epoch = 0;
-    std::int64_t last_seed = -1;
-    std::int64_t covered = -1;
-  };
-  std::vector<Entry> entries_;
-  std::uint64_t epoch_ = 0;
-};
 
 /// Region some gapped extension already explored for the current subject —
 /// including extensions whose score fell below the cutoffs. Seeds inside an
@@ -109,6 +69,53 @@ inline void annotate_alignment(Hsp& hsp, std::span<const std::uint8_t> query,
 inline bool contained_in(const Hsp& a, const Hsp& b) {
   return a.qstart >= b.qstart && a.qend <= b.qend && a.sstart >= b.sstart &&
          a.send <= b.send;
+}
+
+/// Score of a dead DP cell. Far enough from INT_MIN that subtracting gap
+/// costs from it cannot overflow.
+inline constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
+
+/// Traceback direction bits for one gapped DP cell.
+///   bits 0-1: source of H (0 = diagonal, 1 = E, 2 = F)
+///   bit 2:    E extends a previous E (else opens from H)
+///   bit 3:    F extends a previous F (else opens from H)
+enum : std::uint8_t {
+  kHFromDiag = 0,
+  kHFromE = 1,
+  kHFromF = 2,
+  kHMask = 3,
+  kEFromE = 4,
+  kFFromF = 8,
+};
+
+/// One direction of gapped extension: aligns prefixes of q and s starting
+/// at the implicit anchor (0,0); the first move must be diagonal (no
+/// leading gaps, as in BLAST's anchored extension).
+struct DirResult {
+  int score = 0;
+  std::size_t qlen = 0;  ///< query residues consumed to the best cell
+  std::size_t slen = 0;  ///< subject residues consumed
+  std::vector<AlignOp> ops;
+  std::uint64_t cells = 0;
+};
+
+/// Joins the leftward pass (run on reversed prefixes, so its ops read away
+/// from the anchor) and the rightward pass into one extension.
+inline GappedExtension combine_directions(const DirResult& left,
+                                          const DirResult& right,
+                                          std::uint32_t anchor_q,
+                                          std::uint64_t anchor_s) {
+  GappedExtension out;
+  out.score = left.score + right.score;
+  out.cells = left.cells + right.cells;
+  out.qstart = anchor_q - static_cast<std::uint32_t>(left.qlen);
+  out.sstart = anchor_s - left.slen;
+  out.qend = anchor_q + static_cast<std::uint32_t>(right.qlen);
+  out.send = anchor_s + right.slen;
+  out.ops.reserve(left.ops.size() + right.ops.size());
+  out.ops.assign(left.ops.rbegin(), left.ops.rend());
+  out.ops.insert(out.ops.end(), right.ops.begin(), right.ops.end());
+  return out;
 }
 
 }  // namespace pioblast::blast::detail

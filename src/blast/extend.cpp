@@ -2,321 +2,20 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
+#include "blast/engine_detail.h"
 #include "util/error.h"
 
 namespace pioblast::blast {
 
-UngappedExtension extend_ungapped(std::span<const std::uint8_t> query,
-                                  std::span<const std::uint8_t> subject,
-                                  std::uint32_t qpos, std::uint64_t spos,
-                                  int word_size, const ScoringMatrix& matrix,
-                                  int xdrop) {
-  PIOBLAST_CHECK(qpos + static_cast<std::uint32_t>(word_size) <= query.size());
-  PIOBLAST_CHECK(spos + static_cast<std::uint64_t>(word_size) <= subject.size());
-
-  UngappedExtension ext;
-  // Seed score.
-  int score = 0;
-  for (int k = 0; k < word_size; ++k)
-    score += matrix.score(query[qpos + static_cast<std::uint32_t>(k)],
-                          subject[spos + static_cast<std::uint64_t>(k)]);
-  ext.cells += static_cast<std::uint64_t>(word_size);
-
-  // Rightward: keep the prefix-maximum; stop at X-drop.
-  int best = score;
-  std::uint32_t best_qend = qpos + static_cast<std::uint32_t>(word_size);
-  std::uint64_t best_send = spos + static_cast<std::uint64_t>(word_size);
-  {
-    int run = score;
-    std::uint32_t qi = best_qend;
-    std::uint64_t si = best_send;
-    while (qi < query.size() && si < subject.size()) {
-      run += matrix.score(query[qi], subject[si]);
-      ++qi;
-      ++si;
-      ++ext.cells;
-      if (run > best) {
-        best = run;
-        best_qend = qi;
-        best_send = si;
-      } else if (run <= best - xdrop) {
-        break;
-      }
-    }
-  }
-
-  // Leftward from the seed start.
-  std::uint32_t best_qstart = qpos;
-  std::uint64_t best_sstart = spos;
-  {
-    int run = best;
-    int left_best = best;
-    std::uint32_t qi = qpos;
-    std::uint64_t si = spos;
-    while (qi > 0 && si > 0) {
-      --qi;
-      --si;
-      run += matrix.score(query[qi], subject[si]);
-      ++ext.cells;
-      if (run > left_best) {
-        left_best = run;
-        best_qstart = qi;
-        best_sstart = si;
-      } else if (run <= left_best - xdrop) {
-        break;
-      }
-    }
-    best = left_best;
-  }
-
-  ext.score = best;
-  ext.qstart = best_qstart;
-  ext.qend = best_qend;
-  ext.sstart = best_sstart;
-  ext.send = best_send;
-  return ext;
-}
-
-namespace {
-
-constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
-
-/// Traceback direction bits for one DP cell.
-///   bits 0-1: source of H (0 = diagonal, 1 = E, 2 = F)
-///   bit 2:    E extends a previous E (else opens from H)
-///   bit 3:    F extends a previous F (else opens from H)
-enum : std::uint8_t {
-  kHFromDiag = 0,
-  kHFromE = 1,
-  kHFromF = 2,
-  kHMask = 3,
-  kEFromE = 4,
-  kFFromF = 8,
-};
-
-/// One direction of gapped extension: aligns prefixes of q and s starting
-/// at the implicit anchor (0,0); the first move must be diagonal (no
-/// leading gaps, as in BLAST's anchored extension).
-struct DirResult {
-  int score = 0;
-  std::size_t qlen = 0;  ///< query residues consumed to the best cell
-  std::size_t slen = 0;  ///< subject residues consumed
-  std::vector<AlignOp> ops;
-  std::uint64_t cells = 0;
-};
-
-DirResult extend_dir(std::span<const std::uint8_t> q,
-                     std::span<const std::uint8_t> s, const ScoringMatrix& matrix,
-                     int gap_open, int gap_extend, int xdrop) {
-  DirResult result;
-  if (q.empty() || s.empty()) return result;
-
-  const std::size_t m = q.size();
-  const std::size_t n = s.size();
-  const int open_cost = gap_open + gap_extend;
-
-  // Row-linear DP with an active-column window driven by the X-drop rule.
-  // H[j]/F[j] hold the previous row's values for columns inside that row's
-  // computed window [prev_lo, prev_hi); anything outside is dead (kNegInf).
-  std::vector<int> H(n + 1, kNegInf), F(n + 1, kNegInf);
-  // Traceback rows: per row, the window's direction bytes plus its origin.
-  struct TbRow {
-    std::size_t lo;
-    std::vector<std::uint8_t> dirs;
-  };
-  std::vector<TbRow> tb;
-  tb.reserve(64);
-
-  H[0] = 0;
-  int best = 0;
-  std::size_t best_i = 0, best_j = 0;
-  std::size_t prev_lo = 0, prev_hi = 1;  // row 0: only column 0 is live
-  std::size_t lo = 1;                    // first column of the next row
-
-  for (std::size_t i = 1; i <= m && lo <= n; ++i) {
-    TbRow row;
-    row.lo = lo;
-
-    // H(i-1, lo-1), valid only if column lo-1 was computed last row.
-    int h_diag =
-        (lo - 1 >= prev_lo && lo - 1 < prev_hi) ? H[lo - 1] : kNegInf;
-    int h_left = kNegInf;  // H(i, j-1)
-    int e_left = kNegInf;  // E(i, j-1)
-    std::size_t new_lo = n + 1;  // first surviving column this row
-    std::size_t new_hi = lo;     // one past the last surviving column
-    std::size_t j = lo;
-
-    for (; j <= n; ++j) {
-      ++result.cells;
-      const bool prev_valid = j >= prev_lo && j < prev_hi;
-      const int h_up = prev_valid ? H[j] : kNegInf;
-      const int f_up = prev_valid ? F[j] : kNegInf;
-
-      // E: gap consuming subject residue s[j-1] (gap in query).
-      std::uint8_t dir = 0;
-      const int e_open = h_left == kNegInf ? kNegInf : h_left - open_cost;
-      const int e_ext = e_left == kNegInf ? kNegInf : e_left - gap_extend;
-      int e = std::max(e_open, e_ext);
-      if (e_ext > e_open) dir |= kEFromE;
-      // F: gap consuming query residue q[i-1] (gap in subject).
-      const int f_open = h_up == kNegInf ? kNegInf : h_up - open_cost;
-      const int f_ext = f_up == kNegInf ? kNegInf : f_up - gap_extend;
-      int f = std::max(f_open, f_ext);
-      if (f_ext > f_open) dir |= kFFromF;
-      // H: best of diagonal / E / F.
-      const int diag = h_diag == kNegInf
-                           ? kNegInf
-                           : h_diag + matrix.score(q[i - 1], s[j - 1]);
-      int h = diag;
-      if (e > h) {
-        h = e;
-        dir = static_cast<std::uint8_t>((dir & ~kHMask) | kHFromE);
-      }
-      if (f > h) {
-        h = f;
-        dir = static_cast<std::uint8_t>((dir & ~kHMask) | kHFromF);
-      }
-
-      // X-drop pruning relative to the global best.
-      const bool dead = h < best - xdrop;
-      if (dead) {
-        h = kNegInf;
-        e = kNegInf;
-        f = kNegInf;
-      } else {
-        if (j < new_lo) new_lo = j;
-        new_hi = j + 1;
-        if (h > best) {
-          best = h;
-          best_i = i;
-          best_j = j;
-        }
-      }
-
-      h_diag = h_up;  // becomes H(i-1, j) for column j+1
-      h_left = h;
-      e_left = e;
-      H[j] = h;
-      F[j] = f;
-      row.dirs.push_back(dir);
-
-      // Past the previous row's window only the in-row E-chain can feed
-      // later columns (for column j+1 the diagonal source is H(i-1, j),
-      // dead once j >= prev_hi); when the chain is dead the rest of the
-      // row is unreachable.
-      if (j >= prev_hi && dead && e == kNegInf) {
-        ++j;
-        break;
-      }
-    }
-
-    tb.push_back(std::move(row));
-    if (new_lo >= new_hi) break;  // every column pruned: extension done
-    prev_lo = lo;
-    prev_hi = j;  // columns [lo, j) were computed this row
-    lo = new_lo;
-  }
-
-  result.score = best;
-  result.qlen = best_i;
-  result.slen = best_j;
-  if (best_i == 0) return result;  // no positive extension
-
-  // Traceback from (best_i, best_j) to (0, 0).
-  enum class State { kH, kE, kF };
-  State state = State::kH;
-  std::size_t i = best_i, j = best_j;
-  while (i > 0 || j > 0) {
-    PIOBLAST_CHECK_MSG(i > 0 && j > 0, "gapped traceback escaped the matrix");
-    const TbRow& row = tb[i - 1];
-    PIOBLAST_CHECK_MSG(j >= row.lo && j - row.lo < row.dirs.size(),
-                       "gapped traceback outside stored window");
-    const std::uint8_t dir = row.dirs[j - row.lo];
-    switch (state) {
-      case State::kH:
-        switch (dir & kHMask) {
-          case kHFromDiag:
-            result.ops.push_back(AlignOp::kMatch);
-            --i;
-            --j;
-            break;
-          case kHFromE:
-            state = State::kE;
-            break;
-          case kHFromF:
-            state = State::kF;
-            break;
-          default:
-            PIOBLAST_CHECK_MSG(false, "invalid traceback direction");
-        }
-        break;
-      case State::kE:
-        result.ops.push_back(AlignOp::kDelete);
-        state = (dir & kEFromE) ? State::kE : State::kH;
-        --j;
-        break;
-      case State::kF:
-        result.ops.push_back(AlignOp::kInsert);
-        state = (dir & kFFromF) ? State::kF : State::kH;
-        --i;
-        break;
-    }
-  }
-  std::reverse(result.ops.begin(), result.ops.end());
-  return result;
-}
-
-}  // namespace
-
-namespace {
-
-GappedExtension combine_directions(const DirResult& left, const DirResult& right,
-                                   std::uint32_t anchor_q,
-                                   std::uint64_t anchor_s) {
-  GappedExtension out;
-  out.score = left.score + right.score;
-  out.cells = left.cells + right.cells;
-  out.qstart = anchor_q - static_cast<std::uint32_t>(left.qlen);
-  out.sstart = anchor_s - left.slen;
-  out.qend = anchor_q + static_cast<std::uint32_t>(right.qlen);
-  out.send = anchor_s + right.slen;
-  out.ops.reserve(left.ops.size() + right.ops.size());
-  out.ops.assign(left.ops.rbegin(), left.ops.rend());
-  out.ops.insert(out.ops.end(), right.ops.begin(), right.ops.end());
-  return out;
-}
-
-}  // namespace
-
-GappedExtension extend_gapped(std::span<const std::uint8_t> query,
-                              std::span<const std::uint8_t> subject,
-                              std::uint32_t anchor_q, std::uint64_t anchor_s,
-                              const ScoringMatrix& matrix, int gap_open,
-                              int gap_extend, int xdrop) {
-  PIOBLAST_CHECK(anchor_q < query.size());
-  PIOBLAST_CHECK(anchor_s < subject.size());
-
-  // Right: includes the anchor pair itself.
-  const DirResult right =
-      extend_dir(query.subspan(anchor_q), subject.subspan(anchor_s), matrix,
-                 gap_open, gap_extend, xdrop);
-
-  // Left: reversed prefixes strictly before the anchor.
-  std::vector<std::uint8_t> qrev(query.begin(),
-                                 query.begin() + static_cast<std::ptrdiff_t>(anchor_q));
-  std::vector<std::uint8_t> srev(
-      subject.begin(), subject.begin() + static_cast<std::ptrdiff_t>(anchor_s));
-  std::reverse(qrev.begin(), qrev.end());
-  std::reverse(srev.begin(), srev.end());
-  const DirResult left =
-      extend_dir(qrev, srev, matrix, gap_open, gap_extend, xdrop);
-
-  return combine_directions(left, right, anchor_q, anchor_s);
-}
-
-// ---- fast-kernel extension paths ------------------------------------------
+using detail::DirResult;
+using detail::kEFromE;
+using detail::kFFromF;
+using detail::kHFromDiag;
+using detail::kHFromE;
+using detail::kHFromF;
+using detail::kHMask;
+using detail::kNegInf;
 
 SelfScoreProfile::SelfScoreProfile(std::span<const std::uint8_t> query,
                                    const ScoringMatrix& matrix) {
@@ -457,10 +156,11 @@ UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
 
 namespace {
 
-/// Fast twin of extend_dir. Same window walk, same comparisons, same
-/// stored H/F values (dead cells clamped to the exact kNegInf sentinel),
-/// so scores, windows, and tracebacks are bit-identical to the scalar
-/// path. Mechanical differences only: dead-source arithmetic runs
+/// One direction of the gapped pass. Same window walk, same comparisons,
+/// same stored H/F values (dead cells clamped to the exact kNegInf
+/// sentinel) as the reference oracle's scalar extend_dir, so scores,
+/// windows, and tracebacks are bit-identical to it. Mechanical differences
+/// only: dead-source arithmetic runs
 /// unguarded (the results stay far below any live score, and the only
 /// bytes that can differ are traceback directions of dead cells, which
 /// the traceback can never visit), the scoring row pointer is hoisted per
@@ -664,7 +364,7 @@ GappedExtension extend_gapped_fast(std::span<const std::uint8_t> query,
   const DirResult left = extend_dir_fast(scratch.qrev, scratch.srev, matrix,
                                          gap_open, gap_extend, xdrop, scratch);
 
-  return combine_directions(left, right, anchor_q, anchor_s);
+  return detail::combine_directions(left, right, anchor_q, anchor_s);
 }
 
 }  // namespace pioblast::blast

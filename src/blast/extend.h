@@ -25,14 +25,6 @@ struct UngappedExtension {
   std::uint64_t cells = 0;             ///< residue pairs examined
 };
 
-/// Extends the `word_size` seed at (qpos, spos) along its diagonal in both
-/// directions, stopping when the running score drops `xdrop` below the best.
-UngappedExtension extend_ungapped(std::span<const std::uint8_t> query,
-                                  std::span<const std::uint8_t> subject,
-                                  std::uint32_t qpos, std::uint64_t spos,
-                                  int word_size, const ScoringMatrix& matrix,
-                                  int xdrop);
-
 /// Result of a gapped extension (both directions combined).
 struct GappedExtension {
   int score = 0;
@@ -42,23 +34,14 @@ struct GappedExtension {
   std::uint64_t cells = 0;   ///< DP cells evaluated (both directions)
 };
 
-/// Gapped X-drop extension anchored at the aligned pair (anchor_q,
-/// anchor_s), which must lie inside a seeded match. Gap costs follow the
-/// NCBI convention: a gap of length k costs open + k * extend.
-GappedExtension extend_gapped(std::span<const std::uint8_t> query,
-                              std::span<const std::uint8_t> subject,
-                              std::uint32_t anchor_q, std::uint64_t anchor_s,
-                              const ScoringMatrix& matrix, int gap_open,
-                              int gap_extend, int xdrop);
-
-// ---- fast-kernel extension paths ------------------------------------------
-//
-// Same inputs, bit-identical outputs (scores, coordinates, tracebacks,
-// cell counts) as the scalar functions above — the differential kernel
-// tests enforce this. The speed comes from mechanical restructuring only:
-// SWAR 8-residue skips over identical diagonal runs (ungapped), hoisted
-// scoring-matrix row pointers, and reusable DP scratch with a flat
-// traceback arena instead of per-cell vector growth (gapped).
+// The extensions below give bit-identical outputs (scores, coordinates,
+// tracebacks, cell counts) to the scalar extend_ungapped / extend_gapped of
+// the reference oracle in tests/support/ — the differential kernel tests
+// enforce this. The speed
+// comes from mechanical restructuring only: SWAR 8-residue skips over
+// identical diagonal runs (ungapped), hoisted scoring-matrix row pointers,
+// and reusable DP scratch with a flat traceback arena instead of per-cell
+// vector growth (gapped).
 
 /// Per-query precomputation for the SWAR ungapped skip: prefix sums of the
 /// query's self-alignment scores and a prefix count of positions whose
@@ -75,7 +58,9 @@ struct SelfScoreProfile {
                    const ScoringMatrix& matrix);
 };
 
-/// Fast twin of extend_ungapped (identical result, identical cells).
+/// Extends the `word_size` seed at (qpos, spos) along its diagonal in both
+/// directions, stopping when the running score drops `xdrop` below the
+/// best.
 UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
                                        std::span<const std::uint8_t> subject,
                                        std::uint32_t qpos, std::uint64_t spos,
@@ -84,8 +69,8 @@ UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
                                        const SelfScoreProfile& self);
 
 /// Reusable DP buffers for extend_gapped_fast; one per searching thread.
-/// Holding the arena across calls removes the per-cell push_back and
-/// per-call row allocations of the scalar path.
+/// Holding the arena across calls removes per-cell push_backs and per-call
+/// row allocations.
 struct GappedScratch {
   std::vector<int> H, F;
   std::vector<std::uint8_t> dirs;  ///< traceback bytes, all rows contiguous
@@ -98,7 +83,9 @@ struct GappedScratch {
   std::vector<std::uint8_t> qrev, srev;  ///< reversed prefixes (left pass)
 };
 
-/// Fast twin of extend_gapped (identical result, identical cells).
+/// Gapped X-drop extension anchored at the aligned pair (anchor_q,
+/// anchor_s), which must lie inside a seeded match. Gap costs follow the
+/// NCBI convention: a gap of length k costs open + k * extend.
 GappedExtension extend_gapped_fast(std::span<const std::uint8_t> query,
                                    std::span<const std::uint8_t> subject,
                                    std::uint32_t anchor_q,

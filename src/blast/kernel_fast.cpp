@@ -1,4 +1,5 @@
-// The fast search kernel: batched twin of engine.cpp's search_fragment.
+// The search kernel: batched rebuild of the scalar per-query search loop
+// that the tests keep as their reference oracle (tests/support/).
 //
 // Four structural changes over the scalar loop, none of which alter any
 // search decision (the differential kernel tests assert bit-identical HSP
@@ -7,12 +8,12 @@
 //   1. The fragment is scanned ONCE per batch: FragmentIndex materializes
 //      the packed word code at every subject position, so each of the Q
 //      queries probes precomputed codes instead of re-packing the subject
-//      (the scalar path pays that packing Q times). The query side is
+//      (the scalar loop pays that packing Q times). The query side is
 //      prepared once per query set instead: PreparedBatch, constructed
 //      below, merges the blastp neighborhoods (BatchNeighborhood).
 //   2. Word probes go through FlatNeighborhood — a contiguous
-//      offset-compacted bucket table — instead of WordIndex's
-//      vector-of-vectors (protein) / hash map (nucleotide).
+//      offset-compacted bucket table — instead of a vector-of-vectors
+//      (protein) / hash map (nucleotide).
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
 //   4. A fragment of at least two grains (kSplitGrainResidues) is split
@@ -20,9 +21,11 @@
 //      the merge reassembles exactly the one-chunk result (scan_split).
 //
 // The per-(query, subject) control flow below is a line-for-line mirror of
-// the scalar loop: same counter accounting, same two-hit rule, same
-// coverage and envelope skips, same cutoffs and culling. Keep them in
-// lockstep when editing either.
+// the oracle's loop: same counter accounting, same two-hit rule, same
+// coverage and envelope skips, same cutoffs and culling. The oracle is
+// only a reference, but the differential tests hold the two to identical
+// output, so a change to a search decision here must be made in the
+// oracle too.
 #include <algorithm>
 #include <iterator>
 
@@ -36,9 +39,9 @@ namespace pioblast::blast {
 
 namespace {
 
-/// Lean twin of detail::DiagTable: one 8-byte entry per diagonal, so each
-/// cache line holds 8 diagonals instead of the scalar table's 2. There is
-/// no epoch stamp: the table is kept all-{-1,-1} between subjects by
+/// Per-diagonal two-hit state: one 8-byte entry per diagonal, so each
+/// cache line holds 8 diagonals instead of the oracle's epoch-stamped
+/// table's 2. There is no epoch stamp: the table is kept all-{-1,-1} between subjects by
 /// re-walking the (short) seed list after processing and clearing exactly
 /// the entries it touched — those lines are still hot, while stamping
 /// would cost a compare and two selects on every seed. Positions are
@@ -276,14 +279,14 @@ void scan_dna(std::span<const QueryContext> queries,
   GappedScratch scratch;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     // A query shorter than the word size produces an empty result with
-    // zero counters in the scalar kernel; mirror that exactly.
+    // zero counters in the scalar loop; mirror that exactly.
     if (queries[i].residues().size() < w) continue;
     for (std::uint64_t local = lo; local < hi; ++local) {
       const std::span<const std::uint8_t> s = fragment.sequence(local);
       results[i].counters.db_residues_scanned += s.size();
       if (s.size() < w) continue;
       // FastDiags stores positions as int32; subject lengths outside that
-      // range would need the scalar kernel's 64-bit table.
+      // range would need the scalar loop's 64-bit table.
       PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
                          "fast kernel: subject exceeds int32 position range");
       scan_subject_dna(queries[i], s, fragment.global_id(local),
@@ -493,15 +496,9 @@ PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
 
 std::vector<FragmentSearchResult> search_fragment_batch(
     const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
-    KernelKind kernel) {
+    KernelKind) {
   std::vector<FragmentSearchResult> results(queries.size());
   if (queries.empty()) return results;
-
-  if (kernel == KernelKind::kScalar) {
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      results[i] = search_fragment(queries[i], fragment);
-    return results;
-  }
 
   // One fragment scan for the whole batch, shared read-only by every chunk.
   const SearchParams& params = queries[0].params();

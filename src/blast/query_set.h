@@ -1,9 +1,9 @@
 // Prepared query sets: parsed queries plus the prepared search batch.
 //
-// Building a QueryContext (word index + statistics) and the fast kernel's
-// merged neighborhoods (PreparedBatch) is identical on every rank and for
-// every fragment, so the drivers prepare one QuerySet per job and share it
-// read-only across all simulated processes, and the fast kernel shares it
+// Building a QueryContext (neighborhood table + statistics) and the
+// kernel's merged neighborhoods (PreparedBatch) is identical on every rank
+// and for every fragment, so the drivers prepare one QuerySet per job and
+// share it read-only across all simulated processes, and the kernel shares it
 // across the pool threads searching one fragment's chunks. This is a
 // host-side memory/CPU optimization only: the virtual-time cost of query
 // preparation is charged by the drivers exactly as before, and search

@@ -37,94 +37,6 @@ SearchParams SearchParams::blastn_defaults() {
   return p;
 }
 
-WordIndex::WordIndex(std::span<const std::uint8_t> query,
-                     const ScoringMatrix& matrix, const SearchParams& params)
-    : is_dna_(params.type == seqdb::SeqType::kNucleotide),
-      word_size_(params.word_size) {
-  PIOBLAST_CHECK_MSG(!is_dna_ || (word_size_ >= 4 && word_size_ <= 31),
-                     "blastn word size must be in [4,31]");
-  PIOBLAST_CHECK_MSG(is_dna_ || word_size_ == 3, "blastp word size must be 3");
-  if (query.size() < static_cast<std::size_t>(word_size_)) return;
-  if (is_dna_) {
-    build_dna(query);
-  } else {
-    build_protein(query, matrix, params.threshold);
-  }
-}
-
-void WordIndex::build_protein(std::span<const std::uint8_t> query,
-                              const ScoringMatrix& matrix, int threshold) {
-  dense_.assign(24u * 24u * 24u, {});
-  const int n = static_cast<int>(query.size()) - 2;
-  for (int pos = 0; pos < n; ++pos) {
-    const std::uint8_t q0 = query[static_cast<std::size_t>(pos)];
-    const std::uint8_t q1 = query[static_cast<std::size_t>(pos) + 1];
-    const std::uint8_t q2 = query[static_cast<std::size_t>(pos) + 2];
-    // Enumerate neighborhood words with branch-and-bound: a partial score
-    // plus the remaining rows' maxima must still be able to reach T.
-    const int max1 = matrix.row_max(q1);
-    const int max2 = matrix.row_max(q2);
-    for (std::uint8_t a = 0; a < 24; ++a) {
-      const int s0 = matrix.score(q0, a);
-      if (s0 + max1 + max2 < threshold) continue;
-      for (std::uint8_t b = 0; b < 24; ++b) {
-        const int s01 = s0 + matrix.score(q1, b);
-        if (s01 + max2 < threshold) continue;
-        for (std::uint8_t c = 0; c < 24; ++c) {
-          if (s01 + matrix.score(q2, c) < threshold) continue;
-          const std::uint32_t packed = (static_cast<std::uint32_t>(a) * 24u +
-                                        b) * 24u + c;
-          dense_[packed].push_back(static_cast<std::uint32_t>(pos));
-          ++total_entries_;
-        }
-      }
-    }
-  }
-}
-
-void WordIndex::build_dna(std::span<const std::uint8_t> query) {
-  const int w = word_size_;
-  const std::uint64_t mask = (1ULL << (2 * w)) - 1;
-  std::uint64_t packed = 0;
-  int valid = 0;  // consecutive non-N residues accumulated
-  for (std::size_t pos = 0; pos < query.size(); ++pos) {
-    const std::uint8_t code = query[pos];
-    if (code >= 4) {  // N or other ambiguity: restart the window
-      valid = 0;
-      packed = 0;
-      continue;
-    }
-    packed = ((packed << 2) | code) & mask;
-    if (++valid >= w) {
-      sparse_[packed].push_back(static_cast<std::uint32_t>(pos + 1 - static_cast<std::size_t>(w)));
-      ++total_entries_;
-    }
-  }
-}
-
-const PositionList* WordIndex::probe(const std::uint8_t* word) const {
-  if (!is_dna_) {
-    if (dense_.empty()) return nullptr;
-    const PositionList& list = dense_[pack_protein(word)];
-    return list.empty() ? nullptr : &list;
-  }
-  std::uint64_t packed = 0;
-  for (int i = 0; i < word_size_; ++i) {
-    if (word[i] >= 4) return nullptr;  // word contains N
-    packed = (packed << 2) | word[i];
-  }
-  const auto it = sparse_.find(packed);
-  return it == sparse_.end() ? nullptr : &it->second;
-}
-
-std::size_t WordIndex::distinct_words() const {
-  if (is_dna_) return sparse_.size();
-  std::size_t count = 0;
-  for (const auto& list : dense_)
-    if (!list.empty()) ++count;
-  return count;
-}
-
 FlatNeighborhood::FlatNeighborhood(std::span<const std::uint8_t> query,
                                    const ScoringMatrix& matrix,
                                    const SearchParams& params)
@@ -156,7 +68,7 @@ void FlatNeighborhood::build_protein(std::span<const std::uint8_t> query,
 
   // One enumeration pass into (word, pos) pairs, then a stable counting
   // sort by word. Pairs are generated with pos ascending, so each bucket
-  // ends up pos-ascending — the same order the map-based builder appends.
+  // ends up pos-ascending — the order the reference oracle's builder appends.
   struct Pair {
     std::uint32_t word;
     std::uint32_t pos;
@@ -236,8 +148,8 @@ void FlatNeighborhood::build_dna(std::span<const std::uint8_t> query) {
   for (std::size_t k = 0; k < keys_.size(); ++k) offsets_[k + 1] += offsets_[k];
   entries_.resize(pairs.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  // Pairs are pos-ascending, so the stable fill keeps every bucket in the
-  // same order WordIndex's per-word push_back produces.
+  // Pairs are pos-ascending, so the stable fill keeps every bucket
+  // pos-ascending, the order a per-word push_back produces.
   for (const Pair& pr : pairs) entries_[cursor[bucket_of(pr.word)]++] = pr.pos;
 
   // Probe table for the scan loop: at most ~25% load so misses (the common

@@ -1,17 +1,16 @@
-// Seed generation: the query word index.
+// Seed generation: the query's neighborhood table.
 //
 // blastp: every overlapping 3-mer of the query contributes its
 // *neighborhood* — all words whose BLOSUM62 score against the query word
 // reaches threshold T — to a dense lookup table over the 24^3 word space.
 // Scanning a subject sequence then probes the table once per position.
 //
-// blastn: exact 11-mers, 2-bit packed, in a hash map (the 4^11 word space
-// is too sparse for a dense table at our database sizes).
+// blastn: exact 11-mers, 2-bit packed, in an open-addressing table (the
+// 4^11 word space is too sparse for a dense table at our database sizes).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "blast/hsp.h"
@@ -19,60 +18,15 @@
 
 namespace pioblast::blast {
 
-/// Lookup result: query positions whose neighborhood contains a word.
-using PositionList = std::vector<std::uint32_t>;
-
-/// Word index over one query sequence.
-class WordIndex {
- public:
-  /// Builds the index; `query` holds residue codes.
-  WordIndex(std::span<const std::uint8_t> query, const ScoringMatrix& matrix,
-            const SearchParams& params);
-
-  int word_size() const { return word_size_; }
-
-  /// Probes with the word starting at `subject + pos`. Returns nullptr when
-  /// the word has no query neighbors. For DNA, words containing N never
-  /// match.
-  const PositionList* probe(const std::uint8_t* word) const;
-
-  /// Number of distinct words indexed (diagnostics/tests).
-  std::size_t distinct_words() const;
-
-  /// Total (word, query position) entries (diagnostics/tests).
-  std::size_t total_entries() const { return total_entries_; }
-
- private:
-  void build_protein(std::span<const std::uint8_t> query,
-                     const ScoringMatrix& matrix, int threshold);
-  void build_dna(std::span<const std::uint8_t> query);
-
-  std::uint32_t pack_protein(const std::uint8_t* w) const {
-    return (static_cast<std::uint32_t>(w[0]) * 24u +
-            static_cast<std::uint32_t>(w[1])) *
-               24u +
-           static_cast<std::uint32_t>(w[2]);
-  }
-
-  bool is_dna_ = false;
-  int word_size_ = 3;
-  std::size_t total_entries_ = 0;
-  /// blastp: dense table over 24^3 packed words.
-  std::vector<PositionList> dense_;
-  /// blastn: packed 2-bit word -> positions.
-  std::unordered_map<std::uint64_t, PositionList> sparse_;
-};
-
-/// Offset-compacted neighborhood lookup for the fast kernel: one contiguous
-/// entry array of query positions plus per-word bucket offsets, replacing
-/// WordIndex's vector-of-vectors (blastp) / hash map (blastn) with two flat
-/// arrays the scan loop can probe with a single indexed load.
+/// Offset-compacted neighborhood lookup: one contiguous entry array of
+/// query positions plus per-word bucket offsets, two flat arrays the scan
+/// loop can probe with a single indexed load.
 ///
-/// Built independently from the query (its own neighborhood enumeration,
-/// not a copy of WordIndex's buckets) so the kernel property tests compare
-/// two genuinely separate constructions. Bucket contents preserve the
-/// map-based builder's order (query position ascending), which the fast
-/// kernel relies on for seed-for-seed identical search order.
+/// The kernel property tests compare it with the reference oracle's own
+/// vector-of-vectors (blastp) / hash map (blastn) word index
+/// (tests/support/), a separate construction. Bucket contents keep that
+/// builder's order (query position ascending), which the kernel relies on
+/// for a seed-for-seed identical search order.
 class FlatNeighborhood {
  public:
   FlatNeighborhood(std::span<const std::uint8_t> query,

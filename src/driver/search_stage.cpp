@@ -8,11 +8,9 @@
 
 namespace pioblast::driver {
 
-SearchStage::SearchStage(const blast::QuerySet& queries, RunMetrics* metrics,
-                         blast::KernelKind kernel)
+SearchStage::SearchStage(const blast::QuerySet& queries, RunMetrics* metrics)
     : queries_(queries),
       metrics_(metrics),
-      kernel_(kernel),
       per_query_(static_cast<std::size_t>(queries.size())) {}
 
 std::size_t SearchStage::add_fragment(seqdb::LoadedFragment frag) {
@@ -25,14 +23,13 @@ void SearchStage::search_slot(mpisim::Process& p, std::size_t slot) {
   const seqdb::LoadedFragment& frag = fragments_[slot];
   p.compute(p.cost().fragment_setup_seconds());
   std::uint64_t cached = 0;
-  // One batched call services every query (the fast kernel indexes the
+  // One batched call services every query (the kernel indexes the
   // fragment once, reads the query tables the QuerySet prepared once per
   // job, and splits the fragment across the host's cores inside the call,
   // so this rank neither yields nor reorders against other ranks). Virtual
   // time is still charged per query, in query order, from the per-query
-  // counters — identical to the scalar loop and independent of the host.
-  auto results =
-      blast::search_fragment_batch(queries_.contexts(), frag, kernel_);
+  // counters, which do not depend on the host.
+  auto results = blast::search_fragment_batch(queries_.contexts(), frag);
   for (std::uint32_t q = 0; q < queries_.size(); ++q) {
     auto& result = results[q];
     p.compute(p.cost().search_seconds(result.counters));

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "blast/engine.h"
 #include "blast/hsp.h"
 #include "blast/query_set.h"
 #include "driver/metrics.h"
@@ -33,11 +32,8 @@ struct CachedHit {
 class SearchStage {
  public:
   /// `metrics` may be null; when set, fragments_searched / hsps_cached are
-  /// counted as the search proceeds. `kernel` picks the search-kernel
-  /// implementation (scalar reference or the batched fast path); both
-  /// produce bit-identical hits and virtual-time charges.
-  SearchStage(const blast::QuerySet& queries, RunMetrics* metrics,
-              blast::KernelKind kernel = blast::KernelKind::kFast);
+  /// counted as the search proceeds.
+  SearchStage(const blast::QuerySet& queries, RunMetrics* metrics);
 
   /// Registers a loaded fragment; returns its slot.
   std::size_t add_fragment(seqdb::LoadedFragment frag);
@@ -68,7 +64,6 @@ class SearchStage {
  private:
   const blast::QuerySet& queries_;
   RunMetrics* metrics_;
-  blast::KernelKind kernel_;
   std::vector<seqdb::LoadedFragment> fragments_;
   std::vector<std::vector<CachedHit>> per_query_;
 };

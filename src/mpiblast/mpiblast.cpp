@@ -165,7 +165,7 @@ void MpiBlastApp::master(mpisim::Process& p) {
 
 void MpiBlastApp::worker(mpisim::Process& p) {
   const seqdb::SeqType type = opts_.job.params.type;
-  driver::SearchStage stage(queries(), &metrics(), opts_.kernel);
+  driver::SearchStage stage(queries(), &metrics());
   pario::VirtualFS& local = storage().local_for(p.rank());
 
   p.set_phase("search");

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "blast/driver.h"
-#include "blast/engine.h"
 #include "blast/job.h"
 #include "driver/scheduler.h"
 #include "mpisim/exec.h"
@@ -82,9 +81,6 @@ struct MpiBlastOptions {
   /// Rank execution backend (mpisim/exec.h): threads (default) or the
   /// single-threaded fiber event loop. The CLI's --exec-model flag.
   mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
-  /// Search-kernel implementation (blast/engine.h). Both kernels produce
-  /// bit-identical output and virtual time; the CLI's --kernel flag.
-  blast::KernelKind kernel = blast::KernelKind::kFast;
 };
 
 /// Runs mpiBLAST with `nprocs` simulated processes (1 master + workers).

@@ -125,7 +125,7 @@ void PioBlastApp::body(mpisim::Process& p) {
 
   // ---- parallel input stage ("input") ------------------------------------
   p.set_phase("input");
-  driver::SearchStage stage(queries(), &metrics(), opts_.kernel);
+  driver::SearchStage stage(queries(), &metrics());
   // A header-only index view is enough to rebuild fragments from slices.
   seqdb::DbIndex header_view;
   header_view.type = type;

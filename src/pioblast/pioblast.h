@@ -37,7 +37,6 @@
 #pragma once
 
 #include "blast/driver.h"
-#include "blast/engine.h"
 #include "blast/job.h"
 #include "driver/scheduler.h"
 #include "mpisim/exec.h"
@@ -101,9 +100,6 @@ struct PioBlastOptions {
   /// Rank execution backend (mpisim/exec.h): threads (default) or the
   /// single-threaded fiber event loop. The CLI's --exec-model flag.
   mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
-  /// Search-kernel implementation (blast/engine.h). Both kernels produce
-  /// bit-identical output and virtual time; the CLI's --kernel flag.
-  blast::KernelKind kernel = blast::KernelKind::kFast;
 };
 
 /// Runs pioBLAST with `nprocs` simulated processes (1 master + workers)

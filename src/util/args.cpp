@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -83,10 +84,11 @@ std::string ArgParser::get(const std::string& name) const {
 std::int64_t ArgParser::get_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  PIOBLAST_CHECK_MSG(end != v.c_str() && *end == '\0',
-                     "option --" << name << " expects an integer, got '" << v
-                                 << "'");
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE)
+    throw RuntimeError("option --" + name + " expects an integer, got '" + v +
+                       "'");
   return parsed;
 }
 
@@ -94,9 +96,9 @@ double ArgParser::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
-  PIOBLAST_CHECK_MSG(end != v.c_str() && *end == '\0',
-                     "option --" << name << " expects a number, got '" << v
-                                 << "'");
+  if (end == v.c_str() || *end != '\0')
+    throw RuntimeError("option --" + name + " expects a number, got '" + v +
+                       "'");
   return parsed;
 }
 

@@ -40,6 +40,8 @@ class ArgParser {
   const std::string& error() const { return error_; }
 
   std::string get(const std::string& name) const;
+  /// Typed accessors; a value that does not parse whole (or an integer out
+  /// of range) throws util::RuntimeError naming the option.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;

@@ -69,13 +69,13 @@ TEST(Args, HelpProducesUsage) {
 TEST(Args, BadIntegerThrows) {
   auto p = make();
   ASSERT_TRUE(parse(p, {"--count=abc"}));
-  EXPECT_THROW(p.get_int("count"), ContractViolation);
+  EXPECT_THROW(p.get_int("count"), RuntimeError);
 }
 
 TEST(Args, BadDoubleThrows) {
   auto p = make();
   ASSERT_TRUE(parse(p, {"--rate=xyz"}));
-  EXPECT_THROW(p.get_double("rate"), ContractViolation);
+  EXPECT_THROW(p.get_double("rate"), RuntimeError);
 }
 
 TEST(Args, UnregisteredAccessThrows) {

@@ -1,5 +1,5 @@
 // Tests for the BLAST engine's building blocks: scoring matrices,
-// Karlin–Altschul statistics, word indexes, and seed extension.
+// Karlin–Altschul statistics, and the seed extensions the kernel runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "blast/extend.h"
 #include "blast/scoring.h"
-#include "blast/seed.h"
 #include "blast/stats.h"
 #include "seqdb/alphabet.h"
 
@@ -18,9 +17,6 @@ using seqdb::SeqType;
 
 std::vector<std::uint8_t> prot(const std::string& s) {
   return seqdb::encode_sequence(SeqType::kProtein, s);
-}
-std::vector<std::uint8_t> dna(const std::string& s) {
-  return seqdb::encode_sequence(SeqType::kNucleotide, s);
 }
 
 int score_of(const ScoringMatrix& m, char a, char b) {
@@ -116,90 +112,14 @@ TEST(Stats, LengthAdjustmentMonotoneInQueryLength) {
   EXPECT_LE(length_adjustment(kp, 100, db), length_adjustment(kp, 10000, db));
 }
 
-// ---------- word index ----------------------------------------------------
-
-TEST(WordIndex, SelfWordsAlwaysIndexed) {
-  // Every query 3-mer scores at least T=11 against itself... not all do
-  // (e.g. AAA scores 12, but e.g. "AGS" = 4+6+4 = 14). Use a word with a
-  // high self-score and check its own position is found.
-  const auto q = prot("WWWCCC");
-  const auto m = ScoringMatrix::blosum62();
-  WordIndex idx(q, m, SearchParams::blastp_defaults());
-  const auto* hits = idx.probe(q.data());  // WWW, self-score 33
-  ASSERT_NE(hits, nullptr);
-  EXPECT_NE(std::find(hits->begin(), hits->end(), 0u), hits->end());
-}
-
-TEST(WordIndex, NeighborhoodContainsSimilarWords) {
-  const auto q = prot("ILV");  // hydrophobic triple
-  const auto m = ScoringMatrix::blosum62();
-  WordIndex idx(q, m, SearchParams::blastp_defaults());
-  // VLV scores 3+4+4 = 11 >= T: should be in ILV's neighborhood.
-  const auto w = prot("VLV");
-  const auto* hits = idx.probe(w.data());
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ((*hits)[0], 0u);
-}
-
-TEST(WordIndex, DissimilarWordsExcluded) {
-  const auto q = prot("WWW");
-  const auto m = ScoringMatrix::blosum62();
-  WordIndex idx(q, m, SearchParams::blastp_defaults());
-  const auto w = prot("GGG");  // scores -2*3 against WWW
-  EXPECT_EQ(idx.probe(w.data()), nullptr);
-}
-
-TEST(WordIndex, HigherThresholdShrinksNeighborhood) {
-  const auto q = prot("MKVLAWGGSTNDQERHILKF");
-  const auto m = ScoringMatrix::blosum62();
-  auto params = SearchParams::blastp_defaults();
-  params.threshold = 11;
-  WordIndex loose(q, m, params);
-  params.threshold = 13;
-  WordIndex tight(q, m, params);
-  EXPECT_GT(loose.total_entries(), tight.total_entries());
-}
-
-TEST(WordIndex, ShortQueryYieldsNothing) {
-  const auto q = prot("MK");
-  const auto m = ScoringMatrix::blosum62();
-  WordIndex idx(q, m, SearchParams::blastp_defaults());
-  EXPECT_EQ(idx.total_entries(), 0u);
-}
-
-TEST(WordIndex, DnaExactWordsOnly) {
-  const std::string text = "ACGTACGTACGTAAA";
-  const auto q = dna(text);
-  const auto m = ScoringMatrix::dna();
-  WordIndex idx(q, m, SearchParams::blastn_defaults());
-  // The word starting at 0 must be found at position 0 (and also at 4, 8
-  // for this periodic sequence... position 4 shifts the word, still equal).
-  const auto* hits = idx.probe(q.data());
-  ASSERT_NE(hits, nullptr);
-  EXPECT_NE(std::find(hits->begin(), hits->end(), 0u), hits->end());
-  // A word absent from the query probes null.
-  const auto other = dna("TTTTTTTTTTT");
-  EXPECT_EQ(idx.probe(other.data()), nullptr);
-}
-
-TEST(WordIndex, DnaWordsWithNAreSkipped) {
-  const auto q = dna("ACGTACGTACGNACGTACGTACG");
-  const auto m = ScoringMatrix::dna();
-  WordIndex idx(q, m, SearchParams::blastn_defaults());
-  // Words overlapping the N (positions 1..11) are not indexed; with 23
-  // bases and w=11 there would be 13 words, 11 of which straddle the N.
-  EXPECT_EQ(idx.total_entries(), 2u);
-  const auto n_word = dna("CGTACGTACGN");
-  EXPECT_EQ(idx.probe(n_word.data()), nullptr);
-}
-
 // ---------- ungapped extension ---------------------------------------------
 
 TEST(UngappedExtension, PerfectMatchExtendsFully) {
   const auto q = prot("MKVLAWERTYHHGG");
   const auto s = prot("MKVLAWERTYHHGG");
   const auto m = ScoringMatrix::blosum62();
-  const auto ext = extend_ungapped(q, s, 5, 5, 3, m, 16);
+  const auto ext = extend_ungapped_fast(q, s, 5, 5, 3, m, 16,
+                                        SelfScoreProfile(q, m));
   EXPECT_EQ(ext.qstart, 0u);
   EXPECT_EQ(ext.qend, q.size());
   EXPECT_EQ(ext.sstart, 0u);
@@ -215,7 +135,8 @@ TEST(UngappedExtension, StopsAtXDrop) {
   const auto q = prot("WWWWWW" "GGGGGGGGGG" "WWWWWW");
   const auto s = prot("WWWWWW" "PPPPPPPPPP" "WWWWWW");
   const auto m = ScoringMatrix::blosum62();
-  const auto ext = extend_ungapped(q, s, 0, 0, 3, m, 16);
+  const auto ext = extend_ungapped_fast(q, s, 0, 0, 3, m, 16,
+                                        SelfScoreProfile(q, m));
   // G vs P is -2: after ~8 columns the drop exceeds 16.
   EXPECT_LE(ext.qend, 6u + 9u);
   EXPECT_EQ(ext.qstart, 0u);
@@ -226,7 +147,8 @@ TEST(UngappedExtension, LeftAndRightSymmetric) {
   const auto q = prot("GGGGGWWWWWWGGGGG");
   const auto s = prot("PPPPPWWWWWWPPPPP");
   const auto m = ScoringMatrix::blosum62();
-  const auto ext = extend_ungapped(q, s, 6, 6, 3, m, 16);
+  const auto ext = extend_ungapped_fast(q, s, 6, 6, 3, m, 16,
+                                        SelfScoreProfile(q, m));
   EXPECT_EQ(ext.qstart, 5u);
   EXPECT_EQ(ext.qend, 11u);
   EXPECT_EQ(ext.score, 6 * 11);
@@ -236,7 +158,8 @@ TEST(UngappedExtension, CountsCells) {
   const auto q = prot("MKVLAWERTY");
   const auto s = prot("MKVLAWERTY");
   const auto m = ScoringMatrix::blosum62();
-  const auto ext = extend_ungapped(q, s, 3, 3, 3, m, 16);
+  const auto ext = extend_ungapped_fast(q, s, 3, 3, 3, m, 16,
+                                        SelfScoreProfile(q, m));
   EXPECT_GT(ext.cells, 3u);
 }
 
@@ -247,7 +170,8 @@ GappedExtension run_gapped(const std::string& qs, const std::string& ss,
   const auto q = prot(qs);
   const auto s = prot(ss);
   const auto m = ScoringMatrix::blosum62();
-  return extend_gapped(q, s, aq, as, m, 11, 1, 38);
+  GappedScratch scratch;
+  return extend_gapped_fast(q, s, aq, as, m, 11, 1, 38, scratch);
 }
 
 TEST(GappedExtension, IdenticalSequencesAlignEndToEnd) {

@@ -31,6 +31,12 @@ GlobalDbStats stats_of(const std::vector<seqdb::FastaRecord>& records) {
   return s;
 }
 
+/// Searches one query with the kernel, on a one-query prepared batch.
+FragmentSearchResult search_one(const QueryContext& ctx,
+                                const seqdb::LoadedFragment& frag) {
+  return search_fragment_batch(PreparedBatch({ctx}), frag)[0];
+}
+
 /// A deterministic pseudo-random DNA string (no fixed repeats).
 std::string random_dna(std::uint64_t seed, std::size_t len) {
   util::Rng rng(seed);
@@ -52,7 +58,7 @@ TEST(BlastnEngine, FindsEmbeddedExactMatch) {
   auto params = SearchParams::blastn_defaults();
   const auto m = make_matrix(params);
   QueryContext ctx(0, nt(core), params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   const Hsp& top = result.hsps.front();
   EXPECT_EQ(top.subject_global_id, 0u);
@@ -74,7 +80,7 @@ TEST(BlastnEngine, NoSeedsBelowWordSize) {
   auto params = SearchParams::blastn_defaults();
   const auto m = make_matrix(params);
   QueryContext ctx(0, nt(core), params, m, gstats);
-  EXPECT_TRUE(search_fragment(ctx, frag).hsps.empty());
+  EXPECT_TRUE(search_one(ctx, frag).hsps.empty());
 }
 
 TEST(BlastnEngine, NsBlockSeedingButNotExtension) {
@@ -91,7 +97,7 @@ TEST(BlastnEngine, NsBlockSeedingButNotExtension) {
   auto params = SearchParams::blastn_defaults();
   const auto m = make_matrix(params);
   QueryContext ctx(0, nt(core), params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   const Hsp& top = result.hsps.front();
   EXPECT_GE(top.identities, 59u);
@@ -109,7 +115,7 @@ TEST(BlastnEngine, MismatchPenaltyAppliedInScore) {
   auto params = SearchParams::blastn_defaults();
   const auto m = make_matrix(params);
   QueryContext ctx(0, nt(core), params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   // 49 matches (+1 each) and 1 mismatch (-3): full-length alignment scores
   // 46; a truncated 25-base one-sided alignment scores 25 or 24.
@@ -127,7 +133,7 @@ TEST(BlastnEngine, GapBridgedByGappedExtension) {
   auto params = SearchParams::blastn_defaults();
   const auto m = make_matrix(params);
   QueryContext ctx(0, nt(core), params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   const Hsp& top = result.hsps.front();
   EXPECT_EQ(top.gaps, 3u);
@@ -153,7 +159,7 @@ TEST_P(DnaPartitionInvariance, MergedEqualsWhole) {
   const auto names = seqdb::volume_names("nt", SeqType::kNucleotide);
   const auto query = nt(db[4].sequence);
   QueryContext ctx(0, query, params, m, gstats);
-  const auto whole = search_fragment(ctx, frag_of(db));
+  const auto whole = search_one(ctx, frag_of(db));
 
   std::vector<Hsp> merged;
   for (const auto& fr : seqdb::virtual_partition(fmt.index, GetParam())) {
@@ -165,7 +171,7 @@ TEST_P(DnaPartitionInvariance, MergedEqualsWhole) {
         fs.pread(names.index, fr.pin_hdr_off.offset, fr.pin_hdr_off.length),
         fs.pread(names.sequence, fr.psq.offset, fr.psq.length),
         fs.pread(names.header, fr.phr.offset, fr.phr.length));
-    auto part = search_fragment(ctx, frag);
+    auto part = search_one(ctx, frag);
     merged.insert(merged.end(), part.hsps.begin(), part.hsps.end());
   }
   std::sort(merged.begin(), merged.end(), Hsp::better);

@@ -30,6 +30,12 @@ GlobalDbStats stats_of(const std::vector<seqdb::FastaRecord>& records) {
   return s;
 }
 
+/// Searches one query with the kernel, on a one-query prepared batch.
+FragmentSearchResult search_one(const QueryContext& ctx,
+                                const seqdb::LoadedFragment& frag) {
+  return search_fragment_batch(PreparedBatch({ctx}), frag)[0];
+}
+
 std::vector<seqdb::FastaRecord> family_db(std::uint64_t residues,
                                           std::uint64_t seed,
                                           SeqType type = SeqType::kProtein) {
@@ -65,7 +71,7 @@ TEST(Engine, QueryFindsItselfWithMaximalScore) {
   const auto query =
       seqdb::encode_sequence(SeqType::kProtein, db[5].sequence);
   QueryContext ctx(0, query, params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   const Hsp& top = result.hsps.front();
   EXPECT_EQ(top.subject_global_id, 5u);
@@ -90,7 +96,7 @@ TEST(Engine, HomologsAreFound) {
     const auto query =
         seqdb::encode_sequence(SeqType::kProtein, db[i].sequence);
     QueryContext ctx(0, query, params, m, gstats);
-    if (search_fragment(ctx, frag).hsps.size() > 1) ++multi_hit_queries;
+    if (search_one(ctx, frag).hsps.size() > 1) ++multi_hit_queries;
   }
   EXPECT_GT(multi_hit_queries, 3);
 }
@@ -102,7 +108,7 @@ TEST(Engine, CountersArePopulated) {
   const auto m = ScoringMatrix::blosum62();
   const auto query = seqdb::encode_sequence(SeqType::kProtein, db[0].sequence);
   QueryContext ctx(0, query, SearchParams::blastp_defaults(), m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   EXPECT_EQ(result.counters.db_residues_scanned, gstats.total_residues);
   EXPECT_GT(result.counters.seed_hits, 0u);
   EXPECT_GT(result.counters.two_hit_triggers, 0u);
@@ -124,7 +130,7 @@ TEST(Engine, HitlistCapIsEnforced) {
     const auto query =
         seqdb::encode_sequence(SeqType::kProtein, db[i].sequence);
     QueryContext ctx(0, query, params, m, gstats);
-    const auto result = search_fragment(ctx, frag);
+    const auto result = search_one(ctx, frag);
     EXPECT_LE(result.hsps.size(), 2u);
     if (result.hsps.size() == 2) ++capped_seen;
   }
@@ -138,7 +144,7 @@ TEST(Engine, ResultsSortedByRank) {
   const auto m = ScoringMatrix::blosum62();
   const auto query = seqdb::encode_sequence(SeqType::kProtein, db[3].sequence);
   QueryContext ctx(0, query, SearchParams::blastp_defaults(), m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   for (std::size_t i = 1; i < result.hsps.size(); ++i) {
     EXPECT_FALSE(Hsp::better(result.hsps[i], result.hsps[i - 1]));
   }
@@ -153,7 +159,7 @@ TEST(Engine, EvalueCutoffFilters) {
   params.evalue_cutoff = 1e-30;  // keep only near-identical alignments
   const auto query = seqdb::encode_sequence(SeqType::kProtein, db[8].sequence);
   QueryContext ctx(0, query, params, m, gstats);
-  for (const Hsp& h : search_fragment(ctx, frag).hsps) {
+  for (const Hsp& h : search_one(ctx, frag).hsps) {
     EXPECT_LE(h.evalue, 1e-30);
   }
 }
@@ -167,7 +173,7 @@ TEST(Engine, DnaSelfHit) {
   const auto query =
       seqdb::encode_sequence(SeqType::kNucleotide, db[2].sequence);
   QueryContext ctx(0, query, params, m, gstats);
-  const auto result = search_fragment(ctx, frag);
+  const auto result = search_one(ctx, frag);
   ASSERT_FALSE(result.hsps.empty());
   EXPECT_EQ(result.hsps.front().subject_global_id, 2u);
   EXPECT_EQ(result.hsps.front().identities, result.hsps.front().align_len);
@@ -197,7 +203,7 @@ TEST_P(PartitionInvariance, MergedFragmentsEqualWholeDatabase) {
     QueryContext ctx(0, query, params, m, gstats);
 
     // Whole-database reference.
-    const auto whole = search_fragment(ctx, whole_db(db));
+    const auto whole = search_one(ctx, whole_db(db));
 
     // Fragmented search + merge.
     std::vector<Hsp> merged;
@@ -211,7 +217,7 @@ TEST_P(PartitionInvariance, MergedFragmentsEqualWholeDatabase) {
           hdr, fr, slice(fr.pin_seq_off, names.index),
           slice(fr.pin_hdr_off, names.index), slice(fr.psq, names.sequence),
           slice(fr.phr, names.header));
-      auto part = search_fragment(ctx, frag);
+      auto part = search_one(ctx, frag);
       merged.insert(merged.end(), part.hsps.begin(), part.hsps.end());
     }
     std::sort(merged.begin(), merged.end(), Hsp::better);
@@ -240,8 +246,8 @@ TEST(Engine, DeterministicAcrossRepeatedSearches) {
   const auto m = ScoringMatrix::blosum62();
   const auto query = seqdb::encode_sequence(SeqType::kProtein, db[1].sequence);
   QueryContext ctx(0, query, SearchParams::blastp_defaults(), m, gstats);
-  const auto a = search_fragment(ctx, frag);
-  const auto b = search_fragment(ctx, frag);
+  const auto a = search_one(ctx, frag);
+  const auto b = search_one(ctx, frag);
   ASSERT_EQ(a.hsps.size(), b.hsps.size());
   for (std::size_t i = 0; i < a.hsps.size(); ++i) {
     EXPECT_EQ(a.hsps[i].score, b.hsps[i].score);

@@ -1,4 +1,4 @@
-// Property-based tests of the extension algorithms against brute-force
+// Property-based tests of the kernel's extension paths against brute-force
 // references, over randomized inputs (parameterized by seed).
 #include <gtest/gtest.h>
 
@@ -33,7 +33,7 @@ std::vector<std::uint8_t> mutate(util::Rng& rng,
 
 /// Reference: full (unpruned) anchored affine-gap DP for the forward
 /// extension from (0,0) with no leading gaps — the exact optimum that
-/// extend_gapped must reach when the X-drop never prunes. Gap of length k
+/// extend_gapped_fast must reach when the X-drop never prunes. Gap of length k
 /// costs open + k * extend (NCBI convention).
 int reference_extension_score(const std::vector<std::uint8_t>& q,
                               const std::vector<std::uint8_t>& s,
@@ -74,11 +74,13 @@ class ExtensionProperties : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ExtensionProperties, HugeXdropMatchesExactDp) {
   util::Rng rng(GetParam());
   const auto m = ScoringMatrix::blosum62();
+  GappedScratch scratch;
   for (int trial = 0; trial < 8; ++trial) {
     const auto q = random_protein(rng, 12 + rng.below(30));
     const auto s = mutate(rng, q, 0.3);
     const int expect = reference_extension_score(q, s, m, 11, 1);
-    const auto got = extend_gapped(q, s, 0, 0, m, 11, 1, /*xdrop=*/1 << 20);
+    const auto got =
+        extend_gapped_fast(q, s, 0, 0, m, 11, 1, /*xdrop=*/1 << 20, scratch);
     EXPECT_EQ(got.score, expect) << "trial " << trial;
   }
 }
@@ -86,11 +88,13 @@ TEST_P(ExtensionProperties, HugeXdropMatchesExactDp) {
 TEST_P(ExtensionProperties, XdropNeverBeatsExactDp) {
   util::Rng rng(GetParam() ^ 0xABCD);
   const auto m = ScoringMatrix::blosum62();
+  GappedScratch scratch;
   for (int trial = 0; trial < 8; ++trial) {
     const auto q = random_protein(rng, 10 + rng.below(40));
     const auto s = random_protein(rng, 10 + rng.below(40));
     const int exact = reference_extension_score(q, s, m, 11, 1);
-    const auto pruned = extend_gapped(q, s, 0, 0, m, 11, 1, /*xdrop=*/20);
+    const auto pruned =
+        extend_gapped_fast(q, s, 0, 0, m, 11, 1, /*xdrop=*/20, scratch);
     EXPECT_LE(pruned.score, exact);
     EXPECT_GE(pruned.score, 0);
   }
@@ -99,6 +103,7 @@ TEST_P(ExtensionProperties, XdropNeverBeatsExactDp) {
 TEST_P(ExtensionProperties, TracebackReplaysToReportedScore) {
   util::Rng rng(GetParam() ^ 0x1234);
   const auto m = ScoringMatrix::blosum62();
+  GappedScratch scratch;
   for (int trial = 0; trial < 10; ++trial) {
     const auto q = random_protein(rng, 30 + rng.below(100));
     auto s = mutate(rng, q, 0.15);
@@ -110,7 +115,8 @@ TEST_P(ExtensionProperties, TracebackReplaysToReportedScore) {
               s.begin() + static_cast<std::ptrdiff_t>(at + cut));
     }
     const std::uint32_t anchor = static_cast<std::uint32_t>(rng.below(8));
-    const auto ext = extend_gapped(q, s, anchor, anchor, m, 11, 1, 38);
+    const auto ext =
+        extend_gapped_fast(q, s, anchor, anchor, m, 11, 1, 38, scratch);
 
     int replay = 0;
     std::uint32_t qi = ext.qstart;
@@ -143,8 +149,9 @@ TEST_P(ExtensionProperties, UngappedMatchesDiagonalBruteForce) {
     const auto q = random_protein(rng, len);
     const auto s = mutate(rng, q, 0.4);
     const std::uint32_t seed_pos = static_cast<std::uint32_t>(rng.below(len - 3));
-    const auto ext = extend_ungapped(q, s, seed_pos, seed_pos, 3, m,
-                                     /*xdrop=*/1 << 20);
+    const auto ext = extend_ungapped_fast(q, s, seed_pos, seed_pos, 3, m,
+                                          /*xdrop=*/1 << 20,
+                                          SelfScoreProfile(q, m));
     // With an unbounded X-drop, the result must be the best-scoring run on
     // the diagonal containing [seed, seed+3).
     int best = kNegInf;

@@ -1,23 +1,27 @@
-// Differential harness for the fast search kernel (ctest label: kernel).
+// Differential harness for the search kernel (ctest label: kernel).
 //
-// The fast kernel (FragmentIndex + FlatNeighborhood + SWAR/arena
-// extensions) must be bit-identical to the scalar oracle: same HSP lists
-// (every field, including tracebacks and E-value bits), same counters
-// (virtual time), same driver output bytes. This suite checks that claim
-// from four angles:
+// The kernel (FragmentIndex + FlatNeighborhood + SWAR/arena extensions)
+// must be bit-identical to the scalar reference oracle in
+// tests/support/scalar_oracle.h: same HSP lists (every field, including
+// tracebacks and E-value bits), same counters (virtual time). This suite
+// checks that claim from four angles:
 //
 //   * corpus diffs — realistic family databases, protein and DNA;
 //   * deterministic fuzz — randomized corpora and parameter sets, with a
 //     reproduction dump to stderr on the first mismatch;
-//   * properties — FlatNeighborhood vs WordIndex under random scoring
-//     matrices and thresholds, FragmentIndex codes vs scalar packing,
-//     extension scores vs traceback replay;
-//   * drivers — byte-identical mpiBLAST/pioBLAST reports across kernels,
-//     fault-free and across a worker crash, plus committed golden
-//     fixtures both kernels must reproduce (tests/data/; regenerate with
-//     PIOBLAST_UPDATE_GOLDEN=1).
+//   * properties — FlatNeighborhood vs the oracle's WordIndex under random
+//     scoring matrices and thresholds, FragmentIndex codes vs scalar
+//     packing, extension scores vs traceback replay;
+//   * drivers — mpiBLAST and pioBLAST reports byte-identical to each
+//     other, fault-free and across a worker crash, and to committed golden
+//     fixtures (tests/data/; regenerate with PIOBLAST_UPDATE_GOLDEN=1),
+//     with the oracle diffed on every fragment those jobs search.
+//
+// The oracle's own word index is unit-tested here too, since this is the
+// one suite that links it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,6 +41,7 @@
 #include "pioblast/pioblast.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
+#include "support/scalar_oracle.h"
 #include "util/error.h"
 
 namespace pioblast::blast {
@@ -117,17 +122,16 @@ void expect_results_identical(const FragmentSearchResult& scalar,
   EXPECT_EQ(scalar.counters.hsps_found, fast.counters.hsps_found) << what;
 }
 
-/// One query through both kernels: the scalar oracle, and the fast kernel
-/// on a one-query prepared batch.
+/// One query through the scalar oracle and through the kernel on a
+/// one-query prepared batch.
 void expect_single_query_identical(QueryContext ctx,
                                    const seqdb::LoadedFragment& frag,
                                    const char* what) {
   std::vector<QueryContext> one;
   one.push_back(std::move(ctx));
   const PreparedBatch batch(std::move(one));
-  expect_results_identical(
-      search_fragment(batch[0], frag),
-      search_fragment_batch(batch, frag, KernelKind::kFast)[0], what);
+  expect_results_identical(oracle::ScalarBatch(batch).search(0, frag),
+                           search_fragment_batch(batch, frag)[0], what);
 }
 
 // ---------- corpus differential tests --------------------------------------
@@ -173,8 +177,8 @@ TEST(KernelDiff, BatchMatchesPerQueryScalar) {
                           params, m, gstats);
   }
   // Degenerate members ride in the same batch: shorter than the word size
-  // and empty. The scalar kernel returns an empty result with zero
-  // counters for them; the batch must too.
+  // and empty. The oracle returns an empty result with zero counters for
+  // them; the batch must too.
   const std::vector<std::uint8_t> tiny{1, 2};
   contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), tiny,
                         params, m, gstats);
@@ -182,20 +186,12 @@ TEST(KernelDiff, BatchMatchesPerQueryScalar) {
                         std::vector<std::uint8_t>{}, params, m, gstats);
   const PreparedBatch batch(std::move(contexts));
 
-  const auto fast = search_fragment_batch(batch, frag, KernelKind::kFast);
+  const auto fast = search_fragment_batch(batch, frag);
   ASSERT_EQ(fast.size(), batch.size());
+  const oracle::ScalarBatch scalar(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto scalar = search_fragment(batch[i], frag);
-    expect_results_identical(scalar, fast[i],
+    expect_results_identical(scalar.search(i, frag), fast[i],
                              ("batch member " + std::to_string(i)).c_str());
-  }
-
-  // The batch API's scalar arm must equal per-query scalar calls too.
-  const auto scalar_batch =
-      search_fragment_batch(batch, frag, KernelKind::kScalar);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_results_identical(search_fragment(batch[i], frag),
-                             scalar_batch[i], "scalar batch");
   }
 }
 
@@ -437,16 +433,16 @@ PreparedBatch contexts_from(const std::vector<seqdb::FastaRecord>& db,
   return PreparedBatch(std::move(contexts));
 }
 
-/// The fast batch kernel against per-query scalar calls.
+/// The batch kernel against per-query oracle searches.
 void expect_batch_matches_scalar(const PreparedBatch& batch,
                                  const seqdb::LoadedFragment& frag,
                                  const std::string& what) {
-  const auto fast = search_fragment_batch(batch, frag, KernelKind::kFast);
+  const auto fast = search_fragment_batch(batch, frag);
   ASSERT_EQ(fast.size(), batch.size());
+  const oracle::ScalarBatch scalar(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::string label = what + " query " + std::to_string(i);
-    expect_results_identical(search_fragment(batch[i], frag), fast[i],
-                             label.c_str());
+    expect_results_identical(scalar.search(i, frag), fast[i], label.c_str());
   }
 }
 
@@ -503,15 +499,13 @@ TEST(KernelSplit, ConcurrentCallersMatchSerialResults) {
     frags.push_back(whole_db(db));
     contexts.push_back(
         contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 4));
-    serial.push_back(
-        search_fragment_batch(contexts[c], frags[c], KernelKind::kFast));
+    serial.push_back(search_fragment_batch(contexts[c], frags[c]));
   }
   std::vector<std::vector<FragmentSearchResult>> concurrent(ncallers);
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < ncallers; ++c) {
     threads.emplace_back([&, c] {
-      concurrent[c] =
-          search_fragment_batch(contexts[c], frags[c], KernelKind::kFast);
+      concurrent[c] = search_fragment_batch(contexts[c], frags[c]);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -577,17 +571,18 @@ TEST(KernelPrepared, OneSetAcrossSubGrainFragmentsAndThreads) {
   const auto set =
       QuerySet::build(fasta, SearchParams::blastp_defaults(), stats_of(db));
   const PreparedBatch& batch = set->contexts();
+  const oracle::ScalarBatch scalar(batch);
 
   std::vector<std::vector<FragmentSearchResult>> serial;
   std::size_t hsps = 0;
   for (std::size_t f = 0; f < frags.size(); ++f) {
-    serial.push_back(search_fragment_batch(batch, frags[f], KernelKind::kFast));
+    serial.push_back(search_fragment_batch(batch, frags[f]));
     ASSERT_EQ(serial[f].size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::string label =
           "fragment " + std::to_string(f) + " query " + std::to_string(i);
-      expect_results_identical(search_fragment(batch[i], frags[f]),
-                               serial[f][i], label.c_str());
+      expect_results_identical(scalar.search(i, frags[f]), serial[f][i],
+                               label.c_str());
       hsps += serial[f][i].hsps.size();
     }
   }
@@ -600,7 +595,7 @@ TEST(KernelPrepared, OneSetAcrossSubGrainFragmentsAndThreads) {
   for (std::size_t t = 0; t < nthreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t f = t; f < frags.size(); f += nthreads)
-        concurrent[f] = search_fragment_batch(batch, frags[f], KernelKind::kFast);
+        concurrent[f] = search_fragment_batch(batch, frags[f]);
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -666,10 +661,10 @@ TEST(FlatNeighborhoodProperty, MatchesWordIndexUnderRandomMatrices) {
         random_sequence(rng, SeqType::kProtein, qlen(rng), 0.05);
     const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
 
-    const WordIndex oracle(q, m, params);
+    const oracle::WordIndex words(q, m, params);
     const FlatNeighborhood flat(q, m, params);
 
-    EXPECT_EQ(flat.total_entries(), oracle.total_entries());
+    EXPECT_EQ(flat.total_entries(), words.total_entries());
     // Every packed word's bucket must equal the oracle's position list —
     // same contents, same (query-position-ascending) order.
     for (std::uint32_t code = 0; code < 24u * 24u * 24u; ++code) {
@@ -677,7 +672,8 @@ TEST(FlatNeighborhoodProperty, MatchesWordIndexUnderRandomMatrices) {
           static_cast<std::uint8_t>(code / (24 * 24)),
           static_cast<std::uint8_t>((code / 24) % 24),
           static_cast<std::uint8_t>(code % 24)};
-      const PositionList* expected = q.size() >= 3 ? oracle.probe(word) : nullptr;
+      const oracle::PositionList* expected =
+          q.size() >= 3 ? words.probe(word) : nullptr;
       const auto got = flat.neighbors(code);
       if (expected == nullptr) {
         EXPECT_TRUE(got.empty()) << "code " << code;
@@ -721,9 +717,9 @@ TEST(FlatNeighborhoodProperty, DnaMatchesWordIndex) {
         rng, SeqType::kNucleotide, static_cast<std::size_t>(rng() % 200), 0.1);
     const auto q = seqdb::encode_sequence(SeqType::kNucleotide, qs);
 
-    const WordIndex oracle(q, m, params);
+    const oracle::WordIndex words(q, m, params);
     const FlatNeighborhood flat(q, m, params);
-    EXPECT_EQ(flat.total_entries(), oracle.total_entries());
+    EXPECT_EQ(flat.total_entries(), words.total_entries());
 
     // Keys sorted strictly ascending.
     const auto keys = flat.keys();
@@ -734,7 +730,7 @@ TEST(FlatNeighborhoodProperty, DnaMatchesWordIndex) {
     const std::size_t w = static_cast<std::size_t>(params.word_size);
     if (q.size() < w) continue;
     for (std::size_t pos = 0; pos + w <= q.size(); ++pos) {
-      const PositionList* expected = oracle.probe(q.data() + pos);
+      const oracle::PositionList* expected = words.probe(q.data() + pos);
       bool valid = true;
       std::uint64_t packed = 0;
       for (std::size_t k = 0; k < w; ++k) {
@@ -863,7 +859,7 @@ TEST(ExtendEdge, UngappedSeedAtSequenceBoundaries) {
   // Seed at the very start, middle, and last possible position; the
   // extension must terminate cleanly at both sequence ends.
   for (const std::uint32_t pos : {0u, 10u, 22u}) {
-    const auto a = extend_ungapped(q, s, pos, pos, 3, m, 16);
+    const auto a = oracle::extend_ungapped(q, s, pos, pos, 3, m, 16);
     const auto b = extend_ungapped_fast(q, s, pos, pos, 3, m, 16, self);
     EXPECT_EQ(a.score, b.score);
     EXPECT_EQ(a.qstart, b.qstart);
@@ -888,7 +884,7 @@ TEST(ExtendEdge, UngappedXdropStopsInsideMismatchRun) {
   const auto s = seqdb::encode_sequence(
       SeqType::kProtein, "MKVLAARNDC" + std::string(30, 'P'));
   const SelfScoreProfile self(q, m);
-  const auto a = extend_ungapped(q, s, 0, 0, 3, m, 16);
+  const auto a = oracle::extend_ungapped(q, s, 0, 0, 3, m, 16);
   const auto b = extend_ungapped_fast(q, s, 0, 0, 3, m, 16, self);
   EXPECT_EQ(a.score, b.score);
   EXPECT_EQ(a.qend, b.qend);
@@ -905,7 +901,7 @@ TEST(ExtendEdge, GappedBandExceedsShorterSequence) {
   const auto q = seqdb::encode_sequence(SeqType::kProtein, std::string(60, 'L'));
   const auto s = seqdb::encode_sequence(SeqType::kProtein, "LLLL");
   GappedScratch scratch;
-  const auto a = extend_gapped(q, s, 0, 0, m, 11, 1, 1'000'000);
+  const auto a = oracle::extend_gapped(q, s, 0, 0, m, 11, 1, 1'000'000);
   const auto b = extend_gapped_fast(q, s, 0, 0, m, 11, 1, 1'000'000, scratch);
   expect_gapped_identical(a, b);
   EXPECT_LE(a.send, s.size());
@@ -921,7 +917,7 @@ TEST(ExtendEdge, GappedAnchorAtCorners) {
   GappedScratch scratch;
   for (const std::uint32_t anchor :
        {0u, static_cast<std::uint32_t>(q.size() - 1)}) {
-    const auto a = extend_gapped(q, s, anchor, anchor, m, 11, 1, 38);
+    const auto a = oracle::extend_gapped(q, s, anchor, anchor, m, 11, 1, 38);
     const auto b = extend_gapped_fast(q, s, anchor, anchor, m, 11, 1, 38,
                                       scratch);
     expect_gapped_identical(a, b);
@@ -962,7 +958,8 @@ TEST(ExtendEdge, GappedScoreMatchesTracebackReplay) {
     const int extend = 1 + static_cast<int>(rng() % 3);
     const int xdrop = 5 + static_cast<int>(rng() % 60);
 
-    const auto a = extend_gapped(q, s, anchor_q, anchor_s, m, open, extend, xdrop);
+    const auto a =
+        oracle::extend_gapped(q, s, anchor_q, anchor_s, m, open, extend, xdrop);
     const auto b = extend_gapped_fast(q, s, anchor_q, anchor_s, m, open,
                                       extend, xdrop, scratch);
     expect_gapped_identical(a, b);
@@ -974,6 +971,13 @@ TEST(ExtendEdge, GappedScoreMatchesTracebackReplay) {
 }
 
 // ---------- driver-level byte identity and golden fixtures ------------------
+//
+// A driver reads the kernel only through search_fragment_batch's
+// per-fragment results: the hits it caches and the counters it charges as
+// virtual time. So the whole-job check across kernels is the oracle diffed
+// on every (query, fragment) pair the job searches, with the job's own
+// fragments and query set; agreement there means an oracle-driven run would
+// write the same report on the same clocks.
 
 struct DriverWorkload {
   std::vector<seqdb::FastaRecord> db;
@@ -999,6 +1003,9 @@ DriverWorkload make_workload(SeqType type, std::uint64_t seed) {
   return w;
 }
 
+/// Virtual fragments of run_pio's dynamic (greedy) jobs.
+constexpr int kDynamicFragments = 6;
+
 void stage_queries(pario::ClusterStorage& storage, const DriverWorkload& w) {
   storage.shared().write_all(
       w.job.query_path,
@@ -1006,8 +1013,7 @@ void stage_queries(pario::ClusterStorage& storage, const DriverWorkload& w) {
                 w.query_fasta.size()));
 }
 
-std::vector<std::uint8_t> run_mpi_kernel(const DriverWorkload& w, int nprocs,
-                                         KernelKind kernel) {
+std::vector<std::uint8_t> run_mpi(const DriverWorkload& w, int nprocs) {
   const auto cluster = sim::ClusterConfig::ornl_altix();
   pario::ClusterStorage storage(cluster, nprocs);
   stage_queries(storage, w);
@@ -1020,16 +1026,14 @@ std::vector<std::uint8_t> run_mpi_kernel(const DriverWorkload& w, int nprocs,
   opts.fragment_bases = parts.fragment_bases;
   opts.fragment_ranges = parts.ranges;
   opts.global_index = parts.global_index;
-  opts.kernel = kernel;
   mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
   return storage.shared().read_all("out.mpi.txt");
 }
 
-std::vector<std::uint8_t> run_pio_kernel(const DriverWorkload& w, int nprocs,
-                                         KernelKind kernel,
-                                         const mpisim::FaultPlan& faults = {},
-                                         mpisim::Tracer* tracer = nullptr,
-                                         bool dynamic = false) {
+std::vector<std::uint8_t> run_pio(const DriverWorkload& w, int nprocs,
+                                  const mpisim::FaultPlan& faults = {},
+                                  mpisim::Tracer* tracer = nullptr,
+                                  bool dynamic = false) {
   const auto cluster = sim::ClusterConfig::ornl_altix();
   pario::ClusterStorage storage(cluster, nprocs);
   stage_queries(storage, w);
@@ -1038,12 +1042,11 @@ std::vector<std::uint8_t> run_pio_kernel(const DriverWorkload& w, int nprocs,
   pio::PioBlastOptions opts;
   opts.job = w.job;
   opts.job.output_path = "out.pio.txt";
-  opts.kernel = kernel;
   opts.faults = faults;
   opts.tracer = tracer;
   if (dynamic) {
     opts.dynamic_scheduling = true;
-    opts.job.nfragments = 6;
+    opts.job.nfragments = kDynamicFragments;
     // The greedy master serves requests in host arrival order on the
     // threads backend; a crash point read off one run must replay in
     // another, so dynamic runs use the deterministic event backend.
@@ -1053,18 +1056,81 @@ std::vector<std::uint8_t> run_pio_kernel(const DriverWorkload& w, int nprocs,
   return storage.shared().read_all("out.pio.txt");
 }
 
+enum class Driver { kMpi, kPio };
+
+/// The `nfragments` fragments a job of `driver` searches, rebuilt outside
+/// the simulator the way pbbench's kernel probe rebuilds them: mpiBLAST's
+/// physical fragments (mpiformatdb volumes) or pioBLAST's virtual ones
+/// (byte ranges of one formatted database), plus the global statistics the
+/// job's QuerySet is built against.
+struct JobFragments {
+  std::vector<seqdb::LoadedFragment> frags;
+  GlobalDbStats stats;
+};
+
+JobFragments job_fragments(const DriverWorkload& w, Driver driver,
+                           int nfragments) {
+  const SeqType type = w.job.params.type;
+  pario::VirtualFS fs;
+  JobFragments out;
+  if (driver == Driver::kMpi) {
+    const auto parts = seqdb::mpiformatdb(fs, w.db, w.job.db_base, type,
+                                          w.job.db_title, nfragments);
+    out.stats = {parts.global_index.total_residues, parts.global_index.num_seqs};
+    for (std::size_t i = 0; i < parts.fragment_bases.size(); ++i)
+      out.frags.push_back(seqdb::load_volumes(fs, parts.fragment_bases[i], type,
+                                              parts.ranges[i].first));
+    return out;
+  }
+  const auto fmt =
+      seqdb::format_db(fs, w.db, w.job.db_base, type, w.job.db_title);
+  const seqdb::VolumeNames names = seqdb::volume_names(w.job.db_base, type);
+  out.stats = {fmt.index.total_residues, fmt.index.num_seqs};
+  seqdb::DbIndex header;
+  header.type = type;
+  auto slice = [&](const std::string& file, const pario::Region& r) {
+    return fs.pread(file, r.offset, r.length);
+  };
+  for (const auto& r : seqdb::virtual_partition(fmt.index, nfragments))
+    out.frags.push_back(seqdb::fragment_from_slices(
+        header, r, slice(names.index, r.pin_seq_off),
+        slice(names.index, r.pin_hdr_off), slice(names.sequence, r.psq),
+        slice(names.header, r.phr)));
+  return out;
+}
+
+/// The kernel and the oracle agree on every (query, fragment) pair of a
+/// job of `driver` over `nfragments` fragments.
+void expect_job_matches_oracle(const DriverWorkload& w, Driver driver,
+                               int nfragments) {
+  const JobFragments job = job_fragments(w, driver, nfragments);
+  ASSERT_EQ(job.frags.size(), static_cast<std::size_t>(nfragments));
+  const auto set = QuerySet::build(w.query_fasta, w.job.params, job.stats);
+  const oracle::ScalarBatch scalar(set->contexts());
+  const std::string job_name = driver == Driver::kMpi ? "mpi" : "pio";
+  std::size_t hsps = 0;
+  for (std::size_t f = 0; f < job.frags.size(); ++f) {
+    const auto fast = search_fragment_batch(set->contexts(), job.frags[f]);
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      const std::string label = job_name + " fragment " + std::to_string(f) +
+                                " query " + std::to_string(i);
+      expect_results_identical(scalar.search(i, job.frags[f]), fast[i],
+                               label.c_str());
+      hsps += fast[i].hsps.size();
+    }
+  }
+  EXPECT_GT(hsps, 0u);
+}
+
 TEST(KernelDriverDiff, BothDriversByteIdenticalAcrossKernels) {
   const auto w = make_workload(SeqType::kProtein, 2024);
-  const auto mpi_scalar = run_mpi_kernel(w, 4, KernelKind::kScalar);
-  const auto mpi_fast = run_mpi_kernel(w, 4, KernelKind::kFast);
-  ASSERT_FALSE(mpi_scalar.empty());
-  EXPECT_EQ(mpi_scalar, mpi_fast);
-
-  const auto pio_scalar = run_pio_kernel(w, 4, KernelKind::kScalar);
-  const auto pio_fast = run_pio_kernel(w, 4, KernelKind::kFast);
-  ASSERT_FALSE(pio_scalar.empty());
-  EXPECT_EQ(pio_scalar, pio_fast);
-  EXPECT_EQ(mpi_scalar, pio_scalar);  // drivers agree too
+  const auto mpi = run_mpi(w, 4);
+  const auto pio = run_pio(w, 4);
+  ASSERT_FALSE(mpi.empty());
+  EXPECT_EQ(mpi, pio);  // the drivers agree
+  // Across kernels: each job's three fragments, mpiBLAST's and pioBLAST's.
+  expect_job_matches_oracle(w, Driver::kMpi, 3);
+  expect_job_matches_oracle(w, Driver::kPio, 3);
 }
 
 /// The 1-based comm-event ordinal of `rank`'s `nth` work request, read off
@@ -1093,30 +1159,26 @@ TEST(KernelDriverDiff, IdenticalAcrossKernelsUnderWorkerCrash) {
   const auto w = make_workload(SeqType::kProtein, 2025);
   const int nprocs = 4, victim = 3;
 
-  // Probe (fast kernel, armed detector) to find a mid-serve-loop crash
-  // point. Comm structure is kernel-independent — both kernels charge
-  // identical virtual time — so the same ordinal crashes both runs at the
-  // same protocol step.
+  // Probe (armed detector) to find a mid-serve-loop crash point.
   mpisim::FaultPlan armed;
   armed.arm_detector = true;
   mpisim::Tracer probe;
-  const auto baseline =
-      run_pio_kernel(w, nprocs, KernelKind::kFast, armed, &probe, true);
+  const auto baseline = run_pio(w, nprocs, armed, &probe, true);
   ASSERT_FALSE(baseline.empty());
   const std::uint64_t crash_at = nth_work_request_event(probe, victim, 2);
   ASSERT_GT(crash_at, 0u);
 
   mpisim::FaultPlan faults;
   faults.at(victim).crash_at = crash_at;
-  const auto crashed_fast =
-      run_pio_kernel(w, nprocs, KernelKind::kFast, faults, nullptr, true);
-  const auto crashed_scalar =
-      run_pio_kernel(w, nprocs, KernelKind::kScalar, faults, nullptr, true);
-  EXPECT_EQ(crashed_fast, crashed_scalar);
-  EXPECT_EQ(crashed_fast, baseline);  // recovery preserves the report
+  const auto crashed = run_pio(w, nprocs, faults, nullptr, true);
+  EXPECT_EQ(crashed, baseline);  // recovery preserves the report
+  // Across kernels: the crashed job searches the same virtual fragments
+  // (the victim's lost ones again, on survivors), so the oracle diff over
+  // them covers the crashed run too.
+  expect_job_matches_oracle(w, Driver::kPio, kDynamicFragments);
 }
 
-// Golden fixtures: committed reports both kernels must reproduce exactly.
+// Golden fixtures: committed reports the drivers must reproduce exactly.
 // Regenerate (after an intentional output change) with
 //   PIOBLAST_UPDATE_GOLDEN=1 ./test_kernel_diff --gtest_filter='KernelGolden.*'
 void check_golden(const char* name, const std::vector<std::uint8_t>& bytes) {
@@ -1138,19 +1200,100 @@ void check_golden(const char* name, const std::vector<std::uint8_t>& bytes) {
 
 TEST(KernelGolden, ProteinReportBothKernels) {
   const auto w = make_workload(SeqType::kProtein, 777);
-  check_golden("golden_protein_report.txt",
-               run_pio_kernel(w, 3, KernelKind::kFast));
-  check_golden("golden_protein_report.txt",
-               run_pio_kernel(w, 3, KernelKind::kScalar));
-  check_golden("golden_protein_report.txt",
-               run_mpi_kernel(w, 3, KernelKind::kFast));
+  check_golden("golden_protein_report.txt", run_pio(w, 3));
+  check_golden("golden_protein_report.txt", run_mpi(w, 3));
+  expect_job_matches_oracle(w, Driver::kPio, 2);
+  expect_job_matches_oracle(w, Driver::kMpi, 2);
 }
 
 TEST(KernelGolden, DnaReportBothKernels) {
   const auto w = make_workload(SeqType::kNucleotide, 778);
-  check_golden("golden_dna_report.txt", run_pio_kernel(w, 3, KernelKind::kFast));
-  check_golden("golden_dna_report.txt",
-               run_pio_kernel(w, 3, KernelKind::kScalar));
+  check_golden("golden_dna_report.txt", run_pio(w, 3));
+  expect_job_matches_oracle(w, Driver::kPio, 2);
+}
+
+// ---------- the oracle's word index ------------------------------------------
+
+std::vector<std::uint8_t> prot(const std::string& s) {
+  return seqdb::encode_sequence(SeqType::kProtein, s);
+}
+std::vector<std::uint8_t> dna(const std::string& s) {
+  return seqdb::encode_sequence(SeqType::kNucleotide, s);
+}
+
+TEST(WordIndex, SelfWordsAlwaysIndexed) {
+  // Every query 3-mer scores at least T=11 against itself... not all do
+  // (e.g. AAA scores 12, but e.g. "AGS" = 4+6+4 = 14). Use a word with a
+  // high self-score and check its own position is found.
+  const auto q = prot("WWWCCC");
+  const auto m = ScoringMatrix::blosum62();
+  const oracle::WordIndex idx(q, m, SearchParams::blastp_defaults());
+  const auto* hits = idx.probe(q.data());  // WWW, self-score 33
+  ASSERT_NE(hits, nullptr);
+  EXPECT_NE(std::find(hits->begin(), hits->end(), 0u), hits->end());
+}
+
+TEST(WordIndex, NeighborhoodContainsSimilarWords) {
+  const auto q = prot("ILV");  // hydrophobic triple
+  const auto m = ScoringMatrix::blosum62();
+  const oracle::WordIndex idx(q, m, SearchParams::blastp_defaults());
+  // VLV scores 3+4+4 = 11 >= T: should be in ILV's neighborhood.
+  const auto w = prot("VLV");
+  const auto* hits = idx.probe(w.data());
+  ASSERT_NE(hits, nullptr);
+  EXPECT_EQ((*hits)[0], 0u);
+}
+
+TEST(WordIndex, DissimilarWordsExcluded) {
+  const auto q = prot("WWW");
+  const auto m = ScoringMatrix::blosum62();
+  const oracle::WordIndex idx(q, m, SearchParams::blastp_defaults());
+  const auto w = prot("GGG");  // scores -2*3 against WWW
+  EXPECT_EQ(idx.probe(w.data()), nullptr);
+}
+
+TEST(WordIndex, HigherThresholdShrinksNeighborhood) {
+  const auto q = prot("MKVLAWGGSTNDQERHILKF");
+  const auto m = ScoringMatrix::blosum62();
+  auto params = SearchParams::blastp_defaults();
+  params.threshold = 11;
+  const oracle::WordIndex loose(q, m, params);
+  params.threshold = 13;
+  const oracle::WordIndex tight(q, m, params);
+  EXPECT_GT(loose.total_entries(), tight.total_entries());
+}
+
+TEST(WordIndex, ShortQueryYieldsNothing) {
+  const auto q = prot("MK");
+  const auto m = ScoringMatrix::blosum62();
+  const oracle::WordIndex idx(q, m, SearchParams::blastp_defaults());
+  EXPECT_EQ(idx.total_entries(), 0u);
+}
+
+TEST(WordIndex, DnaExactWordsOnly) {
+  const std::string text = "ACGTACGTACGTAAA";
+  const auto q = dna(text);
+  const auto m = ScoringMatrix::dna();
+  const oracle::WordIndex idx(q, m, SearchParams::blastn_defaults());
+  // The word starting at 0 must be found at position 0 (and also at 4, 8
+  // for this periodic sequence... position 4 shifts the word, still equal).
+  const auto* hits = idx.probe(q.data());
+  ASSERT_NE(hits, nullptr);
+  EXPECT_NE(std::find(hits->begin(), hits->end(), 0u), hits->end());
+  // A word absent from the query probes null.
+  const auto other = dna("TTTTTTTTTTT");
+  EXPECT_EQ(idx.probe(other.data()), nullptr);
+}
+
+TEST(WordIndex, DnaWordsWithNAreSkipped) {
+  const auto q = dna("ACGTACGTACGNACGTACGTACG");
+  const auto m = ScoringMatrix::dna();
+  const oracle::WordIndex idx(q, m, SearchParams::blastn_defaults());
+  // Words overlapping the N (positions 1..11) are not indexed; with 23
+  // bases and w=11 there would be 13 words, 11 of which straddle the N.
+  EXPECT_EQ(idx.total_entries(), 2u);
+  const auto n_word = dna("CGTACGTACGN");
+  EXPECT_EQ(idx.probe(n_word.data()), nullptr);
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 //   pioblast_cli --db-fasta my.fa --queries-fasta q.fa --output report.txt
 //   pioblast_cli --procs 4 --check schedules=50,preempt=2   # explore
 //   pioblast_cli --procs 4 --schedule 0,2,1,1               # replay
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "blast/job.h"
@@ -46,6 +48,21 @@ void print_metrics(const char* name, const blast::DriverResult& r) {
   std::printf("METRICS %s %s\n", name, driver::metrics_json(r.metrics).c_str());
 }
 
+/// Parses a --check field's whole value into `out`; an empty value keeps
+/// the default. Anything else that is not a whole T (trailing characters,
+/// a value out of T's range) throws naming the key.
+template <class T>
+void check_number(const std::string& key, const std::string& val, T& out) {
+  if (val.empty()) return;
+  const char* const end = val.data() + val.size();
+  const auto [ptr, ec] = std::from_chars(val.data(), end, out);
+  if (ec == std::errc::result_out_of_range)
+    throw util::RuntimeError("--check: " + key + "=" + val + " is out of range");
+  if (ec != std::errc{} || ptr != end)
+    throw util::RuntimeError("--check: " + key + " expects an integer, got '" +
+                             val + "'");
+}
+
 /// Parses the --check spec ("schedules=50,seed=1,preempt=2,dpor=on,
 /// races=on,shrink=on,max=2000"; every field optional).
 mpicheck::CheckOptions parse_check(const std::string& spec) {
@@ -60,13 +77,13 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
                                "' (want key=value)");
     const std::string key = field.substr(0, eq);
     const std::string val = field.substr(eq + 1);
-    if (key == "schedules") opts.random_schedules = std::stoi(val);
-    else if (key == "seed") opts.seed = std::stoull(val);
-    else if (key == "preempt") opts.preemption_bound = std::stoi(val);
+    if (key == "schedules") check_number(key, val, opts.random_schedules);
+    else if (key == "seed") check_number(key, val, opts.seed);
+    else if (key == "preempt") check_number(key, val, opts.preemption_bound);
     else if (key == "dpor") opts.dpor = val != "off";
     else if (key == "races") opts.detect_races = val != "off";
     else if (key == "shrink") opts.shrink = val != "off";
-    else if (key == "max") opts.max_schedules = std::stoi(val);
+    else if (key == "max") check_number(key, val, opts.max_schedules);
     else
       throw util::RuntimeError("--check: unknown key '" + key + "'");
   }
@@ -87,6 +104,98 @@ bool run_checked(
                 res.failing_trace.c_str());
   }
   return !res.failed;
+}
+
+/// Parses option `name`'s value with `parse`; a util::RuntimeError it
+/// throws is rethrown with the option's name in front.
+template <class Parse>
+auto parse_option(const util::ArgParser& args, const std::string& name,
+                  const Parse& parse) {
+  try {
+    return parse(args.get(name));
+  } catch (const util::RuntimeError& e) {
+    throw util::RuntimeError("--" + name + ": " + e.what());
+  }
+}
+
+/// Everything the options and input files ask for, read before any driver
+/// runs.
+struct Setup {
+  int nprocs = 0;
+  sim::ClusterConfig cluster;
+  std::vector<seqdb::FastaRecord> db;
+  std::string query_fasta;
+  blast::JobConfig job;
+  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
+  std::optional<driver::SchedulerKind> scheduler;
+  mpisim::FaultPlan faults;
+  pario::Hints hints;
+  bool checking = false;  ///< --check explores many schedules, --schedule one
+  mpicheck::CheckOptions check;
+};
+
+/// Reads every option value and input file. A bad value or an unreadable
+/// file throws util::RuntimeError naming the option.
+Setup configure(const util::ArgParser& args) {
+  Setup s;
+  const seqdb::SeqType type = args.get("type") == "dna"
+                                  ? seqdb::SeqType::kNucleotide
+                                  : seqdb::SeqType::kProtein;
+  s.nprocs = static_cast<int>(args.get_int("procs"));
+  s.cluster = args.get("cluster") == "blade" ? sim::ClusterConfig::ncsu_blade()
+                                             : sim::ClusterConfig::ornl_altix();
+
+  if (!args.get("db-fasta").empty()) {
+    s.db = seqdb::parse_fasta(parse_option(args, "db-fasta", read_file));
+  } else {
+    seqdb::GeneratorConfig gen;
+    gen.type = type;
+    gen.target_residues = static_cast<std::uint64_t>(args.get_int("db-residues"));
+    gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    gen.family_fraction = 0.6;
+    s.db = seqdb::generate_database(gen);
+  }
+  if (!args.get("queries-fasta").empty()) {
+    s.query_fasta = parse_option(args, "queries-fasta", read_file);
+  } else {
+    s.query_fasta = seqdb::write_fasta(seqdb::sample_queries(
+        s.db, static_cast<std::uint64_t>(args.get_int("query-bytes")),
+        static_cast<std::uint64_t>(args.get_int("seed")) + 1));
+  }
+
+  s.job.db_base = "db";
+  s.job.db_title = "cli database";
+  s.job.query_path = "queries.fa";
+  s.job.params = type == seqdb::SeqType::kProtein
+                     ? blast::SearchParams::blastp_defaults()
+                     : blast::SearchParams::blastn_defaults();
+  s.job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
+  s.job.params.evalue_cutoff = args.get_double("evalue");
+  s.job.nfragments = static_cast<int>(args.get_int("fragments"));
+
+  s.exec = parse_option(args, "exec-model", [](const std::string& v) {
+    return mpisim::parse_exec_model(v);
+  });
+  if (!args.get("scheduler").empty()) {
+    s.scheduler = parse_option(args, "scheduler", [](const std::string& v) {
+      return driver::parse_scheduler(v);
+    });
+  }
+  if (!args.get("fault").empty()) {
+    s.faults = parse_option(args, "fault", [](const std::string& v) {
+      return mpisim::FaultPlan::parse(v);
+    });
+    s.faults.validate(s.nprocs);
+  }
+  if (!args.get("pario-hints").empty())
+    s.hints = pario::Hints::parse(args.get("pario-hints"));
+
+  s.checking = !args.get("check").empty() || !args.get("schedule").empty();
+  if (!args.get("check").empty() && args.get("check") != "default")
+    s.check = parse_check(args.get("check"));
+  if (!args.get("schedule").empty())
+    s.check.replay_trace = args.get("schedule");
+  return s;
 }
 
 void report(const char* name, const blast::DriverResult& r) {
@@ -139,9 +248,6 @@ int main(int argc, char** argv) {
       .add("schedule", "",
            "replay one forced schedule (a comma-separated rank trace as "
            "printed by a failing --check run)")
-      .add("kernel", "fast",
-           "search kernel: fast (batched fragment index + SWAR extension) | "
-           "scalar (reference); outputs are bit-identical")
       .add("exec-model", "threads",
            "rank execution backend: threads (one OS thread per rank) | "
            "events (stackful fibers on one thread; required in practice "
@@ -165,91 +271,42 @@ int main(int argc, char** argv) {
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
 
-  const seqdb::SeqType type = args.get("type") == "dna"
-                                  ? seqdb::SeqType::kNucleotide
-                                  : seqdb::SeqType::kProtein;
-  const int nprocs = static_cast<int>(args.get_int("procs"));
-  const auto cluster = args.get("cluster") == "blade"
-                           ? sim::ClusterConfig::ncsu_blade()
-                           : sim::ClusterConfig::ornl_altix();
-
-  // --- data ----------------------------------------------------------------
-  std::vector<seqdb::FastaRecord> db;
-  if (!args.get("db-fasta").empty()) {
-    db = seqdb::parse_fasta(read_file(args.get("db-fasta")));
-  } else {
-    seqdb::GeneratorConfig gen;
-    gen.type = type;
-    gen.target_residues = static_cast<std::uint64_t>(args.get_int("db-residues"));
-    gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    gen.family_fraction = 0.6;
-    db = seqdb::generate_database(gen);
+  // Bad option values and unreadable inputs are reported here, before any
+  // driver runs, and exit 2 like an unknown option.
+  Setup setup;
+  try {
+    setup = configure(args);
+  } catch (const util::RuntimeError& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
   }
-  std::string query_fasta;
-  if (!args.get("queries-fasta").empty()) {
-    query_fasta = read_file(args.get("queries-fasta"));
-  } else {
-    query_fasta = seqdb::write_fasta(seqdb::sample_queries(
-        db, static_cast<std::uint64_t>(args.get_int("query-bytes")),
-        static_cast<std::uint64_t>(args.get_int("seed")) + 1));
-  }
+  const int nprocs = setup.nprocs;
+  const sim::ClusterConfig& cluster = setup.cluster;
+  const blast::JobConfig& job = setup.job;
   std::printf("database: %zu sequences; query set: %zu bytes; cluster: %s; "
               "%d processes\n\n",
-              db.size(), query_fasta.size(), cluster.name.c_str(), nprocs);
+              setup.db.size(), setup.query_fasta.size(), cluster.name.c_str(),
+              nprocs);
+  if (!args.get("fault").empty())
+    std::printf("fault plan: %s\n\n", setup.faults.describe().c_str());
+  if (!args.get("pario-hints").empty())
+    std::printf("pario hints: %s\n\n", setup.hints.describe().c_str());
 
   // --- job -------------------------------------------------------------------
   pario::ClusterStorage storage(cluster, nprocs);
   storage.shared().write_all(
       "queries.fa",
-      std::span(reinterpret_cast<const std::uint8_t*>(query_fasta.data()),
-                query_fasta.size()));
-  blast::JobConfig job;
-  job.db_base = "db";
-  job.db_title = "cli database";
-  job.query_path = "queries.fa";
-  job.params = type == seqdb::SeqType::kProtein
-                   ? blast::SearchParams::blastp_defaults()
-                   : blast::SearchParams::blastn_defaults();
-  job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
-  job.params.evalue_cutoff = args.get_double("evalue");
-  job.nfragments = static_cast<int>(args.get_int("fragments"));
-
+      std::span(reinterpret_cast<const std::uint8_t*>(setup.query_fasta.data()),
+                setup.query_fasta.size()));
   const std::string driver = args.get("driver");
   const bool verify = args.get("verify") != "off";
-  const mpisim::ExecModel exec = mpisim::parse_exec_model(args.get("exec-model"));
-  const blast::KernelKind kernel = blast::parse_kernel(args.get("kernel"));
-  mpisim::FaultPlan faults;
-  if (!args.get("fault").empty()) {
-    faults = mpisim::FaultPlan::parse(args.get("fault"));
-    faults.validate(nprocs);
-    std::printf("fault plan: %s\n\n", faults.describe().c_str());
-  }
-  pario::Hints hints;
-  if (!args.get("pario-hints").empty()) {
-    try {
-      hints = pario::Hints::parse(args.get("pario-hints"));
-    } catch (const util::RuntimeError& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-    std::printf("pario hints: %s\n\n", hints.describe().c_str());
-  }
   mpisim::Tracer tracer;
   mpisim::Tracer* trace_ptr = args.get_flag("trace") ? &tracer : nullptr;
-
-  // --check explores many schedules; --schedule replays exactly one.
-  const bool checking =
-      !args.get("check").empty() || !args.get("schedule").empty();
-  mpicheck::CheckOptions check_opts;
-  if (!args.get("check").empty() && args.get("check") != "default")
-    check_opts = parse_check(args.get("check"));
-  if (!args.get("schedule").empty())
-    check_opts.replay_trace = args.get("schedule");
 
   std::vector<std::uint8_t> mpi_out, pio_out;
   if (driver == "mpiblast" || driver == "both") {
     const int nfragments = job.nfragments > 0 ? job.nfragments : nprocs - 1;
-    const auto parts = seqdb::mpiformatdb(storage.shared(), db, job.db_base,
+    const auto parts = seqdb::mpiformatdb(storage.shared(), setup.db, job.db_base,
                                           job.params.type, job.db_title,
                                           nfragments);
     mpiblast::MpiBlastOptions opts;
@@ -261,16 +318,14 @@ int main(int argc, char** argv) {
     opts.fragment_bases = parts.fragment_bases;
     opts.fragment_ranges = parts.ranges;
     opts.global_index = parts.global_index;
-    opts.hints = hints;
-    opts.faults = faults;
-    opts.exec = exec;
-    opts.kernel = kernel;
-    if (!args.get("scheduler").empty())
-      opts.scheduler = driver::parse_scheduler(args.get("scheduler"));
+    opts.hints = setup.hints;
+    opts.faults = setup.faults;
+    opts.exec = setup.exec;
+    if (setup.scheduler) opts.scheduler = *setup.scheduler;
     blast::DriverResult result;
-    if (checking) {
+    if (setup.checking) {
       const bool ok = run_checked(
-          "mpiblast", check_opts,
+          "mpiblast", setup.check,
           [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
             mpiblast::MpiBlastOptions o = opts;
             o.schedule = s;
@@ -286,7 +341,7 @@ int main(int argc, char** argv) {
     mpi_out = storage.shared().read_all("out.mpiblast.txt");
   }
   if (driver == "pioblast" || driver == "both") {
-    seqdb::format_db(storage.shared(), db, job.db_base, job.params.type,
+    seqdb::format_db(storage.shared(), setup.db, job.db_base, job.params.type,
                      job.db_title);
     pio::PioBlastOptions opts;
     opts.job = job;
@@ -296,16 +351,14 @@ int main(int argc, char** argv) {
     opts.job.output_path = "out.pioblast.txt";
     opts.early_score_broadcast = args.get_flag("early-score-broadcast");
     opts.dynamic_scheduling = args.get_flag("dynamic-scheduling");
-    opts.hints = hints;
-    opts.faults = faults;
-    opts.exec = exec;
-    opts.kernel = kernel;
-    if (!args.get("scheduler").empty())
-      opts.scheduler = driver::parse_scheduler(args.get("scheduler"));
+    opts.hints = setup.hints;
+    opts.faults = setup.faults;
+    opts.exec = setup.exec;
+    if (setup.scheduler) opts.scheduler = *setup.scheduler;
     blast::DriverResult result;
-    if (checking) {
+    if (setup.checking) {
       const bool ok = run_checked(
-          "pioblast", check_opts,
+          "pioblast", setup.check,
           [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
             pio::PioBlastOptions o = opts;
             o.schedule = s;
