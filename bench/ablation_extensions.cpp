@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   }
   {
     pio::PioBlastOptions opts;
-    opts.dynamic_scheduling = true;
+    opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     auto j = job;
     j.nfragments = (nprocs - 1) * 3;
     add("dynamic-scheduling x3",

@@ -9,12 +9,17 @@
 // survivors), and the straggler row prices a slow node under the greedy
 // queue. Every faulted run's report must stay byte-identical to the
 // failure-free baseline.
+//
+// Every run uses the event backend. On threads the greedy master serves
+// work requests in host arrival order, so the probe's crash point, and
+// every row's virtual time, would change from run to run.
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "driver/metrics.h"
+#include "driver/tags.h"
 #include "mpisim/fault.h"
 #include "mpisim/trace.h"
 #include "pario/env.h"
@@ -51,6 +56,7 @@ BenchRun run_mpi(const sim::ClusterConfig& cluster, int nprocs,
   opts.global_index = parts.global_index;
   opts.faults = faults;
   opts.tracer = tracer;
+  opts.exec = mpisim::ExecModel::kEvents;
   BenchRun run{mpiblast::run_mpiblast(cluster, nprocs, storage, opts), {}};
   run.output = storage.shared().read_all(job.output_path);
   return run;
@@ -70,9 +76,11 @@ BenchRun run_pio(const sim::ClusterConfig& cluster, int nprocs,
   pio::PioBlastOptions opts;
   opts.job = job;
   opts.job.nfragments = nfragments;
-  opts.dynamic_scheduling = true;  // the recoverable scheduling mode
+  // The greedy scheduler is the recoverable scheduling mode.
+  opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
   opts.faults = faults;
   opts.tracer = tracer;
+  opts.exec = mpisim::ExecModel::kEvents;
   BenchRun run{pio::run_pioblast(cluster, nprocs, storage, opts), {}};
   run.output = storage.shared().read_all(job.output_path);
   return run;
@@ -80,7 +88,7 @@ BenchRun run_pio(const sim::ClusterConfig& cluster, int nprocs,
 
 /// 1-based comm-event ordinal of `rank`'s `nth` work-request send in a
 /// probe trace — a crash point inside the serve loop with n-1 fragments
-/// of banked results.
+/// of banked results; 0 when the rank sent fewer requests.
 std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
                                      int nth) {
   std::uint64_t events = 0;
@@ -91,8 +99,8 @@ std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
       continue;
     }
     ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos && ++requests == nth) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagWorkReq &&
+        ++requests == nth) {
       return events;
     }
   }
@@ -143,6 +151,12 @@ int main(int argc, char** argv) {
 
     mpisim::FaultPlan crash;
     crash.at(victim).crash_at = nth_work_request_event(probe, victim, 3);
+    if (crash.at(victim).crash_at == 0) {
+      // crash_at = 0 would inject nothing and print a clean run as a crash.
+      std::fprintf(stderr, "%s: rank %d sent fewer than 3 work requests\n",
+                   d.name, victim);
+      return 1;
+    }
     const auto crashed =
         d.run(cluster, nprocs, queries, job, nfragments, crash, nullptr);
 

@@ -13,15 +13,13 @@ namespace pioblast::driver {
 
 MasterWorkerApp::MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
                                  pario::ClusterStorage& storage,
-                                 const blast::JobConfig& job,
-                                 std::shared_ptr<const blast::QuerySet> queries,
-                                 mpisim::Tracer* tracer)
+                                 const RunConfig& config,
+                                 std::shared_ptr<const blast::QuerySet> queries)
     : cluster_(cluster),
       nprocs_(nprocs),
       storage_(storage),
-      job_(job),
+      config_(config),
       queries_(std::move(queries)),
-      tracer_(tracer),
       topology_(WorkerTopology::from_cluster(cluster, nprocs)) {
   PIOBLAST_CHECK_MSG(nprocs >= 2, "drivers need a master and >= 1 worker");
   PIOBLAST_CHECK(queries_ != nullptr);
@@ -33,7 +31,7 @@ void MasterWorkerApp::init_stage(mpisim::Process& p) {
   std::vector<std::uint8_t> query_bytes;
   if (p.is_root()) {
     query_bytes =
-        pario::timed_read_all(p, storage_.shared(), job_.query_path, 1);
+        pario::timed_read_all(p, storage_.shared(), config_.job.query_path, 1);
   }
   p.bcast(query_bytes, 0);
 }
@@ -55,13 +53,23 @@ void MasterWorkerApp::worker(mpisim::Process&) {
 }
 
 blast::DriverResult MasterWorkerApp::run() {
+  // Conformance replays the run's events, so it needs a trace of this run
+  // alone.
+  tracer_ = config_.tracer;
+  if (config_.conformance) {
+    if (tracer_ == nullptr) tracer_ = &own_tracer_;
+    if (tracer_->size() != 0)
+      throw util::RuntimeError(
+          "conformance needs a fresh tracer, but the one given already holds " +
+          std::to_string(tracer_->size()) + " events from an earlier run");
+  }
   mpisim::RunOptions opts;
   opts.tracer = tracer_;
-  opts.verify.enabled = verify_;
-  opts.faults = faults_;
-  opts.schedule = schedule_;
-  opts.race = race_;
-  opts.exec_model = exec_;
+  opts.verify.enabled = config_.verify;
+  opts.faults = config_.faults;
+  opts.schedule = config_.schedule;
+  opts.race = config_.race;
+  opts.exec_model = config_.exec;
   // Seed the tag audit with the driver registry and the pario two-phase
   // exchange's internal band; any other tag on the wire is a protocol bug.
   auto registered = registered_tags();
@@ -105,7 +113,7 @@ blast::DriverResult MasterWorkerApp::run() {
   metrics_.set(kMetricWireMessages, wire_messages);
   // Only fault-tolerant runs carry the counter, so failure-free metric
   // snapshots are unchanged.
-  if (faults_.active()) metrics_.set(kMetricRanksLost, ranks_lost);
+  if (config_.faults.active()) metrics_.set(kMetricRanksLost, ranks_lost);
 
   result.metrics = metrics_.snapshot();
   result.output_bytes = metrics_.get(kMetricOutputBytes);

@@ -19,11 +19,9 @@
 #include "blast/job.h"
 #include "blast/query_set.h"
 #include "driver/metrics.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
-#include "mpisim/exec.h"
-#include "mpisim/fault.h"
 #include "mpisim/process.h"
-#include "mpisim/trace.h"
 #include "pario/env.h"
 #include "sim/cluster.h"
 
@@ -31,10 +29,11 @@ namespace pioblast::driver {
 
 class MasterWorkerApp {
  public:
+  /// `config` (the run's tracer, verifier, conformance, fault, mpicheck and
+  /// backend settings) must outlive the app.
   MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
-                  pario::ClusterStorage& storage, const blast::JobConfig& job,
-                  std::shared_ptr<const blast::QuerySet> queries,
-                  mpisim::Tracer* tracer);
+                  pario::ClusterStorage& storage, const RunConfig& config,
+                  std::shared_ptr<const blast::QuerySet> queries);
 
   virtual ~MasterWorkerApp() = default;
 
@@ -44,34 +43,13 @@ class MasterWorkerApp {
   /// Launches the simulated job: init stage, body, metric trace marks,
   /// final barrier; then summarizes phases, folds wire accounting into the
   /// metrics, and returns the DriverResult (metrics snapshot included).
+  /// With config.conformance on, the run records into config.tracer (which
+  /// must be empty: util::RuntimeError otherwise) or an internal tracer,
+  /// and tracer() returns it.
   blast::DriverResult run();
 
-  /// Toggles the protocol verifier for the simulated job (on by default).
-  /// When on, the run is audited for deadlock, collective order, tag
-  /// registry conformance, typed payloads, and message leaks.
-  void set_verify(bool verify) { verify_ = verify; }
-
-  /// Arms fault injections (crashes, stragglers, drops) for the run. An
-  /// active plan also switches the runtime and drivers into their
-  /// fault-tolerant paths (flat collectives, master liveness tracking,
-  /// degraded collective I/O). See mpisim/fault.h.
-  void set_faults(mpisim::FaultPlan faults) { faults_ = std::move(faults); }
-
-  /// Attaches mpicheck hooks (either may be null; neither is owned and
-  /// both must outlive run()): a cooperative scheduler serializing the
-  /// rank threads deterministically, and a happens-before race detector
-  /// observing message edges and annotated shared-state accesses. See
-  /// mpisim/hooks.h and src/mpicheck.
-  void set_check(mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
-    schedule_ = schedule;
-    race_ = race;
-  }
-
-  /// Selects the rank execution backend (mpisim/exec.h): one OS thread
-  /// per rank (default) or stackful fibers on one scheduler thread — the
-  /// latter is what makes multi-thousand-rank worlds practical. Driver
-  /// output is identical under both.
-  void set_exec(mpisim::ExecModel exec) { exec_ = exec; }
+  /// The tracer the last run() recorded into (null when tracing was off).
+  const mpisim::Tracer* tracer() const { return tracer_; }
 
  protected:
   /// Driver protocol. The default dispatches to master()/worker();
@@ -85,7 +63,7 @@ class MasterWorkerApp {
   const sim::ClusterConfig& cluster() const { return cluster_; }
   pario::ClusterStorage& storage() { return storage_; }
   pario::VirtualFS& shared() { return storage_.shared(); }
-  const blast::JobConfig& job() const { return job_; }
+  const blast::JobConfig& job() const { return config_.job; }
   const blast::QuerySet& queries() const { return *queries_; }
   RunMetrics& metrics() { return metrics_; }
   const WorkerTopology& topology() const { return topology_; }
@@ -98,14 +76,10 @@ class MasterWorkerApp {
   const sim::ClusterConfig& cluster_;
   int nprocs_;
   pario::ClusterStorage& storage_;
-  const blast::JobConfig& job_;
+  const RunConfig& config_;
   std::shared_ptr<const blast::QuerySet> queries_;
-  mpisim::Tracer* tracer_;
-  bool verify_ = true;
-  mpisim::FaultPlan faults_;
-  mpisim::ScheduleHook* schedule_ = nullptr;
-  mpisim::RaceHook* race_ = nullptr;
-  mpisim::ExecModel exec_ = mpisim::ExecModel::kThreads;
+  mpisim::Tracer* tracer_ = nullptr;
+  mpisim::Tracer own_tracer_;  ///< conformance's trace when none is given
   WorkerTopology topology_;
   RunMetrics metrics_;
 };

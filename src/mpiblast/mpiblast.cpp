@@ -37,16 +37,10 @@ class MpiBlastApp final : public driver::MasterWorkerApp {
               pario::ClusterStorage& storage, const MpiBlastOptions& opts,
               std::shared_ptr<const blast::QuerySet> queries,
               const blast::GlobalDbStats& db_stats)
-      : MasterWorkerApp(cluster, nprocs, storage, opts.job, std::move(queries),
-                        opts.tracer),
+      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries)),
         opts_(opts),
         db_stats_(db_stats),
-        scheduler_(driver::make_scheduler(opts.scheduler)) {
-    set_verify(opts.verify);
-    set_faults(opts.faults);
-    set_check(opts.schedule, opts.race);
-    set_exec(opts.exec);
-  }
+        scheduler_(driver::make_scheduler(opts.scheduler)) {}
 
  private:
   void master(mpisim::Process& p) override;
@@ -256,17 +250,10 @@ blast::DriverResult run_mpiblast(const sim::ClusterConfig& cluster, int nprocs,
       opts.job.params, db_stats);
   const auto nqueries = static_cast<int>(shared_queries->size());
 
-  // Conformance needs the event stream; record one ourselves when the
-  // caller did not ask for a trace.
-  mpisim::Tracer conform_tracer;
-  MpiBlastOptions local = opts;
-  if (local.conformance && local.tracer == nullptr)
-    local.tracer = &conform_tracer;
-
-  MpiBlastApp app(cluster, nprocs, storage, local, std::move(shared_queries),
+  MpiBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries),
                   db_stats);
   blast::DriverResult result = app.run();
-  if (local.conformance) {
+  if (opts.conformance) {
     protospec::SpecParams sp;
     sp.nranks = nprocs;
     sp.tasks = static_cast<int>(opts.fragment_bases.size());
@@ -274,7 +261,7 @@ blast::DriverResult run_mpiblast(const sim::ClusterConfig& cluster, int nprocs,
     sp.fetch_cap = -1;  // per-query fetch count is data-dependent
     sp.fault_tolerant = opts.faults.active();
     result.conformance = protospec::enforce_conformance(
-        *protospec::spec_by_name("mpiblast"), sp, local.tracer->sorted());
+        *protospec::spec_by_name("mpiblast"), sp, app.tracer()->sorted());
   }
   return result;
 }

@@ -29,58 +29,24 @@
 #include <vector>
 
 #include "blast/driver.h"
-#include "blast/job.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
-#include "mpisim/exec.h"
-#include "mpisim/fault.h"
-#include "mpisim/hooks.h"
-#include "mpisim/trace.h"
-#include "pario/env.h"
 #include "seqdb/partition.h"
 #include "sim/cluster.h"
 
 namespace pioblast::mpiblast {
 
-/// Inputs the baseline needs beyond the job itself: the physical fragments
-/// produced by mpiformatdb and the global index (for database statistics).
-struct MpiBlastOptions {
-  blast::JobConfig job;
-  /// Optional event tracer (not owned; must outlive the run).
-  mpisim::Tracer* tracer = nullptr;
-  /// Protocol verifier (mpisim/verifier.h): audits the run for deadlock,
-  /// collective order, tag registry conformance, typed payloads, and
-  /// message leaks. On by default; `--verify off` in the CLI disables it.
-  bool verify = true;
-  /// Protospec runtime conformance (protospec/conform.h): replay the run's
-  /// trace against the declarative mpiblast protocol spec and throw
-  /// mpisim::VerifyError on the first divergent event. Uses `tracer` when
-  /// set, otherwise records an internal trace. The CLI's --conformance.
-  bool conformance = false;
+/// Inputs the baseline needs beyond the shared run settings: the physical
+/// fragments produced by mpiformatdb and the global index (for database
+/// statistics).
+struct MpiBlastOptions : driver::RunConfig {
   std::vector<std::string> fragment_bases;  ///< mpiformatdb outputs, in order
   std::vector<seqdb::SeqRange> fragment_ranges;
   seqdb::DbIndex global_index;
-  /// MPI-IO-style access hints (pario/env.h). The baseline's volume reads
-  /// are whole-file and contiguous, so only the list-I/O path is
-  /// exercised (merging is a no-op on single whole-file requests); the
-  /// hints exist so the CLI's --pario-hints flag tunes both drivers.
-  pario::Hints hints{};
   /// Fragment-assignment policy. The historical default is the greedy
   /// first-come-first-served master loop; static policies pre-plan the
   /// same request/reply protocol deterministically.
   driver::SchedulerKind scheduler = driver::SchedulerKind::kGreedyDynamic;
-  /// Fault injections (crashes, stragglers, drops); inert by default. An
-  /// active plan switches the run into its fault-tolerant paths: the
-  /// master tracks worker liveness and reassigns a lost worker's
-  /// fragments. See mpisim/fault.h and the CLI's --fault flag.
-  mpisim::FaultPlan faults;
-  /// mpicheck hooks (mpisim/hooks.h; either may be null, neither owned):
-  /// a deterministic cooperative scheduler and a happens-before race
-  /// detector. Set by the CLI's --check/--schedule modes and by tests.
-  mpisim::ScheduleHook* schedule = nullptr;
-  mpisim::RaceHook* race = nullptr;
-  /// Rank execution backend (mpisim/exec.h): threads (default) or the
-  /// single-threaded fiber event loop. The CLI's --exec-model flag.
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
 };
 
 /// Runs mpiBLAST with `nprocs` simulated processes (1 master + workers).

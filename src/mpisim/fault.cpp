@@ -70,25 +70,24 @@ const RankFault* FaultPlan::find(int rank) const {
 }
 
 void FaultPlan::validate(int nranks) const {
-  PIOBLAST_CHECK_MSG(detection_delay > 0,
-                     "fault plan: detection_delay must be > 0, got "
-                         << detection_delay);
+  const auto reject = [](const auto&... why) {
+    std::ostringstream os;
+    (os << "fault plan: " << ... << why);
+    throw util::RuntimeError(os.str());
+  };
+  if (!(detection_delay > 0))
+    reject("detection_delay must be > 0, got ", detection_delay);
   for (const RankFault& f : injections) {
-    PIOBLAST_CHECK_MSG(f.rank >= 0 && f.rank < nranks,
-                       "fault plan: rank " << f.rank
-                                           << " outside the job's 0.."
-                                           << nranks - 1 << " range");
-    PIOBLAST_CHECK_MSG(
-        !(f.rank == 0 && f.crash_at != 0),
-        "fault plan: rank 0 (the master/failure-detector rank) cannot be "
-        "crash-injected");
-    PIOBLAST_CHECK_MSG(std::isfinite(f.slow) && f.slow > 0,
-                       "fault plan: rank " << f.rank << " slowdown " << f.slow
-                                           << " must be finite and > 0");
+    if (f.rank < 0 || f.rank >= nranks)
+      reject("rank ", f.rank, " outside the job's 0..", nranks - 1, " range");
+    if (f.rank == 0 && f.crash_at != 0)
+      reject("rank 0 (the master/failure-detector rank) cannot be "
+             "crash-injected");
+    if (!(std::isfinite(f.slow) && f.slow > 0))
+      reject("rank ", f.rank, " slowdown ", f.slow, " must be finite and > 0");
     for (const std::uint64_t s : f.drop_sends) {
-      PIOBLAST_CHECK_MSG(s >= 1, "fault plan: drop_send ordinals are 1-based; "
-                                 "got 0 for rank "
-                                     << f.rank);
+      if (s < 1)
+        reject("drop_send ordinals are 1-based; got 0 for rank ", f.rank);
     }
   }
 }

@@ -96,8 +96,9 @@ struct FaultPlan {
   /// The injection record for `rank`, or null.
   const RankFault* find(int rank) const;
 
-  /// Rejects malformed plans: out-of-range ranks, a crash on rank 0 (the
-  /// master/detector rank cannot be crash-injected), non-positive
+  /// Rejects malformed plans with util::RuntimeError (a plan is user
+  /// input, e.g. the CLI's --fault): out-of-range ranks, a crash on rank 0
+  /// (the master/detector rank cannot be crash-injected), non-positive
   /// slowdowns, zero event/send ordinals.
   void validate(int nranks) const;
 

@@ -92,16 +92,10 @@ void Process::send(int dst, int tag, std::span<const std::uint8_t> data,
   bytes_sent_ += data.size();
   ++messages_sent_;
   if (Tracer* t = world_.tracer()) {
-    if (dropped) {
-      t->record(rank_, clock_.now(), TraceKind::kFault,
-                "drop send #" + std::to_string(send_seq_) + " dst=" +
-                    std::to_string(dst) + " tag=" + std::to_string(tag) +
-                    " bytes=" + std::to_string(data.size()));
-    } else {
-      t->record(rank_, clock_.now(), TraceKind::kSend,
-                "dst=" + std::to_string(dst) + " tag=" + std::to_string(tag) +
-                    " bytes=" + std::to_string(data.size()));
-    }
+    t->record({.rank = rank_, .time = clock_.now(),
+               .kind = dropped ? TraceKind::kFault : TraceKind::kSend,
+               .drop = dropped, .peer = dst, .tag = tag, .bytes = data.size(),
+               .seq = dropped ? send_seq_ : 0});
   }
   // The happens-before token is issued even for dropped sends (the send
   // itself still happened on this rank's timeline) but only a delivered
@@ -120,39 +114,28 @@ void Process::send(int dst, int tag, std::span<const std::uint8_t> data,
 }
 
 Message Process::recv(int src, int tag) {
-  yield_point(YieldPoint::Kind::kRecv, src, tag);
-  if (ProtocolVerifier* v = world_.verifier()) v->on_recv_posted(rank_, src, tag);
-  maybe_crash();
-  Message msg = world_.mailbox(rank_).pop(src, tag);
-  if (RaceHook* r = world_.race(); r != nullptr && msg.hb != 0)
-    r->on_recv(rank_, msg.hb);
-  clock_.advance_to(msg.arrival);
-  clock_.advance(cluster().network.recv_cost(msg.size()));
-  if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kRecv,
-              "src=" + std::to_string(msg.src) + " tag=" + std::to_string(tag) +
-                  " bytes=" + std::to_string(msg.size()));
-  }
-  return msg;
+  const int tags[] = {tag};
+  return receive(src, tags);
 }
 
 Message Process::recv_any_of(std::span<const int> tags) {
-  yield_point(YieldPoint::Kind::kRecv, kAnySource,
-              tags.empty() ? 0 : tags[0]);
+  return receive(kAnySource, tags);
+}
+
+Message Process::receive(int src, std::span<const int> tags) {
+  yield_point(YieldPoint::Kind::kRecv, src, tags.empty() ? 0 : tags[0]);
   if (ProtocolVerifier* v = world_.verifier()) {
-    for (const int tag : tags) v->on_recv_posted(rank_, kAnySource, tag);
+    for (const int tag : tags) v->on_recv_posted(rank_, src, tag);
   }
   maybe_crash();
-  Message msg = world_.mailbox(rank_).pop_any(kAnySource, tags);
+  Message msg = world_.mailbox(rank_).pop_any(src, tags);
   if (RaceHook* r = world_.race(); r != nullptr && msg.hb != 0)
     r->on_recv(rank_, msg.hb);
   clock_.advance_to(msg.arrival);
   clock_.advance(cluster().network.recv_cost(msg.size()));
   if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kRecv,
-              "src=" + std::to_string(msg.src) + " tag=" +
-                  std::to_string(msg.tag) + " bytes=" +
-                  std::to_string(msg.size()));
+    t->record({.rank = rank_, .time = clock_.now(), .kind = TraceKind::kRecv,
+               .peer = msg.src, .tag = msg.tag, .bytes = msg.size()});
   }
   return msg;
 }
@@ -187,9 +170,9 @@ void Process::enter_collective(const char* op, int root) {
   yield_point(YieldPoint::Kind::kCollective, root, 0, op);
   const std::uint64_t seq = collectives_entered_++;
   if (Tracer* t = world_.tracer()) {
-    t->record(rank_, clock_.now(), TraceKind::kCollective,
-              std::string(op) + " root=" + std::to_string(root) +
-                  " seq=" + std::to_string(seq));
+    t->record({.rank = rank_, .time = clock_.now(),
+               .kind = TraceKind::kCollective, .peer = root, .seq = seq,
+               .op = op});
   }
   if (ProtocolVerifier* v = world_.verifier()) v->on_collective(rank_, op, root);
 }

@@ -73,8 +73,8 @@ class Process {
   /// when tracing is off).
   void mark(const std::string& detail);
 
-  /// Records an event of arbitrary kind in the attached tracer (drivers
-  /// use this for kFault / kRecovery annotations).
+  /// Records a free-text event in the attached tracer (drivers use this
+  /// for kRecovery notes).
   void trace(TraceKind kind, std::string detail);
 
   /// Flushes pending time into the current phase and returns the buckets.
@@ -204,6 +204,10 @@ class Process {
   /// Counts one communication event and throws RankCrash when this rank's
   /// scheduled crash point is reached. Called on entry to send and recv.
   void maybe_crash();
+
+  /// The blocking receive behind recv and recv_any_of: the first message
+  /// from `src` (or any source) with one of `tags`.
+  Message receive(int src, std::span<const int> tags);
 
   /// Records the collective's trace fingerprint and runs the verifier's
   /// order check. Called on entry by every collective, on every rank.

@@ -1,9 +1,7 @@
 #include "mpisim/trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 namespace pioblast::mpisim {
@@ -16,10 +14,6 @@ const char* to_string(TraceKind kind) {
       return "SEND";
     case TraceKind::kRecv:
       return "RECV";
-    case TraceKind::kCompute:
-      return "COMP";
-    case TraceKind::kIo:
-      return "IO";
     case TraceKind::kMark:
       return "MARK";
     case TraceKind::kCollective:
@@ -34,9 +28,37 @@ const char* to_string(TraceKind kind) {
   return "?";
 }
 
-void Tracer::record(int rank, sim::Time time, TraceKind kind, std::string detail) {
+std::string trace_detail(const TraceEvent& e) {
+  const auto message = [&e](const char* peer_key) {
+    return std::string(peer_key) + "=" + std::to_string(e.peer) +
+           " tag=" + std::to_string(e.tag) +
+           " bytes=" + std::to_string(e.bytes);
+  };
+  switch (e.kind) {
+    case TraceKind::kSend:
+      return message("dst");
+    case TraceKind::kRecv:
+      return message("src");
+    case TraceKind::kCollective:
+      return std::string(e.op) + " root=" + std::to_string(e.peer) +
+             " seq=" + std::to_string(e.seq);
+    case TraceKind::kFault:
+      if (e.drop)
+        return "drop send #" + std::to_string(e.seq) + " " + message("dst");
+      return "rank " + std::to_string(e.rank) + " crashed";
+    default:
+      return e.detail;
+  }
+}
+
+void Tracer::record(TraceEvent event) {
   std::lock_guard lock(mu_);
-  events_.push_back({rank, time, kind, std::move(detail)});
+  events_.push_back(std::move(event));
+}
+
+void Tracer::record(int rank, sim::Time time, TraceKind kind,
+                    std::string detail) {
+  record({.rank = rank, .time = time, .kind = kind, .detail = std::move(detail)});
 }
 
 std::vector<TraceEvent> Tracer::sorted() const {
@@ -69,7 +91,7 @@ void Tracer::render(std::ostream& os, std::size_t max_events) const {
     }
     std::snprintf(buf, sizeof buf, "[%12.6fs] r%-3d %-5s ", e.time, e.rank,
                   to_string(e.kind));
-    os << buf << e.detail << '\n';
+    os << buf << trace_detail(e) << '\n';
   }
 }
 
@@ -78,96 +100,6 @@ std::vector<TraceEvent> Tracer::for_rank(int rank) const {
   for (const TraceEvent& e : sorted())
     if (e.rank == rank) out.push_back(e);
   return out;
-}
-
-namespace {
-
-// Reads "<key>=<number>" starting at `pos` in `s`; advances past it.
-bool scan_kv(const std::string& s, std::size_t& pos, const char* key,
-             long long& value) {
-  const std::string want = std::string(key) + "=";
-  const std::size_t at = s.find(want, pos);
-  if (at == std::string::npos) return false;
-  std::size_t end = at + want.size();
-  errno = 0;
-  char* after = nullptr;
-  value = std::strtoll(s.c_str() + end, &after, 10);
-  if (after == s.c_str() + end || errno != 0) return false;
-  pos = static_cast<std::size_t>(after - s.c_str());
-  return true;
-}
-
-}  // namespace
-
-bool parse_trace_event(const TraceEvent& event, ParsedEvent& out) {
-  out = ParsedEvent{};
-  out.kind = event.kind;
-  out.rank = event.rank;
-  out.time = event.time;
-  const std::string& d = event.detail;
-  long long v = 0;
-  std::size_t pos = 0;
-  switch (event.kind) {
-    case TraceKind::kSend:
-    case TraceKind::kRecv: {
-      const char* peer_key = event.kind == TraceKind::kSend ? "dst" : "src";
-      if (!scan_kv(d, pos, peer_key, v)) return false;
-      out.peer = static_cast<int>(v);
-      if (!scan_kv(d, pos, "tag", v)) return false;
-      out.tag = static_cast<int>(v);
-      if (!scan_kv(d, pos, "bytes", v)) return false;
-      out.bytes = static_cast<std::uint64_t>(v);
-      return true;
-    }
-    case TraceKind::kCollective: {
-      const std::size_t sp = d.find(' ');
-      if (sp == std::string::npos) return false;
-      out.op = d.substr(0, sp);
-      if (!scan_kv(d, pos, "root", v)) return false;
-      out.root = static_cast<int>(v);
-      return true;
-    }
-    case TraceKind::kFault: {
-      if (d.rfind("drop send", 0) == 0) {
-        out.drop = true;
-        if (!scan_kv(d, pos, "dst", v)) return false;
-        out.peer = static_cast<int>(v);
-        if (!scan_kv(d, pos, "tag", v)) return false;
-        out.tag = static_cast<int>(v);
-        if (!scan_kv(d, pos, "bytes", v)) return false;
-        out.bytes = static_cast<std::uint64_t>(v);
-        return true;
-      }
-      if (d.rfind("rank ", 0) == 0 &&
-          d.find(" crashed") != std::string::npos) {
-        errno = 0;
-        char* after = nullptr;
-        v = std::strtoll(d.c_str() + 5, &after, 10);
-        if (after == d.c_str() + 5 || errno != 0) return false;
-        out.crashed_rank = static_cast<int>(v);
-        return true;
-      }
-      return false;
-    }
-    default:
-      return true;  // no structured payload for this kind
-  }
-}
-
-sim::Time Tracer::span() const {
-  sim::Time lo = 0, hi = 0;
-  bool first = true;
-  std::lock_guard lock(mu_);
-  for (const TraceEvent& e : events_) {
-    if (first) {
-      lo = hi = e.time;
-      first = false;
-    } else {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-  }
-  return hi - lo;
 }
 
 }  // namespace pioblast::mpisim

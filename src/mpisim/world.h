@@ -147,10 +147,8 @@ class World {
     }
     for (int r = 0; r < size_; ++r)
       if (r != rank) mailboxes_[static_cast<std::size_t>(r)]->notify_dead(rank);
-    if (tracer_ != nullptr) {
-      tracer_->record(rank, when, TraceKind::kFault,
-                      "rank " + std::to_string(rank) + " crashed");
-    }
+    if (tracer_ != nullptr)
+      tracer_->record({.rank = rank, .time = when, .kind = TraceKind::kFault});
     if (verifier_) verifier_->on_rank_crashed(rank);
   }
 

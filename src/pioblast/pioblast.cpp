@@ -36,18 +36,11 @@ class PioBlastApp final : public driver::MasterWorkerApp {
  public:
   PioBlastApp(const sim::ClusterConfig& cluster, int nprocs,
               pario::ClusterStorage& storage, const PioBlastOptions& opts,
-              std::shared_ptr<const blast::QuerySet> queries,
-              driver::SchedulerKind kind)
-      : MasterWorkerApp(cluster, nprocs, storage, opts.job, std::move(queries),
-                        opts.tracer),
+              std::shared_ptr<const blast::QuerySet> queries)
+      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries)),
         opts_(opts),
-        scheduler_(driver::make_scheduler(kind)),
-        dynamic_(kind == driver::SchedulerKind::kGreedyDynamic) {
-    set_verify(opts.verify);
-    set_faults(opts.faults);
-    set_check(opts.schedule, opts.race);
-    set_exec(opts.exec);
-  }
+        scheduler_(driver::make_scheduler(opts.scheduler)),
+        dynamic_(opts.scheduler == driver::SchedulerKind::kGreedyDynamic) {}
 
  private:
   // The protocol interleaves master and worker steps around shared
@@ -436,10 +429,9 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
   const seqdb::SeqType type = opts.job.params.type;
   const seqdb::VolumeNames names = seqdb::volume_names(opts.job.db_base, type);
 
-  driver::SchedulerKind kind = opts.scheduler;
-  if (opts.dynamic_scheduling) kind = driver::SchedulerKind::kGreedyDynamic;
+  const bool dynamic = opts.scheduler == driver::SchedulerKind::kGreedyDynamic;
   PIOBLAST_CHECK_MSG(
-      !(kind == driver::SchedulerKind::kGreedyDynamic && opts.collective_input),
+      !(dynamic && opts.collective_input),
       "dynamic scheduling is incompatible with collective input (assignment "
       "order is data-dependent)");
 
@@ -455,17 +447,9 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
       opts.job.params, host_stats);
   const auto nqueries = static_cast<int>(shared_queries->size());
 
-  // Conformance needs the event stream; record one ourselves when the
-  // caller did not ask for a trace.
-  mpisim::Tracer conform_tracer;
-  PioBlastOptions local = opts;
-  if (local.conformance && local.tracer == nullptr)
-    local.tracer = &conform_tracer;
-
-  PioBlastApp app(cluster, nprocs, storage, local, std::move(shared_queries),
-                  kind);
+  PioBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries));
   blast::DriverResult result = app.run();
-  if (local.conformance) {
+  if (opts.conformance) {
     protospec::SpecParams sp;
     sp.nranks = nprocs;
     sp.tasks = opts.job.nfragments > 0 ? opts.job.nfragments : nprocs - 1;
@@ -473,10 +457,10 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
     sp.batch = opts.query_batch > 0 ? static_cast<int>(opts.query_batch)
                                     : nqueries;
     sp.fault_tolerant = opts.faults.active();
-    sp.dynamic = kind == driver::SchedulerKind::kGreedyDynamic;
+    sp.dynamic = dynamic;
     sp.early_score = opts.early_score_broadcast;
     result.conformance = protospec::enforce_conformance(
-        *protospec::spec_by_name("pioblast"), sp, local.tracer->sorted());
+        *protospec::spec_by_name("pioblast"), sp, app.tracer()->sorted());
   }
   return result;
 }

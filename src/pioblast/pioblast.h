@@ -37,31 +37,14 @@
 #pragma once
 
 #include "blast/driver.h"
-#include "blast/job.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
-#include "mpisim/exec.h"
-#include "mpisim/fault.h"
-#include "mpisim/hooks.h"
-#include "mpisim/trace.h"
 #include "pario/collective.h"
-#include "pario/env.h"
 #include "sim/cluster.h"
 
 namespace pioblast::pio {
 
-struct PioBlastOptions {
-  blast::JobConfig job;
-  /// Optional event tracer (not owned; must outlive the run).
-  mpisim::Tracer* tracer = nullptr;
-  /// Protocol verifier (mpisim/verifier.h): audits the run for deadlock,
-  /// collective order, tag registry conformance, typed payloads, and
-  /// message leaks. On by default; `--verify off` in the CLI disables it.
-  bool verify = true;
-  /// Protospec runtime conformance (protospec/conform.h): replay the run's
-  /// trace against the declarative pioblast protocol spec and throw
-  /// mpisim::VerifyError on the first divergent event. Uses `tracer` when
-  /// set, otherwise records an internal trace. The CLI's --conformance.
-  bool conformance = false;
+struct PioBlastOptions : driver::RunConfig {
   bool early_score_broadcast = false;  ///< §5 local-pruning extension
   bool collective_input = false;       ///< read input ranges collectively
   /// Range-assignment policy. Static policies (round-robin, the
@@ -70,36 +53,13 @@ struct PioBlastOptions {
   /// input, whose round structure must be known before the run. The
   /// greedy policy hands out file ranges at run time as workers finish —
   /// "the file ranges can be decided at run time and differentiated
-  /// between different workers" (§5).
+  /// between different workers" (§5); use it with job.nfragments >
+  /// nworkers for finer task granularity.
   driver::SchedulerKind scheduler = driver::SchedulerKind::kStaticRoundRobin;
-  /// Legacy alias for `scheduler = kGreedyDynamic` (§5 dynamic load
-  /// balancing). Use with job.nfragments > nworkers for finer task
-  /// granularity. Incompatible with collective_input (assignment order is
-  /// data-dependent).
-  bool dynamic_scheduling = false;
   /// §5 memory adaptivity: merge and flush queries in batches of this size
   /// (one collective write per batch), bounding the cached-output memory.
   /// 0 = a single flush at the end (the default, maximum aggregation).
   std::uint32_t query_batch = 0;
-  /// MPI-IO-style access hints (pario/env.h): cb_nodes / cb_buffer_size
-  /// tune the two-phase collectives (output, and input when
-  /// collective_input is on); the ds_* / list knobs shape the independent
-  /// fragment-range reads. The CLI's --pario-hints flag.
-  pario::Hints hints{};
-  /// Fault injections (crashes, stragglers, drops); inert by default. An
-  /// active plan switches the run into its fault-tolerant paths: with the
-  /// greedy scheduler a lost worker's ranges are reassigned; collective
-  /// I/O falls back to independent transfers for the survivors. See
-  /// mpisim/fault.h and the CLI's --fault flag.
-  mpisim::FaultPlan faults;
-  /// mpicheck hooks (mpisim/hooks.h; either may be null, neither owned):
-  /// a deterministic cooperative scheduler and a happens-before race
-  /// detector. Set by the CLI's --check/--schedule modes and by tests.
-  mpisim::ScheduleHook* schedule = nullptr;
-  mpisim::RaceHook* race = nullptr;
-  /// Rank execution backend (mpisim/exec.h): threads (default) or the
-  /// single-threaded fiber event loop. The CLI's --exec-model flag.
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
 };
 
 /// Runs pioBLAST with `nprocs` simulated processes (1 master + workers)

@@ -85,7 +85,7 @@ class Monitor {
   /// available.
   std::vector<Config> step(const Role& role, int self,
                            const std::vector<Config>& frontier,
-                           const mpisim::ParsedEvent& ev,
+                           const mpisim::TraceEvent& ev,
                            std::string& candidates) {
     std::vector<Config> next;
     std::ostringstream cand;
@@ -110,7 +110,8 @@ class Monitor {
             continue;
         }
         if (e.op == Op::kCollective) {
-          if (std::string_view(e.coll == nullptr ? "" : e.coll) != ev.op)
+          if (std::string_view(e.coll == nullptr ? "" : e.coll) !=
+              std::string_view(ev.op))
             continue;
         } else {
           if (e.tag != ev.tag) continue;
@@ -142,7 +143,7 @@ class Monitor {
 };
 
 std::string describe(const mpisim::TraceEvent& e) {
-  return std::string(mpisim::to_string(e.kind)) + " " + e.detail;
+  return std::string(mpisim::to_string(e.kind)) + " " + mpisim::trace_detail(e);
 }
 
 ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
@@ -161,10 +162,8 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
   // lost-peer escapes if it crashes anywhere in the trace. Permissive, and
   // sound for an NFA monitor.
   for (const mpisim::TraceEvent& e : events) {
-    mpisim::ParsedEvent p;
-    if (e.kind == mpisim::TraceKind::kFault && parse_trace_event(e, p) &&
-        p.crashed_rank >= 0 && p.crashed_rank < n_)
-      crashed_[p.crashed_rank] = 1;
+    if (e.kind == mpisim::TraceKind::kFault && !e.drop && e.rank < n_)
+      crashed_[e.rank] = 1;
   }
 
   for (int rank = 0; rank < n_ && res.ok; ++rank) {
@@ -180,29 +179,24 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
     std::size_t index = 0;  // per-rank observable event index
     for (const mpisim::TraceEvent& e : events) {
       if (e.rank != rank) continue;
-      mpisim::ParsedEvent ev;
-      const bool parsed = parse_trace_event(e, ev);
       bool observable = false;
       switch (e.kind) {
         case mpisim::TraceKind::kSend:
         case mpisim::TraceKind::kRecv:
-          observable = parsed && observable_tag(ev.tag);
+          observable = observable_tag(e.tag);
           break;
         case mpisim::TraceKind::kCollective:
-          observable = parsed;
+          observable = true;
           break;
         case mpisim::TraceKind::kFault:
-          if (parsed && ev.crashed_rank == rank) {
-            crashed_here = true;  // terminal: the rank is gone
-            observable = false;
-          } else {
-            // A dropped send still left the sender's send edge: replay it
-            // as the SEND it would have been.
-            observable = parsed && ev.drop && observable_tag(ev.tag);
-          }
+          // A crash is terminal: the rank is gone. A dropped send still
+          // left the sender's send edge: replay it as the SEND it would
+          // have been.
+          if (!e.drop) crashed_here = true;
+          observable = e.drop && observable_tag(e.tag);
           break;
         default:
-          break;  // phases, compute, io, marks, recovery notes
+          break;  // phases, marks, verifier and recovery notes
       }
       if (!observable) {
         ++res.events_skipped;
@@ -222,7 +216,7 @@ ConformResult Monitor::run(const std::vector<mpisim::TraceEvent>& events) {
         break;
       }
       std::string candidates;
-      std::vector<Config> next = step(role, rank, frontier, ev, candidates);
+      std::vector<Config> next = step(role, rank, frontier, e, candidates);
       if (next.empty()) {
         fail("spec " + std::string(spec_.name) + ": rank " +
              std::to_string(rank) + " [" + role.name + "] diverged at its " +

@@ -1,7 +1,8 @@
-# Runs pioblast_cli on malformed option values, an unreadable input file
-# and the removed --kernel option. Every case must exit 2 with the option's
-# name on stderr and nothing on stdout: it is rejected before any driver
-# runs, instead of aborting or running with a half-parsed value.
+# Runs pioblast_cli on malformed or unknown option values, an invalid
+# fault plan, too few processes, an unreadable input file and the removed
+# --kernel option. Every case must exit 2 with the option's name on stderr
+# and nothing on stdout: it is rejected before any driver runs, instead of
+# aborting or running with a half-parsed value.
 #
 #   cmake -DCLI=<pioblast_cli> -DMISSING=<a path that does not exist>
 #         -P cli_bad_options.cmake
@@ -20,7 +21,15 @@ set(cases
   "--check=max=99999999999|--check: max"
   "--check=schedules=5x|--check: schedules"
   "--pario-hints=bogus|--pario-hints"
-  "--kernel=fast|unknown option --kernel")
+  "--kernel=fast|unknown option --kernel"
+  "--driver=bogus|--driver"
+  "--type=protien|--type"
+  "--cluster=bladee|--cluster"
+  "--verify=maybe|--verify"
+  "--fault=rank=9,crash_at=3|--fault"
+  "--fault=rank=0,crash_at=3|--fault"
+  "--procs=1|--procs"
+  "--procs=0|--procs")
 
 set(failures)
 foreach(case IN LISTS cases)

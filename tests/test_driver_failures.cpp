@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "blast/job.h"
+#include "driver/tags.h"
 #include "mpiblast/mpiblast.h"
 #include "mpisim/trace.h"
 #include "pioblast/pioblast.h"
@@ -143,13 +144,12 @@ TEST(DriverTracing, MpiRunCapturesFetchTraffic) {
   opts.tracer = &tracer;
   const auto result = mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
 
-  // The master's serialized result fetching shows up as tag-3 sends.
+  // The master's serialized result fetching shows up as fetch-request
+  // sends.
   std::size_t fetch_requests = 0;
   for (const auto& e : tracer.for_rank(0)) {
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=3") != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == driver::kTagFetchReq)
       ++fetch_requests;
-    }
   }
   // One fetch per reported alignment plus one end-of-query sentinel per
   // worker per query.

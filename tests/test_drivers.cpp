@@ -194,7 +194,7 @@ TEST(Drivers, DynamicSchedulingPreservesOutput) {
   const auto baseline = storage.shared().read_all("out.pio.txt");
 
   pio::PioBlastOptions opts;
-  opts.dynamic_scheduling = true;
+  opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
   opts.job.nfragments = 11;  // finer granularity than workers
   const auto result = run_pio(cluster, nprocs, storage, w, opts);
   EXPECT_EQ(storage.shared().read_all("out.pio.txt"), baseline);
@@ -207,7 +207,7 @@ TEST(Drivers, DynamicSchedulingRejectsCollectiveInput) {
   pario::ClusterStorage storage(cluster, 3);
   stage_queries(storage, w);
   pio::PioBlastOptions opts;
-  opts.dynamic_scheduling = true;
+  opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
   opts.collective_input = true;
   EXPECT_THROW(run_pio(cluster, 3, storage, w, opts), util::ContractViolation);
 }
@@ -385,7 +385,7 @@ TEST(Drivers, DynamicSchedulingHelpsOnHeterogeneousNodes) {
   const auto static_run = run_pio(cluster, nprocs, s1, w, stat);
 
   pio::PioBlastOptions dyn;
-  dyn.dynamic_scheduling = true;
+  dyn.scheduler = driver::SchedulerKind::kGreedyDynamic;
   dyn.job.nfragments = 16;
   dyn.exec = mpisim::ExecModel::kEvents;
   const auto dynamic_run = run_pio(cluster, nprocs, s2, w, dyn);

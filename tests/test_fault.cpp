@@ -31,6 +31,7 @@
 #include "pioblast/pioblast.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
+#include "support/trace_probe.h"
 #include "util/error.h"
 
 namespace pioblast {
@@ -77,17 +78,17 @@ TEST(FaultPlan, ValidateRejectsBadPlans) {
   {
     mpisim::FaultPlan plan;  // crash on the master/detector rank
     plan.at(0).crash_at = 1;
-    EXPECT_THROW(plan.validate(4), util::ContractViolation);
+    EXPECT_THROW(plan.validate(4), util::RuntimeError);
   }
   {
     mpisim::FaultPlan plan;  // out-of-range rank
     plan.at(9).slow = 2.0;
-    EXPECT_THROW(plan.validate(4), util::ContractViolation);
+    EXPECT_THROW(plan.validate(4), util::RuntimeError);
   }
   {
     mpisim::FaultPlan plan;  // non-positive slowdown
     plan.at(1).slow = 0.0;
-    EXPECT_THROW(plan.validate(4), util::ContractViolation);
+    EXPECT_THROW(plan.validate(4), util::RuntimeError);
   }
   {
     mpisim::FaultPlan plan;  // valid plan passes
@@ -194,10 +195,8 @@ TEST(MpisimFault, CrashAndRecoveryEventsAreTraced) {
       3, altix(), [](mpisim::Process& p) { p.barrier(); }, opts);
   bool saw_fault = false;
   for (const auto& e : tracer.sorted()) {
-    if (e.kind == mpisim::TraceKind::kFault &&
-        e.detail.find("crashed") != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kFault && !e.drop && e.rank == 1)
       saw_fault = true;
-    }
   }
   EXPECT_TRUE(saw_fault);
 }
@@ -614,8 +613,7 @@ TEST(ParioFault, MultiRoundShuffleCrashStillLandsSurvivorData) {
         << "probe block " << b;
   }
   // collective_internal_tags()[0] is the shuffle tag.
-  const std::string shuffle_tag =
-      "tag=" + std::to_string(pario::collective_internal_tags()[0]);
+  const int shuffle_tag = pario::collective_internal_tags()[0];
   std::uint64_t events = 0, crash_at = 0;
   int shuffle_sends = 0;
   for (const auto& e : probe.for_rank(victim)) {
@@ -624,8 +622,7 @@ TEST(ParioFault, MultiRoundShuffleCrashStillLandsSurvivorData) {
       continue;
     }
     ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find(shuffle_tag) != std::string::npos) {
+    if (e.kind == mpisim::TraceKind::kSend && e.tag == shuffle_tag) {
       ++shuffle_sends;
       if (shuffle_sends == 2 && crash_at == 0) crash_at = events;
     }
@@ -748,32 +745,7 @@ blast::DriverResult run_pio(pario::ClusterStorage& storage, int nprocs,
   return pio::run_pioblast(altix(), nprocs, storage, opts);
 }
 
-/// The 1-based comm-event ordinal at which `rank` sends its `nth` work
-/// request, read off a probe run's trace. Crashing at that ordinal kills
-/// the worker inside the serve loop, after it has banked n-1 assignments.
-/// The probe and the crash run must both use the event backend: on threads
-/// the greedy master serves requests in host arrival order, so a worker's
-/// request count, and with it the ordinal, differs from run to run.
-std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
-                                     int nth) {
-  std::uint64_t events = 0;
-  int requests = 0;
-  for (const auto& e : tracer.for_rank(rank)) {
-    if (e.kind != mpisim::TraceKind::kSend &&
-        e.kind != mpisim::TraceKind::kRecv) {
-      continue;
-    }
-    ++events;
-    // "tag=1 b" avoids matching tag=10/tag=11 range/select traffic.
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos) {
-      if (++requests == nth) return events;
-    }
-  }
-  ADD_FAILURE() << "rank " << rank << " sent only " << requests
-                << " work requests";
-  return 0;
-}
+using test_support::nth_work_request_event;
 
 /// The 1-based ordinal of `rank`'s first comm event inside its output
 /// phase (0 when the rank has no output-phase communication).
@@ -835,7 +807,7 @@ TEST(FaultMatrix, MpiBlastSurvivesCrashWithIdenticalOutput) {
 TEST(FaultMatrix, PioBlastDynamicSurvivesCrashWithIdenticalOutput) {
   const int nprocs = 4, victim = 3;
   pio::PioBlastOptions dyn;
-  dyn.dynamic_scheduling = true;
+  dyn.scheduler = driver::SchedulerKind::kGreedyDynamic;
   dyn.job.nfragments = 6;
   dyn.exec = mpisim::ExecModel::kEvents;  // see nth_work_request_event
 
@@ -874,7 +846,7 @@ TEST(FaultMatrix, BufferedRoundsAndSievingPreserveOutputAcrossCrash) {
   // collective write carry the output.
   const int nprocs = 4, victim = 3;
   pio::PioBlastOptions v2;
-  v2.dynamic_scheduling = true;
+  v2.scheduler = driver::SchedulerKind::kGreedyDynamic;
   v2.hints.cb_buffer_size = 512;  // force several exchange rounds
   v2.exec = mpisim::ExecModel::kEvents;  // see nth_work_request_event
   pio::PioBlastOptions naive = v2;

@@ -42,6 +42,7 @@
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
 #include "support/scalar_oracle.h"
+#include "support/trace_probe.h"
 #include "util/error.h"
 
 namespace pioblast::blast {
@@ -1045,7 +1046,7 @@ std::vector<std::uint8_t> run_pio(const DriverWorkload& w, int nprocs,
   opts.faults = faults;
   opts.tracer = tracer;
   if (dynamic) {
-    opts.dynamic_scheduling = true;
+    opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.job.nfragments = kDynamicFragments;
     // The greedy master serves requests in host arrival order on the
     // threads backend; a crash point read off one run must replay in
@@ -1133,27 +1134,7 @@ TEST(KernelDriverDiff, BothDriversByteIdenticalAcrossKernels) {
   expect_job_matches_oracle(w, Driver::kPio, 3);
 }
 
-/// The 1-based comm-event ordinal of `rank`'s `nth` work request, read off
-/// a probe run's trace (same idiom as the fault suite).
-std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
-                                     int nth) {
-  std::uint64_t events = 0;
-  int requests = 0;
-  for (const auto& e : tracer.for_rank(rank)) {
-    if (e.kind != mpisim::TraceKind::kSend &&
-        e.kind != mpisim::TraceKind::kRecv) {
-      continue;
-    }
-    ++events;
-    if (e.kind == mpisim::TraceKind::kSend &&
-        e.detail.find("tag=1 b") != std::string::npos) {
-      if (++requests == nth) return events;
-    }
-  }
-  ADD_FAILURE() << "rank " << rank << " sent only " << requests
-                << " work requests";
-  return 0;
-}
+using test_support::nth_work_request_event;
 
 TEST(KernelDriverDiff, IdenticalAcrossKernelsUnderWorkerCrash) {
   const auto w = make_workload(SeqType::kProtein, 2025);

@@ -158,51 +158,6 @@ TEST(ProtospecModel, DroppedFetchEndEdgeIsCaught) {
   EXPECT_FALSE(res.ok);
 }
 
-// ---------- trace parsing --------------------------------------------------
-
-TEST(TraceParse, SendRecvCollFault) {
-  mpisim::ParsedEvent ev;
-  mpisim::TraceEvent e;
-  e.rank = 1;
-  e.time = 2.5;
-
-  e.kind = mpisim::TraceKind::kSend;
-  e.detail = "dst=0 tag=1 bytes=0";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.peer, 0);
-  EXPECT_EQ(ev.tag, 1);
-  EXPECT_EQ(ev.bytes, 0u);
-
-  e.kind = mpisim::TraceKind::kRecv;
-  e.detail = "src=3 tag=4 bytes=128";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.peer, 3);
-  EXPECT_EQ(ev.tag, 4);
-  EXPECT_EQ(ev.bytes, 128u);
-
-  e.kind = mpisim::TraceKind::kCollective;
-  e.detail = "gather root=0 seq=7";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.op, "gather");
-  EXPECT_EQ(ev.root, 0);
-
-  e.kind = mpisim::TraceKind::kFault;
-  e.detail = "rank 2 crashed";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_EQ(ev.crashed_rank, 2);
-  EXPECT_FALSE(ev.drop);
-
-  e.detail = "drop send #3 dst=0 tag=1 bytes=0";
-  ASSERT_TRUE(mpisim::parse_trace_event(e, ev));
-  EXPECT_TRUE(ev.drop);
-  EXPECT_EQ(ev.peer, 0);
-  EXPECT_EQ(ev.tag, 1);
-
-  e.kind = mpisim::TraceKind::kSend;
-  e.detail = "dst=zero tag=?";
-  EXPECT_FALSE(mpisim::parse_trace_event(e, ev));
-}
-
 // ---------- end-to-end conformance -----------------------------------------
 
 struct Tiny {
@@ -302,7 +257,7 @@ TEST(ProtospecConform, PioblastVariantsConform) {
     pario::ClusterStorage storage(altix(), 4);
     pio::PioBlastOptions opts;
     opts.conformance = true;
-    opts.dynamic_scheduling = v.dynamic;
+    if (v.dynamic) opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.early_score_broadcast = v.early;
     opts.query_batch = v.batch;
     const auto result = run_pio(storage, 4, opts);
@@ -318,7 +273,7 @@ TEST(ProtospecConform, PioblastCrashTraceConformsBothExecModels) {
     pario::ClusterStorage storage(altix(), 4);
     pio::PioBlastOptions opts;
     opts.conformance = true;
-    opts.dynamic_scheduling = true;
+    opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.exec = exec;
     opts.faults.at(3).crash_at = 9;
     const auto result = run_pio(storage, 4, opts);
@@ -355,6 +310,31 @@ TEST(ProtospecConform, SeededDivergenceIsCaught) {
   // The driver-facing wrapper fails like any protocol-verifier violation.
   EXPECT_THROW(enforce_conformance(broken, sp, tracer.sorted()),
                mpisim::VerifyError);
+}
+
+/// A tracer records one run: conformance on a tracer that still holds an
+/// earlier run's events would replay both runs as one, so the driver
+/// rejects it up front and names the cause.
+TEST(ProtospecConform, RejectsTracerFromEarlierRun) {
+  mpisim::Tracer tracer;
+  {
+    pario::ClusterStorage storage(altix(), 3);
+    mpiblast::MpiBlastOptions opts;
+    opts.tracer = &tracer;
+    (void)run_mpi(storage, 3, 2, opts);
+  }
+  ASSERT_GT(tracer.size(), 0u);
+  pario::ClusterStorage storage(altix(), 3);
+  pio::PioBlastOptions opts;
+  opts.tracer = &tracer;
+  opts.conformance = true;
+  try {
+    (void)run_pio(storage, 3, opts);
+    ADD_FAILURE() << "conformance accepted a used tracer";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("fresh tracer"), std::string::npos)
+        << e.what();
+  }
 }
 
 /// Conformance holds on every forced schedule mpicheck explores, not just

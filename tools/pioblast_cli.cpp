@@ -14,12 +14,14 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
 
 #include "blast/job.h"
 #include "driver/metrics.h"
+#include "driver/run_config.h"
 #include "driver/scheduler.h"
 #include "mpiblast/mpiblast.h"
 #include "mpicheck/explore.h"
@@ -118,18 +120,29 @@ auto parse_option(const util::ArgParser& args, const std::string& name,
   }
 }
 
+/// Returns option `name`'s value, which must be one of `allowed`.
+std::string choice(const util::ArgParser& args, const std::string& name,
+                   std::initializer_list<const char*> allowed) {
+  const std::string value = args.get(name);
+  std::string want;
+  for (const char* a : allowed) {
+    if (value == a) return value;
+    want += (want.empty() ? "" : " | ") + std::string(a);
+  }
+  throw util::RuntimeError("--" + name + ": unknown value '" + value +
+                           "' (want " + want + ")");
+}
+
 /// Everything the options and input files ask for, read before any driver
 /// runs.
 struct Setup {
+  std::string driver;
   int nprocs = 0;
   sim::ClusterConfig cluster;
   std::vector<seqdb::FastaRecord> db;
   std::string query_fasta;
-  blast::JobConfig job;
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
+  driver::RunConfig run;  ///< the settings both drivers share
   std::optional<driver::SchedulerKind> scheduler;
-  mpisim::FaultPlan faults;
-  pario::Hints hints;
   bool checking = false;  ///< --check explores many schedules, --schedule one
   mpicheck::CheckOptions check;
 };
@@ -138,12 +151,18 @@ struct Setup {
 /// file throws util::RuntimeError naming the option.
 Setup configure(const util::ArgParser& args) {
   Setup s;
-  const seqdb::SeqType type = args.get("type") == "dna"
+  s.driver = choice(args, "driver", {"pioblast", "mpiblast", "both"});
+  const seqdb::SeqType type = choice(args, "type", {"protein", "dna"}) == "dna"
                                   ? seqdb::SeqType::kNucleotide
                                   : seqdb::SeqType::kProtein;
   s.nprocs = static_cast<int>(args.get_int("procs"));
-  s.cluster = args.get("cluster") == "blade" ? sim::ClusterConfig::ncsu_blade()
-                                             : sim::ClusterConfig::ornl_altix();
+  if (s.nprocs < 2)
+    throw util::RuntimeError("--procs: needs a master and at least one "
+                             "worker (2 or more), got " +
+                             std::to_string(s.nprocs));
+  s.cluster = choice(args, "cluster", {"altix", "blade"}) == "blade"
+                  ? sim::ClusterConfig::ncsu_blade()
+                  : sim::ClusterConfig::ornl_altix();
 
   if (!args.get("db-fasta").empty()) {
     s.db = seqdb::parse_fasta(parse_option(args, "db-fasta", read_file));
@@ -163,17 +182,20 @@ Setup configure(const util::ArgParser& args) {
         static_cast<std::uint64_t>(args.get_int("seed")) + 1));
   }
 
-  s.job.db_base = "db";
-  s.job.db_title = "cli database";
-  s.job.query_path = "queries.fa";
-  s.job.params = type == seqdb::SeqType::kProtein
-                     ? blast::SearchParams::blastp_defaults()
-                     : blast::SearchParams::blastn_defaults();
-  s.job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
-  s.job.params.evalue_cutoff = args.get_double("evalue");
-  s.job.nfragments = static_cast<int>(args.get_int("fragments"));
+  blast::JobConfig& job = s.run.job;
+  job.db_base = "db";
+  job.db_title = "cli database";
+  job.query_path = "queries.fa";
+  job.params = type == seqdb::SeqType::kProtein
+                   ? blast::SearchParams::blastp_defaults()
+                   : blast::SearchParams::blastn_defaults();
+  job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
+  job.params.evalue_cutoff = args.get_double("evalue");
+  job.nfragments = static_cast<int>(args.get_int("fragments"));
 
-  s.exec = parse_option(args, "exec-model", [](const std::string& v) {
+  s.run.verify = choice(args, "verify", {"on", "off"}) == "on";
+  s.run.conformance = args.get_flag("conformance");
+  s.run.exec = parse_option(args, "exec-model", [](const std::string& v) {
     return mpisim::parse_exec_model(v);
   });
   if (!args.get("scheduler").empty()) {
@@ -182,13 +204,14 @@ Setup configure(const util::ArgParser& args) {
     });
   }
   if (!args.get("fault").empty()) {
-    s.faults = parse_option(args, "fault", [](const std::string& v) {
-      return mpisim::FaultPlan::parse(v);
+    s.run.faults = parse_option(args, "fault", [&s](const std::string& v) {
+      const mpisim::FaultPlan plan = mpisim::FaultPlan::parse(v);
+      plan.validate(s.nprocs);
+      return plan;
     });
-    s.faults.validate(s.nprocs);
   }
   if (!args.get("pario-hints").empty())
-    s.hints = pario::Hints::parse(args.get("pario-hints"));
+    s.run.hints = pario::Hints::parse(args.get("pario-hints"));
 
   s.checking = !args.get("check").empty() || !args.get("schedule").empty();
   if (!args.get("check").empty() && args.get("check") != "default")
@@ -196,6 +219,29 @@ Setup configure(const util::ArgParser& args) {
   if (!args.get("schedule").empty())
     s.check.replay_trace = args.get("schedule");
   return s;
+}
+
+/// Runs one driver: once, or under mpicheck when --check or --schedule
+/// asked for it. With `tracing`, every run (each schedule a check replays
+/// too) records into a fresh tracer, and `trace` keeps the last run's.
+/// Returns false when mpicheck found a failing schedule.
+template <class Options, class Drive>
+bool run_driver(const char* name, const Setup& setup, Options opts,
+                bool tracing, const Drive& drive,
+                std::optional<mpisim::Tracer>& trace,
+                blast::DriverResult& result) {
+  const auto once = [&](mpisim::ScheduleHook* schedule,
+                        mpisim::RaceHook* race) {
+    if (tracing) opts.tracer = &trace.emplace();
+    opts.schedule = schedule;
+    opts.race = race;
+    result = drive(opts);
+  };
+  if (!setup.checking) {
+    once(nullptr, nullptr);
+    return true;
+  }
+  return run_checked(name, setup.check, once);
 }
 
 void report(const char* name, const blast::DriverResult& r) {
@@ -259,7 +305,6 @@ int main(int argc, char** argv) {
            "list=on|off; sizes accept k/m/g suffixes "
            "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
       .add_flag("early-score-broadcast", "enable the §5 pruning extension")
-      .add_flag("dynamic-scheduling", "greedy range scheduling (§5)")
       .add_flag("metrics", "print one machine-readable METRICS line per run")
       .add_flag("trace", "print the head of the event timeline")
       .add_flag("conformance",
@@ -282,15 +327,15 @@ int main(int argc, char** argv) {
   }
   const int nprocs = setup.nprocs;
   const sim::ClusterConfig& cluster = setup.cluster;
-  const blast::JobConfig& job = setup.job;
+  const blast::JobConfig& job = setup.run.job;
   std::printf("database: %zu sequences; query set: %zu bytes; cluster: %s; "
               "%d processes\n\n",
               setup.db.size(), setup.query_fasta.size(), cluster.name.c_str(),
               nprocs);
   if (!args.get("fault").empty())
-    std::printf("fault plan: %s\n\n", setup.faults.describe().c_str());
+    std::printf("fault plan: %s\n\n", setup.run.faults.describe().c_str());
   if (!args.get("pario-hints").empty())
-    std::printf("pario hints: %s\n\n", setup.hints.describe().c_str());
+    std::printf("pario hints: %s\n\n", setup.run.hints.describe().c_str());
 
   // --- job -------------------------------------------------------------------
   pario::ClusterStorage storage(cluster, nprocs);
@@ -298,91 +343,74 @@ int main(int argc, char** argv) {
       "queries.fa",
       std::span(reinterpret_cast<const std::uint8_t*>(setup.query_fasta.data()),
                 setup.query_fasta.size()));
-  const std::string driver = args.get("driver");
-  const bool verify = args.get("verify") != "off";
-  mpisim::Tracer tracer;
-  mpisim::Tracer* trace_ptr = args.get_flag("trace") ? &tracer : nullptr;
+  const bool both = setup.driver == "both";
+  const bool tracing = args.get_flag("trace");
+  // One tracer per driver run; with both drivers each timeline is printed
+  // under its driver's name.
+  std::optional<mpisim::Tracer> trace;
+  const auto finish = [&](const char* name, const char* key,
+                          const blast::DriverResult& result) {
+    report(name, result);
+    if (args.get_flag("metrics")) print_metrics(key, result);
+    if (!trace) return;
+    std::printf("--- %s%sevent timeline (first 60 events of %zu) ---\n",
+                both ? name : "", both ? " " : "", trace->size());
+    trace->render(std::cout, 60);
+  };
 
+  // Errors inside a run (a conformance divergence, a verifier report)
+  // are reported here and exit 1.
   std::vector<std::uint8_t> mpi_out, pio_out;
-  if (driver == "mpiblast" || driver == "both") {
-    const int nfragments = job.nfragments > 0 ? job.nfragments : nprocs - 1;
-    const auto parts = seqdb::mpiformatdb(storage.shared(), setup.db, job.db_base,
-                                          job.params.type, job.db_title,
-                                          nfragments);
-    mpiblast::MpiBlastOptions opts;
-    opts.job = job;
-    opts.tracer = trace_ptr;
-    opts.verify = verify;
-    opts.conformance = args.get_flag("conformance");
-    opts.job.output_path = "out.mpiblast.txt";
-    opts.fragment_bases = parts.fragment_bases;
-    opts.fragment_ranges = parts.ranges;
-    opts.global_index = parts.global_index;
-    opts.hints = setup.hints;
-    opts.faults = setup.faults;
-    opts.exec = setup.exec;
-    if (setup.scheduler) opts.scheduler = *setup.scheduler;
-    blast::DriverResult result;
-    if (setup.checking) {
-      const bool ok = run_checked(
-          "mpiblast", setup.check,
-          [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
-            mpiblast::MpiBlastOptions o = opts;
-            o.schedule = s;
-            o.race = r;
-            result = mpiblast::run_mpiblast(cluster, nprocs, storage, o);
-          });
-      if (!ok) return 1;
-    } else {
-      result = mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
+  try {
+    if (setup.driver != "pioblast") {
+      const int nfragments = job.nfragments > 0 ? job.nfragments : nprocs - 1;
+      const auto parts = seqdb::mpiformatdb(storage.shared(), setup.db,
+                                            job.db_base, job.params.type,
+                                            job.db_title, nfragments);
+      mpiblast::MpiBlastOptions opts;
+      static_cast<driver::RunConfig&>(opts) = setup.run;
+      opts.job.output_path = "out.mpiblast.txt";
+      opts.fragment_bases = parts.fragment_bases;
+      opts.fragment_ranges = parts.ranges;
+      opts.global_index = parts.global_index;
+      if (setup.scheduler) opts.scheduler = *setup.scheduler;
+      blast::DriverResult result;
+      if (!run_driver("mpiblast", setup, opts, tracing,
+                      [&](const mpiblast::MpiBlastOptions& o) {
+                        return mpiblast::run_mpiblast(cluster, nprocs, storage,
+                                                      o);
+                      },
+                      trace, result))
+        return 1;
+      finish("mpiBLAST", "mpiblast", result);
+      mpi_out = storage.shared().read_all("out.mpiblast.txt");
     }
-    report("mpiBLAST", result);
-    if (args.get_flag("metrics")) print_metrics("mpiblast", result);
-    mpi_out = storage.shared().read_all("out.mpiblast.txt");
-  }
-  if (driver == "pioblast" || driver == "both") {
-    seqdb::format_db(storage.shared(), setup.db, job.db_base, job.params.type,
-                     job.db_title);
-    pio::PioBlastOptions opts;
-    opts.job = job;
-    opts.tracer = trace_ptr;
-    opts.verify = verify;
-    opts.conformance = args.get_flag("conformance");
-    opts.job.output_path = "out.pioblast.txt";
-    opts.early_score_broadcast = args.get_flag("early-score-broadcast");
-    opts.dynamic_scheduling = args.get_flag("dynamic-scheduling");
-    opts.hints = setup.hints;
-    opts.faults = setup.faults;
-    opts.exec = setup.exec;
-    if (setup.scheduler) opts.scheduler = *setup.scheduler;
-    blast::DriverResult result;
-    if (setup.checking) {
-      const bool ok = run_checked(
-          "pioblast", setup.check,
-          [&](mpisim::ScheduleHook* s, mpisim::RaceHook* r) {
-            pio::PioBlastOptions o = opts;
-            o.schedule = s;
-            o.race = r;
-            result = pio::run_pioblast(cluster, nprocs, storage, o);
-          });
-      if (!ok) return 1;
-    } else {
-      result = pio::run_pioblast(cluster, nprocs, storage, opts);
+    if (setup.driver != "mpiblast") {
+      seqdb::format_db(storage.shared(), setup.db, job.db_base,
+                       job.params.type, job.db_title);
+      pio::PioBlastOptions opts;
+      static_cast<driver::RunConfig&>(opts) = setup.run;
+      opts.job.output_path = "out.pioblast.txt";
+      opts.early_score_broadcast = args.get_flag("early-score-broadcast");
+      if (setup.scheduler) opts.scheduler = *setup.scheduler;
+      blast::DriverResult result;
+      if (!run_driver("pioblast", setup, opts, tracing,
+                      [&](const pio::PioBlastOptions& o) {
+                        return pio::run_pioblast(cluster, nprocs, storage, o);
+                      },
+                      trace, result))
+        return 1;
+      finish("pioBLAST", "pioblast", result);
+      pio_out = storage.shared().read_all("out.pioblast.txt");
     }
-    report("pioBLAST", result);
-    if (args.get_flag("metrics")) print_metrics("pioblast", result);
-    pio_out = storage.shared().read_all("out.pioblast.txt");
+  } catch (const util::RuntimeError& e) {
+    std::cerr << e.what() << '\n';
+    return 1;
   }
 
-  if (driver == "both") {
+  if (both) {
     std::printf("outputs identical: %s\n", mpi_out == pio_out ? "yes" : "NO");
     if (mpi_out != pio_out) return 1;
-  }
-
-  if (trace_ptr != nullptr) {
-    std::printf("--- event timeline (first 60 events of %zu) ---\n",
-                tracer.size());
-    tracer.render(std::cout, 60);
   }
 
   if (!args.get("output").empty()) {
