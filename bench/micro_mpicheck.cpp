@@ -1,8 +1,10 @@
 // Micro-study (wall time): cost of mpicheck's schedule exploration and of
 // the happens-before race detector. Reports schedules/second for the
-// master/worker queue under each exploration mode, and the serialized-run
-// overhead the cooperative scheduler + detector add over a plain run —
-// the numbers that size CI's mpicheck job budget.
+// master/worker queue under each exploration mode, and the overhead a
+// checked run (one fiber at a time on the event loop, every yield point a
+// decision) and the detector add over a plain run — the numbers that size
+// CI's mpicheck job budget. Checked runs always run on the event loop, so
+// only the plain rows have a threads variant.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -42,14 +44,12 @@ void queue_job(mpisim::Process& p, int nranks, std::uint32_t ntasks,
 }
 
 mpicheck::Checker::Job checker_job(const sim::ClusterConfig& cluster,
-                                   int nranks, std::uint32_t ntasks,
-                                   mpisim::ExecModel exec) {
-  return [cluster, nranks, ntasks, exec](mpisim::ScheduleHook* schedule,
-                                         mpisim::RaceHook* race) {
+                                   int nranks, std::uint32_t ntasks) {
+  return [cluster, nranks, ntasks](mpisim::ScheduleHook* schedule,
+                                   mpisim::RaceHook* race) {
     mpisim::RunOptions opts;
     opts.schedule = schedule;
     opts.race = race;
-    opts.exec_model = exec;
     driver::RunMetrics metrics;
     mpisim::run(
         nranks, cluster,
@@ -87,62 +87,60 @@ int main() {
   modes[2].opts.dpor = true;
   modes[2].opts.max_schedules = 400;
 
-  util::Table table({"Mode", "Exec", "Schedules", "Pruned", "Decisions",
-                     "Wall (s)", "Sched/s"});
+  util::Table table({"Mode", "Schedules", "Pruned", "Decisions", "Wall (s)",
+                     "Sched/s"});
   for (const Mode& mode : modes) {
-    for (const auto exec :
-         {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto res =
-          mpicheck::Checker(checker_job(cluster, 4, 8, exec), mode.opts).run();
-      const double wall = seconds_since(t0);
-      table.add_row({mode.name, mpisim::to_string(exec),
-                     std::to_string(res.schedules_explored),
-                     std::to_string(res.schedules_pruned),
-                     std::to_string(res.max_decisions), util::fixed(wall, 2),
-                     util::fixed(static_cast<double>(res.schedules_explored) /
-                                     wall,
-                                 0)});
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res =
+        mpicheck::Checker(checker_job(cluster, 4, 8), mode.opts).run();
+    const double wall = seconds_since(t0);
+    table.add_row({mode.name, std::to_string(res.schedules_explored),
+                   std::to_string(res.schedules_pruned),
+                   std::to_string(res.max_decisions), util::fixed(wall, 2),
+                   util::fixed(static_cast<double>(res.schedules_explored) /
+                                   wall,
+                               0)});
   }
   table.print(std::cout);
 
   std::printf("\nper-run overhead (100 repeats, 4 ranks, 8 tasks):\n");
-  // Both execution backends (mpisim/exec.h): under "events" the ranks are
-  // fibers on one scheduler thread and the CoopScheduler degrades to a
-  // thin chooser over the native event loop, so the coop rows measure how
-  // much of the threaded scheduler's overhead was cross-thread handoff.
-  // Every "vs plain" ratio is relative to the plain threaded run.
+  // The plain rows run on both execution backends (mpisim/exec.h); the
+  // checked rows run on events whatever exec_model says. Every "vs plain"
+  // ratio is relative to the plain threaded run.
+  struct Harness {
+    const char* name;
+    mpisim::ExecModel exec;
+    bool coop;
+    bool race;
+  };
+  const Harness harnesses[] = {
+      {"plain", mpisim::ExecModel::kThreads, false, false},
+      {"plain", mpisim::ExecModel::kEvents, false, false},
+      {"coop schedule", mpisim::ExecModel::kEvents, true, false},
+      {"coop + race detector", mpisim::ExecModel::kEvents, true, true},
+  };
   util::Table over({"Harness", "Exec", "Wall (s)", "vs plain threads"});
   constexpr int kRepeats = 100;
   double plain = 0;
-  for (const auto exec :
-       {mpisim::ExecModel::kThreads, mpisim::ExecModel::kEvents}) {
-    for (int mode = 0; mode < 3; ++mode) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRepeats; ++i) {
-        mpicheck::CoopScheduler coop;
-        mpicheck::RaceDetector det;
-        mpisim::RunOptions opts;
-        opts.exec_model = exec;
-        if (mode >= 1) opts.schedule = &coop;
-        if (mode >= 2) opts.race = &det;
-        driver::RunMetrics metrics;
-        mpisim::run(
-            4, cluster,
-            [&](mpisim::Process& p) { queue_job(p, 4, 8, &metrics); }, opts);
-      }
-      const double wall = seconds_since(t0);
-      const bool is_baseline =
-          mode == 0 && exec == mpisim::ExecModel::kThreads;
-      if (is_baseline) plain = wall;
-      const char* name = mode == 0   ? "plain"
-                         : mode == 1 ? "coop schedule"
-                                     : "coop + race detector";
-      over.add_row({name, mpisim::to_string(exec), util::fixed(wall, 2),
-                    is_baseline ? "1.0x"
-                                : util::fixed(wall / plain, 1) + "x"});
+  for (const Harness& h : harnesses) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRepeats; ++i) {
+      mpicheck::CoopScheduler coop;
+      mpicheck::RaceDetector det;
+      mpisim::RunOptions opts;
+      opts.exec_model = h.exec;
+      if (h.coop) opts.schedule = &coop;
+      if (h.race) opts.race = &det;
+      driver::RunMetrics metrics;
+      mpisim::run(
+          4, cluster,
+          [&](mpisim::Process& p) { queue_job(p, 4, 8, &metrics); }, opts);
     }
+    const double wall = seconds_since(t0);
+    const bool is_baseline = &h == &harnesses[0];
+    if (is_baseline) plain = wall;
+    over.add_row({h.name, mpisim::to_string(h.exec), util::fixed(wall, 2),
+                  is_baseline ? "1.0x" : util::fixed(wall / plain, 1) + "x"});
   }
   over.print(std::cout);
   return 0;

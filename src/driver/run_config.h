@@ -43,7 +43,8 @@ struct RunConfig {
   mpisim::ScheduleHook* schedule = nullptr;
   mpisim::RaceHook* race = nullptr;
   /// Rank execution backend (mpisim/exec.h): threads (default) or fibers
-  /// on one event loop. The CLI's --exec-model.
+  /// on one event loop. The CLI's --exec-model. A run with `schedule` set
+  /// runs on the event loop whatever this says.
   mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
 };
 

@@ -5,8 +5,6 @@
 #include <random>
 #include <utility>
 
-#include "util/error.h"
-
 namespace pioblast::mpicheck {
 
 namespace {
@@ -15,172 +13,25 @@ bool contains(const std::vector<int>& v, int x) {
 }
 }  // namespace
 
+Schedule schedule_of(const std::vector<DecisionRecord>& records) {
+  Schedule out;
+  out.reserve(records.size());
+  for (const DecisionRecord& r : records)
+    out.push_back(Decision{r.chosen, r.enabled});
+  return out;
+}
+
 CoopScheduler::CoopScheduler(Chooser chooser) : chooser_(std::move(chooser)) {}
 
-void CoopScheduler::start(int nranks, StuckHandler on_stuck) {
-  PIOBLAST_CHECK(nranks >= 1);
-  nranks_ = nranks;
-  on_stuck_ = std::move(on_stuck);
-  begun_ = 0;
-  current_ = -1;
-  stuck_fired_ = false;
-  states_.assign(static_cast<std::size_t>(nranks), State::kNotStarted);
-  ops_.assign(static_cast<std::size_t>(nranks), mpisim::YieldPoint{});
-  records_.clear();
-}
-
-void CoopScheduler::schedule_locked() {
-  if (current_ != -1) return;
-  // Start gate: no rank runs until every rank has checked in, otherwise
-  // the decision sequence would depend on OS thread-startup timing and
-  // the whole run would stop being a function of the chooser.
-  if (begun_ < nranks_) return;
-  std::vector<int> enabled;
-  for (int r = 0; r < nranks_; ++r)
-    if (states_[static_cast<std::size_t>(r)] == State::kRunnable)
-      enabled.push_back(r);
-  if (enabled.empty()) return;
-  int chosen = enabled[0];
-  if (enabled.size() >= 2) {
-    std::vector<mpisim::YieldPoint> ops;
-    ops.reserve(enabled.size());
-    for (const int r : enabled) ops.push_back(ops_[static_cast<std::size_t>(r)]);
-    if (chooser_) {
-      const int want = chooser_(records_.size(), enabled, ops);
-      if (contains(enabled, want)) chosen = want;
-    }
-    records_.push_back(DecisionRecord{enabled, std::move(ops), chosen});
-  }
-  current_ = chosen;
-  cv_.notify_all();
-}
-
-void CoopScheduler::maybe_stuck(std::unique_lock<std::mutex>& lock) {
-  if (current_ != -1 || begun_ < nranks_ || stuck_fired_) return;
-  bool any_blocked = false;
-  for (int r = 0; r < nranks_; ++r) {
-    const State s = states_[static_cast<std::size_t>(r)];
-    if (s == State::kRunnable) return;  // schedule_locked will pick it
-    if (s == State::kBlocked) any_blocked = true;
-  }
-  if (!any_blocked) return;  // everyone done — clean end
-  stuck_fired_ = true;
-  std::string report =
-      "mpicheck: scheduler stuck — no runnable rank; blocked:";
-  for (int r = 0; r < nranks_; ++r) {
-    if (states_[static_cast<std::size_t>(r)] != State::kBlocked) continue;
-    const mpisim::YieldPoint& op = ops_[static_cast<std::size_t>(r)];
-    report += " rank " + std::to_string(r) + " at " + to_string(op.kind);
-    if (op.kind == mpisim::YieldPoint::Kind::kRecv) {
-      report += "(src=" + std::to_string(op.peer) +
-                ", tag=" + std::to_string(op.tag) + ")";
-    }
-    report += ";";
-  }
-  report += " (deadlock not claimed by the protocol verifier)";
-  // The handler poisons mailboxes, which calls back into wake() — run it
-  // with the scheduler lock released.
-  lock.unlock();
-  on_stuck_(report);
-  lock.lock();
-  schedule_locked();
-}
-
-void CoopScheduler::wait_for_turn(std::unique_lock<std::mutex>& lock,
-                                  int rank) {
-  cv_.wait(lock, [&] { return current_ == rank; });
-  states_[static_cast<std::size_t>(rank)] = State::kRunning;
-}
-
-void CoopScheduler::rank_begin(int rank) {
-  std::unique_lock lock(mu_);
-  states_[static_cast<std::size_t>(rank)] = State::kRunnable;
-  ops_[static_cast<std::size_t>(rank)] =
-      mpisim::YieldPoint{rank, mpisim::YieldPoint::Kind::kBegin, -1, 0, nullptr};
-  ++begun_;
-  if (begun_ == nranks_) schedule_locked();
-  wait_for_turn(lock, rank);
-}
-
-void CoopScheduler::yield(const mpisim::YieldPoint& op) {
-  std::unique_lock lock(mu_);
-  const int rank = op.rank;
-  ops_[static_cast<std::size_t>(rank)] = op;
-  states_[static_cast<std::size_t>(rank)] = State::kRunnable;
-  current_ = -1;
-  schedule_locked();
-  wait_for_turn(lock, rank);
-}
-
-void CoopScheduler::block(int rank) {
-  std::unique_lock lock(mu_);
-  // The rank held the token from its failed match-check to here, so no
-  // wake can have been missed: any message that could unblock it is
-  // either already in the mailbox (the caller's loop re-checks) or will
-  // be pushed by a later-scheduled rank, whose push calls wake().
-  states_[static_cast<std::size_t>(rank)] = State::kBlocked;
-  current_ = -1;
-  schedule_locked();
-  maybe_stuck(lock);
-  wait_for_turn(lock, rank);
-}
-
-void CoopScheduler::wake(int rank) {
-  std::unique_lock lock(mu_);
-  if (rank < 0 || rank >= nranks_) return;  // mailbox not bound to a rank
-  if (states_[static_cast<std::size_t>(rank)] != State::kBlocked) return;
-  states_[static_cast<std::size_t>(rank)] = State::kRunnable;
-  // No scheduling here: wake is only ever called from the running rank or
-  // from the stuck handler, and both paths re-run schedule_locked.
-}
-
-void CoopScheduler::finish(int rank) {
-  std::unique_lock lock(mu_);
-  states_[static_cast<std::size_t>(rank)] = State::kDone;
-  if (current_ == rank) current_ = -1;
-  schedule_locked();
-  maybe_stuck(lock);
-}
-
-void CoopScheduler::inline_start(int nranks) {
-  std::unique_lock lock(mu_);
-  PIOBLAST_CHECK(nranks >= 1);
-  nranks_ = nranks;
-  // The event loop creates every fiber before resuming any, so the
-  // threaded backend's start gate is satisfied by construction.
-  begun_ = nranks;
-  current_ = -1;
-  stuck_fired_ = false;
-  states_.assign(static_cast<std::size_t>(nranks), State::kNotStarted);
-  ops_.assign(static_cast<std::size_t>(nranks), mpisim::YieldPoint{});
-  records_.clear();
-}
-
-int CoopScheduler::inline_choose(const std::vector<int>& enabled,
-                                 const std::vector<mpisim::YieldPoint>& ops) {
-  std::unique_lock lock(mu_);
+int CoopScheduler::choose(const std::vector<int>& enabled,
+                          const std::vector<mpisim::YieldPoint>& ops) {
   int chosen = enabled[0];
   if (chooser_) {
     const int want = chooser_(records_.size(), enabled, ops);
     if (contains(enabled, want)) chosen = want;
   }
-  // The loop only consults the delegate at multi-choice points, so
-  // recording unconditionally keeps trace parity with schedule_locked().
   records_.push_back(DecisionRecord{enabled, ops, chosen});
   return chosen;
-}
-
-void CoopScheduler::inline_stuck() {
-  std::unique_lock lock(mu_);
-  stuck_fired_ = true;
-}
-
-Schedule CoopScheduler::schedule() const {
-  Schedule out;
-  out.reserve(records_.size());
-  for (const DecisionRecord& r : records_)
-    out.push_back(Decision{r.chosen, r.enabled});
-  return out;
 }
 
 CoopScheduler::Chooser CoopScheduler::first_enabled() {
@@ -199,23 +50,13 @@ CoopScheduler::Chooser CoopScheduler::random(std::uint64_t seed) {
   };
 }
 
-CoopScheduler::Chooser CoopScheduler::forced(Schedule forced,
-                                             bool continue_after) {
-  auto last = std::make_shared<int>(-1);
-  return [forced = std::move(forced), continue_after, last](
-             std::size_t index, const std::vector<int>& enabled,
-             const std::vector<mpisim::YieldPoint>&) {
-    int pick = -1;
+CoopScheduler::Chooser CoopScheduler::forced(Schedule forced) {
+  return [forced = std::move(forced)](std::size_t index,
+                                      const std::vector<int>& enabled,
+                                      const std::vector<mpisim::YieldPoint>&) {
     if (index < forced.size() && contains(enabled, forced[index].rank))
-      pick = forced[index].rank;
-    if (pick == -1) {
-      if (continue_after && contains(enabled, *last))
-        pick = *last;
-      else
-        pick = enabled[0];
-    }
-    *last = pick;
-    return pick;
+      return forced[index].rank;
+    return enabled[0];
   };
 }
 

@@ -1,22 +1,21 @@
 // Deterministic cooperative scheduler for mpisim.
 //
-// Installed via RunOptions::schedule, it serializes the rank threads: one
-// run token, handed from rank to rank at yield points (send, recv attempt,
-// collective entry, injected fault) and at blocking receives. The job's
-// behaviour then depends only on the Chooser's picks, so a run can be
-// reproduced exactly from its decision trace — the foundation for the
-// explorer (explore.h) and for `--schedule` replay.
+// Installed via RunOptions::schedule, it makes the job run on mpisim's
+// event loop one rank at a time; at every point where two or more ranks
+// are runnable (send, recv attempt, collective entry, injected fault, a
+// woken receive) the loop asks it which rank runs next. It asks its
+// Chooser and records the decision, so the job's behaviour depends only
+// on the Chooser's picks and a run can be reproduced exactly from its
+// decision trace — the foundation for the explorer (explore.h) and for
+// `--schedule` replay.
 //
 // Decisions are recorded only at points where two or more ranks were
 // runnable; a single runnable rank is forced and recording it would bloat
 // traces without adding information.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "mpicheck/schedule.h"
@@ -33,6 +32,10 @@ struct DecisionRecord {
   int chosen = -1;
 };
 
+/// `records` reduced to a replayable Schedule.
+Schedule schedule_of(const std::vector<DecisionRecord>& records);
+
+/// Records one run: each job gets a fresh scheduler.
 class CoopScheduler final : public mpisim::ScheduleHook {
  public:
   /// Picks the next rank to run out of `enabled` (must return a member;
@@ -45,35 +48,12 @@ class CoopScheduler final : public mpisim::ScheduleHook {
   /// A null chooser always picks the lowest runnable rank.
   explicit CoopScheduler(Chooser chooser = {});
 
-  // ScheduleHook ------------------------------------------------------------
-  void start(int nranks, StuckHandler on_stuck) override;
-  void rank_begin(int rank) override;
-  void yield(const mpisim::YieldPoint& op) override;
-  void block(int rank) override;
-  void wake(int rank) override;
-  void finish(int rank) override;
+  /// Asks the chooser and appends the DecisionRecord.
+  int choose(const std::vector<int>& enabled,
+             const std::vector<mpisim::YieldPoint>& ops) override;
 
-  // Inline (event-backend) protocol: mpisim's EventLoop serializes ranks
-  // natively and drives the scheduler through these instead — the
-  // scheduler degrades to a thin chooser, but records the same
-  // DecisionRecords, so schedules replay on either backend and the
-  // explorer is backend-agnostic.
-  void inline_start(int nranks) override;
-  int inline_choose(const std::vector<int>& enabled,
-                    const std::vector<mpisim::YieldPoint>& ops) override;
-  void inline_stuck() override;
-
-  // Run results (read after the job joined) ---------------------------------
-
-  /// The multi-choice decisions of the completed run.
+  /// The multi-choice decisions of the run so far.
   const std::vector<DecisionRecord>& records() const { return records_; }
-
-  /// records() reduced to a replayable Schedule.
-  Schedule schedule() const;
-
-  /// True when the scheduler found no runnable rank while some were still
-  /// blocked and fired the stuck handler (verifier-off deadlock path).
-  bool went_stuck() const { return stuck_fired_; }
 
   // Canned choosers ---------------------------------------------------------
 
@@ -85,43 +65,11 @@ class CoopScheduler final : public mpisim::ScheduleHook {
 
   /// Replays `forced` decision by decision. Past its end — or when the
   /// forced rank is not currently runnable (trace divergence) — falls
-  /// back to the lowest runnable rank, or to continuing the previously
-  /// chosen rank when `continue_after` is set (the non-preemptive
-  /// default the preemption-bounded sweep perturbs).
-  static Chooser forced(Schedule forced, bool continue_after = false);
+  /// back to the lowest runnable rank.
+  static Chooser forced(Schedule forced);
 
  private:
-  enum class State : std::uint8_t {
-    kNotStarted,
-    kRunnable,
-    kRunning,
-    kBlocked,
-    kDone,
-  };
-
-  /// Picks and announces the next current_ rank if none is running and at
-  /// least one is runnable. Records a DecisionRecord at multi-choice
-  /// points. Caller holds mu_.
-  void schedule_locked();
-
-  /// Detects the no-runnable-but-blocked wedge and fires the stuck
-  /// handler (with mu_ released — the handler pokes mailboxes, which call
-  /// back into wake()).
-  void maybe_stuck(std::unique_lock<std::mutex>& lock);
-
-  /// Parks the calling rank thread until it holds the run token.
-  void wait_for_turn(std::unique_lock<std::mutex>& lock, int rank);
-
   Chooser chooser_;
-  StuckHandler on_stuck_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  int nranks_ = 0;
-  int begun_ = 0;    ///< ranks that reached rank_begin (start gate)
-  int current_ = -1; ///< rank holding the run token, -1 = none
-  bool stuck_fired_ = false;
-  std::vector<State> states_;
-  std::vector<mpisim::YieldPoint> ops_;  ///< pending op per rank
   std::vector<DecisionRecord> records_;
 };
 

@@ -14,14 +14,6 @@ namespace pioblast::mpicheck {
 
 namespace {
 
-Schedule schedule_of(const std::vector<DecisionRecord>& records) {
-  Schedule out;
-  out.reserve(records.size());
-  for (const DecisionRecord& r : records)
-    out.push_back(Decision{r.chosen, r.enabled});
-  return out;
-}
-
 /// Forced-by-index directives on top of the non-preemptive default
 /// (continue the previously chosen rank while it stays runnable).
 CoopScheduler::Chooser directed_chooser(std::map<std::size_t, int> directives) {
@@ -84,7 +76,6 @@ Checker::RunOutcome Checker::run_one(const CoopScheduler::Chooser& chooser,
   }
   out.records = sched.records();
   out.races = race.races_found();
-  out.stuck = sched.went_stuck();
   ++res.schedules_explored;
   res.races_found += out.races;
   res.max_decisions = std::max(res.max_decisions, out.records.size());

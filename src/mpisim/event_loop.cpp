@@ -9,38 +9,25 @@
 namespace pioblast::mpisim {
 
 EventLoop::EventLoop(int nranks, Options opts)
-    : nranks_(nranks), opts_(opts) {
+    : nranks_(nranks), opts_(std::move(opts)) {
   PIOBLAST_CHECK(nranks >= 1);
   PIOBLAST_CHECK_MSG(events_supported(),
-                     "mpisim: the event backend needs <ucontext.h>, which "
-                     "this build does not have — use ExecModel::kThreads");
-}
-
-EventLoop::~EventLoop() = default;
-
-void EventLoop::start(int nranks, StuckHandler on_stuck) {
-  PIOBLAST_CHECK(nranks == nranks_);
-  on_stuck_ = std::move(on_stuck);
-  stuck_fired_ = false;
-  done_ = 0;
-  // Every rank starts runnable at its kBegin point. This is the same
-  // post-start-gate state the threaded CoopScheduler reaches once all
-  // rank threads have checked in, so decision #0 sees the identical
-  // (enabled, ops) set on both backends.
+                     "mpisim: the event loop needs stackful fibers "
+                     "(<ucontext.h>), which this build does not have — "
+                     "checked runs (RunOptions::schedule) always need them; "
+                     "an unchecked run can use ExecModel::kThreads");
   states_.assign(static_cast<std::size_t>(nranks_), State::kRunnable);
   ops_.resize(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
     ops_[static_cast<std::size_t>(r)] =
-        YieldPoint{r, YieldPoint::Kind::kBegin, -1, 0, nullptr};
+        YieldPoint{r, YieldPoint::Kind::kBegin, -1, 0};
+    ready_.push_back(r);
   }
-  ready_.clear();
-  for (int r = 0; r < nranks_; ++r) ready_.push_back(r);
-  if (opts_.delegate != nullptr) opts_.delegate->inline_start(nranks_);
-  started_ = true;
 }
 
+EventLoop::~EventLoop() = default;
+
 void EventLoop::run(const std::function<void(int)>& body) {
-  PIOBLAST_CHECK_MSG(started_, "EventLoop::run before start()");
   PIOBLAST_CHECK_MSG(Fiber::current() == nullptr,
                      "EventLoop::run from inside a fiber");
   fibers_.clear();
@@ -49,7 +36,7 @@ void EventLoop::run(const std::function<void(int)>& body) {
     fibers_.push_back(std::make_unique<Fiber>(
         opts_.stack_bytes, [&body, r] { body(r); }));
   }
-  const bool checked = opts_.delegate != nullptr;
+  const bool checked = opts_.schedule != nullptr;
   while (done_ < nranks_) {
     int next = -1;
     if (checked) {
@@ -84,7 +71,7 @@ int EventLoop::choose_checked() {
     std::vector<YieldPoint> ops;
     ops.reserve(enabled.size());
     for (const int r : enabled) ops.push_back(ops_[static_cast<std::size_t>(r)]);
-    const int want = opts_.delegate->inline_choose(enabled, ops);
+    const int want = opts_.schedule->choose(enabled, ops);
     for (const int r : enabled) {
       if (r == want) {
         chosen = want;
@@ -118,8 +105,6 @@ void EventLoop::handle_stuck() {
                      "mpisim: event loop still has blocked ranks after the "
                      "stuck handler poisoned every mailbox");
   stuck_fired_ = true;
-  // Same report shape as the threaded CoopScheduler's, so verifier-off
-  // deadlock tests read identically on either backend.
   std::string report =
       "mpisim: scheduler stuck — no runnable rank; blocked:";
   for (int r = 0; r < nranks_; ++r) {
@@ -133,23 +118,18 @@ void EventLoop::handle_stuck() {
     report += ";";
   }
   report += " (deadlock not claimed by the protocol verifier)";
-  if (opts_.delegate != nullptr) opts_.delegate->inline_stuck();
   // The handler poisons mailboxes, which calls back into wake() and
   // refills the ready set; the run loop then resumes the poisoned ranks
   // so they unwind.
-  PIOBLAST_CHECK_MSG(on_stuck_ != nullptr,
+  PIOBLAST_CHECK_MSG(opts_.on_stuck != nullptr,
                      "mpisim: event loop stuck with no handler installed");
-  on_stuck_(report);
-}
-
-void EventLoop::rank_begin(int) {
-  // Being resumed is being scheduled: the fiber only runs when chosen.
+  opts_.on_stuck(report);
 }
 
 void EventLoop::yield(const YieldPoint& op) {
   const int rank = op.rank;
   ops_[static_cast<std::size_t>(rank)] = op;
-  if (opts_.delegate == nullptr) return;  // run-to-block: no switch
+  if (opts_.schedule == nullptr) return;  // run-to-block: no switch
   states_[static_cast<std::size_t>(rank)] = State::kRunnable;
   fibers_[static_cast<std::size_t>(rank)]->suspend();
 }
@@ -167,17 +147,9 @@ void EventLoop::wake(int rank) {
   if (rank < 0 || rank >= nranks_) return;  // mailbox not bound to a rank
   if (states_[static_cast<std::size_t>(rank)] != State::kBlocked) return;
   states_[static_cast<std::size_t>(rank)] = State::kRunnable;
-  if (opts_.delegate == nullptr) ready_.push_back(rank);
+  if (opts_.schedule == nullptr) ready_.push_back(rank);
   // Never preempts: the waking rank (or the stuck handler) keeps running;
-  // the loop picks the woken rank at a later decision point — the same
-  // non-preemption rule as the threaded CoopScheduler.
-}
-
-void EventLoop::finish(int rank) {
-  // Rank completion is observed by the run loop when the fiber's entry
-  // returns; nothing to do here. (Kept callable so a shared rank body may
-  // call finish() unconditionally on either backend.)
-  (void)rank;
+  // the loop picks the woken rank at a later decision point.
 }
 
 }  // namespace pioblast::mpisim

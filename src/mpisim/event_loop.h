@@ -1,35 +1,33 @@
 // Event-driven rank execution backend.
 //
 // The EventLoop runs every rank of a job as a stackful fiber (fiber.h) on
-// one scheduler thread. It implements ScheduleHook, so the existing yield
-// (Process::yield_point) and block/wake (Mailbox::pop_any/push/poison/
-// seal/notify_dead) call sites — already the complete set of suspension
-// points under the cooperative threaded scheduler — become fiber
-// park/resume points with no changes to their call structure. A blocked
-// rank costs one parked fiber (a few KB of touched stack) instead of a
-// kernel thread, which is what lets one process host a 4096-rank world.
+// one scheduler thread. Its suspension points are Process::yield_point
+// (yield) and the mailbox's blocking pop (block); a push, poison, seal or
+// peer death wakes the mailbox's owner. A blocked rank costs one parked
+// fiber (a few KB of touched stack) instead of a kernel thread, which is
+// what lets one process host a 4096-rank world.
 //
 // Two modes:
 //
-//   * Fast (no delegate): yield() returns immediately — a rank runs until
-//     it actually blocks or finishes (run-to-block) — and the ready queue
-//     is a FIFO deque. One fiber switch per block instead of one per
+//   * Fast (no schedule hook): yield() returns immediately — a rank runs
+//     until it actually blocks or finishes (run-to-block) — and the ready
+//     queue is a FIFO deque. One fiber switch per block instead of one per
 //     operation. Everything is single-threaded, so there is no locking.
 //
-//   * Checked (delegate != nullptr): every yield point suspends and the
-//     loop consults the delegate ScheduleHook through its non-blocking
-//     inline_*() protocol at each multi-choice point. The loop mirrors the
-//     threaded CoopScheduler's decision state machine exactly — all ranks
-//     start runnable at kBegin, every yield is a decision point, wakes
-//     never preempt the running rank, single-choice points are forced and
-//     unrecorded — so the decision records a CoopScheduler accumulates
-//     here replay byte-for-byte on either backend.
+//   * Checked (schedule != nullptr): every yield point suspends, and at
+//     each point where two or more ranks are runnable the loop asks the
+//     ScheduleHook which one runs next. All ranks start runnable at
+//     kBegin, wakes never preempt the running rank, and single-choice
+//     points are forced and not reported, so a run is a deterministic
+//     function of the hook's choices and a recorded schedule replays
+//     byte-for-byte. Every checked run (RunOptions::schedule) runs here.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mpisim/exec.h"
@@ -39,56 +37,59 @@ namespace pioblast::mpisim {
 
 class Fiber;
 
-class EventLoop final : public ScheduleHook {
+class EventLoop {
  public:
   struct Options {
     /// Per-rank fiber stack reservation (address space; pages commit
     /// lazily via MAP_NORESERVE).
     std::size_t stack_bytes = kDefaultFiberStackBytes;
-    /// Decision chooser driven through the inline_*() protocol (borrowed;
-    /// e.g. a CoopScheduler). Null selects the fast run-to-block mode.
-    ScheduleHook* delegate = nullptr;
+    /// Decision chooser of a checked run (borrowed; e.g. a CoopScheduler).
+    /// Null selects the fast run-to-block mode.
+    ScheduleHook* schedule = nullptr;
     /// Race detector whose thread-local context must be re-installed on
     /// every fiber resume (thread-locals do not follow fibers).
     RaceHook* race = nullptr;
+    /// Called when the loop finds no runnable rank while some are still
+    /// blocked (a wedged job the protocol verifier did not claim first,
+    /// e.g. with verification off). It must wake every blocked receive
+    /// with the given report — the runtime wires it to poison all
+    /// mailboxes.
+    std::function<void(const std::string&)> on_stuck;
   };
 
+  /// Every rank starts runnable at its kBegin point. Fails on a build
+  /// without stackful fibers.
   EventLoop(int nranks, Options opts);
-  ~EventLoop() override;
+  ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Runs `body(rank)` for every rank to completion on the calling
-  /// thread. start() must have been called first. The body must not let
-  /// exceptions escape (it runs on a fiber stack with no OS frame to
-  /// unwind into).
+  /// thread. The body must not let exceptions escape (it runs on a fiber
+  /// stack with no OS frame to unwind into).
   void run(const std::function<void(int)>& body);
 
-  // ---- ScheduleHook -------------------------------------------------------
+  // ---- called from inside rank fibers -------------------------------------
   //
-  // start() is called by the runtime before run(); yield/block/wake are
-  // called from inside rank fibers through the World's schedule binding
-  // (wake also from the stuck handler, on the scheduler thread).
-  // rank_begin()/finish() are no-ops: being resumed *is* being scheduled,
-  // and rank completion is observed from the fiber itself.
+  // Through World::loop() and the mailboxes' binding; wake also from the
+  // stuck handler, on the scheduler thread.
 
-  void start(int nranks, StuckHandler on_stuck) override;
-  void rank_begin(int rank) override;
-  void yield(const YieldPoint& op) override;
-  void block(int rank) override;
-  void wake(int rank) override;
-  void finish(int rank) override;
-
-  /// True when the loop found no runnable rank while some were still
-  /// blocked and fired the stuck handler.
-  bool went_stuck() const { return stuck_fired_; }
+  /// Yield point: records the pending op; in checked mode, suspends until
+  /// the loop picks this rank again.
+  void yield(const YieldPoint& op);
+  /// The rank found no matching message: suspends until wake(rank) made
+  /// it runnable and the loop resumed it. The caller re-checks its
+  /// predicate and may block again.
+  void block(int rank);
+  /// Makes a blocked rank runnable (new message, poison, peer death).
+  void wake(int rank);
 
  private:
   enum class State : std::uint8_t { kRunnable, kRunning, kBlocked, kDone };
 
   /// Picks the next rank in checked mode: lowest runnable, or the
-  /// delegate's inline_choose() pick at multi-choice points. -1 when no
+  /// schedule hook's choose() pick at multi-choice points. -1 when no
   /// rank is runnable.
   int choose_checked();
 
@@ -101,8 +102,6 @@ class EventLoop final : public ScheduleHook {
 
   int nranks_;
   Options opts_;
-  StuckHandler on_stuck_;
-  bool started_ = false;
   bool stuck_fired_ = false;
   int done_ = 0;
   std::vector<State> states_;

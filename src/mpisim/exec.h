@@ -11,13 +11,15 @@
 //   * kEvents — one OS thread total. Every rank runs on a stackful fiber
 //     (see fiber.h); a blocked rank parks on the event loop's ready queue
 //     instead of holding a kernel thread, and the loop resumes whichever
-//     rank became runnable. The ScheduleHook yield points that mpicheck
-//     already uses are the complete set of suspension points, so the same
+//     rank became runnable. Process's yield points and the mailboxes'
+//     blocking pops are the complete set of suspension points, so the same
 //     code paths drive both backends and they produce identical driver
 //     output.
 //
 // The switch travels through RunOptions::exec_model; drivers and the CLI
-// expose it as --exec-model.
+// expose it as --exec-model. It selects the backend of unchecked runs
+// only: a checked run (RunOptions::schedule, mpicheck's --check and
+// --schedule) always runs on kEvents, one fiber at a time.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +42,8 @@ ExecModel parse_exec_model(std::string_view text);
 
 /// True when this build can run the event backend (requires <ucontext.h>;
 /// all POSIX targets we build on have it). parse_exec_model still accepts
-/// "events" on unsupported builds; the runtime fails with a clear error.
+/// "events" on unsupported builds; the runtime fails with a clear error,
+/// as it does for every checked run there.
 bool events_supported();
 
 /// Default stack size for rank fibers under the event backend. Stacks are

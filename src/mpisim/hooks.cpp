@@ -15,15 +15,6 @@ const char* to_string(YieldPoint::Kind kind) {
   return "?";
 }
 
-void ScheduleHook::inline_start(int) {}
-
-int ScheduleHook::inline_choose(const std::vector<int>& enabled,
-                                const std::vector<YieldPoint>&) {
-  return enabled[0];
-}
-
-void ScheduleHook::inline_stuck() {}
-
 bool independent(const YieldPoint& a, const YieldPoint& b) {
   using Kind = YieldPoint::Kind;
   // Collectives are checked against a job-global order, a fault retires a

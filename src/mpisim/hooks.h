@@ -3,13 +3,14 @@
 // The mpicheck subsystem (src/mpicheck) plugs into the runtime through two
 // abstract interfaces so mpisim itself stays dependency-free:
 //
-//   * ScheduleHook — a deterministic cooperative scheduler. When installed
-//     (RunOptions::schedule), exactly one rank thread runs at a time; every
-//     send, receive attempt, collective entry, and injected-fault event is
-//     a yield point where the hook picks the next rank to run. This turns
-//     the job into a deterministic function of the hook's choices, which
-//     is what makes systematic schedule exploration and failing-schedule
-//     replay possible.
+//   * ScheduleHook — a deterministic decision chooser. When installed
+//     (RunOptions::schedule), the job runs on the event loop (event_loop.h)
+//     one rank at a time; every send, receive attempt, collective entry,
+//     and injected-fault event is a yield point, and wherever two or more
+//     ranks are runnable the hook picks the next one. This turns the job
+//     into a deterministic function of the hook's choices, which is what
+//     makes systematic schedule exploration and failing-schedule replay
+//     possible.
 //
 //   * RaceHook — a happens-before observer. The runtime reports message
 //     edges (send/recv carry a token through Message::hb) and instrumented
@@ -21,31 +22,29 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace pioblast::mpisim {
 
-/// One scheduling-relevant operation a rank is parked at. The cooperative
-/// scheduler records these per decision point; the explorer's DPOR-lite
-/// mode uses them to decide which interleavings are provably equivalent.
+/// One scheduling-relevant operation a rank is parked at. The event loop
+/// hands these to the ScheduleHook at each decision point; the explorer's
+/// DPOR-lite mode uses them to decide which interleavings are provably
+/// equivalent.
 struct YieldPoint {
   enum class Kind : std::uint8_t {
     kBegin = 0,   ///< rank function about to start
     kSend,        ///< about to inject a message (peer = destination rank)
     kRecv,        ///< about to attempt a receive (peer = source or kAnySource)
-    kCollective,  ///< entering a collective (peer = root, detail = op name)
+    kCollective,  ///< entering a collective (peer = root)
     kFault,       ///< about to die at an injected crash point
   };
   int rank = -1;
   Kind kind = Kind::kBegin;
   int peer = -1;
   int tag = 0;
-  const char* detail = nullptr;  ///< optional static label (collective op)
 };
 
 const char* to_string(YieldPoint::Kind kind);
@@ -58,66 +57,18 @@ const char* to_string(YieldPoint::Kind kind);
 /// mailbox, a receive its own).
 bool independent(const YieldPoint& a, const YieldPoint& b);
 
-/// Deterministic cooperative scheduler interface. Under the threaded
-/// backend the runtime calls start() before any rank thread exists,
-/// rank_begin()/finish() around each rank body, yield() at every
-/// scheduling-relevant operation, and block()/wake() around blocking
-/// receives. All calls except start() and wake() are made from rank
-/// threads; rank_begin/yield/block return only when the hook has
-/// scheduled that rank to run.
-///
-/// Under the event backend (ExecModel::kEvents) ranks are fibers on one
-/// scheduler thread, which serializes them natively — so the hook is
-/// driven through the non-blocking inline_*() protocol below instead, and
-/// a CoopScheduler degrades to a thin chooser over the native event loop.
+/// Deterministic decision chooser for a checked run. The event loop calls
+/// choose() at every point where two or more ranks are runnable;
+/// single-choice points are forced and never reported.
 class ScheduleHook {
  public:
-  /// Called when the scheduler finds no runnable rank while some are still
-  /// blocked (a wedged job the protocol verifier did not claim first, e.g.
-  /// with verification off). The handler must wake every blocked receive
-  /// with the given report — the runtime wires it to poison all mailboxes.
-  using StuckHandler = std::function<void(const std::string&)>;
-
   virtual ~ScheduleHook() = default;
 
-  virtual void start(int nranks, StuckHandler on_stuck) = 0;
-  /// Rank body entry: blocks until this rank is scheduled.
-  virtual void rank_begin(int rank) = 0;
-  /// Yield point: reports the pending op, blocks until rescheduled.
-  virtual void yield(const YieldPoint& op) = 0;
-  /// The rank found no matching message and is blocking: releases the run
-  /// token and returns once wake(rank) made it runnable and the scheduler
-  /// picked it again. The caller re-checks its predicate and may block
-  /// again.
-  virtual void block(int rank) = 0;
-  /// Makes a blocked rank runnable (new message, poison, peer death).
-  /// Called by the running rank (or the stuck handler) under both
-  /// backends.
-  virtual void wake(int rank) = 0;
-  /// Rank body exit: releases the run token for good.
-  virtual void finish(int rank) = 0;
-
-  // ---- inline (event-backend) protocol -----------------------------------
-  //
-  // The event loop mirrors the threaded CoopScheduler's state machine —
-  // every yield point is a decision point, wakes never preempt the
-  // running rank — so the decision records a hook accumulates here replay
-  // on either backend. Defaults make any hook a valid no-op chooser.
-
-  /// Called once before any rank runs (the inline analogue of start()).
-  virtual void inline_start(int nranks);
-
-  /// Decision point: picks the next rank out of `enabled` (ascending,
-  /// at least two entries; `ops` is parallel). Returning a non-member
-  /// falls back to the lowest. Single-choice points are forced and never
-  /// reported. Default: enabled[0].
-  virtual int inline_choose(const std::vector<int>& enabled,
-                            const std::vector<YieldPoint>& ops);
-
-  /// The event loop found no runnable rank while some were still blocked
-  /// and fired its stuck handler (the wedge the threaded scheduler
-  /// detects in-band).
-  virtual void inline_stuck();
+  /// Picks the next rank out of `enabled` (ascending, at least two
+  /// entries; `ops` is parallel). Returning a non-member falls back to the
+  /// lowest.
+  virtual int choose(const std::vector<int>& enabled,
+                     const std::vector<YieldPoint>& ops) = 0;
 };
 
 /// Happens-before observer interface (see mpicheck/race.h for the

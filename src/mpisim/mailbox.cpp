@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "mpisim/event_loop.h"
 #include "mpisim/fault.h"
 #include "mpisim/hooks.h"
 #include "mpisim/verifier.h"
@@ -39,7 +40,7 @@ void Mailbox::push(Message msg) {
   // clearing a wait registered after the message was already taken.
   if (verifier_ != nullptr) verifier_->on_push(rank_, src, tag, seq);
   cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 std::size_t Mailbox::find_match(int src, std::span<const int> tags) const {
@@ -103,13 +104,13 @@ Message Mailbox::pop_any(int src, std::span<const int> tags) {
     // re-checks before sleeping, and the scan consults has_match() before
     // declaring a registered rank truly stuck.
     if (verifier_ != nullptr) verifier_->on_block(rank_, src, tags, seq);
-    if (schedule_ != nullptr) {
-      // Cooperative mode: park on the scheduler instead of the condition
-      // variable. This rank still holds the run token between the match
-      // check above and here, so no wakeup can be lost; block() returns
-      // once a push/poison/seal/death woke the rank and the scheduler
-      // picked it again, and the loop re-checks the predicate.
-      schedule_->block(rank_);
+    if (loop_ != nullptr) {
+      // Event backend: park this rank's fiber on the loop instead of the
+      // condition variable. Only this fiber has run since the match check
+      // above, so no wakeup can be lost; block() returns once a push/
+      // poison/seal/death woke the rank and the loop resumed it, and the
+      // enclosing for(;;) re-checks the predicate.
+      loop_->block(rank_);
     } else {
       std::unique_lock lock(mu_);
       cv_.wait(lock, [&] {
@@ -129,7 +130,7 @@ void Mailbox::seal() {
     seq_.clear();
   }
   cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::notify_dead(int rank) {
@@ -138,7 +139,7 @@ void Mailbox::notify_dead(int rank) {
     dead_.insert(rank);
   }
   cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::poison() { poison(kDefaultPoisonReason, false); }
@@ -159,7 +160,7 @@ void Mailbox::poison(std::shared_ptr<const std::string> reason,
     }
   }
   cv_.notify_all();
-  if (schedule_ != nullptr) schedule_->wake(rank_);
+  if (loop_ != nullptr) loop_->wake(rank_);
 }
 
 void Mailbox::bind_verifier(ProtocolVerifier* verifier, int rank) {
@@ -167,8 +168,8 @@ void Mailbox::bind_verifier(ProtocolVerifier* verifier, int rank) {
   rank_ = rank;
 }
 
-void Mailbox::bind_schedule(ScheduleHook* schedule, int rank) {
-  schedule_ = schedule;
+void Mailbox::bind_loop(EventLoop* loop, int rank) {
+  loop_ = loop;
   rank_ = rank;  // also set here: bind_verifier is skipped when verify is off
 }
 

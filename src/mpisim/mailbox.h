@@ -25,8 +25,8 @@
 
 namespace pioblast::mpisim {
 
+class EventLoop;
 class ProtocolVerifier;
-class ScheduleHook;
 
 class Mailbox {
  public:
@@ -92,11 +92,11 @@ class Mailbox {
   /// Must happen before any rank thread starts popping.
   void bind_verifier(ProtocolVerifier* verifier, int rank);
 
-  /// Binds the cooperative scheduler (not owned): blocking pops park on
-  /// the scheduler instead of the condition variable, and every event that
-  /// could unblock the owner (push, poison, seal, peer death) wakes it
-  /// through the hook. Must happen before any rank thread starts.
-  void bind_schedule(ScheduleHook* schedule, int rank);
+  /// Binds the event loop (not owned): blocking pops park the owner's
+  /// fiber on the loop instead of the condition variable, and every event
+  /// that could unblock the owner (push, poison, seal, peer death) wakes it
+  /// through the loop. Must happen before any rank starts.
+  void bind_loop(EventLoop* loop, int rank);
 
   // ---- fault support ------------------------------------------------------
 
@@ -128,7 +128,7 @@ class Mailbox {
   bool verify_poison_ = false;
   std::shared_ptr<const std::string> poison_reason_;
   ProtocolVerifier* verifier_ = nullptr;
-  ScheduleHook* schedule_ = nullptr;
+  EventLoop* loop_ = nullptr;
   int rank_ = -1;
 };
 

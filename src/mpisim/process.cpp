@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mpisim/event_loop.h"
 #include "mpisim/verifier.h"
 
 namespace pioblast::mpisim {
@@ -15,10 +16,9 @@ Process::Process(int rank, World& world) : rank_(rank), world_(world) {
   }
 }
 
-void Process::yield_point(YieldPoint::Kind kind, int peer, int tag,
-                          const char* detail) {
-  if (ScheduleHook* s = world_.schedule())
-    s->yield(YieldPoint{rank_, kind, peer, tag, detail});
+void Process::yield_point(YieldPoint::Kind kind, int peer, int tag) {
+  if (EventLoop* loop = world_.loop())
+    loop->yield(YieldPoint{rank_, kind, peer, tag});
 }
 
 void Process::maybe_crash() {
@@ -26,7 +26,7 @@ void Process::maybe_crash() {
     // The crash is itself a scheduling-relevant event: exploring where it
     // lands relative to other ranks' progress is how mpicheck exercises
     // detection/recovery interleavings.
-    yield_point(YieldPoint::Kind::kFault, -1, 0, "crash");
+    yield_point(YieldPoint::Kind::kFault, -1, 0);
     throw RankCrash{rank_, crash_at_, clock_.now()};
   }
 }
@@ -167,7 +167,7 @@ std::span<const int> Process::internal_tags() {
 }
 
 void Process::enter_collective(const char* op, int root) {
-  yield_point(YieldPoint::Kind::kCollective, root, 0, op);
+  yield_point(YieldPoint::Kind::kCollective, root, 0);
   const std::uint64_t seq = collectives_entered_++;
   if (Tracer* t = world_.tracer()) {
     t->record({.rank = rank_, .time = clock_.now(),

@@ -213,11 +213,10 @@ class Process {
   /// order check. Called on entry by every collective, on every rank.
   void enter_collective(const char* op, int root);
 
-  /// Cooperative-scheduler yield point (no-op when no scheduler is
-  /// installed): reports the pending operation and blocks until this rank
-  /// is scheduled to run it.
-  void yield_point(YieldPoint::Kind kind, int peer, int tag,
-                   const char* detail = nullptr);
+  /// Event-loop yield point (no-op on the threads backend): reports the
+  /// pending operation; in a checked run, suspends until the loop picks
+  /// this rank to run it.
+  void yield_point(YieldPoint::Kind kind, int peer, int tag);
 };
 
 }  // namespace pioblast::mpisim

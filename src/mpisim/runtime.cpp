@@ -43,14 +43,11 @@ struct JobState {
   std::exception_ptr first_error;
 };
 
-/// One rank's whole life, backend-independent. `gate` is the threaded
-/// cooperative scheduler (rank_begin/finish pair) or null under the event
-/// backend, where being resumed is being scheduled. Never throws: rank
-/// errors land in `job.first_error` and poison the world.
-void rank_body(JobState& job, int rank, ScheduleHook* gate) {
+/// One rank's whole life, backend-independent. Never throws: rank errors
+/// land in `job.first_error` and poison the world.
+void rank_body(JobState& job, int rank) {
   World& world = job.world;
   set_thread_check_context(world.race(), rank);
-  if (gate != nullptr) gate->rank_begin(rank);
   Process proc(rank, world);
   bool crashed = false;
   try {
@@ -82,23 +79,19 @@ void rank_body(JobState& job, int rank, ScheduleHook* gate) {
   rr.bytes_sent = proc.bytes_sent();
   rr.messages_sent = proc.messages_sent();
   rr.crashed = crashed;
-  // Release the run token last: everything above runs scheduled, so the
-  // whole body — including error paths — stays deterministic.
-  if (gate != nullptr) gate->finish(rank);
   clear_thread_check_context();
 }
 
 /// Thread-per-rank backend: one OS thread per rank, go/no-go gated so a
 /// failed thread creation cancels cleanly before any rank body runs
 /// (otherwise a partial world wedges — rank 0 blocks forever on peers
-/// that never existed, and a cooperative scheduler's start gate never
-/// opens).
-void run_threads(int nranks, JobState& job, const RunOptions& opts) {
+/// that never existed).
+void run_threads(int nranks, JobState& job) {
   std::promise<bool> gate;
   std::shared_future<bool> go = gate.get_future().share();
-  auto thread_main = [&job, &opts, go](int rank) {
+  auto thread_main = [&job, go](int rank) {
     if (!go.get()) return;
-    rank_body(job, rank, opts.schedule);
+    rank_body(job, rank);
   };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
@@ -123,22 +116,24 @@ void run_threads(int nranks, JobState& job, const RunOptions& opts) {
 }
 
 /// Event backend: every rank is a stackful fiber on this thread; a
-/// ScheduleHook in opts.schedule becomes the loop's decision delegate.
+/// ScheduleHook in opts.schedule picks the next rank at every decision
+/// point.
 void run_events(int nranks, JobState& job, const RunOptions& opts) {
+  World& world = job.world;
   EventLoop::Options lo;
   lo.stack_bytes = opts.fiber_stack_bytes;
-  lo.delegate = opts.schedule;
+  lo.schedule = opts.schedule;
   lo.race = opts.race;
-  EventLoop loop(nranks, lo);
-  World& world = job.world;
-  loop.start(nranks, [&world](const std::string& why) {
+  // The stuck handler covers the verifier-off case: when the loop finds no
+  // runnable rank but blocked ones remain, it wakes them all with the
+  // report so the job unwinds instead of hanging.
+  lo.on_stuck = [&world](const std::string& why) {
     for (int r = 0; r < world.size(); ++r)
       world.mailbox(r).poison(why, /*verify_failure=*/true);
-  });
-  // The loop replaces opts.schedule as the World's hook: mailboxes route
-  // block/wake to it and Process yields through it.
-  world.set_schedule(&loop);
-  loop.run([&job](int rank) { rank_body(job, rank, /*gate=*/nullptr); });
+  };
+  EventLoop loop(nranks, std::move(lo));
+  world.set_loop(&loop);
+  loop.run([&job](int rank) { rank_body(job, rank); });
 }
 
 }  // namespace
@@ -150,19 +145,6 @@ RunReport run(int nranks, const sim::ClusterConfig& cluster,
   World world(nranks, cluster);
   world.set_tracer(opts.tracer);
   world.set_fault_plan(opts.faults);
-  const bool events = opts.exec_model == ExecModel::kEvents;
-  if (opts.schedule != nullptr && !events) {
-    // The stuck handler covers the verifier-off case: when the scheduler
-    // finds no runnable rank but blocked ones remain, it wakes them all
-    // with the report so the job unwinds instead of hanging. (Under the
-    // event backend the loop owns this and the hook is only a chooser —
-    // run_events wires it.)
-    opts.schedule->start(nranks, [&world](const std::string& why) {
-      for (int r = 0; r < world.size(); ++r)
-        world.mailbox(r).poison(why, /*verify_failure=*/true);
-    });
-    world.set_schedule(opts.schedule);
-  }
   if (opts.race != nullptr) {
     opts.race->start(nranks);
     world.set_race(opts.race);
@@ -177,10 +159,12 @@ RunReport run(int nranks, const sim::ClusterConfig& cluster,
   report.ranks.resize(static_cast<std::size_t>(nranks));
   JobState job{world, rank_fn, report, {}, nullptr};
 
-  if (events) {
+  // A checked run needs one rank at a time, which the event loop gives
+  // natively: it runs there whatever exec_model says.
+  if (opts.exec_model == ExecModel::kEvents || opts.schedule != nullptr) {
     run_events(nranks, job, opts);
   } else {
-    run_threads(nranks, job, opts);
+    run_threads(nranks, job);
   }
 
   if (job.first_error) std::rethrow_exception(job.first_error);

@@ -10,7 +10,8 @@
 // Ranks execute under one of two backends (RunOptions::exec_model): one OS
 // thread per rank, or stackful fibers multiplexed on one scheduler thread
 // (see exec.h and event_loop.h). Both produce identical driver output; the
-// event backend is what makes multi-thousand-rank worlds practical.
+// event backend is what makes multi-thousand-rank worlds practical. A
+// checked run (RunOptions::schedule set) always runs on the event backend.
 #pragma once
 
 #include <cstddef>
@@ -38,19 +39,22 @@ struct RunOptions {
   /// Fault injections (crashes, stragglers, message drops); empty and
   /// inert by default. See fault.h.
   FaultPlan faults{};
-  /// Cooperative scheduler (not owned; must outlive the run). When set,
-  /// exactly one rank runs at a time and every send/recv/collective/fault
-  /// is a yield point — the foundation of mpicheck's schedule exploration.
+  /// Decision chooser of a checked run (not owned; must outlive the run),
+  /// e.g. mpicheck's CoopScheduler. When set, the job runs on the event
+  /// loop whatever `exec_model` says: exactly one rank runs at a time,
+  /// every send/recv/collective/fault is a yield point, and the hook picks
+  /// the next rank wherever two or more are runnable — the foundation of
+  /// mpicheck's schedule exploration.
   ScheduleHook* schedule = nullptr;
   /// Happens-before race detector (not owned; must outlive the run).
   RaceHook* race = nullptr;
-  /// Rank execution backend. kThreads spawns one OS thread per rank;
-  /// kEvents multiplexes every rank as a stackful fiber on the calling
-  /// thread (required in practice beyond a few hundred ranks). Under
-  /// kEvents a ScheduleHook in `schedule` is driven through its
-  /// inline_*() protocol as a decision chooser over the native loop.
+  /// Rank execution backend of an unchecked run. kThreads spawns one OS
+  /// thread per rank; kEvents multiplexes every rank as a stackful fiber
+  /// on the calling thread (required in practice beyond a few hundred
+  /// ranks). Ignored when `schedule` is set: checked runs use kEvents.
   ExecModel exec_model = ExecModel::kThreads;
-  /// Per-rank fiber stack reservation under kEvents (lazily committed).
+  /// Per-rank fiber stack reservation on the event backend (lazily
+  /// committed).
   std::size_t fiber_stack_bytes = kDefaultFiberStackBytes;
 };
 

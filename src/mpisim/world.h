@@ -22,6 +22,8 @@
 
 namespace pioblast::mpisim {
 
+class EventLoop;
+
 class World {
  public:
   World(int size, sim::ClusterConfig cluster)
@@ -79,15 +81,16 @@ class World {
   /// The installed verifier, or null when verification is off.
   ProtocolVerifier* verifier() const { return verifier_.get(); }
 
-  /// Installs the cooperative scheduler (not owned; must outlive the run)
-  /// and binds every mailbox to it. Must be called before rank threads
-  /// start. Null leaves the job free-running.
-  void set_schedule(ScheduleHook* schedule) {
-    schedule_ = schedule;
+  /// Installs the event loop that runs the ranks (not owned; must outlive
+  /// the run) and binds every mailbox to it: Process yields through it and
+  /// blocking pops park on it. Must be called before any rank starts.
+  /// Unset on the threads backend, where each rank has its own OS thread.
+  void set_loop(EventLoop* loop) {
+    loop_ = loop;
     for (int r = 0; r < size_; ++r)
-      mailboxes_[static_cast<std::size_t>(r)]->bind_schedule(schedule, r);
+      mailboxes_[static_cast<std::size_t>(r)]->bind_loop(loop, r);
   }
-  ScheduleHook* schedule() const { return schedule_; }
+  EventLoop* loop() const { return loop_; }
 
   /// Installs the race detector (not owned; must outlive the run). Null
   /// disables happens-before tracking.
@@ -158,7 +161,7 @@ class World {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<bool> aborted_{false};
   Tracer* tracer_ = nullptr;
-  ScheduleHook* schedule_ = nullptr;
+  EventLoop* loop_ = nullptr;
   RaceHook* race_ = nullptr;
   std::unique_ptr<ProtocolVerifier> verifier_;
   FaultPlan faults_;

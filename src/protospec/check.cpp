@@ -284,7 +284,6 @@ class ModelChecker {
     }
     t.yp.peer = peer;
     t.yp.tag = e.tag;
-    t.yp.detail = e.coll;
     t.sig = trans_sig(t);
     return t;
   }

@@ -1,6 +1,6 @@
-# Runs pioblast_cli on malformed or unknown option values, an invalid
-# fault plan, too few processes, an unreadable input file and the removed
-# --kernel option. Every case must exit 2 with the option's name on stderr
+# Runs pioblast_cli on malformed or unknown option values (--check keys
+# and --schedule traces among them), an invalid fault plan, too few
+# processes, an unreadable input file and the removed --kernel option. Every case must exit 2 with the option's name on stderr
 # and nothing on stdout: it is rejected before any driver runs, instead of
 # aborting or running with a half-parsed value.
 #
@@ -20,6 +20,14 @@ set(cases
   "--check=schedules=abc|--check: schedules"
   "--check=max=99999999999|--check: max"
   "--check=schedules=5x|--check: schedules"
+  "--check=schedules=-3|--check: schedules"
+  "--check=max=-1|--check: max"
+  "--check=dpor=maybe|--check: dpor"
+  "--check=races=maybe|--check: races"
+  "--check=shrink=nope|--check: shrink"
+  "--schedule=abc|--schedule"
+  "--schedule=1,,2|--schedule"
+  "--schedule=-1|--schedule"
   "--pario-hints=bogus|--pario-hints"
   "--kernel=fast|unknown option --kernel"
   "--driver=bogus|--driver"

@@ -3,11 +3,10 @@
 // The contract under test: ExecModel::kEvents (stackful fibers on one
 // scheduler thread, mpisim/event_loop.h) is observationally identical to
 // the thread-per-rank backend. That means byte-identical virtual clocks,
-// message counters, and driver output files; the protocol verifier, fault
-// injection, and the stuck handler behaving the same; and a CoopScheduler
-// driven through the inline chooser protocol producing the very same
-// decision records — so mpicheck schedules record on one backend and
-// replay on the other, and the explorer's statistics are backend-blind.
+// message counters, and driver output files, and the protocol verifier,
+// fault injection, and the stuck handler behaving the same. A checked run
+// (a ScheduleHook installed) runs on the event loop whatever its exec
+// model says.
 //
 // Also here: correctness of the binomial-tree collectives (barrier, bcast,
 // allreduce_max) at non-power-of-two world sizes, on both backends.
@@ -17,14 +16,13 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blast/job.h"
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
 #include "mpicheck/coop.h"
-#include "mpicheck/explore.h"
-#include "mpisim/event_loop.h"
 #include "mpisim/exec.h"
 #include "mpisim/fault.h"
 #include "mpisim/runtime.h"
@@ -66,8 +64,8 @@ TEST(ExecModel, ParseAndFormatRoundTrip) {
 /// real-time message-arrival order, which no backend guarantees. Exact
 /// cross-backend clock equality is only promised for jobs whose virtual
 /// time is schedule-independent (driver *output* is byte-identical either
-/// way; the any-source decision stream is pinned down by the
-/// CoopScheduler parity tests below).
+/// way; the checked decision stream is pinned down by the CLI's
+/// cli_check_golden case).
 void mixed_job(mpisim::Process& p) {
   const int n = p.size();
   p.compute(1e-4 * (p.rank() + 1));
@@ -288,10 +286,10 @@ TEST(EventBackend, FaultRunClocksMatchThreads) {
   }
 }
 
-// ---------- CoopScheduler as the event loop's chooser ----------------------
+// ---------- checked runs always run on the event loop ----------------------
 
 /// Two workers race their messages to an any-source master; every
-/// interleaving is legal, so the decision stream is pure scheduler state.
+/// interleaving is legal.
 void fan_in_job(mpisim::Process& p) {
   constexpr int kTag = 7;
   if (p.rank() == 0) {
@@ -303,105 +301,27 @@ void fan_in_job(mpisim::Process& p) {
   p.barrier();
 }
 
-std::vector<mpicheck::DecisionRecord> coop_records(
-    mpisim::ExecModel exec, const mpicheck::CoopScheduler::Chooser& chooser) {
-  mpicheck::CoopScheduler coop(chooser);
+TEST(CheckedRun, RunsEveryRankOnTheCallingThreadUnderThreadsExecModel) {
+  REQUIRE_EVENTS();
+  // A schedule hook sends the job to the event loop whatever exec_model
+  // says, so no rank gets an OS thread of its own.
+  mpicheck::CoopScheduler coop;
   mpisim::RunOptions opts;
-  opts.exec_model = exec;
+  opts.exec_model = kThreads;
   opts.schedule = &coop;
-  mpisim::run(3, altix(), fan_in_job, opts);
-  return coop.records();
-}
-
-void expect_same_records(const std::vector<mpicheck::DecisionRecord>& a,
-                         const std::vector<mpicheck::DecisionRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].chosen, b[i].chosen) << "decision " << i;
-    EXPECT_EQ(a[i].enabled, b[i].enabled) << "decision " << i;
-    ASSERT_EQ(a[i].ops.size(), b[i].ops.size()) << "decision " << i;
-    for (std::size_t j = 0; j < a[i].ops.size(); ++j) {
-      EXPECT_EQ(a[i].ops[j].rank, b[i].ops[j].rank) << i << "," << j;
-      EXPECT_EQ(a[i].ops[j].kind, b[i].ops[j].kind) << i << "," << j;
-      EXPECT_EQ(a[i].ops[j].peer, b[i].ops[j].peer) << i << "," << j;
-      EXPECT_EQ(a[i].ops[j].tag, b[i].ops[j].tag) << i << "," << j;
-    }
+  std::vector<std::thread::id> ids(3);
+  mpisim::run(
+      3, altix(),
+      [&ids](mpisim::Process& p) {
+        ids[static_cast<std::size_t>(p.rank())] = std::this_thread::get_id();
+        fan_in_job(p);
+      },
+      opts);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(ids[static_cast<std::size_t>(r)], std::this_thread::get_id())
+        << "rank " << r;
   }
-}
-
-TEST(CoopOnEvents, DecisionRecordsMatchThreadedBackend) {
-  REQUIRE_EVENTS();
-  {
-    const auto t = coop_records(kThreads, mpicheck::CoopScheduler::first_enabled());
-    const auto e = coop_records(kEvents, mpicheck::CoopScheduler::first_enabled());
-    ASSERT_FALSE(t.empty());
-    expect_same_records(t, e);
-  }
-  const std::uint64_t seeds[] = {1, 42, 2026};
-  for (std::uint64_t seed : seeds) {
-    const auto t = coop_records(kThreads, mpicheck::CoopScheduler::random(seed));
-    const auto e = coop_records(kEvents, mpicheck::CoopScheduler::random(seed));
-    ASSERT_FALSE(t.empty()) << "seed " << seed;
-    expect_same_records(t, e);
-  }
-}
-
-TEST(CoopOnEvents, ScheduleRecordedOnThreadsReplaysOnEvents) {
-  REQUIRE_EVENTS();
-  mpicheck::CoopScheduler recorder(mpicheck::CoopScheduler::random(7));
-  mpisim::RunOptions opts;
-  opts.schedule = &recorder;
-  mpisim::run(3, altix(), fan_in_job, opts);
-  ASSERT_FALSE(recorder.records().empty());
-
-  mpicheck::CoopScheduler replayer(
-      mpicheck::CoopScheduler::forced(recorder.schedule()));
-  opts.exec_model = kEvents;
-  opts.schedule = &replayer;
-  mpisim::run(3, altix(), fan_in_job, opts);
-  expect_same_records(recorder.records(), replayer.records());
-}
-
-TEST(CoopOnEvents, CheckerStatisticsAreBackendBlind) {
-  REQUIRE_EVENTS();
-  // The explorer's whole decision tree — random sweep, preemption sweep,
-  // DPOR pruning — must be identical on either backend, because the
-  // decision streams feeding it are.
-  auto job_for = [&](mpisim::ExecModel exec) -> mpicheck::Checker::Job {
-    return [exec](mpisim::ScheduleHook* schedule, mpisim::RaceHook* race) {
-      mpisim::RunOptions opts;
-      opts.schedule = schedule;
-      opts.race = race;
-      opts.exec_model = exec;
-      mpisim::run(3, altix(), fan_in_job, opts);
-    };
-  };
-  mpicheck::CheckOptions copts;
-  copts.random_schedules = 25;
-  copts.preemption_bound = 1;
-  copts.max_schedules = 300;
-  const auto threads = mpicheck::Checker(job_for(kThreads), copts).run();
-  const auto events = mpicheck::Checker(job_for(kEvents), copts).run();
-  EXPECT_EQ(mpicheck::summary(events), mpicheck::summary(threads));
-  EXPECT_FALSE(threads.failed);
-  EXPECT_GT(threads.schedules_explored, 0);
-}
-
-// ---------- direct EventLoop edge: stuck fires once ------------------------
-
-TEST(EventLoopUnit, WentStuckReflectsWedge) {
-  REQUIRE_EVENTS();
-  // went_stuck() is the loop's own flag (exposed for the runtime and
-  // tests); a clean job must leave it false.
-  mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
-  mpisim::run(3, altix(), fan_in_job, opts);  // completes: no stuck
-  mpicheck::CoopScheduler coop;  // observes inline_stuck on a wedge
-  opts.schedule = &coop;
-  opts.verify.enabled = false;
-  EXPECT_THROW(mpisim::run(2, altix(), deadlock_job, opts),
-               mpisim::VerifyError);
-  EXPECT_TRUE(coop.went_stuck());
+  EXPECT_FALSE(coop.records().empty());
 }
 
 }  // namespace

@@ -116,10 +116,25 @@ TEST(CoopScheduler, ForcedReplayReproducesEveryDecision) {
   mpisim::run(3, test_cluster(), fan_in_job, opts);
   ASSERT_FALSE(first.records().empty());
 
-  CoopScheduler replay(CoopScheduler::forced(first.schedule()));
+  CoopScheduler replay(CoopScheduler::forced(schedule_of(first.records())));
   opts.schedule = &replay;
   mpisim::run(3, test_cluster(), fan_in_job, opts);
-  EXPECT_EQ(chosen_of(first), chosen_of(replay));
+  // The whole record replays: who was runnable, what each was about to
+  // do, and who ran.
+  const std::vector<DecisionRecord>& a = first.records();
+  const std::vector<DecisionRecord>& b = replay.records();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].chosen, b[i].chosen) << "decision " << i;
+    EXPECT_EQ(a[i].enabled, b[i].enabled) << "decision " << i;
+    ASSERT_EQ(a[i].ops.size(), b[i].ops.size()) << "decision " << i;
+    for (std::size_t j = 0; j < a[i].ops.size(); ++j) {
+      EXPECT_EQ(a[i].ops[j].rank, b[i].ops[j].rank) << i << "," << j;
+      EXPECT_EQ(a[i].ops[j].kind, b[i].ops[j].kind) << i << "," << j;
+      EXPECT_EQ(a[i].ops[j].peer, b[i].ops[j].peer) << i << "," << j;
+      EXPECT_EQ(a[i].ops[j].tag, b[i].ops[j].tag) << i << "," << j;
+    }
+  }
 }
 
 TEST(CoopScheduler, RecordsOnlyMultiChoicePoints) {
@@ -136,20 +151,22 @@ TEST(CoopScheduler, RecordsOnlyMultiChoicePoints) {
 }
 
 TEST(CoopScheduler, StuckHandlerFiresOnDeadlockWithVerifierOff) {
-  // A receive cycle with the verifier disabled: only the scheduler's
+  // A receive cycle with the verifier disabled: only the event loop's
   // no-runnable-but-blocked backstop can unwedge the run.
   CoopScheduler coop;
   mpisim::RunOptions opts;
   opts.schedule = &coop;
   opts.verify.enabled = false;
-  EXPECT_THROW(mpisim::run(
-                   2, test_cluster(),
-                   [](mpisim::Process& p) {
-                     p.recv(1 - p.rank(), 3);
-                   },
-                   opts),
-               mpisim::VerifyError);
-  EXPECT_TRUE(coop.went_stuck());
+  try {
+    mpisim::run(
+        2, test_cluster(),
+        [](mpisim::Process& p) { p.recv(1 - p.rank(), 3); }, opts);
+    FAIL() << "wedged job returned";
+  } catch (const mpisim::VerifyError& e) {
+    EXPECT_NE(std::string(e.what()).find("scheduler stuck"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------- seeded bug 1: reordered collective -----------------------------

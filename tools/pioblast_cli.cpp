@@ -25,6 +25,7 @@
 #include "driver/scheduler.h"
 #include "mpiblast/mpiblast.h"
 #include "mpicheck/explore.h"
+#include "mpicheck/schedule.h"
 #include "mpisim/trace.h"
 #include "pioblast/pioblast.h"
 #include "seqdb/generator.h"
@@ -65,8 +66,27 @@ void check_number(const std::string& key, const std::string& val, T& out) {
                              val + "'");
 }
 
+/// Parses a --check on|off field into `out`; an empty value keeps the
+/// default.
+void check_switch(const std::string& key, const std::string& val, bool& out) {
+  if (val.empty()) return;
+  if (val != "on" && val != "off")
+    throw util::RuntimeError("--check: " + key + " expects on | off, got '" +
+                             val + "'");
+  out = val == "on";
+}
+
+/// Throws naming `key` when `value` is below `min`.
+void check_at_least(const std::string& key, int value, int min) {
+  if (value < min)
+    throw util::RuntimeError("--check: " + key + " must be at least " +
+                             std::to_string(min) + ", got " +
+                             std::to_string(value));
+}
+
 /// Parses the --check spec ("schedules=50,seed=1,preempt=2,dpor=on,
-/// races=on,shrink=on,max=2000"; every field optional).
+/// races=on,shrink=on,max=2000"; every field optional; a negative preempt
+/// turns the preemption sweep off).
 mpicheck::CheckOptions parse_check(const std::string& spec) {
   mpicheck::CheckOptions opts;
   std::istringstream in(spec);
@@ -82,13 +102,15 @@ mpicheck::CheckOptions parse_check(const std::string& spec) {
     if (key == "schedules") check_number(key, val, opts.random_schedules);
     else if (key == "seed") check_number(key, val, opts.seed);
     else if (key == "preempt") check_number(key, val, opts.preemption_bound);
-    else if (key == "dpor") opts.dpor = val != "off";
-    else if (key == "races") opts.detect_races = val != "off";
-    else if (key == "shrink") opts.shrink = val != "off";
+    else if (key == "dpor") check_switch(key, val, opts.dpor);
+    else if (key == "races") check_switch(key, val, opts.detect_races);
+    else if (key == "shrink") check_switch(key, val, opts.shrink);
     else if (key == "max") check_number(key, val, opts.max_schedules);
     else
       throw util::RuntimeError("--check: unknown key '" + key + "'");
   }
+  check_at_least("schedules", opts.random_schedules, 0);
+  check_at_least("max", opts.max_schedules, 1);
   return opts;
 }
 
@@ -216,8 +238,13 @@ Setup configure(const util::ArgParser& args) {
   s.checking = !args.get("check").empty() || !args.get("schedule").empty();
   if (!args.get("check").empty() && args.get("check") != "default")
     s.check = parse_check(args.get("check"));
-  if (!args.get("schedule").empty())
-    s.check.replay_trace = args.get("schedule");
+  if (!args.get("schedule").empty()) {
+    s.check.replay_trace = parse_option(args, "schedule",
+                                        [](const std::string& v) {
+                                          mpicheck::parse_schedule(v);
+                                          return v;
+                                        });
+  }
   return s;
 }
 
@@ -297,7 +324,8 @@ int main(int argc, char** argv) {
       .add("exec-model", "threads",
            "rank execution backend: threads (one OS thread per rank) | "
            "events (stackful fibers on one thread; required in practice "
-           "for worlds beyond a few hundred ranks)")
+           "for worlds beyond a few hundred ranks); --check and --schedule "
+           "always run on events")
       .add("pario-hints", "",
            "MPI-IO-style access hints, comma-separated key=value: "
            "cb_nodes=N, cb_buffer_size=SIZE (0 = unbounded), ds_read="
