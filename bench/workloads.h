@@ -60,18 +60,16 @@ std::string make_query_set(const std::vector<seqdb::FastaRecord>& db,
 
 /// Runs mpiBLAST end to end on a fresh ClusterStorage: stages queries,
 /// mpiformatdb's the database into `nfragments`, runs, returns the result.
-/// `exec` selects the rank execution backend (mpisim/exec.h) — large-world
-/// scalability sweeps need the event backend.
+/// Runs on the event backend, where the greedy master serves requests in
+/// virtual-time order, so the virtual seconds repeat bit-for-bit.
 blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
                                      int nprocs,
                                      const std::vector<seqdb::FastaRecord>& db,
                                      const std::string& query_fasta,
-                                     const blast::JobConfig& job, int nfragments,
-                                     mpisim::ExecModel exec =
-                                         mpisim::ExecModel::kThreads);
+                                     const blast::JobConfig& job, int nfragments);
 
 /// Runs pioBLAST end to end on a fresh ClusterStorage (plain formatdb, no
-/// physical fragments).
+/// physical fragments), on the event backend like run_mpiblast_job.
 blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
                                      int nprocs,
                                      const std::vector<seqdb::FastaRecord>& db,

@@ -6,10 +6,26 @@
 
 namespace pioblast::seqdb {
 
+namespace {
+
+[[noreturn]] void malformed(std::size_t line, const std::string& what) {
+  throw util::RuntimeError("FASTA line " + std::to_string(line) + ": " + what);
+}
+
+}  // namespace
+
 std::vector<FastaRecord> parse_fasta(std::string_view text) {
   std::vector<FastaRecord> records;
   FastaRecord current;
   bool in_record = false;
+  std::size_t lineno = 0;
+  std::size_t defline_at = 0;  ///< line of the current record's defline
+  const auto close_record = [&] {
+    if (current.sequence.empty())
+      malformed(defline_at, "record '" + current.id + "' has no residues");
+    records.push_back(std::move(current));
+    current = {};
+  };
 
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -17,6 +33,7 @@ std::vector<FastaRecord> parse_fasta(std::string_view text) {
     if (eol == std::string_view::npos) eol = text.size();
     std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
+    ++lineno;
     // Trim a trailing CR (CRLF input) and trailing spaces.
     while (!line.empty() &&
            (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
@@ -25,16 +42,12 @@ std::vector<FastaRecord> parse_fasta(std::string_view text) {
     if (line.empty()) continue;
 
     if (line.front() == '>') {
-      if (in_record) {
-        PIOBLAST_CHECK_MSG(!current.sequence.empty(),
-                           "FASTA record '" << current.id << "' has no residues");
-        records.push_back(std::move(current));
-        current = {};
-      }
+      if (in_record) close_record();
       in_record = true;
+      defline_at = lineno;
       std::string_view defline = line.substr(1);
       while (!defline.empty() && defline.front() == ' ') defline.remove_prefix(1);
-      PIOBLAST_CHECK_MSG(!defline.empty(), "empty FASTA defline");
+      if (defline.empty()) malformed(lineno, "empty defline");
       const std::size_t space = defline.find_first_of(" \t");
       if (space == std::string_view::npos) {
         current.id = std::string(defline);
@@ -46,18 +59,14 @@ std::vector<FastaRecord> parse_fasta(std::string_view text) {
         current.description = std::string(rest);
       }
     } else {
-      PIOBLAST_CHECK_MSG(in_record, "FASTA sequence data before first defline");
+      if (!in_record) malformed(lineno, "sequence data before the first defline");
       for (char c : line) {
         if (std::isspace(static_cast<unsigned char>(c))) continue;
         current.sequence.push_back(c);
       }
     }
   }
-  if (in_record) {
-    PIOBLAST_CHECK_MSG(!current.sequence.empty(),
-                       "FASTA record '" << current.id << "' has no residues");
-    records.push_back(std::move(current));
-  }
+  if (in_record) close_record();
   return records;
 }
 

@@ -1,16 +1,25 @@
 # Runs pioblast_cli on malformed or unknown option values (--check keys
 # and --schedule traces among them), an invalid fault plan, too few
-# processes, an unreadable input file and the removed --kernel option. Every case must exit 2 with the option's name on stderr
-# and nothing on stdout: it is rejected before any driver runs, instead of
-# aborting or running with a half-parsed value.
+# processes, unreadable and malformed FASTA files, a --conformance run
+# wider than the protocol monitor's bound and the removed --kernel option.
+# Every case must exit 2 with the option's name on stderr and nothing on
+# stdout: it is rejected before any driver runs, instead of aborting or
+# running with a half-parsed value.
 #
 #   cmake -DCLI=<pioblast_cli> -DMISSING=<a path that does not exist>
-#         -P cli_bad_options.cmake
+#         -DDATA=<tests/data> -P cli_bad_options.cmake
 
 set(base --procs 4 --db-residues 20000 --query-bytes 500)
 
-# "<argument>|<text stderr must contain>"
+# "<argument>|...|<text stderr must contain>"
 set(cases
+  "--queries-fasta=${DATA}/fasta_data_before_defline.fa|--queries-fasta: FASTA line 1"
+  "--queries-fasta=${DATA}/fasta_empty_record.fa|--queries-fasta: FASTA line 1"
+  "--db-fasta=${DATA}/fasta_data_before_defline.fa|--db-fasta: FASTA line 1"
+  "--db-fasta=${DATA}/fasta_empty_record.fa|--db-fasta: FASTA line 1"
+  "--queries-fasta=${DATA}/fasta_no_records.fa|--queries-fasta: ${DATA}/fasta_no_records.fa: no FASTA records"
+  "--db-fasta=${DATA}/fasta_no_records.fa|--db-fasta: ${DATA}/fasta_no_records.fa: no FASTA records"
+  "--conformance|--procs=40|--conformance: the protocol monitor checks at most protospec::Env::kMaxRanks"
   "--fault=rank=x|--fault"
   "--exec-model=fibers|--exec-model"
   "--scheduler=bogus|--scheduler"
@@ -41,10 +50,10 @@ set(cases
 
 set(failures)
 foreach(case IN LISTS cases)
-  string(REPLACE "|" ";" parts "${case}")
-  list(GET parts 0 arg)
-  list(GET parts 1 needle)
-  execute_process(COMMAND ${CLI} ${base} ${arg}
+  string(REPLACE "|" ";" args "${case}")
+  list(POP_BACK args needle)
+  string(JOIN " " arg ${args})
+  execute_process(COMMAND ${CLI} ${base} ${args}
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err

@@ -97,7 +97,7 @@ TEST(DriverFailures, MalformedQueryFileThrows) {
   opts.job.db_base = "db";
   opts.job.query_path = "queries.fa";
   EXPECT_THROW(pio::run_pioblast(cluster, 3, storage, opts),
-               util::ContractViolation);
+               util::RuntimeError);
 }
 
 TEST(DriverTracing, PioRunCapturesPhaseStructure) {

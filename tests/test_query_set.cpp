@@ -36,7 +36,7 @@ TEST(QuerySet, MalformedFastaThrows) {
   EXPECT_THROW(blast::QuerySet::build("garbage, no defline",
                                       blast::SearchParams::blastp_defaults(),
                                       stats),
-               util::ContractViolation);
+               util::RuntimeError);
 }
 
 TEST(SummarizeRun, UsesWorkerMaxAndMasterOutput) {

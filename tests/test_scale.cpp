@@ -3,8 +3,9 @@
 // These exist to keep the event backend honest at the scale it was built
 // for: worlds of 1024+ ranks in one process, where the thread-per-rank
 // backend would need more kernel threads than most CI containers allow.
-// Kept in their own binary so `ctest -L scale` runs exactly this file —
-// CI's scale job pairs it with a 1024-rank fig3a tiny sweep.
+// Kept in their own binary so `ctest -L scale` runs exactly this file.
+// Both drivers at 1024 and 4096 ranks on the paper's queries run in
+// `bench/paper scale`.
 #include <gtest/gtest.h>
 
 #include <algorithm>

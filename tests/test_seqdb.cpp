@@ -88,15 +88,15 @@ TEST(Fasta, ToleratesCrlfAndBlankLines) {
 }
 
 TEST(Fasta, RejectsDataBeforeDefline) {
-  EXPECT_THROW(parse_fasta("MKV\n>a\nLAW\n"), util::ContractViolation);
+  EXPECT_THROW(parse_fasta("MKV\n>a\nLAW\n"), util::RuntimeError);
 }
 
 TEST(Fasta, RejectsEmptyRecord) {
-  EXPECT_THROW(parse_fasta(">a\n>b\nMKV\n"), util::ContractViolation);
+  EXPECT_THROW(parse_fasta(">a\n>b\nMKV\n"), util::RuntimeError);
 }
 
 TEST(Fasta, RejectsEmptyDefline) {
-  EXPECT_THROW(parse_fasta(">\nMKV\n"), util::ContractViolation);
+  EXPECT_THROW(parse_fasta(">\nMKV\n"), util::RuntimeError);
 }
 
 TEST(Fasta, WriteParseRoundTrip) {

@@ -1,27 +1,29 @@
 #!/usr/bin/env python3
-"""Fold bench `ROW {...}` lines into a JSON results file.
+"""Fold bench `ROW {...}` lines into a JSON results file, or check them
+against one.
 
-The scalability bench (bench/fig3a_scalability) emits one machine-readable
-line per (driver, world size):
+The benches emit one machine-readable line per measurement, e.g. bench/paper
+one per configuration it runs:
 
-    ROW {"bench":"fig3a","driver":"pioblast","procs":64,...}
+    ROW {"figures":"table1 fig3a","cluster":"altix","procs":32,...}
 
-This script collects those lines — from files given on the command line or
-from stdin — and writes them as one JSON document, so figure data survives
-as an artifact instead of scrollback:
+This script collects those lines, from files given on the command line or
+from stdin, and writes them as one JSON document, so the numbers survive as
+an artifact instead of scrollback:
 
-    bench/fig3a_scalability --ranks 64,512,4096 --exec-model events \
-        | tools/bench_to_json.py -o BENCH_scalability.json
+    build/bench/paper | tools/bench_to_json.py -o BENCH_paper.json
 
 Lines that are not ROW lines are ignored, so piping the bench's full
 stdout (banner, tables) through is fine.
 
-With --append, rows already present in the output file are kept and the
-new rows are added after them — the trajectory-file mode used by
-BENCH_pario.json, where each PR appends its measurement:
+With --check FILE, nothing is written: the collected rows are compared
+with FILE's, in order and exactly, field by field. Every differing row and
+field, and any missing or extra row, is listed and the exit status is 1.
+Virtual times are deterministic, so any difference is a behaviour change;
+a change that means it regenerates FILE in the same commit:
 
-    bench/fig4_nfs_cluster --drivers none \
-        | tools/bench_to_json.py --append -o BENCH_pario.json
+    build/bench/paper | tee paper.txt
+    tools/bench_to_json.py --check BENCH_paper.json paper.txt
 """
 
 import argparse
@@ -43,16 +45,38 @@ def collect_rows(stream):
     return rows
 
 
+def diff_rows(want, got):
+    """Lists how `got` differs from `want`, in order: each differing row
+    followed by its differing fields, then any missing or extra row.
+    Returns the lines and the number of rows that differ."""
+    lines, bad = [], 0
+    for i, (w, g) in enumerate(zip(want, got)):
+        fields = [f"  {key}: want {w.get(key)!r}, got {g.get(key)!r}"
+                  for key in sorted(set(w) | set(g))
+                  if w.get(key) != g.get(key)]
+        if fields:
+            bad += 1
+            lines += [f"row {i}: {json.dumps(w, sort_keys=True)}"] + fields
+    for i in range(len(got), len(want)):
+        bad += 1
+        lines.append(f"row {i}: missing {json.dumps(want[i], sort_keys=True)}")
+    for i in range(len(want), len(got)):
+        bad += 1
+        lines.append(f"row {i}: extra {json.dumps(got[i], sort_keys=True)}")
+    return lines, bad
+
+
 def main():
     ap = argparse.ArgumentParser(
-        description="collect bench ROW lines into a JSON results file")
+        description="collect bench ROW lines into a JSON results file, or "
+                    "check them against one")
     ap.add_argument("inputs", nargs="*",
                     help="bench output files (default: stdin)")
-    ap.add_argument("-o", "--output", default="BENCH_scalability.json",
-                    help="output path (default: %(default)s)")
-    ap.add_argument("--append", action="store_true",
-                    help="keep rows already present in the output file and "
-                         "add the new ones after them")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("-o", "--output", help="write the rows to this path")
+    mode.add_argument("--check", metavar="FILE",
+                      help="compare the rows with FILE's exactly; exit 1 "
+                           "on any difference")
     args = ap.parse_args()
 
     rows = []
@@ -67,13 +91,13 @@ def main():
         print("bench_to_json: no ROW lines found", file=sys.stderr)
         return 1
 
-    if args.append:
-        try:
-            with open(args.output, encoding="utf-8") as f:
-                prior = json.load(f).get("rows", [])
-        except FileNotFoundError:
-            prior = []
-        rows = prior + rows
+    if args.check:
+        with open(args.check, encoding="utf-8") as f:
+            want = json.load(f).get("rows", [])
+        lines, bad = diff_rows(want, rows)
+        print("\n".join(lines + [f"{args.check}: {len(want)} rows, "
+                                  f"{bad} differ"]))
+        return 1 if bad else 0
 
     doc = {"rows": rows}
     with open(args.output, "w", encoding="utf-8") as f:

@@ -28,6 +28,7 @@
 #include "mpicheck/schedule.h"
 #include "mpisim/trace.h"
 #include "pioblast/pioblast.h"
+#include "protospec/spec.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
 #include "util/args.h"
@@ -44,6 +45,14 @@ std::string read_file(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Parses FASTA `text` read from `path`, which must hold a record.
+std::vector<seqdb::FastaRecord> parse_records(const std::string& text,
+                                              const std::string& path) {
+  const auto records = seqdb::parse_fasta(text);
+  if (records.empty()) throw util::RuntimeError(path + ": no FASTA records");
+  return records;
 }
 
 void print_metrics(const char* name, const blast::DriverResult& r) {
@@ -170,7 +179,7 @@ struct Setup {
 };
 
 /// Reads every option value and input file. A bad value or an unreadable
-/// file throws util::RuntimeError naming the option.
+/// or malformed file throws util::RuntimeError naming the option.
 Setup configure(const util::ArgParser& args) {
   Setup s;
   s.driver = choice(args, "driver", {"pioblast", "mpiblast", "both"});
@@ -187,7 +196,9 @@ Setup configure(const util::ArgParser& args) {
                   : sim::ClusterConfig::ornl_altix();
 
   if (!args.get("db-fasta").empty()) {
-    s.db = seqdb::parse_fasta(parse_option(args, "db-fasta", read_file));
+    s.db = parse_option(args, "db-fasta", [](const std::string& path) {
+      return parse_records(read_file(path), path);
+    });
   } else {
     seqdb::GeneratorConfig gen;
     gen.type = type;
@@ -197,7 +208,12 @@ Setup configure(const util::ArgParser& args) {
     s.db = seqdb::generate_database(gen);
   }
   if (!args.get("queries-fasta").empty()) {
-    s.query_fasta = parse_option(args, "queries-fasta", read_file);
+    s.query_fasta = parse_option(args, "queries-fasta",
+                                 [](const std::string& path) {
+                                   const std::string text = read_file(path);
+                                   parse_records(text, path);
+                                   return text;
+                                 });
   } else {
     s.query_fasta = seqdb::write_fasta(seqdb::sample_queries(
         s.db, static_cast<std::uint64_t>(args.get_int("query-bytes")),
@@ -217,6 +233,12 @@ Setup configure(const util::ArgParser& args) {
 
   s.run.verify = choice(args, "verify", {"on", "off"}) == "on";
   s.run.conformance = args.get_flag("conformance");
+  if (s.run.conformance && s.nprocs > protospec::Env::kMaxRanks)
+    throw util::RuntimeError(
+        "--conformance: the protocol monitor checks at most "
+        "protospec::Env::kMaxRanks = " +
+        std::to_string(protospec::Env::kMaxRanks) + " ranks, got " +
+        std::to_string(s.nprocs));
   s.run.exec = parse_option(args, "exec-model", [](const std::string& v) {
     return mpisim::parse_exec_model(v);
   });
