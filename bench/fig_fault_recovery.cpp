@@ -10,9 +10,9 @@
 // queue. Every faulted run's report must stay byte-identical to the
 // failure-free baseline.
 //
-// Every run uses the event backend. On threads the greedy master serves
-// work requests in host arrival order, so the probe's crash point, and
-// every row's virtual time, would change from run to run.
+// Every run uses the default event backend, where the greedy master
+// serves work requests in a fixed order, so the probe's crash point and
+// every row's virtual time repeat from run to run.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -56,7 +56,6 @@ BenchRun run_mpi(const sim::ClusterConfig& cluster, int nprocs,
   opts.global_index = parts.global_index;
   opts.faults = faults;
   opts.tracer = tracer;
-  opts.exec = mpisim::ExecModel::kEvents;
   BenchRun run{mpiblast::run_mpiblast(cluster, nprocs, storage, opts), {}};
   run.output = storage.shared().read_all(job.output_path);
   return run;
@@ -80,7 +79,6 @@ BenchRun run_pio(const sim::ClusterConfig& cluster, int nprocs,
   opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
   opts.faults = faults;
   opts.tracer = tracer;
-  opts.exec = mpisim::ExecModel::kEvents;
   BenchRun run{pio::run_pioblast(cluster, nprocs, storage, opts), {}};
   run.output = storage.shared().read_all(job.output_path);
   return run;

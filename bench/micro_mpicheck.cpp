@@ -109,15 +109,17 @@ int main() {
   // ratio is relative to the plain threaded run.
   struct Harness {
     const char* name;
+    const char* exec_name;
     mpisim::ExecModel exec;
     bool coop;
     bool race;
   };
   const Harness harnesses[] = {
-      {"plain", mpisim::ExecModel::kThreads, false, false},
-      {"plain", mpisim::ExecModel::kEvents, false, false},
-      {"coop schedule", mpisim::ExecModel::kEvents, true, false},
-      {"coop + race detector", mpisim::ExecModel::kEvents, true, true},
+      {"plain", "threads", mpisim::ExecModel::kThreads, false, false},
+      {"plain", "events", mpisim::ExecModel::kEvents, false, false},
+      {"coop schedule", "events", mpisim::ExecModel::kEvents, true, false},
+      {"coop + race detector", "events", mpisim::ExecModel::kEvents, true,
+       true},
   };
   util::Table over({"Harness", "Exec", "Wall (s)", "vs plain threads"});
   constexpr int kRepeats = 100;
@@ -139,7 +141,7 @@ int main() {
     const double wall = seconds_since(t0);
     const bool is_baseline = &h == &harnesses[0];
     if (is_baseline) plain = wall;
-    over.add_row({h.name, mpisim::to_string(h.exec), util::fixed(wall, 2),
+    over.add_row({h.name, h.exec_name, util::fixed(wall, 2),
                   is_baseline ? "1.0x" : util::fixed(wall / plain, 1) + "x"});
   }
   over.print(std::cout);

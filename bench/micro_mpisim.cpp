@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "mpisim/exec.h"
 #include "mpisim/runtime.h"
 #include "util/args.h"
 #include "util/table.h"
@@ -64,7 +63,6 @@ Cell run_job(int n, bool verify) {
   constexpr int kTag = 1;
   std::array<Clock::time_point, kSections + 1> t{};
   mpisim::RunOptions opts;
-  opts.exec_model = mpisim::ExecModel::kEvents;
   opts.verify.enabled = verify;
   mpisim::run(
       n, bench::altix(),
@@ -147,11 +145,6 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) {
     std::cerr << args.error();
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
-  }
-  if (!mpisim::events_supported()) {
-    std::cerr << "micro_mpisim: the event backend is unavailable in this "
-                 "build\n";
-    return 2;
   }
   const auto ranks = bench::parse_ranks(args.get("ranks"));
 

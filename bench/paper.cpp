@@ -180,8 +180,6 @@ SweepResult run_sweep(const sim::ClusterConfig& cluster, int nranks,
   fs.write_all("db", file);
 
   std::vector<pario::ListIoStats> per_rank(static_cast<std::size_t>(nranks));
-  mpisim::RunOptions opts;
-  opts.exec_model = mpisim::ExecModel::kEvents;
   const auto report = mpisim::run(nranks, cluster, [&](mpisim::Process& p) {
     std::vector<pario::Region> band;
     for (std::uint64_t b = 0; b < kBlocks; ++b)
@@ -208,7 +206,7 @@ SweepResult run_sweep(const sim::ClusterConfig& cluster, int nranks,
       for (std::uint64_t b = 0; b < r.length; ++b)
         PIOBLAST_CHECK_MSG(got[at++] == fill(r.offset + b),
                            "sweep read returned wrong bytes");
-  }, opts);
+  });
 
   SweepResult out;
   out.io_s = report.makespan();

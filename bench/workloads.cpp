@@ -198,7 +198,6 @@ blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
   opts.fragment_bases = parts.fragment_bases;
   opts.fragment_ranges = parts.ranges;
   opts.global_index = parts.global_index;
-  opts.exec = mpisim::ExecModel::kEvents;
   return mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
 }
 
@@ -213,7 +212,6 @@ blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
   seqdb::format_db(storage.shared(), db, job.db_base, job.params.type,
                    job.db_title);
   opts.job = job;
-  opts.exec = mpisim::ExecModel::kEvents;
   return pio::run_pioblast(cluster, nprocs, storage, opts);
 }
 

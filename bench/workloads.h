@@ -60,8 +60,9 @@ std::string make_query_set(const std::vector<seqdb::FastaRecord>& db,
 
 /// Runs mpiBLAST end to end on a fresh ClusterStorage: stages queries,
 /// mpiformatdb's the database into `nfragments`, runs, returns the result.
-/// Runs on the event backend, where the greedy master serves requests in
-/// virtual-time order, so the virtual seconds repeat bit-for-bit.
+/// Runs on the default event backend, where the greedy master serves
+/// requests in virtual-time order, so the virtual seconds repeat
+/// bit-for-bit.
 blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
                                      int nprocs,
                                      const std::vector<seqdb::FastaRecord>& db,

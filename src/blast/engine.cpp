@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "util/error.h"
 
 namespace pioblast::blast {
 
@@ -23,6 +26,10 @@ QueryContext::QueryContext(std::uint32_t query_id,
       flat_(residues_, matrix, params),
       self_(residues_, matrix),
       adjust_(length_adjustment(matrix.gapped(), residues_.size(), db)) {
+  PIOBLAST_CHECK_MSG(
+      std::isfinite(params.evalue_cutoff) && params.evalue_cutoff > 0,
+      "E-value cutoff must be finite and positive, got "
+          << params.evalue_cutoff);
   // Smallest raw score that can still reach the E-value cutoff:
   //   E = K m' n' exp(-lambda S) <= E0  =>  S >= ln(K m' n' / E0) / lambda.
   const KarlinParams& kp = matrix.gapped();
@@ -34,8 +41,12 @@ QueryContext::QueryContext(std::uint32_t query_id,
           : 1,
       1));
   const double s = std::log(kp.K * m_eff * n_eff / params.evalue_cutoff) / kp.lambda;
-  cutoff_score_ = std::max(params.cutoff_score_min,
-                           static_cast<int>(std::ceil(std::max(s, 1.0))));
+  // A cutoff below ~1e-300 overflows the ratio to +inf: clamp it into
+  // int range before the cast.
+  const double max_score = std::numeric_limits<int>::max();
+  cutoff_score_ = std::max(
+      params.cutoff_score_min,
+      static_cast<int>(std::ceil(std::clamp(s, 1.0, max_score))));
 }
 
 }  // namespace pioblast::blast

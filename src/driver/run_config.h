@@ -42,10 +42,11 @@ struct RunConfig {
   /// detector. Set by the CLI's --check/--schedule modes and by tests.
   mpisim::ScheduleHook* schedule = nullptr;
   mpisim::RaceHook* race = nullptr;
-  /// Rank execution backend (mpisim/exec.h): threads (default) or fibers
-  /// on one event loop. The CLI's --exec-model. A run with `schedule` set
-  /// runs on the event loop whatever this says.
-  mpisim::ExecModel exec = mpisim::ExecModel::kThreads;
+  /// Rank execution backend (mpisim/exec.h): fibers on one event loop
+  /// (default) or, named only by the callers exec.h lists, one thread per
+  /// rank. A run with `schedule` set runs on the event loop whatever this
+  /// says.
+  mpisim::ExecModel exec = mpisim::ExecModel::kEvents;
 };
 
 }  // namespace pioblast::driver

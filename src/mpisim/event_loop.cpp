@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "mpisim/exec.h"
 #include "mpisim/fiber.h"
 #include "util/error.h"
 
@@ -11,11 +12,6 @@ namespace pioblast::mpisim {
 EventLoop::EventLoop(int nranks, Options opts)
     : nranks_(nranks), opts_(std::move(opts)) {
   PIOBLAST_CHECK(nranks >= 1);
-  PIOBLAST_CHECK_MSG(events_supported(),
-                     "mpisim: the event loop needs stackful fibers "
-                     "(<ucontext.h>), which this build does not have — "
-                     "checked runs (RunOptions::schedule) always need them; "
-                     "an unchecked run can use ExecModel::kThreads");
   states_.assign(static_cast<std::size_t>(nranks_), State::kRunnable);
   ops_.resize(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
@@ -33,8 +29,8 @@ void EventLoop::run(const std::function<void(int)>& body) {
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
-    fibers_.push_back(std::make_unique<Fiber>(
-        opts_.stack_bytes, [&body, r] { body(r); }));
+    fibers_.push_back(std::make_unique<Fiber>(kDefaultFiberStackBytes,
+                                              [&body, r] { body(r); }));
   }
   const bool checked = opts_.schedule != nullptr;
   while (done_ < nranks_) {

@@ -23,14 +23,13 @@
 //     byte-for-byte. Every checked run (RunOptions::schedule) runs here.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "mpisim/exec.h"
 #include "mpisim/hooks.h"
 
 namespace pioblast::mpisim {
@@ -40,9 +39,6 @@ class Fiber;
 class EventLoop {
  public:
   struct Options {
-    /// Per-rank fiber stack reservation (address space; pages commit
-    /// lazily via MAP_NORESERVE).
-    std::size_t stack_bytes = kDefaultFiberStackBytes;
     /// Decision chooser of a checked run (borrowed; e.g. a CoopScheduler).
     /// Null selects the fast run-to-block mode.
     ScheduleHook* schedule = nullptr;
@@ -57,8 +53,7 @@ class EventLoop {
     std::function<void(const std::string&)> on_stuck;
   };
 
-  /// Every rank starts runnable at its kBegin point. Fails on a build
-  /// without stackful fibers.
+  /// Every rank starts runnable at its kBegin point.
   EventLoop(int nranks, Options opts);
   ~EventLoop();
 

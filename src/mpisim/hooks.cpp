@@ -1,6 +1,6 @@
 #include "mpisim/hooks.h"
 
-#include <vector>
+#include <span>
 
 namespace pioblast::mpisim {
 
@@ -39,7 +39,6 @@ namespace {
 struct ThreadCheckContext {
   RaceHook* race = nullptr;
   int rank = -1;
-  std::vector<const void*> held_locks;
 };
 
 thread_local ThreadCheckContext t_check;
@@ -49,26 +48,18 @@ thread_local ThreadCheckContext t_check;
 void set_thread_check_context(RaceHook* race, int rank) {
   t_check.race = race;
   t_check.rank = rank;
-  t_check.held_locks.clear();
 }
 
 void clear_thread_check_context() {
   t_check.race = nullptr;
   t_check.rank = -1;
-  t_check.held_locks.clear();
 }
 
 void annotate_access(const void* obj, std::string_view what, bool write,
-                     std::initializer_list<const void*> extra_locks) {
+                     std::initializer_list<const void*> locks) {
   if (t_check.race == nullptr || t_check.rank < 0) return;
-  if (extra_locks.size() == 0) {
-    t_check.race->on_access(t_check.rank, obj, what, write,
-                            t_check.held_locks);
-    return;
-  }
-  std::vector<const void*> locks = t_check.held_locks;
-  locks.insert(locks.end(), extra_locks.begin(), extra_locks.end());
-  t_check.race->on_access(t_check.rank, obj, what, write, locks);
+  t_check.race->on_access(t_check.rank, obj, what, write,
+                          std::span(locks.begin(), locks.size()));
 }
 
 }  // namespace pioblast::mpisim

@@ -102,9 +102,9 @@ void set_thread_check_context(RaceHook* race, int rank);
 void clear_thread_check_context();
 
 /// Reports an access to `obj` on behalf of the calling rank thread.
-/// `extra_locks` augments the thread's held-lock set (for code that
-/// annotates just outside its critical section).
+/// `locks` names the locks that protect it (for code that annotates just
+/// outside its critical section).
 void annotate_access(const void* obj, std::string_view what, bool write,
-                     std::initializer_list<const void*> extra_locks = {});
+                     std::initializer_list<const void*> locks = {});
 
 }  // namespace pioblast::mpisim

@@ -31,10 +31,6 @@ void Process::maybe_crash() {
   }
 }
 
-void Process::annotate_read(const void* obj, std::string_view what) {
-  if (RaceHook* r = world_.race()) r->on_access(rank_, obj, what, false, {});
-}
-
 void Process::annotate_write(const void* obj, std::string_view what) {
   if (RaceHook* r = world_.race()) r->on_access(rank_, obj, what, true, {});
 }
@@ -52,8 +48,6 @@ void Process::compute(sim::Time seconds) {
 }
 
 void Process::io_wait(sim::Time seconds) { clock_.advance(seconds); }
-
-void Process::sync_to(sim::Time t) { clock_.advance_to(t); }
 
 void Process::set_phase(const std::string& name) {
   accrue_phase();

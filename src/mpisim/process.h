@@ -61,9 +61,6 @@ class Process {
   /// node's CPU speed.
   void io_wait(sim::Time seconds);
 
-  /// Jumps the clock forward to `t` (never backwards).
-  void sync_to(sim::Time t);
-
   // ---- phases -----------------------------------------------------------
 
   /// Attributes subsequent virtual time to phase `name` until the next call.
@@ -162,14 +159,12 @@ class Process {
   /// as the only legitimate tags at or above kDriverTagLimit.
   static std::span<const int> internal_tags();
 
-  // ---- race-detector annotations ------------------------------------------
-  //
-  // Reports an access to driver- or test-level shared state to the
-  // attached race detector (no-op when none is installed). `obj` is the
-  // identity of the shared state; `what` labels the access site in
-  // reports.
+  // ---- race-detector annotation -------------------------------------------
 
-  void annotate_read(const void* obj, std::string_view what);
+  /// Reports a write to driver- or test-level shared state to the
+  /// attached race detector (no-op when none is installed). `obj` is the
+  /// identity of the shared state; `what` labels the access site in
+  /// reports.
   void annotate_write(const void* obj, std::string_view what);
 
  private:

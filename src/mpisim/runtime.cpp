@@ -107,9 +107,9 @@ void run_threads(int nranks, JobState& job) {
         "-rank world (" + e.what() +
         "): the thread-per-rank backend needs one OS thread per rank and "
         "likely hit a process/system thread limit (see `ulimit -u`, "
-        "/proc/sys/kernel/threads-max, or cgroup pids.max) — rerun with "
-        "exec_model=events (--exec-model events), which multiplexes every "
-        "rank onto one thread");
+        "/proc/sys/kernel/threads-max, or cgroup pids.max) — rerun on the "
+        "default exec_model, events, which multiplexes every rank onto one "
+        "thread");
   }
   gate.set_value(true);
   for (auto& t : threads) t.join();
@@ -121,7 +121,6 @@ void run_threads(int nranks, JobState& job) {
 void run_events(int nranks, JobState& job, const RunOptions& opts) {
   World& world = job.world;
   EventLoop::Options lo;
-  lo.stack_bytes = opts.fiber_stack_bytes;
   lo.schedule = opts.schedule;
   lo.race = opts.race;
   // The stuck handler covers the verifier-off case: when the loop finds no
@@ -161,10 +160,10 @@ RunReport run(int nranks, const sim::ClusterConfig& cluster,
 
   // A checked run needs one rank at a time, which the event loop gives
   // natively: it runs there whatever exec_model says.
-  if (opts.exec_model == ExecModel::kEvents || opts.schedule != nullptr) {
-    run_events(nranks, job, opts);
-  } else {
+  if (opts.exec_model == ExecModel::kThreads && opts.schedule == nullptr) {
     run_threads(nranks, job);
+  } else {
+    run_events(nranks, job, opts);
   }
 
   if (job.first_error) std::rethrow_exception(job.first_error);

@@ -7,14 +7,14 @@
 // poisoned (all blocked receives unwind) and the first exception is
 // rethrown to the caller.
 //
-// Ranks execute under one of two backends (RunOptions::exec_model): one OS
-// thread per rank, or stackful fibers multiplexed on one scheduler thread
-// (see exec.h and event_loop.h). Both produce identical driver output; the
-// event backend is what makes multi-thousand-rank worlds practical. A
-// checked run (RunOptions::schedule set) always runs on the event backend.
+// Ranks execute as stackful fibers multiplexed on the calling thread (see
+// exec.h and event_loop.h), which makes a run deterministic and
+// multi-thousand-rank worlds practical. RunOptions::exec_model can name
+// the thread-per-rank backend instead; both produce identical driver
+// output. A checked run (RunOptions::schedule set) always runs on the
+// event backend.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -48,14 +48,11 @@ struct RunOptions {
   ScheduleHook* schedule = nullptr;
   /// Happens-before race detector (not owned; must outlive the run).
   RaceHook* race = nullptr;
-  /// Rank execution backend of an unchecked run. kThreads spawns one OS
-  /// thread per rank; kEvents multiplexes every rank as a stackful fiber
-  /// on the calling thread (required in practice beyond a few hundred
-  /// ranks). Ignored when `schedule` is set: checked runs use kEvents.
-  ExecModel exec_model = ExecModel::kThreads;
-  /// Per-rank fiber stack reservation on the event backend (lazily
-  /// committed).
-  std::size_t fiber_stack_bytes = kDefaultFiberStackBytes;
+  /// Rank execution backend of an unchecked run. kEvents multiplexes
+  /// every rank as a stackful fiber on the calling thread; kThreads spawns
+  /// one OS thread per rank and is reached only by naming it (exec.h).
+  /// Ignored when `schedule` is set: checked runs use kEvents.
+  ExecModel exec_model = ExecModel::kEvents;
 };
 
 /// Per-rank results collected after the rank function returns.

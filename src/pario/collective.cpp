@@ -109,7 +109,9 @@ std::uint64_t rounds_of(const std::vector<std::uint64_t>& bounds, std::size_t d,
                         std::uint64_t buffer_size) {
   const std::uint64_t span = bounds[d + 1] - bounds[d];
   if (buffer_size == 0 || span == 0) return 1;
-  return (span + buffer_size - 1) / buffer_size;
+  // Rounds up without the overflow of span + buffer_size - 1, which a
+  // buffer size near 2^64 would wrap to 0 rounds.
+  return (span - 1) / buffer_size + 1;
 }
 
 /// Splits [off, off+len) at domain and round boundaries, invoking

@@ -1,7 +1,9 @@
 #include "pario/env.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -15,26 +17,28 @@ namespace {
 }
 
 /// Parses a byte size with optional binary k/m/g suffix ("256k", "1m").
+/// A sign, or a size that does not fit in 64 bits, is rejected.
 std::uint64_t parse_size(const std::string& spec, const std::string& value) {
   if (value.empty()) bad_hint(spec, "empty size value");
-  std::size_t pos = 0;
-  unsigned long long n = 0;
-  try {
-    n = std::stoull(value, &pos);
-  } catch (const std::exception&) {
+  const char* const end = value.data() + value.size();
+  std::uint64_t n = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec == std::errc::result_out_of_range)
+    bad_hint(spec, "size \"" + value + "\" does not fit in 64 bits");
+  if (ec != std::errc{} || end - ptr > 1)
     bad_hint(spec, "malformed size \"" + value + "\"");
-  }
-  std::uint64_t mult = 1;
-  if (pos < value.size()) {
-    if (pos + 1 != value.size()) bad_hint(spec, "malformed size \"" + value + "\"");
-    switch (std::tolower(static_cast<unsigned char>(value[pos]))) {
-      case 'k': mult = 1ull << 10; break;
-      case 'm': mult = 1ull << 20; break;
-      case 'g': mult = 1ull << 30; break;
+  int shift = 0;
+  if (ptr != end) {
+    switch (std::tolower(static_cast<unsigned char>(*ptr))) {
+      case 'k': shift = 10; break;
+      case 'm': shift = 20; break;
+      case 'g': shift = 30; break;
       default: bad_hint(spec, "unknown size suffix in \"" + value + "\"");
     }
   }
-  return static_cast<std::uint64_t>(n) * mult;
+  if (n > std::numeric_limits<std::uint64_t>::max() >> shift)
+    bad_hint(spec, "size \"" + value + "\" does not fit in 64 bits");
+  return n << shift;
 }
 
 int parse_int(const std::string& spec, const std::string& value) {

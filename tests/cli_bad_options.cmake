@@ -1,7 +1,9 @@
 # Runs pioblast_cli on malformed or unknown option values (--check keys
 # and --schedule traces among them), an invalid fault plan, too few
 # processes, unreadable and malformed FASTA files, a --conformance run
-# wider than the protocol monitor's bound and the removed --kernel option.
+# wider than the protocol monitor's bound, out-of-range sizes and counts,
+# more fragments than database sequences and the removed --kernel and
+# --exec-model options.
 # Every case must exit 2 with the option's name on stderr and nothing on
 # stdout: it is rejected before any driver runs, instead of aborting or
 # running with a half-parsed value.
@@ -21,7 +23,7 @@ set(cases
   "--db-fasta=${DATA}/fasta_no_records.fa|--db-fasta: ${DATA}/fasta_no_records.fa: no FASTA records"
   "--conformance|--procs=40|--conformance: the protocol monitor checks at most protospec::Env::kMaxRanks"
   "--fault=rank=x|--fault"
-  "--exec-model=fibers|--exec-model"
+  "--exec-model=events|unknown option --exec-model"
   "--scheduler=bogus|--scheduler"
   "--queries-fasta=${MISSING}|--queries-fasta"
   "--procs=abc|--procs"
@@ -38,6 +40,20 @@ set(cases
   "--schedule=1,,2|--schedule"
   "--schedule=-1|--schedule"
   "--pario-hints=bogus|--pario-hints"
+  "--pario-hints=cb_buffer_size=-1|--pario-hints"
+  "--pario-hints=ds_buffer_size=-1|--pario-hints"
+  "--pario-hints=cb_buffer_size=17179869184g|--pario-hints"
+  "--fragments=100000|--fragments"
+  "--fragments=-1|--fragments"
+  "--db-residues=100|--procs: 3 fragments need as many database sequences"
+  "--db-fasta=${DATA}/fasta_two_records.fa|--procs: 3 fragments need as many database sequences"
+  "--db-residues=0|--db-residues"
+  "--query-bytes=0|--query-bytes"
+  "--evalue=0|--evalue"
+  "--evalue=-1|--evalue"
+  "--evalue=nan|--evalue"
+  "--evalue=inf|--evalue"
+  "--hitlist=-5|--hitlist"
   "--kernel=fast|unknown option --kernel"
   "--driver=bogus|--driver"
   "--type=protien|--type"

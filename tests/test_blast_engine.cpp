@@ -3,12 +3,14 @@
 // property — search results are invariant to database partitioning.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "blast/engine.h"
 #include "pario/vfs.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
+#include "util/error.h"
 
 namespace pioblast::blast {
 namespace {
@@ -58,6 +60,32 @@ TEST(QueryContext, CutoffScoreReflectsEvalue) {
   loose.evalue_cutoff = 1e6;
   QueryContext loose_ctx(0, q, loose, m, db);
   EXPECT_GT(strict_ctx.cutoff_score(), loose_ctx.cutoff_score());
+}
+
+TEST(QueryContext, RejectsNonPositiveOrNonFiniteEvalue) {
+  const auto m = ScoringMatrix::blosum62();
+  const GlobalDbStats db{4'000'000, 12'000};
+  const auto q = seqdb::encode_sequence(SeqType::kProtein,
+                                        std::string(300, 'A'));
+  for (const double e : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    auto params = SearchParams::blastp_defaults();
+    params.evalue_cutoff = e;
+    EXPECT_THROW(QueryContext(0, q, params, m, db), util::ContractViolation)
+        << e;
+  }
+}
+
+TEST(QueryContext, TinyEvalueClampsCutoffScore) {
+  // K m' n' / 1e-310 overflows to +inf; the cutoff clamps to int range.
+  const auto m = ScoringMatrix::blosum62();
+  const GlobalDbStats db{4'000'000, 12'000};
+  const auto q = seqdb::encode_sequence(SeqType::kProtein,
+                                        std::string(300, 'A'));
+  auto params = SearchParams::blastp_defaults();
+  params.evalue_cutoff = 1e-310;
+  EXPECT_EQ(QueryContext(0, q, params, m, db).cutoff_score(),
+            std::numeric_limits<int>::max());
 }
 
 TEST(Engine, QueryFindsItselfWithMaximalScore) {

@@ -1,12 +1,12 @@
 // Event-backend tests (ctest label: events).
 //
 // The contract under test: ExecModel::kEvents (stackful fibers on one
-// scheduler thread, mpisim/event_loop.h) is observationally identical to
-// the thread-per-rank backend. That means byte-identical virtual clocks,
-// message counters, and driver output files, and the protocol verifier,
-// fault injection, and the stuck handler behaving the same. A checked run
-// (a ScheduleHook installed) runs on the event loop whatever its exec
-// model says.
+// scheduler thread, mpisim/event_loop.h) is the default backend, and it is
+// observationally identical to the thread-per-rank one. That means
+// byte-identical virtual clocks, message counters, and driver output
+// files, and the protocol verifier, fault injection, and the stuck handler
+// behaving the same. A checked run (a ScheduleHook installed) runs on the
+// event loop whatever its exec model says.
 //
 // Also here: correctness of the binomial-tree collectives (barrier, bcast,
 // allreduce_max) at non-power-of-two world sizes, on both backends.
@@ -30,7 +30,6 @@
 #include "pioblast/pioblast.h"
 #include "seqdb/formatdb.h"
 #include "seqdb/generator.h"
-#include "util/error.h"
 
 namespace pioblast {
 namespace {
@@ -39,21 +38,6 @@ sim::ClusterConfig altix() { return sim::ClusterConfig::ornl_altix(); }
 
 constexpr auto kThreads = mpisim::ExecModel::kThreads;
 constexpr auto kEvents = mpisim::ExecModel::kEvents;
-
-#define REQUIRE_EVENTS()                                       \
-  if (!mpisim::events_supported())                             \
-  GTEST_SKIP() << "stackful fibers unavailable on this platform"
-
-// ---------- ExecModel plumbing ---------------------------------------------
-
-TEST(ExecModel, ParseAndFormatRoundTrip) {
-  EXPECT_EQ(mpisim::parse_exec_model("threads"), kThreads);
-  EXPECT_EQ(mpisim::parse_exec_model("events"), kEvents);
-  EXPECT_STREQ(mpisim::to_string(kThreads), "threads");
-  EXPECT_STREQ(mpisim::to_string(kEvents), "events");
-  EXPECT_THROW(mpisim::parse_exec_model("fibers"), util::RuntimeError);
-  EXPECT_THROW(mpisim::parse_exec_model(""), util::RuntimeError);
-}
 
 // ---------- cross-backend equivalence --------------------------------------
 
@@ -94,7 +78,6 @@ mpisim::RunReport run_mixed(int nranks, mpisim::ExecModel exec) {
 }
 
 TEST(EventBackend, ClocksAndCountersMatchThreadsExactly) {
-  REQUIRE_EVENTS();
   // Non-power-of-two and power-of-two worlds: the binomial trees take
   // different shapes, the equivalence must hold for both.
   for (int nranks : {2, 3, 5, 7, 8, 13}) {
@@ -115,7 +98,6 @@ TEST(EventBackend, ClocksAndCountersMatchThreadsExactly) {
 }
 
 TEST(EventBackend, PioBlastOutputBytesMatchThreads) {
-  REQUIRE_EVENTS();
   seqdb::GeneratorConfig gen;
   gen.target_residues = 60u << 10;
   gen.seed = 11;
@@ -148,7 +130,6 @@ TEST(EventBackend, PioBlastOutputBytesMatchThreads) {
 
 TEST(TreeCollectives, CorrectAtAwkwardWorldSizes) {
   for (const auto exec : {kThreads, kEvents}) {
-    if (exec == kEvents && !mpisim::events_supported()) continue;
     for (int nranks : {2, 3, 5, 6, 7, 9, 12, 17}) {
       const int root = nranks - 1;  // non-zero root exercises renumbering
       std::vector<std::vector<std::uint8_t>> bcast_got(
@@ -204,26 +185,22 @@ TEST(TreeCollectives, BarrierSynchronizesSkewedClocks) {
 }
 
 // ---------- verifier, faults, and the stuck path on events -----------------
+//
+// Default RunOptions: these run on the event loop.
 
 void deadlock_job(mpisim::Process& p) {
   if (p.rank() == 1) p.recv(0, 5);  // nobody ever sends
 }
 
 TEST(EventBackend, VerifierReportsDeadlock) {
-  REQUIRE_EVENTS();
-  mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
-  EXPECT_THROW(mpisim::run(2, altix(), deadlock_job, opts),
-               mpisim::VerifyError);
+  EXPECT_THROW(mpisim::run(2, altix(), deadlock_job), mpisim::VerifyError);
 }
 
 TEST(EventBackend, StuckHandlerUnwindsWedgeWithVerifierOff) {
-  REQUIRE_EVENTS();
   // With the verifier off a wedged job has nobody to call deadlock; the
   // event loop's stuck handler must poison the blocked receives so the
   // job unwinds with a report instead of spinning forever.
   mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
   opts.verify.enabled = false;
   try {
     mpisim::run(2, altix(), deadlock_job, opts);
@@ -238,9 +215,7 @@ TEST(EventBackend, StuckHandlerUnwindsWedgeWithVerifierOff) {
 }
 
 TEST(EventBackend, CrashFaultRetiresRankAndSurvivorsFinish) {
-  REQUIRE_EVENTS();
   mpisim::RunOptions opts;
-  opts.exec_model = kEvents;
   opts.faults.at(2).crash_at = 1;  // dies at its gather send
   std::vector<std::vector<std::uint8_t>> gathered;
   const auto report = mpisim::run(
@@ -261,7 +236,6 @@ TEST(EventBackend, CrashFaultRetiresRankAndSurvivorsFinish) {
 }
 
 TEST(EventBackend, FaultRunClocksMatchThreads) {
-  REQUIRE_EVENTS();
   auto run_one = [&](mpisim::ExecModel exec) {
     mpisim::RunOptions opts;
     opts.exec_model = exec;
@@ -286,7 +260,7 @@ TEST(EventBackend, FaultRunClocksMatchThreads) {
   }
 }
 
-// ---------- checked runs always run on the event loop ----------------------
+// ---------- default and checked runs run on the event loop -----------------
 
 /// Two workers race their messages to an any-source master; every
 /// interleaving is legal.
@@ -301,8 +275,24 @@ void fan_in_job(mpisim::Process& p) {
   p.barrier();
 }
 
+TEST(DefaultRun, RunsEveryRankOnTheCallingThread) {
+  // Default RunOptions pick the event loop, so no rank gets an OS thread
+  // of its own and wildcard receives match in a fixed order.
+  std::vector<std::thread::id> ids(3);
+  mpisim::run(
+      3, altix(),
+      [&ids](mpisim::Process& p) {
+        ids[static_cast<std::size_t>(p.rank())] = std::this_thread::get_id();
+        fan_in_job(p);
+      },
+      mpisim::RunOptions{});
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(ids[static_cast<std::size_t>(r)], std::this_thread::get_id())
+        << "rank " << r;
+  }
+}
+
 TEST(CheckedRun, RunsEveryRankOnTheCallingThreadUnderThreadsExecModel) {
-  REQUIRE_EVENTS();
   // A schedule hook sends the job to the event loop whatever exec_model
   // says, so no rank gets an OS thread of its own.
   mpicheck::CoopScheduler coop;

@@ -326,12 +326,10 @@ struct ServeWorkRun {
 void run_serve_work(ServeWorkRun& out, int nranks, std::uint32_t ntasks,
                     const mpisim::FaultPlan& faults,
                     driver::SchedulerKind kind =
-                        driver::SchedulerKind::kGreedyDynamic,
-                    mpisim::ExecModel exec = mpisim::ExecModel::kThreads) {
+                        driver::SchedulerKind::kGreedyDynamic) {
   out.served.resize(static_cast<std::size_t>(nranks));
   mpisim::RunOptions opts;
   opts.faults = faults;
-  opts.exec_model = exec;
   out.report = mpisim::run(
       nranks, altix(),
       [&](mpisim::Process& p) {
@@ -377,14 +375,12 @@ TEST(ServeWork, CompletesWhenWorkerCrashesBeforeFirstRequest) {
 TEST(ServeWork, ReassignsTasksOfWorkerLostWithWorkInFlight) {
   mpisim::FaultPlan faults;
   // Comm events: send req (1), recv assignment (2), send req (3) — the
-  // victim dies holding one completed-but-unreported task. On the threads
-  // backend the other workers may drain all six tasks before the victim's
-  // first request is served, so it never reaches event 3: the event backend
-  // serves the requests in a fixed order.
+  // victim dies holding one completed-but-unreported task. The event
+  // backend serves the requests in a fixed order, so the victim reaches
+  // event 3 before the other workers drain all six tasks.
   faults.at(2).crash_at = 3;
   ServeWorkRun r;
-  run_serve_work(r, 4, 6, faults, driver::SchedulerKind::kGreedyDynamic,
-                 mpisim::ExecModel::kEvents);
+  run_serve_work(r, 4, 6, faults);
   EXPECT_TRUE(r.report.ranks[2].crashed);
   // Every task reaches a survivor, including the victim's requeued one.
   EXPECT_EQ(survivor_tasks(r), (std::set<std::uint32_t>{0, 1, 2, 3, 4, 5}));
@@ -713,8 +709,7 @@ blast::DriverResult run_mpi(pario::ClusterStorage& storage, int nprocs,
                             int nfragments, const mpisim::FaultPlan& faults,
                             mpisim::Tracer* tracer = nullptr,
                             driver::SchedulerKind sched =
-                                driver::SchedulerKind::kGreedyDynamic,
-                            mpisim::ExecModel exec = mpisim::ExecModel::kThreads) {
+                                driver::SchedulerKind::kGreedyDynamic) {
   const auto parts =
       seqdb::mpiformatdb(storage.shared(), tiny().db, "db",
                          seqdb::SeqType::kProtein, "tiny", nfragments);
@@ -725,7 +720,6 @@ blast::DriverResult run_mpi(pario::ClusterStorage& storage, int nprocs,
   opts.fragment_ranges = parts.ranges;
   opts.global_index = parts.global_index;
   opts.scheduler = sched;
-  opts.exec = exec;
   opts.faults = faults;
   opts.tracer = tracer;
   return mpiblast::run_mpiblast(altix(), nprocs, storage, opts);
@@ -770,8 +764,6 @@ std::uint64_t first_output_phase_event(const mpisim::Tracer& tracer,
 
 TEST(FaultMatrix, MpiBlastSurvivesCrashWithIdenticalOutput) {
   const int nprocs = 4, nfragments = 6, victim = 2;
-  const auto greedy = driver::SchedulerKind::kGreedyDynamic;
-  const auto events = mpisim::ExecModel::kEvents;
   pario::ClusterStorage clean(altix(), nprocs);
   stage_queries(clean);
   run_mpi(clean, nprocs, nfragments, {});
@@ -785,7 +777,7 @@ TEST(FaultMatrix, MpiBlastSurvivesCrashWithIdenticalOutput) {
   mpisim::Tracer probe;
   pario::ClusterStorage probe_storage(altix(), nprocs);
   stage_queries(probe_storage);
-  run_mpi(probe_storage, nprocs, nfragments, armed, &probe, greedy, events);
+  run_mpi(probe_storage, nprocs, nfragments, armed, &probe);
   EXPECT_EQ(probe_storage.shared().read_all("out.mpi.txt"), baseline);
   const std::uint64_t crash_at = nth_work_request_event(probe, victim, 2);
   ASSERT_GT(crash_at, 0u);
@@ -794,8 +786,7 @@ TEST(FaultMatrix, MpiBlastSurvivesCrashWithIdenticalOutput) {
   faults.at(victim).crash_at = crash_at;
   pario::ClusterStorage storage(altix(), nprocs);
   stage_queries(storage);
-  const auto result =
-      run_mpi(storage, nprocs, nfragments, faults, nullptr, greedy, events);
+  const auto result = run_mpi(storage, nprocs, nfragments, faults);
   EXPECT_EQ(storage.shared().read_all("out.mpi.txt"), baseline);
   EXPECT_EQ(result.metrics.at("ranks_lost"), 1u);
   EXPECT_GE(result.metrics.at("tasks_reassigned"), 1u);
@@ -809,7 +800,6 @@ TEST(FaultMatrix, PioBlastDynamicSurvivesCrashWithIdenticalOutput) {
   pio::PioBlastOptions dyn;
   dyn.scheduler = driver::SchedulerKind::kGreedyDynamic;
   dyn.job.nfragments = 6;
-  dyn.exec = mpisim::ExecModel::kEvents;  // see nth_work_request_event
 
   pario::ClusterStorage clean(altix(), nprocs);
   stage_queries(clean);
@@ -848,7 +838,6 @@ TEST(FaultMatrix, BufferedRoundsAndSievingPreserveOutputAcrossCrash) {
   pio::PioBlastOptions v2;
   v2.scheduler = driver::SchedulerKind::kGreedyDynamic;
   v2.hints.cb_buffer_size = 512;  // force several exchange rounds
-  v2.exec = mpisim::ExecModel::kEvents;  // see nth_work_request_event
   pio::PioBlastOptions naive = v2;
   naive.hints.list_io = false;
   naive.hints.ds_read = pario::SieveMode::kDisable;

@@ -1048,10 +1048,6 @@ std::vector<std::uint8_t> run_pio(const DriverWorkload& w, int nprocs,
   if (dynamic) {
     opts.scheduler = driver::SchedulerKind::kGreedyDynamic;
     opts.job.nfragments = kDynamicFragments;
-    // The greedy master serves requests in host arrival order on the
-    // threads backend; a crash point read off one run must replay in
-    // another, so dynamic runs use the deterministic event backend.
-    opts.exec = mpisim::ExecModel::kEvents;
   }
   pio::run_pioblast(cluster, nprocs, storage, opts);
   return storage.shared().read_all("out.pio.txt");

@@ -1,9 +1,15 @@
 // Stress and edge-case tests for the message-passing runtime: many ranks,
 // randomized traffic patterns, tag isolation, repeated collectives, and
 // mailbox behaviour under concurrency.
+//
+// Every job here runs on the thread-per-rank backend: this file's subject
+// is cross-thread mailbox concurrency, which the default event loop never
+// exercises. Under TSan it checks the Mailbox and verifier locks that
+// backend still relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -15,8 +21,16 @@ namespace {
 
 sim::ClusterConfig cluster() { return sim::ClusterConfig::ornl_altix(); }
 
+/// Runs `rank_fn` on `nranks` ranks, one OS thread each.
+RunReport run_threads(int nranks,
+                      const std::function<void(Process&)>& rank_fn) {
+  RunOptions opts;
+  opts.exec_model = ExecModel::kThreads;
+  return run(nranks, cluster(), rank_fn, opts);
+}
+
 TEST(Stress, ManyRanksBarrierStorm) {
-  const auto report = run(48, cluster(), [](Process& p) {
+  const auto report = run_threads(48, [](Process& p) {
     for (int i = 0; i < 20; ++i) p.barrier();
   });
   // The flat barrier releases workers one send apart, so final clocks
@@ -27,7 +41,7 @@ TEST(Stress, ManyRanksBarrierStorm) {
 
 TEST(Stress, RingPassesTokenAroundManyTimes) {
   const int n = 16;
-  const auto report = run(n, cluster(), [n](Process& p) {
+  const auto report = run_threads(n, [n](Process& p) {
     const int next = (p.rank() + 1) % n;
     const int prev = (p.rank() + n - 1) % n;
     std::uint64_t token = 0;
@@ -49,7 +63,7 @@ TEST(Stress, RingPassesTokenAroundManyTimes) {
 }
 
 TEST(Stress, TagsIsolateConcurrentStreams) {
-  run(2, cluster(), [](Process& p) {
+  run_threads(2, [](Process& p) {
     constexpr int kCount = 200;
     if (p.rank() == 0) {
       // Interleave two tag streams out of order.
@@ -68,7 +82,7 @@ TEST(Stress, TagsIsolateConcurrentStreams) {
 
 TEST(Stress, AllToAllPersonalizedExchange) {
   const int n = 8;
-  run(n, cluster(), [n](Process& p) {
+  run_threads(n, [n](Process& p) {
     // Everyone sends rank*100+dst to everyone else.
     for (int dst = 0; dst < n; ++dst) {
       if (dst == p.rank()) continue;
@@ -86,7 +100,7 @@ TEST(Stress, MasterWorkerRandomWorkloads) {
   // dispatches every task exactly once.
   const int n = 9;
   std::atomic<int> tasks_done{0};
-  run(n, cluster(), [&](Process& p) {
+  run_threads(n, [&](Process& p) {
     constexpr int kTasks = 64;
     if (p.rank() == 0) {
       int next = 0, retired = 0;
@@ -115,7 +129,7 @@ TEST(Stress, MasterWorkerRandomWorkloads) {
 }
 
 TEST(Stress, RepeatedBcastGatherCycles) {
-  run(12, cluster(), [](Process& p) {
+  run_threads(12, [](Process& p) {
     for (int round = 0; round < 25; ++round) {
       std::vector<std::uint8_t> data;
       if (p.rank() == round % p.size())
@@ -131,7 +145,7 @@ TEST(Stress, RepeatedBcastGatherCycles) {
 }
 
 TEST(Stress, LargeMessageVolume) {
-  run(4, cluster(), [](Process& p) {
+  run_threads(4, [](Process& p) {
     const std::size_t mb = 1 << 20;
     if (p.rank() == 0) {
       std::vector<std::uint8_t> big(8 * mb, 0x5A);

@@ -5,6 +5,7 @@
 // splitting, request merging, and data-sieving list reads.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "mpisim/runtime.h"
@@ -217,7 +218,10 @@ INSTANTIATE_TEST_SUITE_P(
 // Small cb_buffer_size values force the two-phase exchange into many
 // rounds (including buffer sizes that do not divide the domain span, and
 // buffer_size=1 — one round per byte of the widest domain). 0 is the
-// unbounded single-round legacy shape.
+// unbounded single-round legacy shape; a buffer near 2^64 is one round
+// too, and must not wrap the round count to 0.
+constexpr std::uint64_t kHugeBuffer = std::numeric_limits<std::uint64_t>::max();
+
 INSTANTIATE_TEST_SUITE_P(
     BufferRounds, CollectiveWriteSweep,
     ::testing::Values(CollectiveCase{4, 16, 256, 4, 1},
@@ -226,7 +230,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CollectiveCase{3, 10, 64, 2, 7},
                       CollectiveCase{8, 64, 128, 4, 1024},
                       CollectiveCase{5, 7, 33, 3, 0},
-                      CollectiveCase{9, 100, 17, 2, 64}));
+                      CollectiveCase{9, 100, 17, 2, 64},
+                      CollectiveCase{4, 16, 256, 4, kHugeBuffer}));
 
 TEST(CollectiveWrite, EmptyViewsEverywhereIsANoOp) {
   VirtualFS fs(sim::StorageModel::xfs_parallel());
@@ -317,7 +322,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CollectiveCase{4, 32, 64, 4, 100},
                       CollectiveCase{3, 9, 50, 2, 7},
                       CollectiveCase{8, 40, 512, 8, 1000},
-                      CollectiveCase{7, 13, 21, 3, 0}));
+                      CollectiveCase{7, 13, 21, 3, 0},
+                      CollectiveCase{4, 32, 64, 4, kHugeBuffer}));
 
 TEST(CollectiveRead, ContiguousRangePerRank) {
   // The pioBLAST input pattern: each rank reads one contiguous slice.
@@ -411,6 +417,11 @@ TEST(Hints, ParsesFullSpecWithSizeSuffixes) {
   EXPECT_EQ(h.ds_buffer_size, 4u << 10);
   EXPECT_DOUBLE_EQ(h.ds_density, 0.5);
   EXPECT_FALSE(h.list_io);
+  // The largest sizes that fit in 64 bits, with and without a suffix.
+  EXPECT_EQ(Hints::parse("cb_buffer_size=17179869183g").cb_buffer_size,
+            17179869183ull << 30);
+  EXPECT_EQ(Hints::parse("cb_buffer_size=18446744073709551615").cb_buffer_size,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Hints, EmptySpecKeepsDefaults) {
@@ -443,6 +454,14 @@ TEST(Hints, RejectsMalformedSpecs) {
   EXPECT_THROW(Hints::parse("cb_nodes=zero"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("cb_nodes=0"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("cb_buffer_size=1q"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("cb_buffer_size=-1"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("ds_buffer_size=-1"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("cb_buffer_size=+1"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("cb_buffer_size= 1"), util::RuntimeError);
+  // 2^34 GiB is 2^64 bytes.
+  EXPECT_THROW(Hints::parse("cb_buffer_size=17179869184g"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("cb_buffer_size=18446744073709551616"),
+               util::RuntimeError);
   EXPECT_THROW(Hints::parse("ds_density=1.5"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("ds_read=sometimes"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("list=maybe"), util::RuntimeError);

@@ -1,8 +1,9 @@
 // Large-world smoke tests (ctest label: scale).
 //
-// These exist to keep the event backend honest at the scale it was built
-// for: worlds of 1024+ ranks in one process, where the thread-per-rank
-// backend would need more kernel threads than most CI containers allow.
+// These exist to keep the event backend, the default, honest at the scale
+// it was built for: worlds of 1024+ ranks in one process, where the
+// thread-per-rank backend would need more kernel threads than most CI
+// containers allow.
 // Kept in their own binary so `ctest -L scale` runs exactly this file.
 // Both drivers at 1024 and 4096 ranks on the paper's queries run in
 // `bench/paper scale`.
@@ -16,7 +17,6 @@
 
 #include "driver/scheduler.h"
 #include "driver/work_queue.h"
-#include "mpisim/exec.h"
 #include "mpisim/runtime.h"
 #include "mpisim/verify.h"
 
@@ -25,18 +25,7 @@ namespace {
 
 sim::ClusterConfig altix() { return sim::ClusterConfig::ornl_altix(); }
 
-mpisim::RunOptions event_opts() {
-  mpisim::RunOptions opts;
-  opts.exec_model = mpisim::ExecModel::kEvents;
-  return opts;
-}
-
-#define REQUIRE_EVENTS()                                       \
-  if (!mpisim::events_supported())                             \
-  GTEST_SKIP() << "stackful fibers unavailable on this platform"
-
 TEST(Scale, ThousandRankCollectives) {
-  REQUIRE_EVENTS();
   const int nranks = 1024;
   std::vector<sim::Time> reduced(static_cast<std::size_t>(nranks), -1);
   const auto report = mpisim::run(
@@ -50,8 +39,7 @@ TEST(Scale, ThousandRankCollectives) {
         ASSERT_EQ(blob.size(), 32u) << "rank " << p.rank();
         reduced[static_cast<std::size_t>(p.rank())] =
             p.allreduce_max(static_cast<sim::Time>(p.rank()));
-      },
-      event_opts());
+      });
   ASSERT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     EXPECT_EQ(reduced[static_cast<std::size_t>(r)],
@@ -62,7 +50,6 @@ TEST(Scale, ThousandRankCollectives) {
 }
 
 TEST(Scale, ThousandRankWorkQueueDrains) {
-  REQUIRE_EVENTS();
   const int nranks = 1024;
   const std::uint32_t ntasks = 4096;
   std::vector<std::vector<std::uint32_t>> served(
@@ -84,8 +71,7 @@ TEST(Scale, ThousandRankWorkQueueDrains) {
             served[static_cast<std::size_t>(p.rank())].push_back(*task);
           }
         }
-      },
-      event_opts());
+      });
   std::set<std::uint32_t> all;
   std::size_t total = 0;
   for (const auto& v : served) {
@@ -97,18 +83,16 @@ TEST(Scale, ThousandRankWorkQueueDrains) {
 }
 
 TEST(Scale, FourThousandRankBarrierTree) {
-  REQUIRE_EVENTS();
   // Pure tree traffic at the headline world size: O(P log P) messages on
   // one thread. Completing at all (and quickly) is the assertion.
   const int nranks = 4096;
   const auto report = mpisim::run(
-      nranks, altix(), [](mpisim::Process& p) { p.barrier(); }, event_opts());
+      nranks, altix(), [](mpisim::Process& p) { p.barrier(); });
   EXPECT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
   EXPECT_GT(report.makespan(), 0.0);
 }
 
 TEST(Scale, VerifierReports4096RankDeadlock) {
-  REQUIRE_EVENTS();
   // A ring wait at the headline world size: the verifier skips its full
   // scan until the last live rank blocks, and that one scan must still
   // find and render the whole cycle.
@@ -117,8 +101,7 @@ TEST(Scale, VerifierReports4096RankDeadlock) {
   try {
     mpisim::run(
         nranks, altix(),
-        [](mpisim::Process& p) { p.recv((p.rank() + 1) % p.size(), 5); },
-        event_opts());
+        [](mpisim::Process& p) { p.recv((p.rank() + 1) % p.size(), 5); });
   } catch (const mpisim::VerifyError& e) {
     report = e.what();
   }

@@ -102,7 +102,6 @@ TEST(Tracer, GoldenTimeline) {
   Tracer tracer;
   RunOptions opts;
   opts.tracer = &tracer;
-  opts.exec_model = ExecModel::kEvents;
   opts.faults.at(1).drop_sends = {1};
   opts.faults.at(2).crash_at = 2;  // its bcast receive, then its send
   const auto job = [](Process& p) {

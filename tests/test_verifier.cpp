@@ -161,8 +161,7 @@ constexpr const char* kThreeRankCycle =
 
 TEST(VerifierAccounting, NonMatchingTagLeavesWaitRegistered) {
   for (const ExecModel exec : kExecModels) {
-    if (exec == ExecModel::kEvents && !events_supported()) continue;
-    SCOPED_TRACE(to_string(exec));
+    SCOPED_TRACE(exec == ExecModel::kThreads ? "threads" : "events");
     const std::string report = verify_failure(
         2,
         [](Process& p) {
@@ -185,8 +184,7 @@ TEST(VerifierAccounting, NonMatchingTagLeavesWaitRegistered) {
 
 TEST(VerifierAccounting, WrongSourceLeavesWaitRegistered) {
   for (const ExecModel exec : kExecModels) {
-    if (exec == ExecModel::kEvents && !events_supported()) continue;
-    SCOPED_TRACE(to_string(exec));
+    SCOPED_TRACE(exec == ExecModel::kThreads ? "threads" : "events");
     const std::string report = verify_failure(
         3,
         [](Process& p) {

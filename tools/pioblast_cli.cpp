@@ -12,12 +12,15 @@
 //   pioblast_cli --procs 4 --check schedules=50,preempt=2   # explore
 //   pioblast_cli --procs 4 --schedule 0,2,1,1               # replay
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "blast/job.h"
 #include "driver/metrics.h"
@@ -164,11 +167,25 @@ std::string choice(const util::ArgParser& args, const std::string& name,
                            "' (want " + want + ")");
 }
 
+/// Returns option `name`'s integer value, which must lie in [min, T's
+/// maximum].
+template <class T>
+T int_option(const util::ArgParser& args, const std::string& name, T min) {
+  const std::int64_t value = args.get_int(name);
+  const T max = std::numeric_limits<T>::max();
+  if (std::cmp_less(value, min) || std::cmp_greater(value, max))
+    throw util::RuntimeError("--" + name + ": must be in [" +
+                             std::to_string(min) + ", " + std::to_string(max) +
+                             "], got " + std::to_string(value));
+  return static_cast<T>(value);
+}
+
 /// Everything the options and input files ask for, read before any driver
 /// runs.
 struct Setup {
   std::string driver;
   int nprocs = 0;
+  int nfragments = 0;  ///< fragments the database is split into
   sim::ClusterConfig cluster;
   std::vector<seqdb::FastaRecord> db;
   std::string query_fasta;
@@ -202,7 +219,7 @@ Setup configure(const util::ArgParser& args) {
   } else {
     seqdb::GeneratorConfig gen;
     gen.type = type;
-    gen.target_residues = static_cast<std::uint64_t>(args.get_int("db-residues"));
+    gen.target_residues = int_option<std::uint64_t>(args, "db-residues", 1);
     gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     gen.family_fraction = 0.6;
     s.db = seqdb::generate_database(gen);
@@ -216,7 +233,7 @@ Setup configure(const util::ArgParser& args) {
                                  });
   } else {
     s.query_fasta = seqdb::write_fasta(seqdb::sample_queries(
-        s.db, static_cast<std::uint64_t>(args.get_int("query-bytes")),
+        s.db, int_option<std::uint64_t>(args, "query-bytes", 1),
         static_cast<std::uint64_t>(args.get_int("seed")) + 1));
   }
 
@@ -227,9 +244,23 @@ Setup configure(const util::ArgParser& args) {
   job.params = type == seqdb::SeqType::kProtein
                    ? blast::SearchParams::blastp_defaults()
                    : blast::SearchParams::blastn_defaults();
-  job.params.hitlist_size = static_cast<int>(args.get_int("hitlist"));
+  job.params.hitlist_size = int_option(args, "hitlist", 0);
   job.params.evalue_cutoff = args.get_double("evalue");
-  job.nfragments = static_cast<int>(args.get_int("fragments"));
+  if (!std::isfinite(job.params.evalue_cutoff) ||
+      job.params.evalue_cutoff <= 0)
+    throw util::RuntimeError("--evalue: must be finite and above 0, got " +
+                             args.get("evalue"));
+  job.nfragments = int_option(args, "fragments", 0);
+  // Every fragment holds at least one database sequence; 0 fragments
+  // means one per worker.
+  s.nfragments = job.nfragments > 0 ? job.nfragments : s.nprocs - 1;
+  if (static_cast<std::size_t>(s.nfragments) > s.db.size()) {
+    const std::string option = job.nfragments > 0 ? "--fragments" : "--procs";
+    throw util::RuntimeError(option + ": " + std::to_string(s.nfragments) +
+                             " fragments need as many database sequences, "
+                             "the database has " +
+                             std::to_string(s.db.size()));
+  }
 
   s.run.verify = choice(args, "verify", {"on", "off"}) == "on";
   s.run.conformance = args.get_flag("conformance");
@@ -239,9 +270,6 @@ Setup configure(const util::ArgParser& args) {
         "protospec::Env::kMaxRanks = " +
         std::to_string(protospec::Env::kMaxRanks) + " ranks, got " +
         std::to_string(s.nprocs));
-  s.run.exec = parse_option(args, "exec-model", [](const std::string& v) {
-    return mpisim::parse_exec_model(v);
-  });
   if (!args.get("scheduler").empty()) {
     s.scheduler = parse_option(args, "scheduler", [](const std::string& v) {
       return driver::parse_scheduler(v);
@@ -343,11 +371,6 @@ int main(int argc, char** argv) {
       .add("schedule", "",
            "replay one forced schedule (a comma-separated rank trace as "
            "printed by a failing --check run)")
-      .add("exec-model", "threads",
-           "rank execution backend: threads (one OS thread per rank) | "
-           "events (stackful fibers on one thread; required in practice "
-           "for worlds beyond a few hundred ranks); --check and --schedule "
-           "always run on events")
       .add("pario-hints", "",
            "MPI-IO-style access hints, comma-separated key=value: "
            "cb_nodes=N, cb_buffer_size=SIZE (0 = unbounded), ds_read="
@@ -413,10 +436,9 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> mpi_out, pio_out;
   try {
     if (setup.driver != "pioblast") {
-      const int nfragments = job.nfragments > 0 ? job.nfragments : nprocs - 1;
       const auto parts = seqdb::mpiformatdb(storage.shared(), setup.db,
                                             job.db_base, job.params.type,
-                                            job.db_title, nfragments);
+                                            job.db_title, setup.nfragments);
       mpiblast::MpiBlastOptions opts;
       static_cast<driver::RunConfig&>(opts) = setup.run;
       opts.job.output_path = "out.mpiblast.txt";
