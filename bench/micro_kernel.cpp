@@ -16,11 +16,15 @@
 // machine-readable `ROW {...}` line per (type, kernel) plus a summary row
 // per type; tools/bench_to_json.py folds them into BENCH_kernel.json.
 //
-// Protein gets one more fast row: the same database cut into fragments of
+// Protein gets two more rows: the same database cut into fragments of
 // about kCutResidues residues, every one searched with the same prepared
 // batch. That is pioBLAST's regime at thousands of ranks (its dynamic
-// partitioning hands each worker a few hundred residues), where what a
-// call costs besides the scan shows as microseconds per call.
+// partitioning hands each worker a few hundred residues). The "fast" cut
+// row makes one search_fragment_batch call per fragment, each on one core,
+// where what a call costs besides the scan shows as microseconds per call;
+// the "flat" row searches them all in one search_fragments call, which
+// spreads the fragments over every core (what the drivers' search memo
+// does before the ranks start).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,25 +64,30 @@ struct KernelRun {
   std::uint64_t hsps = 0;
 };
 
-/// Runs `search` (the whole query batch against one fragment) on every
-/// fragment `repeats` times and accumulates wall time per pass; counters
-/// are taken from one pass (they are per-pass deterministic).
+/// Runs `search` (the whole query batch against every fragment of the span
+/// it is given, one result list per fragment) over `frags` `repeats` times,
+/// either one fragment per call or all of them in one call, and
+/// accumulates wall time per pass; counters are taken from one pass (they
+/// are per-pass deterministic).
 template <class Search>
 KernelRun run_kernel(std::span<const seqdb::LoadedFragment> frags,
-                     const Search& search, int repeats) {
+                     const Search& search, int repeats, bool one_call) {
   KernelRun out;
   out.calls = frags.size();
-  std::vector<blast::FragmentSearchResult> results;
+  std::vector<std::vector<blast::FragmentSearchResult>> results;
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < repeats; ++r) {
-    for (const seqdb::LoadedFragment& frag : frags) {
-      results = search(frag);
+    const std::size_t per_call = one_call ? frags.size() : 1;
+    for (std::size_t f = 0; f < frags.size(); f += per_call) {
+      results = search(frags.subspan(f, per_call));
       if (r > 0) continue;
-      for (const auto& res : results) {
-        out.cells += res.counters.ungapped_cells + res.counters.gapped_cells +
-                     res.counters.traceback_cells;
-        out.seeds += res.counters.seed_hits;
-        out.hsps += res.counters.hsps_found;
+      for (const auto& fragment_results : results) {
+        for (const auto& res : fragment_results) {
+          out.cells += res.counters.ungapped_cells +
+                       res.counters.gapped_cells + res.counters.traceback_cells;
+          out.seeds += res.counters.seed_hits;
+          out.hsps += res.counters.hsps_found;
+        }
       }
     }
   }
@@ -164,17 +173,21 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
   }
   const blast::PreparedBatch batch(std::move(contexts));
   const blast::oracle::ScalarBatch reference(batch);
-  auto scalar_search = [&](const seqdb::LoadedFragment& f) {
-    return reference.search(f);
+  using PerFragment = std::vector<std::vector<blast::FragmentSearchResult>>;
+  auto scalar_search = [&](std::span<const seqdb::LoadedFragment> f) {
+    return PerFragment{reference.search(f.front())};
   };
-  auto fast_search = [&](const seqdb::LoadedFragment& f) {
-    return blast::search_fragment_batch(batch, f);
+  auto fast_search = [&](std::span<const seqdb::LoadedFragment> f) {
+    return PerFragment{blast::search_fragment_batch(batch, f.front())};
+  };
+  auto flat_search = [&](std::span<const seqdb::LoadedFragment> f) {
+    return blast::search_fragments(batch, f);
   };
 
   // Warm-up pass (page in the fragment, size the scratch), then timed runs.
-  (void)fast_search(frag);
-  const auto scalar = run_kernel({&frag, 1}, scalar_search, repeats);
-  const auto fast = run_kernel({&frag, 1}, fast_search, repeats);
+  (void)fast_search({&frag, 1});
+  const auto scalar = run_kernel({&frag, 1}, scalar_search, repeats, false);
+  const auto fast = run_kernel({&frag, 1}, fast_search, repeats, false);
   const double speedup = scalar.wall / fast.wall;
 
   emit_row(name, "scalar", scalar);
@@ -196,9 +209,13 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
   for (std::size_t i = 0; i < cut_db.fragment_bases.size(); ++i)
     cut.push_back(seqdb::load_volumes(fs, cut_db.fragment_bases[i], type,
                                       cut_db.ranges[i].first));
-  const auto cut_fast = run_kernel(cut, fast_search, repeats);
+  const auto cut_fast = run_kernel(cut, fast_search, repeats, false);
   emit_row(name, "fast", cut_fast);
   add_table_row(table, name, "fast", cut_fast, "");
+  const auto cut_flat = run_kernel(cut, flat_search, repeats, true);
+  emit_row(name, "flat", cut_flat);
+  add_table_row(table, name, "flat", cut_flat,
+                util::fixed(cut_fast.wall / cut_flat.wall, 2) + "x");
 }
 
 }  // namespace

@@ -41,6 +41,10 @@ struct DriverResult {
   /// Full structured-counter snapshot (driver::RunMetrics). Superset of the
   /// three legacy fields above, which are kept for existing callers.
   std::map<std::string, std::uint64_t> metrics;
+  /// Fragment searches the job's search memo (driver::SearchMemo) did not
+  /// answer, so a rank ran the kernel itself. Host-side only: it is not a
+  /// metric, and virtual time does not depend on it.
+  std::uint64_t memo_misses = 0;
 };
 
 }  // namespace pioblast::blast

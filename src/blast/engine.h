@@ -70,9 +70,10 @@ struct FragmentSearchResult {
 
 /// Residue grain of the fast kernel's host-parallel split. A fragment of R
 /// residues, R at least two grains, is searched as about R / grain chunks
-/// of consecutive subjects on util::parallel_for; a smaller one in one
-/// piece on the calling thread. The plan depends on the fragment alone,
-/// never on the host's core count, so every host runs the same splits.
+/// of consecutive subjects; a smaller one is one chunk. A call's chunks,
+/// over all its fragments, run on one util::parallel_for. The plan depends
+/// on each fragment alone, never on the host's core count, so every host
+/// runs the same splits.
 inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 
 /// Merged blastp neighborhood over a sub-batch of queries: per word, the
@@ -92,14 +93,14 @@ struct BatchNeighborhood {
   explicit BatchNeighborhood(std::span<const QueryContext> queries);
 };
 
-/// Query contexts prepared for search_fragment_batch, its only query
-/// argument, and indexable like the vector of contexts it holds.
-/// Preparation checks what a batched search needs (one sequence type and
-/// word size; blastp query positions that fit BatchNeighborhood's tag) and
-/// builds blastp's merged neighborhoods, one per sub-batch of
-/// BatchNeighborhood::kMaxQueries queries. The drivers prepare once per
-/// job (QuerySet::build), so a fragment search does only per-fragment
-/// work; searches only read the batch, so any number may share it at once.
+/// Query contexts prepared for search_fragments, its only query argument,
+/// and indexable like the vector of contexts it holds. Preparation checks
+/// what a batched search needs (one sequence type and word size; blastp
+/// query positions that fit BatchNeighborhood's tag) and builds blastp's
+/// merged neighborhoods, one per sub-batch of BatchNeighborhood::kMaxQueries
+/// queries. The drivers prepare once per job (QuerySet::build), so a
+/// fragment search does only per-fragment work; searches only read the
+/// batch, so any number may share it at once.
 class PreparedBatch {
  public:
   PreparedBatch() = default;
@@ -125,14 +126,21 @@ class PreparedBatch {
 /// Kept only so the benchmark's call compiles; a benchmark change drops it.
 enum class KernelKind { kFast };
 
-/// Searches every query of a batch against `fragment`; results are
-/// index-aligned with `queries`. The kernel scans and packs the fragment
-/// ONCE (FragmentIndex), not once per query, and services the whole batch
-/// from the precomputed word codes and the batch's prepared tables, split
-/// across the host's cores (see kSplitGrainResidues). Output is
-/// bit-identical to the scalar reference oracle the kernel tests compare it
-/// against (tests/support/), and concurrent calls are safe, on one batch
-/// too.
+/// Searches every query of a batch against each of `fragments`: element f
+/// holds fragments[f]'s results, index-aligned with `queries`. Every chunk
+/// of every fragment (see kSplitGrainResidues) runs on one fork-join pass
+/// over the host's cores, so many small fragments keep every core busy.
+/// Each chunk scans and packs its subjects ONCE (FragmentIndex), not once
+/// per query, and services the whole batch from the precomputed word codes
+/// and the batch's prepared tables. Output is bit-identical to the scalar
+/// reference oracle the kernel tests compare it against (tests/support/),
+/// whatever the grouping of fragments into calls, and concurrent calls are
+/// safe, on one batch too.
+std::vector<std::vector<FragmentSearchResult>> search_fragments(
+    const PreparedBatch& queries,
+    std::span<const seqdb::LoadedFragment> fragments);
+
+/// search_fragments on one fragment.
 std::vector<FragmentSearchResult> search_fragment_batch(
     const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
     KernelKind = KernelKind::kFast);

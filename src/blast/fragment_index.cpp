@@ -5,15 +5,17 @@
 namespace pioblast::blast {
 
 FragmentIndex::FragmentIndex(const seqdb::LoadedFragment& fragment,
-                             const SearchParams& params)
+                             const SearchParams& params, std::uint64_t lo,
+                             std::uint64_t hi)
     : is_dna_(params.type == seqdb::SeqType::kNucleotide),
-      word_size_(params.word_size) {
+      word_size_(params.word_size),
+      lo_(lo) {
   PIOBLAST_CHECK_MSG(!is_dna_ || (word_size_ >= 4 && word_size_ <= 31),
                      "blastn word size must be in [4,31]");
   PIOBLAST_CHECK_MSG(is_dna_ || word_size_ == 3, "blastp word size must be 3");
 
-  const std::uint64_t nseqs = fragment.num_seqs();
-  starts_.reserve(nseqs + 1);
+  PIOBLAST_CHECK(lo <= hi && hi <= fragment.num_seqs());
+  starts_.reserve(hi - lo + 1);
   starts_.push_back(0);
   const std::size_t w = static_cast<std::size_t>(word_size_);
 
@@ -21,7 +23,7 @@ FragmentIndex::FragmentIndex(const seqdb::LoadedFragment& fragment,
   // exact-fit reserves would reallocate (and copy the whole prefix) on
   // every sequence, turning the build quadratic in fragment size.
   std::size_t total_words = 0;
-  for (std::uint64_t local = 0; local < nseqs; ++local) {
+  for (std::uint64_t local = lo; local < hi; ++local) {
     const std::size_t slen = fragment.sequence(local).size();
     total_words += slen >= w ? slen - w + 1 : 0;
   }
@@ -31,7 +33,7 @@ FragmentIndex::FragmentIndex(const seqdb::LoadedFragment& fragment,
     codes32_.reserve(total_words);
   }
 
-  for (std::uint64_t local = 0; local < nseqs; ++local) {
+  for (std::uint64_t local = lo; local < hi; ++local) {
     const std::span<const std::uint8_t> s = fragment.sequence(local);
     const std::size_t nwords = s.size() >= w ? s.size() - w + 1 : 0;
     if (!is_dna_) {

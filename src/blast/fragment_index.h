@@ -1,12 +1,13 @@
-// Per-assignment database-fragment index for the fast kernel.
+// Per-chunk database-fragment index for the fast kernel.
 //
 // The scalar engine re-derives the packed word at every subject position
 // for every query (Q scans of the fragment per batch). The fast kernel
-// inverts that: the fragment is scanned ONCE per assignment and the packed
-// word codes are materialized per position, so servicing a whole query
-// batch is Q probes of each precomputed code instead of Q re-packings —
-// the Nguyen & Lavenier "index the database once, batch the queries"
-// recipe adapted to our word-scan structure.
+// inverts that: each chunk of subjects is scanned ONCE and the packed word
+// codes are materialized per position, so servicing a whole query batch is
+// Q probes of each precomputed code instead of Q re-packings — the Nguyen
+// & Lavenier "index the database once, batch the queries" recipe adapted
+// to our word-scan structure. The kernel indexes one chunk at a time and
+// drops the index with the chunk, so no whole-fragment index is held.
 //
 // Protein codes are base-24 packed 3-mers (fit u32); nucleotide codes are
 // 2-bit packed words up to 31-mers (u64), with a sentinel at positions
@@ -28,26 +29,28 @@ class FragmentIndex {
   /// Word at this position straddles an ambiguous residue (blastn only).
   static constexpr std::uint64_t kInvalidWord = ~0ULL;
 
+  /// Indexes subjects [lo, hi) of `fragment`.
   FragmentIndex(const seqdb::LoadedFragment& fragment,
-                const SearchParams& params);
+                const SearchParams& params, std::uint64_t lo, std::uint64_t hi);
 
   bool is_dna() const { return is_dna_; }
   int word_size() const { return word_size_; }
   std::uint64_t num_seqs() const { return starts_.size() - 1; }
 
-  /// Packed words of subject `local`, one per word start position
-  /// (size max(0, slen - word_size + 1)). Protein only.
+  /// Packed words of subject `local` (a fragment ordinal in [lo, hi)), one
+  /// per word start position (size max(0, slen - word_size + 1)). Protein
+  /// only.
   std::span<const std::uint32_t> codes32(std::uint64_t local) const {
-    const std::uint64_t b = starts_[local];
+    const std::uint64_t b = starts_[local - lo_];
     return {codes32_.data() + b,
-            static_cast<std::size_t>(starts_[local + 1] - b)};
+            static_cast<std::size_t>(starts_[local - lo_ + 1] - b)};
   }
 
   /// Same for nucleotide fragments (kInvalidWord marks ambiguous windows).
   std::span<const std::uint64_t> codes64(std::uint64_t local) const {
-    const std::uint64_t b = starts_[local];
+    const std::uint64_t b = starts_[local - lo_];
     return {codes64_.data() + b,
-            static_cast<std::size_t>(starts_[local + 1] - b)};
+            static_cast<std::size_t>(starts_[local - lo_ + 1] - b)};
   }
 
   /// Total positions indexed (diagnostics/tests).
@@ -58,6 +61,7 @@ class FragmentIndex {
  private:
   bool is_dna_;
   int word_size_;
+  std::uint64_t lo_;                   ///< first indexed subject
   std::vector<std::uint64_t> starts_;  ///< per-subject code offsets, size n+1
   std::vector<std::uint32_t> codes32_;
   std::vector<std::uint64_t> codes64_;

@@ -30,6 +30,12 @@ struct JobConfig {
   /// the number of *virtual* fragments (0 = natural partitioning: one
   /// fragment per worker).
   int nfragments = 0;
+
+  /// The number of fragments a job with `nworkers` workers splits the
+  /// database into: nfragments, or one per worker when it is 0.
+  int fragments_for(int nworkers) const {
+    return nfragments > 0 ? nfragments : nworkers;
+  }
 };
 
 }  // namespace pioblast::blast

@@ -16,9 +16,12 @@
 //      (protein) / hash map (nucleotide).
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
-//   4. A fragment of at least two grains (kSplitGrainResidues) is split
-//      into chunks of consecutive subjects that run on util::parallel_for;
-//      the merge reassembles exactly the one-chunk result (scan_split).
+//   4. search_fragments plans every (fragment, chunk) pair of a call —
+//      one chunk per sub-grain fragment, consecutive-subject chunks for a
+//      fragment of two grains or more (kSplitGrainResidues) — and runs
+//      them all on one util::parallel_for; the task that finishes a
+//      fragment's last chunk merges it back into exactly the one-chunk
+//      result.
 //
 // The per-(query, subject) control flow below is a line-for-line mirror of
 // the oracle's loop: same counter accounting, same two-hit rule, same
@@ -27,6 +30,7 @@
 // output, so a change to a search decision here must be made in the
 // oracle too.
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 
 #include "blast/engine.h"
@@ -391,55 +395,88 @@ void scan_protein(std::span<const QueryContext> queries,
   }
 }
 
-/// The chunk plan of a fragment of `residues` residues (at least two
-/// grains): subject bounds 0 = b_0 < ... < b_m = num_seqs, chunk k being
-/// subjects [b_k, b_k+1). With shares = residues / grain, chunk k closes at
-/// the first subject boundary where the residues so far reach
-/// (k + 1) * residues / shares. A subject longer than a grain closes the
-/// chunk it lands in, which then holds more than one share, and m may be
-/// less than shares. A function of the fragment alone.
-std::vector<std::uint64_t> chunk_bounds(const seqdb::LoadedFragment& fragment,
-                                        std::uint64_t residues) {
+/// The chunk plan of `fragment`: subject bounds 0 = b_0 < ... < b_m =
+/// num_seqs, chunk k being subjects [b_k, b_k+1). Below two grains that is
+/// one chunk. Otherwise, with shares = residues / grain, chunk k closes at
+/// the first subject boundary where the residues so far reach (k + 1) *
+/// residues / shares. A subject longer than a grain closes the chunk it
+/// lands in, which then holds more than one share, and m may be less than
+/// shares. A function of the fragment alone.
+std::vector<std::uint64_t> chunk_bounds(const seqdb::LoadedFragment& fragment) {
+  const std::uint64_t residues = fragment.residues();
   const std::uint64_t shares = residues / kSplitGrainResidues;
   std::vector<std::uint64_t> bounds{0};
-  std::uint64_t done = 0;
-  for (std::uint64_t local = 0; local + 1 < fragment.num_seqs(); ++local) {
-    done += fragment.sequence(local).size();
-    if (done * shares >= residues * bounds.size()) bounds.push_back(local + 1);
+  if (shares >= 2) {
+    std::uint64_t done = 0;
+    for (std::uint64_t local = 0; local + 1 < fragment.num_seqs(); ++local) {
+      done += fragment.sequence(local).size();
+      if (done * shares >= residues * bounds.size())
+        bounds.push_back(local + 1);
+    }
   }
   bounds.push_back(fragment.num_seqs());
   return bounds;
 }
 
-/// Runs `scan(lo, hi, out)`, which searches subjects [lo, hi) into `out`
-/// (index-aligned with `results`), over the whole fragment. Below two
-/// grains that is one call straight into `results`. Otherwise every chunk
-/// of the plan scans into its own partial results on the fork-join pool,
-/// and the merge sums each query's counters and concatenates its HSPs
-/// chunk by chunk. Every search decision depends on one (query, subject)
-/// pair only, and a scan appends HSPs in subject order, so the merged list
-/// is element for element the one the single call produces: the
-/// Hsp::better sort and the hit-list cut then give identical output.
-template <class Scan>
-void scan_split(const seqdb::LoadedFragment& fragment, std::uint64_t residues,
-                std::span<FragmentSearchResult> results, const Scan& scan) {
-  if (residues / kSplitGrainResidues < 2) {
-    scan(0, fragment.num_seqs(), results);
+/// Searches every query against subjects [lo, hi) of `fragment` into `out`
+/// (index-aligned with `queries`), through an index of those subjects
+/// alone.
+void scan_chunk(const PreparedBatch& queries,
+                const seqdb::LoadedFragment& fragment, std::uint64_t lo,
+                std::uint64_t hi, std::span<FragmentSearchResult> out) {
+  const SearchParams& params = queries[0].params();
+  const FragmentIndex index(fragment, params, lo, hi);
+  const std::span<const QueryContext> all(queries.begin(), queries.end());
+  if (params.type == seqdb::SeqType::kNucleotide) {
+    scan_dna(all, fragment, index, lo, hi, out);
     return;
   }
-  const std::vector<std::uint64_t> bounds = chunk_bounds(fragment, residues);
-  std::vector<std::vector<FragmentSearchResult>> parts(bounds.size() - 1);
-  util::parallel_for(parts.size(), [&](std::size_t c) {
-    parts[c].resize(results.size());
-    scan(bounds[c], bounds[c + 1], std::span(parts[c]));
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::vector<Hsp>& hsps = results[i].hsps;
-    for (std::vector<FragmentSearchResult>& part : parts) {
-      results[i].counters += part[i].counters;
-      hsps.insert(hsps.end(), std::make_move_iterator(part[i].hsps.begin()),
-                  std::make_move_iterator(part[i].hsps.end()));
+  constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
+  for (std::size_t first = 0; first < all.size(); first += kMaxQueries) {
+    const std::size_t n = std::min(kMaxQueries, all.size() - first);
+    scan_protein(all.subspan(first, n), queries.merged()[first / kMaxQueries],
+                 fragment, index, lo, hi, out.subspan(first, n));
+  }
+}
+
+/// One fragment's progress through a search_fragments call: the chunks
+/// still running and, when it has more than one, their partial results.
+struct FragmentProgress {
+  std::atomic<std::size_t> pending{0};
+  std::vector<std::vector<FragmentSearchResult>> parts;
+};
+
+/// Turns a fragment's chunk results into its final results. Every search
+/// decision depends on one (query, subject) pair only, and a scan appends
+/// HSPs in subject order, so concatenating the chunks in chunk order gives
+/// element for element the list one whole-fragment scan would: the
+/// Hsp::better sort and the per-fragment hit-list cut ("local cut") then
+/// give identical output. The partials are freed here.
+void finish_fragment(const PreparedBatch& queries, FragmentProgress& progress,
+                     std::vector<FragmentSearchResult>& results) {
+  if (!progress.parts.empty()) {
+    results.resize(queries.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      std::vector<Hsp>& hsps = results[i].hsps;
+      for (std::vector<FragmentSearchResult>& part : progress.parts) {
+        results[i].counters += part[i].counters;
+        hsps.insert(hsps.end(), std::make_move_iterator(part[i].hsps.begin()),
+                    std::make_move_iterator(part[i].hsps.end()));
+      }
     }
+    progress.parts = {};
+  }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    FragmentSearchResult& r = results[i];
+    const int hitlist = queries[i].params().hitlist_size;
+    std::sort(r.hsps.begin(), r.hsps.end(), Hsp::better);
+    if (r.hsps.size() > static_cast<std::size_t>(hitlist)) {
+      r.hsps.resize(static_cast<std::size_t>(hitlist));
+      // A call's results can be held for a whole job (the drivers' search
+      // memo), so drop the capacity the uncut list needed.
+      r.hsps.shrink_to_fit();
+    }
+    r.counters.hsps_found = r.hsps.size();
   }
 }
 
@@ -494,51 +531,52 @@ PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
         all.subspan(first, std::min(kMaxQueries, all.size() - first)));
 }
 
+std::vector<std::vector<FragmentSearchResult>> search_fragments(
+    const PreparedBatch& queries,
+    std::span<const seqdb::LoadedFragment> fragments) {
+  std::vector<std::vector<FragmentSearchResult>> results(fragments.size());
+  if (queries.empty()) return results;
+
+  // The flat plan: every (fragment, chunk) pair, fragment by fragment, so
+  // the pool claims a fragment's chunks together and merges it early.
+  struct Chunk {
+    std::size_t fragment;
+    std::size_t index;  ///< within the fragment
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  std::vector<Chunk> plan;
+  std::vector<FragmentProgress> progress(fragments.size());
+  for (std::size_t f = 0; f < fragments.size(); ++f) {
+    const std::vector<std::uint64_t> bounds = chunk_bounds(fragments[f]);
+    const std::size_t nchunks = bounds.size() - 1;
+    progress[f].pending.store(nchunks);
+    if (nchunks > 1) progress[f].parts.resize(nchunks);
+    for (std::size_t c = 0; c < nchunks; ++c)
+      plan.push_back({f, c, bounds[c], bounds[c + 1]});
+  }
+
+  util::parallel_for(plan.size(), [&](std::size_t k) {
+    const Chunk& chunk = plan[k];
+    FragmentProgress& fp = progress[chunk.fragment];
+    // A one-chunk fragment scans straight into its results.
+    std::vector<FragmentSearchResult>& out =
+        fp.parts.empty() ? results[chunk.fragment] : fp.parts[chunk.index];
+    out.resize(queries.size());
+    scan_chunk(queries, fragments[chunk.fragment], chunk.lo, chunk.hi, out);
+    // The last chunk to finish merges the fragment; the atomic decrement
+    // orders every other chunk's writes to `parts` before the merge reads
+    // them.
+    if (fp.pending.fetch_sub(1) == 1)
+      finish_fragment(queries, fp, results[chunk.fragment]);
+  });
+  return results;
+}
+
 std::vector<FragmentSearchResult> search_fragment_batch(
     const PreparedBatch& queries, const seqdb::LoadedFragment& fragment,
     KernelKind) {
-  std::vector<FragmentSearchResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  // One fragment scan for the whole batch, shared read-only by every chunk.
-  const SearchParams& params = queries[0].params();
-  const FragmentIndex index(fragment, params);
-  std::uint64_t residues = 0;
-  for (std::uint64_t local = 0; local < fragment.num_seqs(); ++local)
-    residues += fragment.sequence(local).size();
-
-  const std::span<const QueryContext> all(queries.begin(), queries.end());
-  if (params.type == seqdb::SeqType::kNucleotide) {
-    scan_split(fragment, residues, results,
-               [&](std::uint64_t lo, std::uint64_t hi,
-                   std::span<FragmentSearchResult> out) {
-                 scan_dna(all, fragment, index, lo, hi, out);
-               });
-  } else {
-    constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
-    for (std::size_t first = 0; first < all.size(); first += kMaxQueries) {
-      const std::span<const QueryContext> sub =
-          all.subspan(first, std::min(kMaxQueries, all.size() - first));
-      const BatchNeighborhood& batch = queries.merged()[first / kMaxQueries];
-      scan_split(fragment, residues,
-                 std::span(results).subspan(first, sub.size()),
-                 [&](std::uint64_t lo, std::uint64_t hi,
-                     std::span<FragmentSearchResult> out) {
-                   scan_protein(sub, batch, fragment, index, lo, hi, out);
-                 });
-    }
-  }
-
-  // Rank and apply the per-fragment hit-list cut ("local cut").
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    FragmentSearchResult& r = results[i];
-    const int hitlist = queries[i].params().hitlist_size;
-    std::sort(r.hsps.begin(), r.hsps.end(), Hsp::better);
-    if (r.hsps.size() > static_cast<std::size_t>(hitlist))
-      r.hsps.resize(static_cast<std::size_t>(hitlist));
-    r.counters.hsps_found = r.hsps.size();
-  }
-  return results;
+  return std::move(search_fragments(queries, std::span(&fragment, 1)).front());
 }
 
 }  // namespace pioblast::blast

@@ -14,12 +14,14 @@ namespace pioblast::driver {
 MasterWorkerApp::MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
                                  pario::ClusterStorage& storage,
                                  const RunConfig& config,
-                                 std::shared_ptr<const blast::QuerySet> queries)
+                                 std::shared_ptr<const blast::QuerySet> queries,
+                                 std::vector<seqdb::LoadedFragment> fragments)
     : cluster_(cluster),
       nprocs_(nprocs),
       storage_(storage),
       config_(config),
       queries_(std::move(queries)),
+      fragments_(std::move(fragments)),
       topology_(WorkerTopology::from_cluster(cluster, nprocs)) {
   PIOBLAST_CHECK_MSG(nprocs >= 2, "drivers need a master and >= 1 worker");
   PIOBLAST_CHECK(queries_ != nullptr);
@@ -78,6 +80,10 @@ blast::DriverResult MasterWorkerApp::run() {
   opts.verify.internal_tags.assign(pario_tags.begin(), pario_tags.end());
   opts.verify.tag_name = [](int tag) { return tag_label(tag); };
 
+  // Host time only: the ranks below take these results instead of running
+  // the kernel, and charge the same virtual time either way.
+  memo_.fill(queries_->contexts(), std::move(fragments_));
+
   blast::DriverResult result;
   result.report = mpisim::run(
       nprocs_, cluster_,
@@ -119,6 +125,7 @@ blast::DriverResult MasterWorkerApp::run() {
   result.output_bytes = metrics_.get(kMetricOutputBytes);
   result.candidates_merged = metrics_.get(kMetricCandidatesMerged);
   result.alignments_reported = metrics_.get(kMetricAlignmentsReported);
+  result.memo_misses = memo_.misses();
   return result;
 }
 

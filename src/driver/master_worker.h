@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "blast/driver.h"
 #include "blast/job.h"
@@ -21,8 +22,10 @@
 #include "driver/metrics.h"
 #include "driver/run_config.h"
 #include "driver/scheduler.h"
+#include "driver/search_memo.h"
 #include "mpisim/process.h"
 #include "pario/env.h"
+#include "seqdb/formatdb.h"
 #include "sim/cluster.h"
 
 namespace pioblast::driver {
@@ -30,19 +33,24 @@ namespace pioblast::driver {
 class MasterWorkerApp {
  public:
   /// `config` (the run's tracer, verifier, conformance, fault, mpicheck and
-  /// backend settings) must outlive the app.
+  /// backend settings) must outlive the app. `fragments` lists, on the
+  /// host, the database fragments the job will search; run() fills the
+  /// search memo from them.
   MasterWorkerApp(const sim::ClusterConfig& cluster, int nprocs,
                   pario::ClusterStorage& storage, const RunConfig& config,
-                  std::shared_ptr<const blast::QuerySet> queries);
+                  std::shared_ptr<const blast::QuerySet> queries,
+                  std::vector<seqdb::LoadedFragment> fragments);
 
   virtual ~MasterWorkerApp() = default;
 
   MasterWorkerApp(const MasterWorkerApp&) = delete;
   MasterWorkerApp& operator=(const MasterWorkerApp&) = delete;
 
-  /// Launches the simulated job: init stage, body, metric trace marks,
+  /// Searches every listed fragment into the search memo on all cores,
+  /// then launches the simulated job: init stage, body, metric trace marks,
   /// final barrier; then summarizes phases, folds wire accounting into the
-  /// metrics, and returns the DriverResult (metrics snapshot included).
+  /// metrics, and returns the DriverResult (metrics snapshot and the memo's
+  /// miss count included).
   /// With config.conformance on, the run records into config.tracer (which
   /// must be empty: util::RuntimeError otherwise) or an internal tracer,
   /// and tracer() returns it.
@@ -66,6 +74,8 @@ class MasterWorkerApp {
   const blast::JobConfig& job() const { return config_.job; }
   const blast::QuerySet& queries() const { return *queries_; }
   RunMetrics& metrics() { return metrics_; }
+  /// The job's search memo, for the drivers' SearchStages.
+  SearchMemo& memo() { return memo_; }
   const WorkerTopology& topology() const { return topology_; }
 
  private:
@@ -78,6 +88,8 @@ class MasterWorkerApp {
   pario::ClusterStorage& storage_;
   const RunConfig& config_;
   std::shared_ptr<const blast::QuerySet> queries_;
+  std::vector<seqdb::LoadedFragment> fragments_;  ///< until run() fills memo_
+  SearchMemo memo_;
   mpisim::Tracer* tracer_ = nullptr;
   mpisim::Tracer own_tracer_;  ///< conformance's trace when none is given
   WorkerTopology topology_;

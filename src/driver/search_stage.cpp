@@ -1,6 +1,7 @@
 #include "driver/search_stage.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "blast/engine.h"
@@ -8,8 +9,10 @@
 
 namespace pioblast::driver {
 
-SearchStage::SearchStage(const blast::QuerySet& queries, RunMetrics* metrics)
+SearchStage::SearchStage(const blast::QuerySet& queries, SearchMemo& memo,
+                         RunMetrics* metrics)
     : queries_(queries),
+      memo_(memo),
       metrics_(metrics),
       per_query_(static_cast<std::size_t>(queries.size())) {}
 
@@ -23,13 +26,18 @@ void SearchStage::search_slot(mpisim::Process& p, std::size_t slot) {
   const seqdb::LoadedFragment& frag = fragments_[slot];
   p.compute(p.cost().fragment_setup_seconds());
   std::uint64_t cached = 0;
-  // One batched call services every query (the kernel indexes the
-  // fragment once, reads the query tables the QuerySet prepared once per
-  // job, and splits the fragment across the host's cores inside the call,
-  // so this rank neither yields nor reorders against other ranks). Virtual
-  // time is still charged per query, in query order, from the per-query
-  // counters, which do not depend on the host.
-  auto results = blast::search_fragment_batch(queries_.contexts(), frag);
+  // The job's memo searched this fragment on every core before the ranks
+  // started; a miss (a requeued range searched again, or a fragment the
+  // listing did not foresee) runs the kernel here on the rank's own bytes.
+  // Either way the results are the kernel's, and this rank neither yields
+  // nor reorders against other ranks. Virtual time is still charged per
+  // query, in query order, from the per-query counters, which do not depend
+  // on the host.
+  std::optional<std::vector<blast::FragmentSearchResult>> taken =
+      memo_.take(frag);
+  std::vector<blast::FragmentSearchResult> results =
+      taken ? std::move(*taken)
+            : blast::search_fragment_batch(queries_.contexts(), frag);
   for (std::uint32_t q = 0; q < queries_.size(); ++q) {
     auto& result = results[q];
     p.compute(p.cost().search_seconds(result.counters));

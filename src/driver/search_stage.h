@@ -15,6 +15,7 @@
 #include "blast/hsp.h"
 #include "blast/query_set.h"
 #include "driver/metrics.h"
+#include "driver/search_memo.h"
 #include "mpisim/process.h"
 #include "seqdb/formatdb.h"
 
@@ -31,15 +32,18 @@ struct CachedHit {
 
 class SearchStage {
  public:
-  /// `metrics` may be null; when set, fragments_searched / hsps_cached are
-  /// counted as the search proceeds.
-  SearchStage(const blast::QuerySet& queries, RunMetrics* metrics);
+  /// Searches take their results from `memo` when it holds them. `metrics`
+  /// may be null; when set, fragments_searched / hsps_cached are counted as
+  /// the search proceeds.
+  SearchStage(const blast::QuerySet& queries, SearchMemo& memo,
+              RunMetrics* metrics);
 
   /// Registers a loaded fragment; returns its slot.
   std::size_t add_fragment(seqdb::LoadedFragment frag);
 
-  /// Runs every query against the fragment in `slot`, charging
-  /// fragment-setup and per-query search time, and caches the hits.
+  /// Runs every query against the fragment in `slot` (or takes the memo's
+  /// results for it), charging fragment-setup and per-query search time,
+  /// and caches the hits.
   void search_slot(mpisim::Process& p, std::size_t slot);
 
   /// Convenience: search the most recently added fragment.
@@ -63,6 +67,7 @@ class SearchStage {
 
  private:
   const blast::QuerySet& queries_;
+  SearchMemo& memo_;
   RunMetrics* metrics_;
   std::vector<seqdb::LoadedFragment> fragments_;
   std::vector<std::vector<CachedHit>> per_query_;

@@ -36,8 +36,10 @@ class MpiBlastApp final : public driver::MasterWorkerApp {
   MpiBlastApp(const sim::ClusterConfig& cluster, int nprocs,
               pario::ClusterStorage& storage, const MpiBlastOptions& opts,
               std::shared_ptr<const blast::QuerySet> queries,
+              std::vector<seqdb::LoadedFragment> fragments,
               const blast::GlobalDbStats& db_stats)
-      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries)),
+      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries),
+                        std::move(fragments)),
         opts_(opts),
         db_stats_(db_stats),
         scheduler_(driver::make_scheduler(opts.scheduler)) {}
@@ -159,7 +161,7 @@ void MpiBlastApp::master(mpisim::Process& p) {
 
 void MpiBlastApp::worker(mpisim::Process& p) {
   const seqdb::SeqType type = opts_.job.params.type;
-  driver::SearchStage stage(queries(), &metrics());
+  driver::SearchStage stage(queries(), memo(), &metrics());
   pario::VirtualFS& local = storage().local_for(p.rank());
 
   p.set_phase("search");
@@ -242,16 +244,23 @@ blast::DriverResult run_mpiblast(const sim::ClusterConfig& cluster, int nprocs,
                                       opts.global_index.num_seqs};
 
   // Query parsing and context construction are identical on every rank, so
-  // they are prepared once and shared read-only across the rank threads
-  // (host-side optimization; virtual-time charges are unchanged).
+  // they are prepared once and shared read-only across the rank threads,
+  // and the search memo gets the physical fragments, read from shared
+  // storage (host-side optimizations; virtual-time charges are unchanged).
   const auto query_text_raw = storage.shared().read_all(opts.job.query_path);
   auto shared_queries = blast::QuerySet::build(
       std::string(query_text_raw.begin(), query_text_raw.end()),
       opts.job.params, db_stats);
   const auto nqueries = static_cast<int>(shared_queries->size());
+  std::vector<seqdb::LoadedFragment> fragments;
+  for (std::size_t i = 0; i < opts.fragment_bases.size(); ++i)
+    fragments.push_back(seqdb::load_volumes(storage.shared(),
+                                            opts.fragment_bases[i],
+                                            opts.job.params.type,
+                                            opts.fragment_ranges[i].first));
 
   MpiBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries),
-                  db_stats);
+                  std::move(fragments), db_stats);
   blast::DriverResult result = app.run();
   if (opts.conformance) {
     protospec::SpecParams sp;

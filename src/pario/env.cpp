@@ -61,7 +61,7 @@ double parse_fraction(const std::string& spec, const std::string& value) {
   } catch (const std::exception&) {
     bad_hint(spec, "malformed number \"" + value + "\"");
   }
-  if (pos != value.size() || x < 0.0 || x > 1.0)
+  if (pos != value.size() || !(x >= 0.0 && x <= 1.0))  // NaN fails too
     bad_hint(spec, "ds_density must be a fraction in [0,1], got \"" + value + "\"");
   return x;
 }

@@ -36,8 +36,10 @@ class PioBlastApp final : public driver::MasterWorkerApp {
  public:
   PioBlastApp(const sim::ClusterConfig& cluster, int nprocs,
               pario::ClusterStorage& storage, const PioBlastOptions& opts,
-              std::shared_ptr<const blast::QuerySet> queries)
-      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries)),
+              std::shared_ptr<const blast::QuerySet> queries,
+              std::vector<seqdb::LoadedFragment> fragments)
+      : MasterWorkerApp(cluster, nprocs, storage, opts, std::move(queries),
+                        std::move(fragments)),
         opts_(opts),
         scheduler_(driver::make_scheduler(opts.scheduler)),
         dynamic_(opts.scheduler == driver::SchedulerKind::kGreedyDynamic) {}
@@ -72,9 +74,8 @@ void PioBlastApp::body(mpisim::Process& p) {
     const auto pin = pario::timed_read_all(p, shared(), names.index, 1);
     const seqdb::DbIndex index = seqdb::DbIndex::deserialize(pin);
     db_stats = {index.total_residues, index.num_seqs};
-    const int nfragments =
-        opts_.job.nfragments > 0 ? opts_.job.nfragments : nworkers();
-    auto ranges = seqdb::virtual_partition(index, nfragments);
+    auto ranges =
+        seqdb::virtual_partition(index, opts_.job.fragments_for(nworkers()));
     const auto total = static_cast<std::uint32_t>(ranges.size());
 
     if (dynamic_) {
@@ -118,7 +119,7 @@ void PioBlastApp::body(mpisim::Process& p) {
 
   // ---- parallel input stage ("input") ------------------------------------
   p.set_phase("input");
-  driver::SearchStage stage(queries(), &metrics());
+  driver::SearchStage stage(queries(), memo(), &metrics());
   // A header-only index view is enough to rebuild fragments from slices.
   seqdb::DbIndex header_view;
   header_view.type = type;
@@ -435,24 +436,41 @@ blast::DriverResult run_pioblast(const sim::ClusterConfig& cluster, int nprocs,
       "dynamic scheduling is incompatible with collective input (assignment "
       "order is data-dependent)");
 
-  // Shared read-only query contexts (host-side optimization; the in-run
-  // query broadcast and index reads still charge virtual time as before).
-  const auto host_index = seqdb::DbIndex::deserialize_header(
-      storage.shared().pread(names.index, 0, seqdb::DbIndex::kHeaderBytes));
+  // Host-side optimizations; the in-run query broadcast, index and range
+  // reads still charge virtual time as before. The query contexts are
+  // built once and shared read-only, and the search memo gets the virtual
+  // fragments the master will derive, read from shared storage the way the
+  // workers read them.
+  const pario::VirtualFS& fs = storage.shared();
+  const auto host_index = seqdb::DbIndex::deserialize(fs.read_all(names.index));
   const blast::GlobalDbStats host_stats{host_index.total_residues,
                                         host_index.num_seqs};
-  const auto query_text_raw = storage.shared().read_all(opts.job.query_path);
+  const auto query_text_raw = fs.read_all(opts.job.query_path);
   auto shared_queries = blast::QuerySet::build(
       std::string(query_text_raw.begin(), query_text_raw.end()),
       opts.job.params, host_stats);
   const auto nqueries = static_cast<int>(shared_queries->size());
+  const int nfragments = opts.job.fragments_for(nprocs - 1);
+  seqdb::DbIndex header_view;
+  header_view.type = type;
+  auto slice = [&](const std::string& file, const pario::Region& region) {
+    return fs.pread(file, region.offset, region.length);
+  };
+  std::vector<seqdb::LoadedFragment> fragments;
+  for (const seqdb::FragmentRange& r :
+       seqdb::virtual_partition(host_index, nfragments))
+    fragments.push_back(seqdb::fragment_from_slices(
+        header_view, r, slice(names.index, r.pin_seq_off),
+        slice(names.index, r.pin_hdr_off), slice(names.sequence, r.psq),
+        slice(names.header, r.phr)));
 
-  PioBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries));
+  PioBlastApp app(cluster, nprocs, storage, opts, std::move(shared_queries),
+                  std::move(fragments));
   blast::DriverResult result = app.run();
   if (opts.conformance) {
     protospec::SpecParams sp;
     sp.nranks = nprocs;
-    sp.tasks = opts.job.nfragments > 0 ? opts.job.nfragments : nprocs - 1;
+    sp.tasks = nfragments;
     sp.queries = nqueries;
     sp.batch = opts.query_batch > 0 ? static_cast<int>(opts.query_batch)
                                     : nqueries;

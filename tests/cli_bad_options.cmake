@@ -43,6 +43,7 @@ set(cases
   "--pario-hints=cb_buffer_size=-1|--pario-hints"
   "--pario-hints=ds_buffer_size=-1|--pario-hints"
   "--pario-hints=cb_buffer_size=17179869184g|--pario-hints"
+  "--pario-hints=ds_density=nan|--pario-hints"
   "--fragments=100000|--fragments"
   "--fragments=-1|--fragments"
   "--db-residues=100|--procs: 3 fragments need as many database sequences"
@@ -62,7 +63,8 @@ set(cases
   "--fault=rank=9,crash_at=3|--fault"
   "--fault=rank=0,crash_at=3|--fault"
   "--procs=1|--procs"
-  "--procs=0|--procs")
+  "--procs=0|--procs"
+  "--procs=4294967298|--procs")
 
 set(failures)
 foreach(case IN LISTS cases)

@@ -517,26 +517,6 @@ TEST(KernelSplit, ConcurrentCallersMatchSerialResults) {
   }
 }
 
-TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
-  // More queries than the protein batch's query-id tag holds (1024): the
-  // fast kernel runs them in sub-batches, each with its own neighborhood.
-  const auto db = family_db(4 * kSplitGrainResidues, 151);
-  const auto frag = whole_db(db);
-  const auto gstats = stats_of(db);
-  const auto m = ScoringMatrix::blosum62();
-  const auto params = SearchParams::blastp_defaults();
-  std::vector<QueryContext> contexts;
-  for (std::size_t i = 0; contexts.size() < 1100; ++i) {
-    const std::string& s = db[i % db.size()].sequence;
-    const std::size_t off = (i * 7) % (s.size() > 40 ? s.size() - 40 : 1);
-    const auto q = seqdb::encode_sequence(SeqType::kProtein, s.substr(off, 40));
-    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
-                          params, m, gstats);
-  }
-  expect_batch_matches_scalar(PreparedBatch(std::move(contexts)), frag,
-                              "1100 queries");
-}
-
 // ---------- prepared batches -------------------------------------------------
 //
 // A QuerySet prepares its batch once per job and every fragment search only
@@ -544,17 +524,19 @@ TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
 // set, each on a fragment below the split threshold, and the threads
 // backend makes them from several rank threads at once.
 
-/// `db` cut into residue-balanced fragments of about `residues` each.
+/// `db` cut into residue-balanced fragments of about `residues` each (at
+/// most one per sequence).
 std::vector<seqdb::LoadedFragment> cut_into_fragments(
-    const std::vector<seqdb::FastaRecord>& db, std::uint64_t residues) {
+    const std::vector<seqdb::FastaRecord>& db, std::uint64_t residues,
+    SeqType type = SeqType::kProtein) {
   pario::VirtualFS fs;
   const auto parts = seqdb::mpiformatdb(
-      fs, db, "cut", SeqType::kProtein, "t",
-      static_cast<int>(stats_of(db).total_residues / residues));
+      fs, db, "cut", type, "t",
+      static_cast<int>(std::min<std::uint64_t>(
+          db.size(), stats_of(db).total_residues / residues)));
   std::vector<seqdb::LoadedFragment> frags;
   for (std::size_t i = 0; i < parts.fragment_bases.size(); ++i) {
-    frags.push_back(seqdb::load_volumes(fs, parts.fragment_bases[i],
-                                        SeqType::kProtein,
+    frags.push_back(seqdb::load_volumes(fs, parts.fragment_bases[i], type,
                                         parts.ranges[i].first));
   }
   return frags;
@@ -640,6 +622,134 @@ TEST(KernelPrepared, MixedTypesOrWordSizesRejected) {
   words.emplace_back(0, dq, dna, dm, gstats);
   words.emplace_back(1, dq, dna_short, dm, gstats);
   expect_rejected(std::move(words), "word sizes 11 + 8");
+}
+
+// ---------- one flat plan over many fragments --------------------------------
+//
+// search_fragments runs every chunk of every fragment it is given on one
+// fork-join pass: a sub-grain fragment is one chunk, a larger one several,
+// and the task that finishes a fragment's last chunk merges it. Its results
+// must not depend on which fragments share a call.
+
+/// Fragments of both plan shapes cut from `db`: up to `small` of about 512
+/// residues (one chunk each), then the database's two halves (several
+/// chunks each).
+std::vector<seqdb::LoadedFragment> mixed_fragments(
+    const std::vector<seqdb::FastaRecord>& db, SeqType type,
+    std::size_t small) {
+  std::vector<seqdb::LoadedFragment> frags = cut_into_fragments(db, 512, type);
+  frags.erase(frags.begin() + static_cast<std::ptrdiff_t>(
+                                  std::min(small, frags.size())),
+              frags.end());
+  for (auto& half :
+       cut_into_fragments(db, stats_of(db).total_residues / 2, type)) {
+    EXPECT_GE(residues_of(half), 2 * kSplitGrainResidues);
+    frags.push_back(std::move(half));
+  }
+  return frags;
+}
+
+/// search_fragments over `frags` in one call, against one
+/// search_fragment_batch call per fragment and against the oracle, on every
+/// (query, fragment) pair.
+void expect_flat_plan_matches(const PreparedBatch& batch,
+                              const std::vector<seqdb::LoadedFragment>& frags,
+                              const std::string& what) {
+  const auto flat = search_fragments(batch, frags);
+  ASSERT_EQ(flat.size(), frags.size());
+  const oracle::ScalarBatch scalar(batch);
+  std::size_t hsps = 0;
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    const auto one = search_fragment_batch(batch, frags[f]);
+    ASSERT_EQ(flat[f].size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::string label = what + " fragment " + std::to_string(f) +
+                                " query " + std::to_string(i);
+      expect_results_identical(one[i], flat[f][i], label.c_str());
+      expect_results_identical(scalar.search(i, frags[f]), flat[f][i],
+                               label.c_str());
+      hsps += flat[f][i].hsps.size();
+    }
+  }
+  EXPECT_GT(hsps, 0u) << what;
+}
+
+/// A protein family database with one subject of three grains (family
+/// members glued together, so it still hits) in the middle.
+std::vector<seqdb::FastaRecord> db_with_big_subject(std::uint64_t seed) {
+  auto db = family_db(8 * kSplitGrainResidues, seed);
+  seqdb::FastaRecord big{"big", "", ""};
+  for (std::size_t i = 0; big.sequence.size() < 3 * kSplitGrainResidues; ++i)
+    big.sequence += db[i % db.size()].sequence;
+  db.insert(db.begin() + static_cast<std::ptrdiff_t>(db.size() / 2), big);
+  return db;
+}
+
+TEST(KernelFlatPlan, MixedProteinFragmentsMatchPerFragmentAndOracle) {
+  const auto db = db_with_big_subject(163);
+  const auto frags = mixed_fragments(db, SeqType::kProtein, 12);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  expect_flat_plan_matches(
+      contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 6), frags,
+      "protein");
+}
+
+TEST(KernelFlatPlan, MixedDnaFragmentsMatchPerFragmentAndOracle) {
+  const auto db = family_db(8 * kSplitGrainResidues, 167, SeqType::kNucleotide);
+  const auto frags = mixed_fragments(db, SeqType::kNucleotide, 12);
+  const auto params = SearchParams::blastn_defaults();
+  const auto m = make_matrix(params);
+  expect_flat_plan_matches(
+      contexts_from(db, SeqType::kNucleotide, params, m, stats_of(db), 4),
+      frags, "dna");
+}
+
+TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
+  // More queries than the protein batch's query-id tag holds (1024): the
+  // kernel runs them in two sub-batches, each with its own merged
+  // neighborhood, in every chunk of every fragment.
+  const auto db = family_db(5 * kSplitGrainResidues, 151);
+  const auto frags = mixed_fragments(db, SeqType::kProtein, 4);
+  const auto gstats = stats_of(db);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  std::vector<QueryContext> contexts;
+  for (std::size_t i = 0; contexts.size() < 1100; ++i) {
+    const std::string& s = db[i % db.size()].sequence;
+    const std::size_t off = (i * 7) % (s.size() > 40 ? s.size() - 40 : 1);
+    const auto q = seqdb::encode_sequence(SeqType::kProtein, s.substr(off, 40));
+    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
+                          params, m, gstats);
+  }
+  ASSERT_GT(contexts.size(), BatchNeighborhood::kMaxQueries);
+  expect_flat_plan_matches(PreparedBatch(std::move(contexts)), frags,
+                           "1100 queries");
+}
+
+TEST(KernelFlatPlan, ConcurrentCallersMatchSerialResults) {
+  // Three threads, each planning the whole list through the shared pool at
+  // the same time, as three jobs filling their memos at once would.
+  const auto db = db_with_big_subject(173);
+  const auto frags = mixed_fragments(db, SeqType::kProtein, 12);
+  const auto m = ScoringMatrix::blosum62();
+  const auto params = SearchParams::blastp_defaults();
+  const PreparedBatch batch =
+      contexts_from(db, SeqType::kProtein, params, m, stats_of(db), 4);
+  const auto serial = search_fragments(batch, frags);
+  std::vector<std::vector<std::vector<FragmentSearchResult>>> concurrent(3);
+  std::vector<std::thread> threads;
+  for (auto& out : concurrent)
+    threads.emplace_back([&] { out = search_fragments(batch, frags); });
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : concurrent) {
+    ASSERT_EQ(out.size(), serial.size());
+    for (std::size_t f = 0; f < serial.size(); ++f) {
+      ASSERT_EQ(out[f].size(), serial[f].size());
+      for (std::size_t i = 0; i < serial[f].size(); ++i)
+        expect_results_identical(serial[f][i], out[f][i], "concurrent");
+    }
+  }
 }
 
 // ---------- FlatNeighborhood / FragmentIndex properties ---------------------
@@ -755,7 +865,7 @@ TEST(FragmentIndexProperty, CodesMatchScalarPacking) {
   const auto db = family_db(20'000, 113);
   const auto frag = whole_db(db);
   const auto params = SearchParams::blastp_defaults();
-  const FragmentIndex index(frag, params);
+  const FragmentIndex index(frag, params, 0, frag.num_seqs());
   ASSERT_EQ(index.num_seqs(), frag.num_seqs());
   for (std::uint64_t local = 0; local < frag.num_seqs(); ++local) {
     const auto s = frag.sequence(local);
@@ -780,7 +890,7 @@ TEST(FragmentIndexProperty, DnaCodesFlagAmbiguousWindows) {
   const auto frag = whole_db(db, SeqType::kNucleotide);
   auto params = SearchParams::blastn_defaults();
   params.word_size = 5;
-  const FragmentIndex index(frag, params);
+  const FragmentIndex index(frag, params, 0, frag.num_seqs());
   const std::size_t w = 5;
   for (std::uint64_t local = 0; local < frag.num_seqs(); ++local) {
     const auto s = frag.sequence(local);

@@ -463,6 +463,7 @@ TEST(Hints, RejectsMalformedSpecs) {
   EXPECT_THROW(Hints::parse("cb_buffer_size=18446744073709551616"),
                util::RuntimeError);
   EXPECT_THROW(Hints::parse("ds_density=1.5"), util::RuntimeError);
+  EXPECT_THROW(Hints::parse("ds_density=nan"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("ds_read=sometimes"), util::RuntimeError);
   EXPECT_THROW(Hints::parse("list=maybe"), util::RuntimeError);
 }

@@ -203,11 +203,8 @@ Setup configure(const util::ArgParser& args) {
   const seqdb::SeqType type = choice(args, "type", {"protein", "dna"}) == "dna"
                                   ? seqdb::SeqType::kNucleotide
                                   : seqdb::SeqType::kProtein;
-  s.nprocs = static_cast<int>(args.get_int("procs"));
-  if (s.nprocs < 2)
-    throw util::RuntimeError("--procs: needs a master and at least one "
-                             "worker (2 or more), got " +
-                             std::to_string(s.nprocs));
+  // A master and at least one worker.
+  s.nprocs = int_option<int>(args, "procs", 2);
   s.cluster = choice(args, "cluster", {"altix", "blade"}) == "blade"
                   ? sim::ClusterConfig::ncsu_blade()
                   : sim::ClusterConfig::ornl_altix();
@@ -253,7 +250,7 @@ Setup configure(const util::ArgParser& args) {
   job.nfragments = int_option(args, "fragments", 0);
   // Every fragment holds at least one database sequence; 0 fragments
   // means one per worker.
-  s.nfragments = job.nfragments > 0 ? job.nfragments : s.nprocs - 1;
+  s.nfragments = job.fragments_for(s.nprocs - 1);
   if (static_cast<std::size_t>(s.nfragments) > s.db.size()) {
     const std::string option = job.nfragments > 0 ? "--fragments" : "--procs";
     throw util::RuntimeError(option + ": " + std::to_string(s.nfragments) +
