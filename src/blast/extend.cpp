@@ -157,14 +157,15 @@ UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
 namespace {
 
 /// One direction of the gapped pass. Same window walk, same comparisons,
-/// same stored H/F values (dead cells clamped to the exact kNegInf
-/// sentinel) as the reference oracle's scalar extend_dir, so scores,
-/// windows, and tracebacks are bit-identical to it. Mechanical differences
-/// only: dead-source arithmetic runs
-/// unguarded (the results stay far below any live score, and the only
-/// bytes that can differ are traceback directions of dead cells, which
-/// the traceback can never visit), the scoring row pointer is hoisted per
-/// row, and traceback bytes land in a reusable arena.
+/// same live H/F values (dead cells clamped to the exact kNegInf sentinel)
+/// as the reference oracle's scalar extend_dir, so scores, windows,
+/// tracebacks and cell counts are bit-identical to it. The differences are
+/// mechanical. Dead-source arithmetic runs unguarded: its results stay far
+/// below any live score, and the only bytes that can differ are traceback
+/// bits of dead sources, which the traceback never reads. Each row runs in
+/// three parts (DESIGN "Kernel fast path", item 4), so that only E and the
+/// clamped H pass from cell to cell, and traceback bytes land in a
+/// reusable arena.
 DirResult extend_dir_fast(std::span<const std::uint8_t> q,
                           std::span<const std::uint8_t> s,
                           const ScoringMatrix& matrix, int gap_open,
@@ -178,18 +179,22 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
 
   // Invariant: outside the most recent row's window, H and F hold exactly
   // kNegInf. Newly grown columns start there; per-row clearing and the
-  // exit cleanup below restore it before every return.
+  // exit cleanup below restore it before every return. DF needs no
+  // invariant: part 1 writes every column part 2 reads.
   if (sc.H.size() < n + 1) {
     sc.H.resize(n + 1, kNegInf);
     sc.F.resize(n + 1, kNegInf);
+    sc.DF.resize(n + 1);
   }
-  int* H = sc.H.data();
-  int* F = sc.F.data();
-  sc.dirs.clear();
+  int* const H = sc.H.data();
+  int* const F = sc.F.data();
+  int* const DF = sc.DF.data();
   sc.rows.clear();
+  std::size_t used = 0;  // bytes of sc.dirs holding this pass's rows
 
   H[0] = 0;
   int best = 0;
+  int floor = -xdrop;  // best - xdrop: a cell scoring below it is dead
   std::size_t best_i = 0, best_j = 0;
   std::size_t prev_lo = 0, prev_hi = 1;
   std::size_t lo = 1;
@@ -203,24 +208,81 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
 
   std::size_t i = 1;
   for (; i <= m && lo <= n; ++i) {
-    const std::size_t row_start = sc.dirs.size();
-    // Pre-size the traceback row and write through a raw pointer indexed by
-    // j: a per-cell push_back would re-check capacity and bump the size on
-    // every DP cell. The row is trimmed to the cells actually computed
-    // after the early-exit below.
-    sc.dirs.resize(row_start + (n - lo + 1));
+    // The row may run to column n. The arena only grows, so a byte is
+    // initialised once per scratch, not once per row, and the row's bytes
+    // are written through a raw pointer indexed by j.
+    const std::size_t row_start = used;
+    if (sc.dirs.size() < row_start + (n - lo + 1))
+      sc.dirs.resize(std::max(2 * sc.dirs.size(), row_start + (n - lo + 1)));
     std::uint8_t* const dp = sc.dirs.data() + row_start - lo;
     const int* qrow = matrix.row(q[i - 1]);
+    // Columns [lo, mid) lie inside the previous row's window; lo < prev_hi
+    // on every row but the first, and prev_hi <= n + 1.
+    const std::size_t mid = prev_hi;
 
-    int h_diag = H[lo - 1];  // exact kNegInf when lo-1 fell outside the window
+    // Part 1: everything that reads only the previous row — F, its
+    // F-from-F bit, the diagonal score, and the larger of the diagonal and
+    // F (the diagonal on a tie) with its source bits. No loop-carried
+    // dependency.
+    for (std::size_t j = lo; j < mid; ++j) {
+      const int f_open = H[j] - open_cost;
+      const int f_ext = F[j] - gap_extend;
+      const int f = f_open < f_ext ? f_ext : f_open;
+      const int diag = H[j - 1] + qrow[s[j - 1]];
+      const bool from_f = f > diag;
+      F[j] = f;
+      DF[j] = from_f ? f : diag;
+      dp[j] = static_cast<std::uint8_t>((f_ext > f_open ? kFFromF : 0) |
+                                        (from_f ? kHFromF : kHFromDiag));
+    }
+    // The tail's first diagonal source, H(i-1, mid-1), before part 2
+    // overwrites it (H[lo-1] when part 1 was empty).
+    int h_diag = H[mid - 1];
+
+    // Part 2: the E chain, E against part 1's winner, the X-drop clamp and
+    // the stores. No cell here can end the row: that needs j >= prev_hi.
+    // What one cell hands the next is only E and the clamped H.
     int h_left = kNegInf;
     int e_left = kNegInf;
     std::size_t new_lo = n + 1;
     std::size_t new_hi = lo;
-    std::size_t j = lo;
+    for (std::size_t j = lo; j < mid; ++j) {
+      const int e_open = h_left - open_cost;
+      const int e_ext = e_left - gap_extend;
+      int e = e_open < e_ext ? e_ext : e_open;
+      const int h_df = DF[j];
+      const std::uint8_t dir = dp[j];
+      // Tie order diagonal, then E, then F, each only when strictly
+      // greater: E beats a diagonal only when above it, and beats an F
+      // (which was strictly above the diagonal) when not below it.
+      // kHFromF is bit 1, so the shift gives 1 for F and 0 for diagonal.
+      const int e_beats = h_df - ((dir & kHFromF) >> 1);
+      dp[j] = static_cast<std::uint8_t>(
+          (e > e_beats ? (dir & ~kHMask) | kHFromE : dir) |
+          (e_ext > e_open ? kEFromE : 0));
+      int h = h_df < e ? e : h_df;
+      const bool dead = h < floor;
+      h = dead ? kNegInf : h;
+      e = dead ? kNegInf : e;
+      F[j] = dead ? kNegInf : F[j];
+      H[j] = h;
+      new_lo = !dead && j < new_lo ? j : new_lo;
+      new_hi = dead ? new_hi : j + 1;
+      if (h > best) {
+        best = h;
+        floor = best - xdrop;
+        best_i = i;
+        best_j = j;
+      }
+      h_left = h;
+      e_left = e;
+    }
 
+    // Part 3: past the previous row's window, where H and F above are
+    // kNegInf, only the diagonal at column mid and the E chain can keep
+    // the row alive. The first dead cell ends it: its E was clamped too.
+    std::size_t j = mid;
     for (; j <= n; ++j) {
-      ++result.cells;
       const int h_up = H[j];
       const int f_up = F[j];
 
@@ -244,7 +306,7 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
         dir = static_cast<std::uint8_t>((dir & ~kHMask) | kHFromF);
       }
 
-      const bool dead = h < best - xdrop;
+      const bool dead = h < floor;
       if (dead) {
         h = kNegInf;
         e = kNegInf;
@@ -254,6 +316,7 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
         new_hi = j + 1;
         if (h > best) {
           best = h;
+          floor = best - xdrop;
           best_i = i;
           best_j = j;
         }
@@ -266,14 +329,15 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
       F[j] = f;
       dp[j] = dir;
 
-      if (j >= prev_hi && dead && e == kNegInf) {
+      if (dead) {
         ++j;
         break;
       }
     }
 
-    sc.dirs.resize(row_start + (j - lo));
+    result.cells += j - lo;
     sc.rows.push_back({lo, row_start, j - lo});
+    used += j - lo;
     if (new_lo >= new_hi) {
       // Every column pruned: restore the all-kNegInf invariant over both
       // the previous window and this row's writes, then stop.
@@ -284,9 +348,9 @@ DirResult extend_dir_fast(std::span<const std::uint8_t> q,
       break;
     }
     // Columns of the previous window this row did not overwrite go back
-    // to the sentinel so the next row can read H/F unconditionally.
-    clear_window(prev_lo, std::min(prev_hi, lo));
-    clear_window(std::max(j, prev_lo), prev_hi);
+    // to the sentinel so the next row can read H/F unconditionally. The
+    // row always reaches prev_hi, so only columns left of lo remain.
+    clear_window(prev_lo, lo);
     prev_lo = lo;
     prev_hi = j;
     lo = new_lo;

@@ -37,11 +37,11 @@ struct GappedExtension {
 // The extensions below give bit-identical outputs (scores, coordinates,
 // tracebacks, cell counts) to the scalar extend_ungapped / extend_gapped of
 // the reference oracle in tests/support/ — the differential kernel tests
-// enforce this. The speed
-// comes from mechanical restructuring only: SWAR 8-residue skips over
-// identical diagonal runs (ungapped), hoisted scoring-matrix row pointers,
-// and reusable DP scratch with a flat traceback arena instead of per-cell
-// vector growth (gapped).
+// enforce this. The speed comes from mechanical restructuring only. The
+// ungapped pass skips 8 identical residues at a time. The gapped DP splits
+// each row into a loop over what the previous row fixes and a short loop
+// carrying only E (DESIGN "Kernel fast path", item 4), hoists the scoring
+// row pointer, and reuses scratch with a traceback arena that only grows.
 
 /// Per-query precomputation for the SWAR ungapped skip: prefix sums of the
 /// query's self-alignment scores and a prefix count of positions whose
@@ -68,11 +68,12 @@ UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
                                        const ScoringMatrix& matrix, int xdrop,
                                        const SelfScoreProfile& self);
 
-/// Reusable DP buffers for extend_gapped_fast; one per searching thread.
-/// Holding the arena across calls removes per-cell push_backs and per-call
-/// row allocations.
+/// Reusable DP buffers for extend_gapped_fast; one per chunk of subjects a
+/// kernel task scans. Holding them across calls removes per-cell
+/// push_backs and per-call allocations; the buffers only grow.
 struct GappedScratch {
   std::vector<int> H, F;
+  std::vector<int> DF;  ///< a row's max(diagonal, F), from part 1 to part 2
   std::vector<std::uint8_t> dirs;  ///< traceback bytes, all rows contiguous
   struct Row {
     std::size_t lo;     ///< first column of the row's window

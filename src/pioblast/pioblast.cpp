@@ -277,8 +277,9 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
       // §5 extension: agree on a global score threshold before submitting.
       std::int32_t threshold = std::numeric_limits<std::int32_t>::min();
       if (opts_.early_score_broadcast) {
+        // An empty hit list has no k-th score: it contributes no threshold.
         std::int32_t local_kth = std::numeric_limits<std::int32_t>::min();
-        if (!p.is_root() &&
+        if (!p.is_root() && hitlist > 0 &&
             stage.hits(q).size() >= static_cast<std::size_t>(hitlist)) {
           local_kth =
               stage.hits(q)[static_cast<std::size_t>(hitlist) - 1].hsp.score;

@@ -11,7 +11,8 @@
 //     reproduction dump to stderr on the first mismatch;
 //   * properties — FlatNeighborhood vs the oracle's WordIndex under random
 //     scoring matrices and thresholds, FragmentIndex codes vs scalar
-//     packing, extension scores vs traceback replay;
+//     packing, extension scores vs traceback replay, and gapped
+//     extensions aimed at the DP's three-part rows;
 //   * drivers — mpiBLAST and pioBLAST reports byte-identical to each
 //     other, fault-free and across a worker crash, and to committed golden
 //     fixtures (tests/data/; regenerate with PIOBLAST_UPDATE_GOLDEN=1),
@@ -29,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "blast/engine.h"
@@ -1078,6 +1080,192 @@ TEST(ExtendEdge, GappedScoreMatchesTracebackReplay) {
         << "round " << round << " q=" << qs << " s=" << ss
         << " anchor=(" << anchor_q << "," << anchor_s << ") open=" << open
         << " ext=" << extend << " xdrop=" << xdrop;
+  }
+}
+
+// ---------- gapped DP rows --------------------------------------------------
+//
+// extend_gapped_fast runs each DP row as a loop over the previous row's
+// window and a per-cell tail past it (DESIGN "Kernel fast path", item 4).
+// These cases aim at what that split could get wrong — rows that run past
+// the previous window, E runs that keep a row alive there, ties between
+// the diagonal, E and F, the X-drop extremes, both scoring systems, and
+// scratch reuse — each diffed against the oracle on score, coordinates,
+// ops and cells, and checked by replaying its traceback.
+
+/// A residue drawn from `type`'s unambiguous letters (no X, *, B, Z or N).
+char random_letter(std::mt19937& rng, SeqType type) {
+  const std::string_view letters = type == SeqType::kProtein
+                                        ? seqdb::kProteinLetters.substr(0, 20)
+                                        : seqdb::kDnaLetters.substr(0, 4);
+  return letters[rng() % letters.size()];
+}
+
+/// Residues of `type`, each repeating the one before with probability
+/// `run`. An indel inside a run can sit at any of the run's positions, so
+/// co-optimal tracebacks meet diagonal/E and diagonal/F ties on the path.
+std::string runny_sequence(std::mt19937& rng, SeqType type, std::size_t len,
+                           double run) {
+  std::bernoulli_distribution repeat(run);
+  std::string s;
+  for (std::size_t i = 0; i < len; ++i)
+    s += i > 0 && repeat(rng) ? s.back() : random_letter(rng, type);
+  return s;
+}
+
+/// A relative of `q` (substitutions, and 1-4 residue indels that copy a
+/// neighbor half the time) between random flanks, so the subject is about
+/// `factor` times as long as the query. `at` receives where it starts.
+std::string embed_relative(std::mt19937& rng, SeqType type,
+                           const std::string& q, std::size_t factor,
+                           std::size_t& at) {
+  std::bernoulli_distribution sub(0.1), indel(0.05), coin(0.5);
+  std::string rel;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (indel(rng)) {
+      const std::size_t k = 1 + rng() % 4;
+      if (coin(rng)) {
+        i += k - 1;  // delete k query residues
+        continue;
+      }
+      for (std::size_t t = 0; t < k; ++t)  // insert k residues
+        rel += coin(rng) ? q[i] : random_letter(rng, type);
+    }
+    rel += sub(rng) ? random_letter(rng, type) : q[i];
+  }
+  const std::size_t flanks = q.size() * factor - std::min(q.size() * factor,
+                                                          rel.size());
+  at = rng() % (flanks + 1);
+  return runny_sequence(rng, type, at, 0.3) + rel +
+         runny_sequence(rng, type, flanks - at, 0.3);
+}
+
+struct DpCase {
+  const ScoringMatrix& matrix;
+  SeqType type;
+  int open, extend, xdrop;
+};
+
+/// One extension of `qs` against `ss` anchored at (anchor_q, anchor_s),
+/// kernel (with `scratch`) against oracle.
+void expect_dp_matches_oracle(const DpCase& c, const std::string& qs,
+                              const std::string& ss, std::uint32_t anchor_q,
+                              std::uint64_t anchor_s, GappedScratch& scratch) {
+  const auto q = seqdb::encode_sequence(c.type, qs);
+  const auto s = seqdb::encode_sequence(c.type, ss);
+  const auto a = oracle::extend_gapped(q, s, anchor_q, anchor_s, c.matrix,
+                                       c.open, c.extend, c.xdrop);
+  const auto b = extend_gapped_fast(q, s, anchor_q, anchor_s, c.matrix,
+                                    c.open, c.extend, c.xdrop, scratch);
+  SCOPED_TRACE(testing::Message()
+               << "q=" << qs << " s=" << ss << " anchor=(" << anchor_q << ","
+               << anchor_s << ") open=" << c.open << " ext=" << c.extend
+               << " xdrop=" << c.xdrop);
+  expect_gapped_identical(a, b);
+  EXPECT_EQ(replay_gapped_score(b, q, s, c.matrix, c.open, c.extend),
+            b.score);
+}
+
+/// `rounds` queries of 8-80 residues, each against a relative embedded in a
+/// subject 4-20 times as long, anchored on the relative's first residue or
+/// at random inside it. `gaps` picks each round's (open, extend, xdrop).
+template <typename Gaps>
+void fuzz_long_subjects(std::uint32_t seed, int rounds,
+                        const ScoringMatrix& matrix, SeqType type, Gaps gaps) {
+  std::mt19937 rng(seed);
+  GappedScratch scratch;
+  for (int round = 0; round < rounds; ++round) {
+    const auto [open, extend, xdrop] = gaps(rng);
+    const std::string qs = runny_sequence(rng, type, 8 + rng() % 73, 0.3);
+    std::size_t at = 0;
+    const std::string ss =
+        embed_relative(rng, type, qs, 4 + rng() % 17, at);
+    const std::uint32_t anchor_q =
+        round % 2 == 0 ? 0 : static_cast<std::uint32_t>(rng() % qs.size());
+    const std::uint64_t anchor_s =
+        std::min<std::uint64_t>(at + anchor_q, ss.size() - 1);
+    expect_dp_matches_oracle({matrix, type, open, extend, xdrop}, qs, ss,
+                             anchor_q, anchor_s, scratch);
+  }
+}
+
+TEST(ExtendRows, LongSubjectsRunPastThePreviousWindow) {
+  const auto m = ScoringMatrix::blosum62();
+  fuzz_long_subjects(0xB10C5u, 150, m, SeqType::kProtein, [](std::mt19937& r) {
+    return std::tuple{11, 1, 15 + static_cast<int>(r() % 50)};
+  });
+}
+
+TEST(ExtendRows, CheapGapOpensKeepRowsAlivePastTheWindow) {
+  // With an open cost of 0-2 an E run outlives the diagonal by many
+  // columns, so rows reach far past the previous row's window.
+  const auto m = ScoringMatrix::blosum62();
+  fuzz_long_subjects(0xE7A115u, 150, m, SeqType::kProtein, [](std::mt19937& r) {
+    return std::tuple{static_cast<int>(r() % 3), 1 + static_cast<int>(r() % 2),
+                      20 + static_cast<int>(r() % 40)};
+  });
+}
+
+TEST(ExtendRows, ConstantMatrixTiesDiagonalEAndF) {
+  // Every pair scores the same, so inside the band the diagonal, E and F
+  // tie wherever their gap costs balance, and where each row ends depends
+  // on exact E values. No gap ever helps here, so the traceback stays on
+  // the diagonal: ties on traced cells are the run-rich cases' job.
+  const KarlinParams kp{0.3, 0.1, 0.4};
+  for (const int score : {1, 2, 3}) {
+    const std::vector<int> scores(24 * 24, score);
+    const auto m = ScoringMatrix::custom(24, scores, kp, kp);
+    fuzz_long_subjects(0xC0DEu + score, 60, m, SeqType::kProtein,
+                       [score](std::mt19937& r) {
+                         const int open = static_cast<int>(r() % 3);
+                         return std::tuple{open, score,
+                                           10 + static_cast<int>(r() % 30)};
+                       });
+  }
+}
+
+TEST(ExtendRows, XdropZeroAndUnbounded) {
+  // xdrop 0 kills every cell below the running best; 1 << 20 keeps the
+  // whole matrix live, so every row runs to the subject's end.
+  const auto prot = ScoringMatrix::blosum62();
+  const auto dna = make_matrix(SearchParams::blastn_defaults());
+  for (const int xdrop : {0, 1 << 20}) {
+    fuzz_long_subjects(0x0D0Du + xdrop, 40, prot, SeqType::kProtein,
+                       [xdrop](std::mt19937&) { return std::tuple{11, 1, xdrop}; });
+    fuzz_long_subjects(0x0D1Du + xdrop, 40, dna, SeqType::kNucleotide,
+                       [xdrop](std::mt19937&) { return std::tuple{5, 2, xdrop}; });
+  }
+}
+
+TEST(ExtendRows, BlastnMatrixOnRunnyDna) {
+  // +1/-3 over four letters with runs: indels inside runs put ties on the
+  // traceback at almost every gap.
+  const auto m = make_matrix(SearchParams::blastn_defaults());
+  fuzz_long_subjects(0xD7Au, 150, m, SeqType::kNucleotide, [](std::mt19937& r) {
+    return std::tuple{static_cast<int>(r() % 6), 1 + static_cast<int>(r() % 2),
+                      10 + static_cast<int>(r() % 30)};
+  });
+}
+
+TEST(ExtendRows, ScratchReusedAsSubjectsShrinkAndGrow) {
+  // One scratch across subjects that shrink and then grow: its rows, the
+  // traceback arena and the H/F/DF columns keep what earlier, longer calls
+  // left, and every call must still match the oracle.
+  std::mt19937 rng(0x5C7A7Cu);
+  const auto m = ScoringMatrix::blosum62();
+  GappedScratch scratch;
+  const std::string qs = runny_sequence(rng, SeqType::kProtein, 60, 0.3);
+  for (const std::size_t factor : {20u, 8u, 1u, 4u, 12u, 20u}) {
+    for (int round = 0; round < 6; ++round) {
+      std::size_t at = 0;
+      const std::string ss =
+          embed_relative(rng, SeqType::kProtein, qs, factor, at);
+      const std::uint32_t anchor_q = static_cast<std::uint32_t>(rng() % qs.size());
+      const std::uint64_t anchor_s =
+          std::min<std::uint64_t>(at + anchor_q, ss.size() - 1);
+      expect_dp_matches_oracle({m, SeqType::kProtein, 11, 1, 38}, qs, ss,
+                               anchor_q, anchor_s, scratch);
+    }
   }
 }
 
