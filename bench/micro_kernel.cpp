@@ -16,7 +16,7 @@
 // machine-readable `ROW {...}` line per (type, kernel) plus a summary row
 // per type; tools/bench_to_json.py folds them into BENCH_kernel.json.
 //
-// Protein gets two more rows: the same database cut into fragments of
+// Each type gets two more rows: the same database cut into fragments of
 // about kCutResidues residues, every one searched with the same prepared
 // batch. That is pioBLAST's regime at thousands of ranks (its dynamic
 // partitioning hands each worker a few hundred residues). The "fast" cut
@@ -25,6 +25,10 @@
 // the "flat" row searches them all in one search_fragments call, which
 // spreads the fragments over every core (what the drivers' search memo
 // does before the ranks start).
+//
+// The rows check each other: the exit status is 1 when the fast row's
+// cells, seeds or HSPs differ from the scalar row's on the same fragment,
+// or the flat row's from the fast cut row's.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -53,7 +57,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Fragment size of the protein cut row.
+/// Fragment size of the cut rows.
 constexpr std::uint64_t kCutResidues = 512;
 
 struct KernelRun {
@@ -113,6 +117,25 @@ void emit_row(const char* type, const char* kernel, const KernelRun& r) {
       static_cast<unsigned long long>(r.hsps));
 }
 
+/// True when `got` did the work `want` did: equal cells, seeds and HSPs.
+/// Otherwise says what differs on stderr.
+bool same_work(const char* type, const char* what, const KernelRun& want,
+               const KernelRun& got) {
+  if (want.cells == got.cells && want.seeds == got.seeds &&
+      want.hsps == got.hsps)
+    return true;
+  std::fprintf(stderr,
+               "micro_kernel: %s %s: cells %llu vs %llu, seeds %llu vs %llu, "
+               "hsps %llu vs %llu\n",
+               type, what, static_cast<unsigned long long>(want.cells),
+               static_cast<unsigned long long>(got.cells),
+               static_cast<unsigned long long>(want.seeds),
+               static_cast<unsigned long long>(got.seeds),
+               static_cast<unsigned long long>(want.hsps),
+               static_cast<unsigned long long>(got.hsps));
+  return false;
+}
+
 void add_table_row(util::Table& table, const char* type, const char* kernel,
                    const KernelRun& r, const std::string& speedup) {
   table.add_row(
@@ -123,7 +146,9 @@ void add_table_row(util::Table& table, const char* type, const char* kernel,
        std::to_string(r.hsps), speedup});
 }
 
-void bench_type(seqdb::SeqType type, std::uint64_t residues,
+/// Runs every row of one sequence type; false when the rows' work differs
+/// (see same_work).
+bool bench_type(seqdb::SeqType type, std::uint64_t residues,
                 std::uint64_t query_bytes, std::uint64_t query_chunk,
                 int repeats, util::Table& table) {
   const char* name = type == seqdb::SeqType::kProtein ? "protein" : "dna";
@@ -199,7 +224,6 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
       "\"nproc\":%u,\"speedup\":%.3f}\n",
       name, std::thread::hardware_concurrency(), speedup);
 
-  if (type != seqdb::SeqType::kProtein) return;
   const auto cut_db = seqdb::mpiformatdb(
       fs, db, "cut", type, "bench",
       static_cast<int>(std::min<std::uint64_t>(
@@ -216,6 +240,8 @@ void bench_type(seqdb::SeqType type, std::uint64_t residues,
   emit_row(name, "flat", cut_flat);
   add_table_row(table, name, "flat", cut_flat,
                 util::fixed(cut_fast.wall / cut_flat.wall, 2) + "x");
+  const bool fast_ok = same_work(name, "fast vs scalar", scalar, fast);
+  return same_work(name, "flat vs fast cut", cut_fast, cut_flat) && fast_ok;
 }
 
 }  // namespace
@@ -246,12 +272,13 @@ int main(int argc, char** argv) {
 
   util::Table table({"Type", "Kernel", "Fragments", "Wall (ms)", "us/call",
                      "Mcells/s", "Mseeds/s", "HSPs", "Speedup"});
+  bool ok = true;
   if (types == "both" || types == "protein")
-    bench_type(seqdb::SeqType::kProtein, residues, query_bytes, query_chunk,
-               repeats, table);
+    ok &= bench_type(seqdb::SeqType::kProtein, residues, query_bytes,
+                     query_chunk, repeats, table);
   if (types == "both" || types == "dna")
-    bench_type(seqdb::SeqType::kNucleotide, residues, query_bytes, query_chunk,
-               repeats, table);
+    ok &= bench_type(seqdb::SeqType::kNucleotide, residues, query_bytes,
+                     query_chunk, repeats, table);
   table.print(std::cout);
-  return 0;
+  return ok ? 0 : 1;
 }

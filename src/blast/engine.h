@@ -2,12 +2,14 @@
 // fragment search.
 //
 // For each (query, database fragment) pair the engine runs the classic
-// pipeline: word scan over every subject sequence probing the query's
-// neighborhood table; two-hit filtering on diagonals (blastp); ungapped X-drop
-// extension; gap-triggered gapped extension with traceback; containment
-// culling; Karlin–Altschul E-value filtering against the *global* database
-// statistics; and a final per-fragment hit-list cut (the "local cut" whose
-// per-worker volume drives the paper's result-merging costs).
+// pipeline: word scan over every subject sequence, looking each word up in
+// the query's neighborhood (in a table merged across a sub-batch of
+// queries, so one lookup serves them all); two-hit filtering on diagonals
+// (blastp); ungapped X-drop extension; gap-triggered gapped extension with
+// traceback; containment culling; Karlin–Altschul E-value filtering against
+// the *global* database statistics; and a final per-fragment hit-list cut
+// (the "local cut" whose per-worker volume drives the paper's
+// result-merging costs).
 //
 // The engine is purely deterministic: identical inputs produce identical
 // HSP lists regardless of how the database was partitioned, which the
@@ -16,6 +18,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "blast/extend.h"
@@ -76,6 +79,9 @@ struct FragmentSearchResult {
 /// runs the same splits.
 inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 
+/// Entry bounds [first, last) of a subject word's bucket in a merged table.
+using Bucket = std::pair<std::uint32_t, std::uint32_t>;
+
 /// Merged blastp neighborhood over a sub-batch of queries: per word, the
 /// concatenation of every query's bucket in query-id-major order
 /// (positions stay ascending within a query, exactly the per-query bucket
@@ -83,28 +89,88 @@ inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 /// sub-batch, where a per-query scan would probe once per (query,
 /// position). PreparedBatch builds it and the kernel only reads it.
 struct BatchNeighborhood {
+  using Code = std::uint32_t;  ///< base-24 packed 3-mer
   static constexpr std::uint32_t kQposBits = 22;
   static constexpr std::uint32_t kQposMask = (1u << kQposBits) - 1;
   /// Query ids fit in the 32 - kQposBits bits above the position.
   static constexpr std::size_t kMaxQueries = std::size_t{1} << (32 - kQposBits);
+  /// Longest blastp query: its length fits the position field.
+  static constexpr std::size_t kMaxQueryResidues = kQposMask;
   std::vector<std::uint32_t> offsets;  ///< 24^3 + 1 bucket bounds
   std::vector<std::uint32_t> entries;  ///< (query id << 22) | query position
 
   explicit BatchNeighborhood(std::span<const QueryContext> queries);
+
+  /// The scan's bucket lookup, one indexed load per word. It holds a raw
+  /// pointer into the table, so the scan keeps it in a register.
+  auto lookup() const {
+    return [offs = offsets.data()](Code code) {
+      return Bucket{offs[code], offs[code + 1]};
+    };
+  }
+};
+
+/// Merged blastn word table over a sub-batch of at most
+/// BatchNeighborhood::kMaxQueries queries: the union of the queries'
+/// distinct words and, per word, every query's position list concatenated
+/// in query-id-major order, as BatchNeighborhood. Entries keep a full
+/// 32-bit query position, so no query is too long for it. A subject word
+/// is looked up once for the whole sub-batch: a presence filter (NCBI
+/// BLAST's presence vector) turns most absent words away from a bit array
+/// small enough to stay cached, and an open-addressing table with the
+/// bucket bounds in its slots finds the rest. PreparedBatch builds it and
+/// the kernel only reads it.
+struct DnaBatchNeighborhood {
+  using Code = std::uint64_t;  ///< 2-bit packed word
+  static constexpr std::uint32_t kQposBits = 32;
+  static constexpr std::uint32_t kQposMask = ~std::uint32_t{0};
+  /// Fibonacci hashing: the product's top bits pick the home slot.
+  static constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ull;
+  /// A word and its bucket; an empty slot holds the empty bucket {0, 0}.
+  struct Slot {
+    Code key = 0;
+    Bucket bucket{0, 0};
+  };
+  std::vector<std::uint64_t> entries;  ///< (query id << 32) | query position
+  /// Power-of-two capacity of at least 4x the words, linear probing.
+  std::vector<Slot> slots;
+  /// One bit per slot: set when some word's home slot is that slot, so a
+  /// clear bit proves a word absent without reading the slots.
+  std::vector<std::uint64_t> filter;
+  int shift = 0;  ///< 64 - log2(capacity)
+
+  explicit DnaBatchNeighborhood(std::span<const QueryContext> queries);
+
+  /// The scan's bucket lookup; empty for a word no query holds, and for
+  /// FragmentIndex::kInvalidWord, which no packed word equals. It holds raw
+  /// pointers into the table, so the scan keeps them in registers.
+  auto lookup() const {
+    return [filter = filter.data(), slots = slots.data(), shift = shift,
+            mask = slots.size() - 1](Code word) {
+      std::size_t i = static_cast<std::size_t>(word * kHashMultiplier) >> shift;
+      if ((filter[i / 64] >> (i % 64) & 1) == 0) return Bucket{0, 0};
+      for (;; i = (i + 1) & mask) {
+        const Slot& slot = slots[i];
+        if (slot.bucket.second == 0 || slot.key == word) return slot.bucket;
+      }
+    };
+  }
 };
 
 /// Query contexts prepared for search_fragments, its only query argument,
 /// and indexable like the vector of contexts it holds. Preparation checks
 /// what a batched search needs (one sequence type and word size; blastp
-/// query positions that fit BatchNeighborhood's tag) and builds blastp's
-/// merged neighborhoods, one per sub-batch of BatchNeighborhood::kMaxQueries
-/// queries. The drivers prepare once per job (QuerySet::build), so a
-/// fragment search does only per-fragment work; searches only read the
-/// batch, so any number may share it at once.
+/// query positions that fit BatchNeighborhood's tag) and builds the merged
+/// tables, one per sub-batch of BatchNeighborhood::kMaxQueries queries.
+/// The drivers prepare once per job (QuerySet::build), so a fragment
+/// search does only per-fragment work; searches only read the batch, so
+/// any number may share it at once.
 class PreparedBatch {
  public:
   PreparedBatch() = default;
-  /// Throws util::ContractViolation if the contexts cannot share a batch.
+  /// Throws util::ContractViolation if the contexts cannot share a batch,
+  /// and util::RuntimeError for a blastp query longer than
+  /// BatchNeighborhood::kMaxQueryResidues.
   explicit PreparedBatch(std::vector<QueryContext> contexts);
 
   std::size_t size() const { return contexts_.size(); }
@@ -113,13 +179,17 @@ class PreparedBatch {
   auto begin() const { return contexts_.begin(); }
   auto end() const { return contexts_.end(); }
 
-  /// blastp: table k serves queries k * kMaxQueries up to (k + 1) *
-  /// kMaxQueries; blastn: none.
+  /// Table k serves queries k * kMaxQueries up to (k + 1) * kMaxQueries:
+  /// blastp's in merged(), blastn's in merged_dna(); the other is empty.
   const std::vector<BatchNeighborhood>& merged() const { return merged_; }
+  const std::vector<DnaBatchNeighborhood>& merged_dna() const {
+    return merged_dna_;
+  }
 
  private:
   std::vector<QueryContext> contexts_;
   std::vector<BatchNeighborhood> merged_;
+  std::vector<DnaBatchNeighborhood> merged_dna_;
 };
 
 /// The one value pbbench passes as search_fragment_batch's third argument.

@@ -6,14 +6,16 @@
 // lists and counters):
 //
 //   1. The fragment is scanned ONCE per batch: FragmentIndex materializes
-//      the packed word code at every subject position, so each of the Q
-//      queries probes precomputed codes instead of re-packing the subject
-//      (the scalar loop pays that packing Q times). The query side is
-//      prepared once per query set instead: PreparedBatch, constructed
-//      below, merges the blastp neighborhoods (BatchNeighborhood).
-//   2. Word probes go through FlatNeighborhood — a contiguous
-//      offset-compacted bucket table — instead of a vector-of-vectors
-//      (protein) / hash map (nucleotide).
+//      the packed word code at every subject position, where the scalar
+//      loop re-packs the subject once per query.
+//   2. Each subject word is looked up ONCE per sub-batch of queries, not
+//      once per query: PreparedBatch, constructed below once per query
+//      set, merges the queries' word lists into one offset-compacted
+//      table per sub-batch — dense over the 24^3 words for blastp
+//      (BatchNeighborhood), a presence filter plus an open-addressing
+//      table for blastn (DnaBatchNeighborhood) — in place of the
+//      oracle's per-query vector-of-vectors / hash map. One scan loop,
+//      scan_batch, serves both.
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
 //   4. search_fragments plans every (fragment, chunk) pair of a call —
@@ -31,7 +33,10 @@
 // oracle too.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <iterator>
+#include <string>
+#include <type_traits>
 
 #include "blast/engine.h"
 #include "blast/engine_detail.h"
@@ -68,7 +73,7 @@ struct FastDiags {
 /// Per-query scan state, persistent across subjects (reusable vectors,
 /// exactly like the scalar loop's locals). The diagonal table is NOT per
 /// query: process_seeds leaves it all-{-1,-1}, so one table serves every
-/// (query, subject) pair — see scan_protein.
+/// (query, subject) pair — see scan_batch.
 struct QueryState {
   std::vector<std::uint64_t> seeds;  ///< (spos << 32) | qpos, one subject
   std::vector<Hsp> subject_hsps;
@@ -224,98 +229,24 @@ void cull_and_flush(QueryState& st, FragmentSearchResult& result) {
   for (Hsp& h : kept) result.hsps.push_back(std::move(h));
 }
 
-/// One (query, subject) scan for the nucleotide path: expand this query's
-/// hash-probe hits into the seed buffer, then run the diagonal automaton.
-void scan_subject_dna(const QueryContext& query,
-                      std::span<const std::uint8_t> s,
-                      std::uint64_t subject_global_id,
-                      std::span<const std::uint64_t> codes64, QueryState& st,
-                      FastDiags& diags, GappedScratch& scratch,
-                      FragmentSearchResult& result) {
-  const SearchParams& params = query.params();
-  const std::size_t qlen = query.residues().size();
-  const int w = params.word_size;
-  const bool two_hit = params.two_hit_window > 0;
-  const FlatNeighborhood& flat = query.flat_index();
-
-  diags.ensure(qlen, s.size());
-  st.subject_hsps.clear();
-  st.explored.clear();
-
-  const std::size_t nwords = s.size() - static_cast<std::size_t>(w) + 1;
-  if (st.seeds.size() < nwords) st.seeds.resize(nwords);
-  std::uint64_t* bp = st.seeds.data();
-  std::size_t cur = 0;
-  for (std::size_t spos = 0; spos < nwords; ++spos) {
-    const std::uint64_t code = codes64[spos];
-    if (code == FragmentIndex::kInvalidWord) continue;  // scalar: word has N
-    const std::span<const std::uint32_t> hits = flat.neighbors_packed(code);
-    if (hits.empty()) continue;
-    if (cur + hits.size() > st.seeds.size()) [[unlikely]] {
-      st.seeds.resize(std::max(st.seeds.size() * 2, cur + hits.size()));
-      bp = st.seeds.data();
-    }
-    const std::uint64_t hi = static_cast<std::uint64_t>(spos) << 32;
-    for (const std::uint32_t qpos : hits) bp[cur++] = hi | qpos;
-  }
-  result.counters.seed_hits += cur;  // == the scalar per-seed ++
-
-  TriggerCtx ctx{query, s, subject_global_id, st, scratch, result};
-  if (two_hit) {
-    process_seeds<true>(ctx, diags, cur, qlen, w, params.two_hit_window);
-  } else {
-    process_seeds<false>(ctx, diags, cur, qlen, w, params.two_hit_window);
-  }
-  cull_and_flush(st, result);
-}
-
-/// Nucleotide scan of subjects [lo, hi) into `results` (index-aligned with
-/// `queries`). Query-outer keeps each query's probe table cache-hot across
-/// the subjects (the precomputed codes stream sequentially, so re-reading
-/// them per query is cheap; seeds are sparse).
-void scan_dna(std::span<const QueryContext> queries,
-              const seqdb::LoadedFragment& fragment, const FragmentIndex& index,
-              std::uint64_t lo, std::uint64_t hi,
-              std::span<FragmentSearchResult> results) {
-  const std::size_t w = static_cast<std::size_t>(queries[0].params().word_size);
-  QueryState state;
-  FastDiags diags;
-  GappedScratch scratch;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    // A query shorter than the word size produces an empty result with
-    // zero counters in the scalar loop; mirror that exactly.
-    if (queries[i].residues().size() < w) continue;
-    for (std::uint64_t local = lo; local < hi; ++local) {
-      const std::span<const std::uint8_t> s = fragment.sequence(local);
-      results[i].counters.db_residues_scanned += s.size();
-      if (s.size() < w) continue;
-      // FastDiags stores positions as int32; subject lengths outside that
-      // range would need the scalar loop's 64-bit table.
-      PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
-                         "fast kernel: subject exceeds int32 position range");
-      scan_subject_dna(queries[i], s, fragment.global_id(local),
-                       index.codes64(local), state, diags, scratch,
-                       results[i]);
-    }
-  }
-}
-
-/// Protein scan of subjects [lo, hi) into `results`: subject-outer with a
-/// merged batch neighborhood. Each subject position is probed ONCE for the
-/// whole batch; the bucket scatters (spos, qpos) seeds into per-query
-/// buffers which are then run through the diagonal automaton query by
-/// query. Bucket entries are query-id-major with ascending positions, so
-/// every query sees exactly the seed sequence its own per-query scan would
-/// produce.
-void scan_protein(std::span<const QueryContext> queries,
-                  const BatchNeighborhood& batch,
-                  const seqdb::LoadedFragment& fragment,
-                  const FragmentIndex& index, std::uint64_t lo,
-                  std::uint64_t hi, std::span<FragmentSearchResult> results) {
+/// Scan of subjects [lo, hi) into `results` (index-aligned with
+/// `queries`), subject-outer through the sub-batch's merged table: each
+/// subject position is looked up ONCE for the whole sub-batch; the bucket
+/// scatters (spos, qpos) seeds into per-query buffers which are then run
+/// through the diagonal automaton query by query. Bucket entries are
+/// query-id-major with ascending positions, so every query sees exactly
+/// the seed sequence its own per-query scan would produce. `Table` is
+/// BatchNeighborhood (blastp) or DnaBatchNeighborhood (blastn): how a word
+/// code finds its bucket, and how wide an entry's position field is.
+template <class Table>
+void scan_batch(std::span<const QueryContext> queries, const Table& table,
+                const seqdb::LoadedFragment& fragment,
+                const FragmentIndex& index, std::uint64_t lo, std::uint64_t hi,
+                std::span<FragmentSearchResult> results) {
   const SearchParams& params = queries[0].params();
   const std::size_t w = static_cast<std::size_t>(params.word_size);
-  const std::uint32_t* const offs = batch.offsets.data();
-  const std::uint32_t* const ent = batch.entries.data();
+  const auto lookup = table.lookup();
+  const auto* const ent = table.entries.data();
   const bool two_hit = params.two_hit_window > 0;
 
   std::vector<QueryState> states(queries.size());
@@ -349,26 +280,32 @@ void scan_protein(std::span<const QueryContext> queries,
     if (s.size() < w) continue;
     PIOBLAST_CHECK_MSG(s.size() < (1ull << 31),
                        "fast kernel: subject exceeds int32 position range");
-    const std::span<const std::uint32_t> codes32 = index.codes32(local);
-    const std::size_t nwords = codes32.size();
+    std::span<const typename Table::Code> codes;
+    if constexpr (std::is_same_v<typename Table::Code, std::uint32_t>) {
+      codes = index.codes32(local);
+    } else {
+      codes = index.codes64(local);
+    }
+    const std::size_t nwords = codes.size();
     diags.ensure(max_qlen, s.size());
 
     // Scatter this subject's seeds into the per-query buffers.
     std::fill(cur.begin(), cur.end(), 0u);
     for (std::size_t spos = 0; spos < nwords; ++spos) {
-      const std::uint32_t c = codes32[spos];
       const std::uint64_t spos_hi = static_cast<std::uint64_t>(spos) << 32;
-      const std::uint32_t e = offs[c + 1];
-      for (std::uint32_t k = offs[c]; k < e; ++k) {
-        const std::uint32_t tag = ent[k];
-        const std::uint32_t qi = tag >> BatchNeighborhood::kQposBits;
+      const auto [b, e] = lookup(codes[spos]);
+      for (std::uint32_t k = b; k < e; ++k) {
+        const auto tag = ent[k];
+        const std::uint32_t qi =
+            static_cast<std::uint32_t>(tag >> Table::kQposBits);
         if (cur[qi] >= caps[qi]) [[unlikely]] {
           std::vector<std::uint64_t>& sv = states[qi].seeds;
           sv.resize(std::max<std::size_t>(256, sv.size() * 2));
           bufs[qi] = sv.data();
           caps[qi] = static_cast<std::uint32_t>(sv.size());
         }
-        bufs[qi][cur[qi]++] = spos_hi | (tag & BatchNeighborhood::kQposMask);
+        bufs[qi][cur[qi]++] =
+            spos_hi | (static_cast<std::uint32_t>(tag) & Table::kQposMask);
       }
     }
 
@@ -392,6 +329,22 @@ void scan_protein(std::span<const QueryContext> queries,
       }
       if (!st.subject_hsps.empty()) cull_and_flush(st, results[i]);
     }
+  }
+}
+
+/// Runs scan_batch on every sub-batch of `queries`, table k serving
+/// queries k * kMaxQueries up to (k + 1) * kMaxQueries.
+template <class Table>
+void scan_sub_batches(std::span<const QueryContext> queries,
+                      const std::vector<Table>& tables,
+                      const seqdb::LoadedFragment& fragment,
+                      const FragmentIndex& index, std::uint64_t lo,
+                      std::uint64_t hi, std::span<FragmentSearchResult> out) {
+  constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
+  for (std::size_t first = 0; first < queries.size(); first += kMaxQueries) {
+    const std::size_t n = std::min(kMaxQueries, queries.size() - first);
+    scan_batch(queries.subspan(first, n), tables[first / kMaxQueries],
+               fragment, index, lo, hi, out.subspan(first, n));
   }
 }
 
@@ -424,18 +377,12 @@ std::vector<std::uint64_t> chunk_bounds(const seqdb::LoadedFragment& fragment) {
 void scan_chunk(const PreparedBatch& queries,
                 const seqdb::LoadedFragment& fragment, std::uint64_t lo,
                 std::uint64_t hi, std::span<FragmentSearchResult> out) {
-  const SearchParams& params = queries[0].params();
-  const FragmentIndex index(fragment, params, lo, hi);
+  const FragmentIndex index(fragment, queries[0].params(), lo, hi);
   const std::span<const QueryContext> all(queries.begin(), queries.end());
-  if (params.type == seqdb::SeqType::kNucleotide) {
-    scan_dna(all, fragment, index, lo, hi, out);
-    return;
-  }
-  constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
-  for (std::size_t first = 0; first < all.size(); first += kMaxQueries) {
-    const std::size_t n = std::min(kMaxQueries, all.size() - first);
-    scan_protein(all.subspan(first, n), queries.merged()[first / kMaxQueries],
-                 fragment, index, lo, hi, out.subspan(first, n));
+  if (queries[0].params().type == seqdb::SeqType::kNucleotide) {
+    scan_sub_batches(all, queries.merged_dna(), fragment, index, lo, hi, out);
+  } else {
+    scan_sub_batches(all, queries.merged(), fragment, index, lo, hi, out);
   }
 }
 
@@ -508,6 +455,54 @@ BatchNeighborhood::BatchNeighborhood(std::span<const QueryContext> queries) {
   }
 }
 
+DnaBatchNeighborhood::DnaBatchNeighborhood(
+    std::span<const QueryContext> queries) {
+  PIOBLAST_CHECK_MSG(queries.size() <= BatchNeighborhood::kMaxQueries,
+                     "fast kernel: batch exceeds query-id tag range");
+  // Every (word, entry) pair, query by query and, within a query's bucket,
+  // position-ascending: a stable sort by word then leaves every bucket
+  // query-id-major with each query's positions in its own order.
+  struct Pair {
+    std::uint64_t word;
+    std::uint64_t entry;
+  };
+  std::vector<Pair> pairs;
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    const FlatNeighborhood& flat = queries[qi].flat_index();
+    const std::span<const std::uint32_t> offs = flat.offsets();
+    const std::uint64_t tag = static_cast<std::uint64_t>(qi) << kQposBits;
+    for (std::size_t k = 0; k < flat.keys().size(); ++k)
+      for (std::uint32_t j = offs[k]; j < offs[k + 1]; ++j)
+        pairs.push_back({flat.keys()[k], tag | flat.entries()[j]});
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const Pair& a, const Pair& b) { return a.word < b.word; });
+  PIOBLAST_CHECK_MSG(pairs.size() <= ~std::uint32_t{0},
+                     "fast kernel: sub-batch exceeds 32-bit bucket bounds");
+  std::size_t words = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p)
+    words += p == 0 || pairs[p].word != pairs[p - 1].word;
+
+  // At most 25% load, so a lookup that passes the filter usually ends on
+  // its home slot; at least one 64-bit filter word.
+  std::size_t capacity = 64;
+  while (capacity < words * 4) capacity <<= 1;
+  shift = 64 - std::countr_zero(capacity);
+  slots.resize(capacity);
+  filter.resize(capacity / 64);
+  entries.reserve(pairs.size());
+  for (std::size_t first = 0, last = 0; first < pairs.size(); first = last) {
+    const std::uint64_t word = pairs[first].word;
+    while (last < pairs.size() && pairs[last].word == word)
+      entries.push_back(pairs[last++].entry);
+    std::size_t i = static_cast<std::size_t>(word * kHashMultiplier) >> shift;
+    filter[i / 64] |= std::uint64_t{1} << (i % 64);
+    while (slots[i].bucket.second != 0) i = (i + 1) & (capacity - 1);
+    slots[i] = {word, {static_cast<std::uint32_t>(first),
+                       static_cast<std::uint32_t>(last)}};
+  }
+}
+
 PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
     : contexts_(std::move(contexts)) {
   if (contexts_.empty()) return;
@@ -517,18 +512,29 @@ PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
                            qc.params().word_size == params.word_size,
                        "batched queries must share word size and type");
   }
-  if (params.type == seqdb::SeqType::kNucleotide) return;
-  for (const QueryContext& qc : contexts_)
-    PIOBLAST_CHECK_MSG(qc.residues().size() < (1u << BatchNeighborhood::kQposBits),
-                       "fast kernel: query exceeds position tag range");
+  const bool dna = params.type == seqdb::SeqType::kNucleotide;
+  for (const QueryContext& qc : contexts_) {
+    if (!dna && qc.residues().size() > BatchNeighborhood::kMaxQueryResidues)
+      throw util::RuntimeError(
+          "blastp query " + std::to_string(qc.query_id()) + " has " +
+          std::to_string(qc.residues().size()) +
+          " residues; the kernel's position tag holds at most " +
+          std::to_string(BatchNeighborhood::kMaxQueryResidues));
+  }
   // A batch larger than the query-id tag range gets one merged table per
   // sub-batch; every query's search is its own, so this does not show in
   // the results.
   constexpr std::size_t kMaxQueries = BatchNeighborhood::kMaxQueries;
   const std::span<const QueryContext> all(contexts_);
-  for (std::size_t first = 0; first < all.size(); first += kMaxQueries)
-    merged_.emplace_back(
-        all.subspan(first, std::min(kMaxQueries, all.size() - first)));
+  for (std::size_t first = 0; first < all.size(); first += kMaxQueries) {
+    const auto sub =
+        all.subspan(first, std::min(kMaxQueries, all.size() - first));
+    if (dna) {
+      merged_dna_.emplace_back(sub);
+    } else {
+      merged_.emplace_back(sub);
+    }
+  }
 }
 
 std::vector<std::vector<FragmentSearchResult>> search_fragments(

@@ -1,7 +1,6 @@
 #include "blast/seed.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/error.h"
 
@@ -50,13 +49,6 @@ FlatNeighborhood::FlatNeighborhood(std::span<const std::uint8_t> query,
   } else {
     build_protein(query, matrix, params.threshold);
   }
-  // Two zero pads past the last bucket so the scan loop can expand small
-  // buckets with unconditional two-entry copies.
-  entries_.push_back(0);
-  entries_.push_back(0);
-  for (std::size_t k = 0; k + 1 < offsets_.size(); ++k)
-    max_bucket_ = std::max(max_bucket_,
-                           static_cast<std::size_t>(offsets_[k + 1] - offsets_[k]));
 }
 
 void FlatNeighborhood::build_protein(std::span<const std::uint8_t> query,
@@ -151,22 +143,6 @@ void FlatNeighborhood::build_dna(std::span<const std::uint8_t> query) {
   // Pairs are pos-ascending, so the stable fill keeps every bucket
   // pos-ascending, the order a per-word push_back produces.
   for (const Pair& pr : pairs) entries_[cursor[bucket_of(pr.word)]++] = pr.pos;
-
-  // Probe table for the scan loop: at most ~25% load so misses (the common
-  // case — most subject words have no query neighbors) terminate on the
-  // first or second slot.
-  std::size_t cap = 16;
-  while (cap < keys_.size() * 4) cap <<= 1;
-  slots_.assign(cap, Slot{});
-  slot_mask_ = cap - 1;
-  slot_shift_ = 64 - std::countr_zero(cap);
-  for (std::size_t k = 0; k < keys_.size(); ++k) {
-    std::size_t i =
-        static_cast<std::size_t>(keys_[k] * 0x9E3779B97F4A7C15ull) >>
-        slot_shift_;
-    while (slots_[i].bucket1 != 0) i = (i + 1) & slot_mask_;
-    slots_[i] = {keys_[k], static_cast<std::uint32_t>(k + 1)};
-  }
 }
 
 }  // namespace pioblast::blast

@@ -5,8 +5,11 @@
 // reaches threshold T — to a dense lookup table over the 24^3 word space.
 // Scanning a subject sequence then probes the table once per position.
 //
-// blastn: exact 11-mers, 2-bit packed, in an open-addressing table (the
-// 4^11 word space is too sparse for a dense table at our database sizes).
+// blastn: exact 11-mers, 2-bit packed: the query's sorted distinct words,
+// each with its position list. The 4^11 word space is too sparse for a
+// dense table, so the kernel probes a merged open-addressing table over a
+// whole sub-batch of queries instead (DnaBatchNeighborhood, engine.h),
+// built from these lists.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +21,10 @@
 
 namespace pioblast::blast {
 
-/// Offset-compacted neighborhood lookup: one contiguous entry array of
-/// query positions plus per-word bucket offsets, two flat arrays the scan
-/// loop can probe with a single indexed load.
+/// One query's offset-compacted neighborhood: one contiguous entry array
+/// of query positions plus per-word bucket offsets. The kernel does not
+/// probe it: PreparedBatch merges a sub-batch's tables into one
+/// (BatchNeighborhood, DnaBatchNeighborhood; engine.h).
 ///
 /// The kernel property tests compare it with the reference oracle's own
 /// vector-of-vectors (blastp) / hash map (blastn) word index
@@ -42,41 +46,11 @@ class FlatNeighborhood {
     return {entries_.data() + b, static_cast<std::size_t>(e - b)};
   }
 
-  /// blastn: neighbors of the 2-bit packed word (open-addressing probe —
-  /// usually one cache line; empty span when the word is absent).
-  std::span<const std::uint32_t> neighbors_packed(std::uint64_t packed) const {
-    if (slots_.empty()) return {};
-    std::size_t i =
-        static_cast<std::size_t>(packed * 0x9E3779B97F4A7C15ull) >> slot_shift_;
-    while (true) {
-      const Slot& s = slots_[i];
-      if (s.bucket1 == 0) return {};
-      if (s.key == packed) {
-        const std::uint32_t b = offsets_[s.bucket1 - 1];
-        const std::uint32_t e = offsets_[s.bucket1];
-        return {entries_.data() + b, static_cast<std::size_t>(e - b)};
-      }
-      i = (i + 1) & slot_mask_;
-    }
-  }
-
-  // Introspection for the property tests. `entries()` excludes the two
-  // zero pads the constructor appends for the kernel's unconditional
-  // two-entry bucket expansion.
+  // Introspection for the property tests and the merged batch tables.
   std::span<const std::uint32_t> offsets() const { return offsets_; }
-  std::span<const std::uint32_t> entries() const {
-    return {entries_.data(), entries_.size() - 2};
-  }
+  std::span<const std::uint32_t> entries() const { return entries_; }
   std::span<const std::uint64_t> keys() const { return keys_; }
-  std::size_t total_entries() const { return entries_.size() - 2; }
-
-  /// Raw entry storage including the two zero pads past the last bucket:
-  /// the scan loop may read (but never use) up to two entries beyond a
-  /// bucket's end before consulting its size.
-  const std::uint32_t* entries_padded() const { return entries_.data(); }
-
-  /// Largest bucket size (bounds the scan loop's expansion slack).
-  std::size_t max_bucket() const { return max_bucket_; }
+  std::size_t total_entries() const { return entries_.size(); }
 
  private:
   void build_protein(std::span<const std::uint8_t> query,
@@ -85,22 +59,11 @@ class FlatNeighborhood {
 
   bool is_dna_ = false;
   int word_size_ = 3;
-  std::size_t max_bucket_ = 0;
   /// blastp: size 24^3 + 1; blastn: size keys_.size() + 1.
   std::vector<std::uint32_t> offsets_;
-  /// Query positions, bucket-contiguous, plus two trailing zero pads.
+  /// Query positions, bucket-contiguous.
   std::vector<std::uint32_t> entries_;
   std::vector<std::uint64_t> keys_;     ///< blastn: sorted distinct words
-
-  /// blastn probe table: word -> bucket index + 1 (0 = empty slot).
-  /// Power-of-two capacity >= 4x keys, linear probing, Fibonacci hashing.
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t bucket1 = 0;
-  };
-  std::vector<Slot> slots_;
-  std::size_t slot_mask_ = 0;
-  int slot_shift_ = 0;
 };
 
 }  // namespace pioblast::blast

@@ -2,16 +2,24 @@
 # and --schedule traces among them), an invalid fault plan, too few
 # processes, unreadable and malformed FASTA files, a --conformance run
 # wider than the protocol monitor's bound, out-of-range sizes and counts,
-# more fragments than database sequences and the removed --kernel and
-# --exec-model options.
+# more fragments than database sequences, a blastp query record too long
+# for the kernel's position tag and the removed --kernel and --exec-model
+# options.
 # Every case must exit 2 with the option's name on stderr and nothing on
 # stdout: it is rejected before any driver runs, instead of aborting or
 # running with a half-parsed value.
 #
 #   cmake -DCLI=<pioblast_cli> -DMISSING=<a path that does not exist>
-#         -DDATA=<tests/data> -P cli_bad_options.cmake
+#         -DDATA=<tests/data> -DWORK=<a writable directory>
+#         -P cli_bad_options.cmake
 
 set(base --procs 4 --db-residues 20000 --query-bytes 500)
+
+# One protein record of 2^22 residues, one more than BatchNeighborhood::
+# kMaxQueryResidues: written here rather than committed (4 MiB).
+string(REPEAT "A" 4194304 long_record)
+set(long_fasta "${WORK}/long_protein_query.fa")
+file(WRITE "${long_fasta}" ">long\n${long_record}\n")
 
 # "<argument>|...|<text stderr must contain>"
 set(cases
@@ -26,6 +34,7 @@ set(cases
   "--exec-model=events|unknown option --exec-model"
   "--scheduler=bogus|--scheduler"
   "--queries-fasta=${MISSING}|--queries-fasta"
+  "--queries-fasta=${long_fasta}|--queries-fasta: ${long_fasta}: record 'long' has 4194304 residues, more than the 4194303 a blastp query may have"
   "--procs=abc|--procs"
   "--hitlist=1e3|--hitlist"
   "--check=schedules=abc|--check: schedules"

@@ -1,6 +1,6 @@
 // Differential harness for the search kernel (ctest label: kernel).
 //
-// The kernel (FragmentIndex + FlatNeighborhood + SWAR/arena extensions)
+// The kernel (FragmentIndex + merged word tables + SWAR/arena extensions)
 // must be bit-identical to the scalar reference oracle in
 // tests/support/scalar_oracle.h: same HSP lists (every field, including
 // tracebacks and E-value bits), same counters (virtual time). This suite
@@ -9,10 +9,11 @@
 //   * corpus diffs — realistic family databases, protein and DNA;
 //   * deterministic fuzz — randomized corpora and parameter sets, with a
 //     reproduction dump to stderr on the first mismatch;
-//   * properties — FlatNeighborhood vs the oracle's WordIndex under random
-//     scoring matrices and thresholds, FragmentIndex codes vs scalar
-//     packing, extension scores vs traceback replay, and gapped
-//     extensions aimed at the DP's three-part rows;
+//   * properties — FlatNeighborhood and the merged blastn table vs the
+//     oracle's WordIndex under random scoring matrices, thresholds and
+//     word sizes, FragmentIndex codes vs scalar packing, extension scores
+//     vs traceback replay, and gapped extensions aimed at the DP's
+//     three-part rows;
 //   * drivers — mpiBLAST and pioBLAST reports byte-identical to each
 //     other, fault-free and across a worker crash, and to committed golden
 //     fixtures (tests/data/; regenerate with PIOBLAST_UPDATE_GOLDEN=1),
@@ -626,6 +627,27 @@ TEST(KernelPrepared, MixedTypesOrWordSizesRejected) {
   expect_rejected(std::move(words), "word sizes 11 + 8");
 }
 
+TEST(KernelPrepared, OverlongBlastpQueryIsAnInputError) {
+  // A blastp query too long for BatchNeighborhood's position tag comes from
+  // the user, so it is a util::RuntimeError; one residue less is accepted.
+  // Wildcards have no neighbors, which keeps the tables empty.
+  const auto params = SearchParams::blastp_defaults();
+  const auto m = make_matrix(params);
+  const GlobalDbStats gstats{100'000, 100};
+  for (const std::size_t len : {BatchNeighborhood::kMaxQueryResidues,
+                                BatchNeighborhood::kMaxQueryResidues + 1}) {
+    std::vector<QueryContext> contexts;
+    contexts.emplace_back(
+        0, seqdb::encode_sequence(SeqType::kProtein, std::string(len, 'X')),
+        params, m, gstats);
+    if (len <= BatchNeighborhood::kMaxQueryResidues) {
+      EXPECT_NO_THROW(PreparedBatch{std::move(contexts)});
+    } else {
+      EXPECT_THROW(PreparedBatch{std::move(contexts)}, util::RuntimeError);
+    }
+  }
+}
+
 // ---------- one flat plan over many fragments --------------------------------
 //
 // search_fragments runs every chunk of every fragment it is given on one
@@ -707,26 +729,123 @@ TEST(KernelFlatPlan, MixedDnaFragmentsMatchPerFragmentAndOracle) {
       frags, "dna");
 }
 
-TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
-  // More queries than the protein batch's query-id tag holds (1024): the
-  // kernel runs them in two sub-batches, each with its own merged
-  // neighborhood, in every chunk of every fragment.
-  const auto db = family_db(5 * kSplitGrainResidues, 151);
-  const auto frags = mixed_fragments(db, SeqType::kProtein, 4);
-  const auto gstats = stats_of(db);
-  const auto m = ScoringMatrix::blosum62();
-  const auto params = SearchParams::blastp_defaults();
+/// 1100 slices of 40 residues from `db`'s records, one batch: more
+/// queries than the query-id tag holds (1024), so the kernel runs them in
+/// two sub-batches, each with its own merged table, in every chunk of
+/// every fragment. `m` must outlive the batch.
+PreparedBatch short_slices(const std::vector<seqdb::FastaRecord>& db,
+                           SeqType type, const SearchParams& params,
+                           const ScoringMatrix& m) {
+  const GlobalDbStats gstats = stats_of(db);
   std::vector<QueryContext> contexts;
   for (std::size_t i = 0; contexts.size() < 1100; ++i) {
     const std::string& s = db[i % db.size()].sequence;
     const std::size_t off = (i * 7) % (s.size() > 40 ? s.size() - 40 : 1);
-    const auto q = seqdb::encode_sequence(SeqType::kProtein, s.substr(off, 40));
-    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
+    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()),
+                          seqdb::encode_sequence(type, s.substr(off, 40)),
                           params, m, gstats);
   }
-  ASSERT_GT(contexts.size(), BatchNeighborhood::kMaxQueries);
-  expect_flat_plan_matches(PreparedBatch(std::move(contexts)), frags,
+  return PreparedBatch(std::move(contexts));
+}
+
+TEST(KernelDiff, ThousandsOfShortQueriesMatchScalar) {
+  const auto db = family_db(5 * kSplitGrainResidues, 151);
+  const auto m = ScoringMatrix::blosum62();
+  const PreparedBatch batch =
+      short_slices(db, SeqType::kProtein, SearchParams::blastp_defaults(), m);
+  ASSERT_EQ(batch.merged().size(), 2u);
+  expect_flat_plan_matches(batch, mixed_fragments(db, SeqType::kProtein, 4),
                            "1100 queries");
+}
+
+// ---------- batched blastn scan ---------------------------------------------
+//
+// blastn looks each subject word up once per sub-batch in a merged table
+// (DnaBatchNeighborhood), like blastp; each query's seeds, counters and
+// HSPs must stay exactly its own scan's.
+
+TEST(KernelDiff, DnaQueriesSharingWordsMatchScalar) {
+  const auto db = family_db(30'000, 181, SeqType::kNucleotide);
+  const auto frag = whole_db(db, SeqType::kNucleotide);
+  const auto gstats = stats_of(db);
+  const auto params = SearchParams::blastn_defaults();
+  const auto m = make_matrix(params);
+  const std::string& rec =
+      std::max_element(db.begin(), db.end(), [](const auto& a, const auto& b) {
+        return a.sequence.size() < b.sequence.size();
+      })->sequence;
+  ASSERT_GE(rec.size(), 400u);
+  // Overlapping slices of one record, an exact duplicate, and members that
+  // never seed: shorter than the word size, empty, all N.
+  const std::vector<std::string> texts = {
+      rec.substr(0, 300), rec.substr(150, 250), rec.substr(100, 300),
+      rec.substr(0, 300), "ACGTACGT", "", std::string(80, 'N'),
+      db[db.size() / 2].sequence};
+  std::vector<QueryContext> contexts;
+  for (const std::string& qs : texts) {
+    contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()),
+                          seqdb::encode_sequence(SeqType::kNucleotide, qs),
+                          params, m, gstats);
+  }
+  const PreparedBatch batch(std::move(contexts));
+
+  // The slices' shared words land in one bucket under several query ids.
+  const DnaBatchNeighborhood& table = batch.merged_dna().at(0);
+  std::uint64_t shared = 0;
+  for (std::size_t e = 0; e + 1 < table.entries.size(); ++e)
+    shared += (table.entries[e] >> 32) != (table.entries[e + 1] >> 32);
+  EXPECT_GT(shared, 0u);
+  const auto [first, last] = table.lookup()(FragmentIndex::kInvalidWord);
+  EXPECT_EQ(first, last);
+
+  expect_batch_matches_scalar(batch, frag, "shared words");
+  const auto fast = search_fragment_batch(batch, frag);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_GT(fast[i].hsps.size(), 0u) << i;
+  for (const std::size_t i : {4, 5}) {  // shorter than the word size
+    const sim::SearchCounters& c = fast[i].counters;
+    EXPECT_EQ(c.db_residues_scanned + c.seed_hits + c.two_hit_triggers +
+                  c.ungapped_cells + c.gapped_cells + c.traceback_cells +
+                  c.hsps_found,
+              0u)
+        << i;
+  }
+  const sim::SearchCounters& all_n = fast[6].counters;
+  EXPECT_EQ(all_n.seed_hits + all_n.ungapped_cells + all_n.gapped_cells +
+                all_n.hsps_found,
+            0u);
+}
+
+TEST(KernelDiff, ThousandsOfShortDnaQueriesMatchScalar) {
+  // As the blastp case: two merged blastn tables.
+  const auto db = family_db(5 * kSplitGrainResidues, 191, SeqType::kNucleotide);
+  const auto params = SearchParams::blastn_defaults();
+  const auto m = make_matrix(params);
+  const PreparedBatch batch = short_slices(db, SeqType::kNucleotide, params, m);
+  ASSERT_EQ(batch.merged_dna().size(), 2u);
+  expect_flat_plan_matches(batch, mixed_fragments(db, SeqType::kNucleotide, 4),
+                           "1100 dna queries");
+}
+
+TEST(KernelDiff, DnaQueryPositionsPastTwentyTwoBits) {
+  // Seeds past query position 2^22, the width of blastp's position tag:
+  // an all-N query but for a database stretch copied past that position.
+  std::vector<seqdb::FastaRecord> db = family_db(12'000, 193, SeqType::kNucleotide);
+  const auto frag = whole_db(db, SeqType::kNucleotide);
+  const auto params = SearchParams::blastn_defaults();
+  const auto m = make_matrix(params);
+  constexpr std::size_t kAt = (std::size_t{1} << 22) + 20;
+  std::string qs((std::size_t{1} << 22) + 300, 'N');
+  const std::string& rec = db[1].sequence;
+  const std::size_t len = std::min<std::size_t>(rec.size(), 250);
+  qs.replace(kAt, len, rec, 0, len);
+  std::vector<QueryContext> one;
+  one.emplace_back(0, seqdb::encode_sequence(SeqType::kNucleotide, qs), params,
+                   m, stats_of(db));
+  const PreparedBatch batch(std::move(one));
+  expect_batch_matches_scalar(batch, frag, "long query");
+  const auto fast = search_fragment_batch(batch, frag);
+  ASSERT_GT(fast[0].hsps.size(), 0u);
+  for (const Hsp& h : fast[0].hsps) EXPECT_GE(h.qstart, kAt);
 }
 
 TEST(KernelFlatPlan, ConcurrentCallersMatchSerialResults) {
@@ -821,43 +940,70 @@ TEST(FlatNeighborhoodProperty, OffsetsMonotoneAndCovering) {
 }
 
 TEST(FlatNeighborhoodProperty, DnaMatchesWordIndex) {
+  // The merged blastn table of a sub-batch against the oracle's per-query
+  // word indexes: every word's bucket is the queries' position lists
+  // concatenated in query order, each entry tagged with its query's id.
   std::mt19937 rng(0xD7A5u);
+  const GlobalDbStats gstats{100'000, 100};
   for (int round = 0; round < 15; ++round) {
     auto params = SearchParams::blastn_defaults();
     params.word_size = 4 + static_cast<int>(rng() % 9);
     const auto m = make_matrix(params);
-    const std::string qs = random_sequence(
-        rng, SeqType::kNucleotide, static_cast<std::size_t>(rng() % 200), 0.1);
-    const auto q = seqdb::encode_sequence(SeqType::kNucleotide, qs);
+    // Later queries repeat slices of earlier ones, so buckets hold several
+    // query ids.
+    std::vector<std::string> texts;
+    const std::size_t nq = 1 + rng() % 5;
+    for (std::size_t i = 0; i < nq; ++i) {
+      std::string qs = random_sequence(
+          rng, SeqType::kNucleotide, static_cast<std::size_t>(rng() % 200), 0.1);
+      if (i > 0) qs += texts[rng() % i].substr(0, 60);
+      texts.push_back(std::move(qs));
+    }
+    std::vector<QueryContext> contexts;
+    std::vector<oracle::WordIndex> words;
+    std::size_t total = 0;
+    for (const std::string& qs : texts) {
+      const auto q = seqdb::encode_sequence(SeqType::kNucleotide, qs);
+      contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
+                            params, m, gstats);
+      words.emplace_back(q, m, params);
+      total += words.back().total_entries();
+    }
+    const PreparedBatch batch(std::move(contexts));
+    ASSERT_EQ(batch.merged_dna().size(), 1u);
+    ASSERT_TRUE(batch.merged().empty());
+    const DnaBatchNeighborhood& table = batch.merged_dna()[0];
+    EXPECT_EQ(table.entries.size(), total);
+    const auto lookup = table.lookup();
 
-    const oracle::WordIndex words(q, m, params);
-    const FlatNeighborhood flat(q, m, params);
-    EXPECT_EQ(flat.total_entries(), words.total_entries());
-
-    // Keys sorted strictly ascending.
-    const auto keys = flat.keys();
-    for (std::size_t i = 1; i < keys.size(); ++i)
-      EXPECT_LT(keys[i - 1], keys[i]);
-
-    // Probe every subject position of the query against both structures.
+    // Look up every word of every query, and of a random subject.
     const std::size_t w = static_cast<std::size_t>(params.word_size);
-    if (q.size() < w) continue;
-    for (std::size_t pos = 0; pos + w <= q.size(); ++pos) {
-      const oracle::PositionList* expected = words.probe(q.data() + pos);
-      bool valid = true;
-      std::uint64_t packed = 0;
-      for (std::size_t k = 0; k < w; ++k) {
-        if (q[pos + k] >= 4) { valid = false; break; }
-        packed = (packed << 2) | q[pos + k];
-      }
-      const auto got = valid ? flat.neighbors_packed(packed)
-                             : std::span<const std::uint32_t>{};
-      if (expected == nullptr) {
-        EXPECT_TRUE(got.empty()) << "pos " << pos;
-      } else {
-        ASSERT_EQ(got.size(), expected->size()) << "pos " << pos;
-        for (std::size_t k = 0; k < got.size(); ++k)
-          EXPECT_EQ(got[k], (*expected)[k]) << "pos " << pos;
+    std::vector<std::vector<std::uint8_t>> probes;
+    for (const QueryContext& qc : batch)
+      probes.emplace_back(qc.residues().begin(), qc.residues().end());
+    probes.push_back(seqdb::encode_sequence(
+        SeqType::kNucleotide, random_sequence(rng, SeqType::kNucleotide, 300, 0.1)));
+    for (const std::vector<std::uint8_t>& seq : probes) {
+      for (std::size_t pos = 0; pos + w <= seq.size(); ++pos) {
+        std::vector<std::uint64_t> expected;
+        for (std::size_t qi = 0; qi < words.size(); ++qi) {
+          const oracle::PositionList* list = words[qi].probe(seq.data() + pos);
+          if (list == nullptr) continue;
+          for (const std::uint32_t qpos : *list)
+            expected.push_back(static_cast<std::uint64_t>(qi) << 32 | qpos);
+        }
+        bool valid = true;
+        std::uint64_t packed = 0;
+        for (std::size_t k = 0; k < w; ++k) {
+          if (seq[pos + k] >= 4) { valid = false; break; }
+          packed = (packed << 2) | seq[pos + k];
+        }
+        const auto [first, last] =
+            lookup(valid ? packed : FragmentIndex::kInvalidWord);
+        ASSERT_LE(first, last);
+        const std::vector<std::uint64_t> got(table.entries.begin() + first,
+                                             table.entries.begin() + last);
+        EXPECT_EQ(got, expected) << "round " << round << " pos " << pos;
       }
     }
   }

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <utility>
 
+#include "blast/engine.h"
 #include "blast/job.h"
 #include "driver/metrics.h"
 #include "driver/run_config.h"
@@ -222,12 +223,22 @@ Setup configure(const util::ArgParser& args) {
     s.db = seqdb::generate_database(gen);
   }
   if (!args.get("queries-fasta").empty()) {
-    s.query_fasta = parse_option(args, "queries-fasta",
-                                 [](const std::string& path) {
-                                   const std::string text = read_file(path);
-                                   parse_records(text, path);
-                                   return text;
-                                 });
+    s.query_fasta = parse_option(
+        args, "queries-fasta", [type](const std::string& path) {
+          const std::string text = read_file(path);
+          // blastp seeds carry the query position in a 22-bit tag.
+          constexpr std::size_t kMax =
+              blast::BatchNeighborhood::kMaxQueryResidues;
+          for (const seqdb::FastaRecord& r : parse_records(text, path)) {
+            if (type == seqdb::SeqType::kProtein && r.sequence.size() > kMax)
+              throw util::RuntimeError(
+                  path + ": record '" + r.id + "' has " +
+                  std::to_string(r.sequence.size()) +
+                  " residues, more than the " + std::to_string(kMax) +
+                  " a blastp query may have");
+          }
+          return text;
+        });
   } else {
     s.query_fasta = seqdb::write_fasta(seqdb::sample_queries(
         s.db, int_option<std::uint64_t>(args, "query-bytes", 1),
