@@ -54,13 +54,16 @@ struct ProteinFixture {
   }
 };
 
+/// A one-query PreparedBatch: the query context's copy and the blastp
+/// word table built from its residues.
 void BM_NeighborhoodBuild(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
   const auto query =
       seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[0].sequence);
+  const blast::QueryContext ctx(0, query, fx.params, fx.matrix, fx.stats);
   for (auto _ : state) {
-    const blast::FlatNeighborhood idx(query, fx.matrix, fx.params);
-    benchmark::DoNotOptimize(idx.total_entries());
+    const auto batch = one_query(ctx);
+    benchmark::DoNotOptimize(batch.merged()[0].entries.size());
   }
   state.counters["query_len"] = static_cast<double>(query.size());
 }

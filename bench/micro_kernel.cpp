@@ -1,12 +1,12 @@
 // Micro-benchmark (real wall time) of the search kernel against the scalar
 // reference oracle the tests keep (tests/support/scalar_oracle.h): the
 // oracle's per-query loop vs the production kernel (per-assignment
-// fragment indexing, flat offset-compacted neighborhood table, batched
-// query processing, SWAR/arena extension loops). Both produce
-// bit-identical HSPs and counters — the kernel differential suite enforces
-// that — so this bench measures pure host-side throughput on identical
-// work. Each query's tables, the oracle's word index included, are built
-// before any timed pass. The fast kernel splits the fragment across every
+// fragment indexing, one word table per query batch, batched query
+// processing, SWAR/arena extension loops). Both produce bit-identical HSPs
+// and counters — the kernel differential suite enforces that — so this
+// bench measures pure host-side throughput on identical work. The word
+// tables, the oracle's per-query ones included, are built before any
+// timed pass. The fast kernel splits the fragment across every
 // core (the oracle runs on one), so its row and the speedup depend on the
 // `nproc` each row carries.
 //

@@ -8,6 +8,36 @@
 
 namespace pioblast::blast {
 
+SearchParams SearchParams::blastp_defaults() {
+  SearchParams p;
+  p.type = seqdb::SeqType::kProtein;
+  p.word_size = 3;
+  p.threshold = 11;
+  p.two_hit_window = 40;
+  p.xdrop_ungapped = 16;
+  p.xdrop_gapped = 38;
+  p.gap_open = 11;
+  p.gap_extend = 1;
+  p.gap_trigger = 41;
+  p.cutoff_score_min = 25;
+  return p;
+}
+
+SearchParams SearchParams::blastn_defaults() {
+  SearchParams p;
+  p.type = seqdb::SeqType::kNucleotide;
+  p.word_size = 11;
+  p.threshold = 0;      // exact words
+  p.two_hit_window = 0; // blastn extends on single hits
+  p.xdrop_ungapped = 20;
+  p.xdrop_gapped = 30;
+  p.gap_open = 5;
+  p.gap_extend = 2;
+  p.gap_trigger = 18;
+  p.cutoff_score_min = 14;
+  return p;
+}
+
 ScoringMatrix make_matrix(const SearchParams& params) {
   return params.type == seqdb::SeqType::kProtein
              ? ScoringMatrix::blosum62()
@@ -23,7 +53,6 @@ QueryContext::QueryContext(std::uint32_t query_id,
       params_(params),
       matrix_(matrix),
       db_(db),
-      flat_(residues_, matrix, params),
       self_(residues_, matrix),
       adjust_(length_adjustment(matrix.gapped(), residues_.size(), db)) {
   PIOBLAST_CHECK_MSG(

@@ -3,8 +3,9 @@
 //
 // For each (query, database fragment) pair the engine runs the classic
 // pipeline: word scan over every subject sequence, looking each word up in
-// the query's neighborhood (in a table merged across a sub-batch of
-// queries, so one lookup serves them all); two-hit filtering on diagonals
+// one word table built from a whole sub-batch of queries (blastp: every
+// word within the neighborhood threshold of a query word; blastn: exact
+// words), so one lookup serves them all; two-hit filtering on diagonals
 // (blastp); ungapped X-drop extension; gap-triggered gapped extension with
 // traceback; containment culling; Karlin–Altschul E-value filtering against
 // the *global* database statistics; and a final per-fragment hit-list cut
@@ -16,6 +17,7 @@
 // integration tests assert.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -24,16 +26,16 @@
 #include "blast/extend.h"
 #include "blast/hsp.h"
 #include "blast/scoring.h"
-#include "blast/seed.h"
 #include "blast/stats.h"
 #include "seqdb/formatdb.h"
 #include "sim/cost_model.h"
 
 namespace pioblast::blast {
 
-/// Per-query precomputation shared across fragment searches: the
-/// neighborhood table, the self-score profile, the scoring matrix, and the
-/// query's length adjustment.
+/// Per-query precomputation shared across fragment searches: the encoded
+/// residues, the self-score profile, the scoring matrix, and the query's
+/// length adjustment. It holds no word table: PreparedBatch indexes the
+/// words of a whole sub-batch of queries at once.
 class QueryContext {
  public:
   QueryContext(std::uint32_t query_id, std::span<const std::uint8_t> residues,
@@ -42,7 +44,6 @@ class QueryContext {
 
   std::uint32_t query_id() const { return query_id_; }
   std::span<const std::uint8_t> residues() const { return residues_; }
-  const FlatNeighborhood& flat_index() const { return flat_; }
   const SelfScoreProfile& self_profile() const { return self_; }
   const ScoringMatrix& matrix() const { return matrix_; }
   const SearchParams& params() const { return params_; }
@@ -59,7 +60,6 @@ class QueryContext {
   SearchParams params_;
   const ScoringMatrix& matrix_;
   GlobalDbStats db_;
-  FlatNeighborhood flat_;
   SelfScoreProfile self_;
   std::uint64_t adjust_ = 0;
   int cutoff_score_ = 0;
@@ -82,12 +82,13 @@ inline constexpr std::uint64_t kSplitGrainResidues = 2048;
 /// Entry bounds [first, last) of a subject word's bucket in a merged table.
 using Bucket = std::pair<std::uint32_t, std::uint32_t>;
 
-/// Merged blastp neighborhood over a sub-batch of queries: per word, the
-/// concatenation of every query's bucket in query-id-major order
-/// (positions stay ascending within a query, exactly the per-query bucket
-/// order). One probe of it per subject position services the whole
-/// sub-batch, where a per-query scan would probe once per (query,
-/// position). PreparedBatch builds it and the kernel only reads it.
+/// blastp word table over a sub-batch of queries: per word of the 24^3
+/// space, every (query, position) whose 3-mer scores at least the
+/// threshold against it, query-id-major with positions ascending within a
+/// query (the order a per-query scan seeds in). One probe of it per
+/// subject position services the whole sub-batch, where a per-query scan
+/// would probe once per (query, position). PreparedBatch builds it from
+/// the queries' residues and the kernel only reads it.
 struct BatchNeighborhood {
   using Code = std::uint32_t;  ///< base-24 packed 3-mer
   static constexpr std::uint32_t kQposBits = 22;
@@ -110,10 +111,10 @@ struct BatchNeighborhood {
   }
 };
 
-/// Merged blastn word table over a sub-batch of at most
+/// blastn word table over a sub-batch of at most
 /// BatchNeighborhood::kMaxQueries queries: the union of the queries'
-/// distinct words and, per word, every query's position list concatenated
-/// in query-id-major order, as BatchNeighborhood. Entries keep a full
+/// distinct words and, per word, every (query, position) where it occurs,
+/// ordered as BatchNeighborhood's buckets. Entries keep a full
 /// 32-bit query position, so no query is too long for it. A subject word
 /// is looked up once for the whole sub-batch: a presence filter (NCBI
 /// BLAST's presence vector) turns most absent words away from a bit array
@@ -159,17 +160,20 @@ struct DnaBatchNeighborhood {
 
 /// Query contexts prepared for search_fragments, its only query argument,
 /// and indexable like the vector of contexts it holds. Preparation checks
-/// what a batched search needs (one sequence type and word size; blastp
-/// query positions that fit BatchNeighborhood's tag) and builds the merged
-/// tables, one per sub-batch of BatchNeighborhood::kMaxQueries queries.
+/// what a batched search needs (one sequence type and word size, a word
+/// size the type's packing holds; blastp query positions that fit
+/// BatchNeighborhood's tag) and builds the word tables straight from the
+/// queries' residues, one per sub-batch of BatchNeighborhood::kMaxQueries
+/// queries.
 /// The drivers prepare once per job (QuerySet::build), so a fragment
 /// search does only per-fragment work; searches only read the batch, so
 /// any number may share it at once.
 class PreparedBatch {
  public:
   PreparedBatch() = default;
-  /// Throws util::ContractViolation if the contexts cannot share a batch,
-  /// and util::RuntimeError for a blastp query longer than
+  /// Throws util::ContractViolation if the contexts cannot share a batch
+  /// or their word size is not 3 (blastp) or in [4, 31] (blastn), and
+  /// util::RuntimeError for a blastp query longer than
   /// BatchNeighborhood::kMaxQueryResidues.
   explicit PreparedBatch(std::vector<QueryContext> contexts);
 

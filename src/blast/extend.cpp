@@ -163,7 +163,7 @@ namespace {
 /// mechanical. Dead-source arithmetic runs unguarded: its results stay far
 /// below any live score, and the only bytes that can differ are traceback
 /// bits of dead sources, which the traceback never reads. Each row runs in
-/// three parts (DESIGN "Kernel fast path", item 4), so that only E and the
+/// three parts (DESIGN "Kernel fast path", item 3), so that only E and the
 /// clamped H pass from cell to cell, and traceback bytes land in a
 /// reusable arena.
 DirResult extend_dir_fast(std::span<const std::uint8_t> q,

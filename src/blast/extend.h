@@ -40,7 +40,7 @@ struct GappedExtension {
 // enforce this. The speed comes from mechanical restructuring only. The
 // ungapped pass skips 8 identical residues at a time. The gapped DP splits
 // each row into a loop over what the previous row fixes and a short loop
-// carrying only E (DESIGN "Kernel fast path", item 4), hoists the scoring
+// carrying only E (DESIGN "Kernel fast path", item 3), hoists the scoring
 // row pointer, and reuses scratch with a traceback arena that only grows.
 
 /// Per-query precomputation for the SWAR ungapped skip: prefix sums of the

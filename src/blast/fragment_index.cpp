@@ -54,19 +54,11 @@ FragmentIndex::FragmentIndex(const seqdb::LoadedFragment& fragment,
     } else {
       const std::size_t base = codes64_.size();
       codes64_.resize(base + nwords, kInvalidWord);
-      const std::uint64_t mask = (1ULL << (2 * word_size_)) - 1;
-      std::uint64_t packed = 0;
-      int valid = 0;
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        const std::uint8_t code = s[i];
-        if (code >= 4) {  // ambiguity: restart the window
-          valid = 0;
-          packed = 0;
-          continue;
-        }
-        packed = ((packed << 2) | code) & mask;
-        if (++valid >= word_size_) codes64_[base + i + 1 - w] = packed;
-      }
+      std::uint64_t* const codes = codes64_.data() + base;
+      for_each_dna_word(s, word_size_, [codes](std::size_t pos,
+                                               std::uint64_t word) {
+        codes[pos] = word;
+      });
       starts_.push_back(codes64_.size());
     }
   }

@@ -24,6 +24,29 @@
 
 namespace pioblast::blast {
 
+/// The one rolling 2-bit packer of blastn words, for subjects
+/// (FragmentIndex) and queries (DnaBatchNeighborhood) alike: calls
+/// emit(pos, word) for every window [pos, pos + w) of `s` free of
+/// ambiguous residues (codes 4 and up), pos ascending, with the window's
+/// residues packed first-residue-high into the low 2w bits.
+template <class Emit>
+inline void for_each_dna_word(std::span<const std::uint8_t> s, int w,
+                              const Emit& emit) {
+  const std::uint64_t mask = (1ULL << (2 * w)) - 1;
+  std::uint64_t packed = 0;
+  int valid = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const std::uint8_t code = s[i];
+    if (code >= 4) {  // ambiguity: restart the window
+      valid = 0;
+      packed = 0;
+      continue;
+    }
+    packed = ((packed << 2) | code) & mask;
+    if (++valid >= w) emit(i + 1 - static_cast<std::size_t>(w), packed);
+  }
+}
+
 class FragmentIndex {
  public:
   /// Word at this position straddles an ambiguous residue (blastn only).

@@ -10,12 +10,13 @@
 //      loop re-packs the subject once per query.
 //   2. Each subject word is looked up ONCE per sub-batch of queries, not
 //      once per query: PreparedBatch, constructed below once per query
-//      set, merges the queries' word lists into one offset-compacted
-//      table per sub-batch — dense over the 24^3 words for blastp
-//      (BatchNeighborhood), a presence filter plus an open-addressing
-//      table for blastn (DnaBatchNeighborhood) — in place of the
-//      oracle's per-query vector-of-vectors / hash map. One scan loop,
-//      scan_batch, serves both.
+//      set, indexes the words of a whole sub-batch straight from the
+//      queries' residues into one offset-compacted table — dense over the
+//      24^3 words for blastp (BatchNeighborhood), a presence filter plus
+//      an open-addressing table for blastn (DnaBatchNeighborhood) — in
+//      place of the oracle's per-query vector-of-vectors / hash map. No
+//      query keeps a table of its own. One scan loop, scan_batch, serves
+//      both.
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
 //      and extend_gapped_fast (reusable DP scratch + traceback arena).
 //   4. search_fragments plans every (fragment, chunk) pair of a call —
@@ -427,31 +428,64 @@ void finish_fragment(const PreparedBatch& queries, FragmentProgress& progress,
   }
 }
 
+/// Calls emit(word, pos) for every base-24 word whose score against the
+/// query's 3-mer at pos reaches the threshold, pos ascending: the query's
+/// blastp neighborhood, the oracle's WordIndex listed position by position.
+template <class Emit>
+void for_each_neighbor(const QueryContext& query, const Emit& emit) {
+  const std::span<const std::uint8_t> q = query.residues();
+  const ScoringMatrix& matrix = query.matrix();
+  const int threshold = query.params().threshold;
+  for (std::size_t pos = 0; pos + 2 < q.size(); ++pos) {
+    const int* row0 = matrix.row(q[pos]);
+    const int* row1 = matrix.row(q[pos + 1]);
+    const int* row2 = matrix.row(q[pos + 2]);
+    const int max1 = matrix.row_max(q[pos + 1]);
+    const int max2 = matrix.row_max(q[pos + 2]);
+    for (std::uint8_t a = 0; a < 24; ++a) {
+      const int s0 = row0[a];
+      if (s0 + max1 + max2 < threshold) continue;
+      for (std::uint8_t b = 0; b < 24; ++b) {
+        const int s01 = s0 + row1[b];
+        if (s01 + max2 < threshold) continue;
+        const std::uint32_t ab = (static_cast<std::uint32_t>(a) * 24u + b) * 24u;
+        for (std::uint8_t c = 0; c < 24; ++c) {
+          if (s01 + row2[c] < threshold) continue;
+          emit(ab + c, static_cast<std::uint32_t>(pos));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 BatchNeighborhood::BatchNeighborhood(std::span<const QueryContext> queries) {
   PIOBLAST_CHECK_MSG(queries.size() <= kMaxQueries,
                      "fast kernel: batch exceeds query-id tag range");
   constexpr std::uint32_t kWords = 24u * 24u * 24u;
+  // Count pass: bucket sizes, one slot up, so the prefix sum turns them
+  // into bounds.
   offsets.assign(kWords + 1, 0);
-  std::size_t total = 0;
+  std::uint64_t total = 0;
   for (const QueryContext& qc : queries) {
-    const std::span<const std::uint32_t> offs = qc.flat_index().offsets();
-    for (std::uint32_t c = 0; c < kWords; ++c)
-      offsets[c + 1] += offs[c + 1] - offs[c];
-    total += qc.flat_index().total_entries();
+    for_each_neighbor(qc, [&](std::uint32_t word, std::uint32_t) {
+      ++offsets[word + 1];
+      ++total;
+    });
   }
+  PIOBLAST_CHECK_MSG(total <= ~std::uint32_t{0},
+                     "fast kernel: sub-batch exceeds 32-bit bucket bounds");
   for (std::uint32_t c = 0; c < kWords; ++c) offsets[c + 1] += offsets[c];
+  // Fill pass, query by query and position-ascending within a query: the
+  // bucket order scan_batch relies on.
   entries.resize(total);
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const FlatNeighborhood& flat = queries[qi].flat_index();
-    const std::span<const std::uint32_t> offs = flat.offsets();
-    const std::span<const std::uint32_t> ent = flat.entries();
     const std::uint32_t tag = static_cast<std::uint32_t>(qi) << kQposBits;
-    for (std::uint32_t c = 0; c < kWords; ++c)
-      for (std::uint32_t k = offs[c]; k < offs[c + 1]; ++k)
-        entries[cursor[c]++] = tag | ent[k];
+    for_each_neighbor(queries[qi], [&](std::uint32_t word, std::uint32_t pos) {
+      entries[cursor[word]++] = tag | pos;
+    });
   }
 }
 
@@ -459,21 +493,24 @@ DnaBatchNeighborhood::DnaBatchNeighborhood(
     std::span<const QueryContext> queries) {
   PIOBLAST_CHECK_MSG(queries.size() <= BatchNeighborhood::kMaxQueries,
                      "fast kernel: batch exceeds query-id tag range");
-  // Every (word, entry) pair, query by query and, within a query's bucket,
-  // position-ascending: a stable sort by word then leaves every bucket
-  // query-id-major with each query's positions in its own order.
+  // Every (word, entry) pair, query by query and position-ascending within
+  // a query: a stable sort by word then leaves every bucket query-id-major
+  // with each query's positions ascending.
   struct Pair {
     std::uint64_t word;
     std::uint64_t entry;
   };
+  std::size_t residues = 0;
+  for (const QueryContext& qc : queries) residues += qc.residues().size();
   std::vector<Pair> pairs;
+  pairs.reserve(residues);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const FlatNeighborhood& flat = queries[qi].flat_index();
-    const std::span<const std::uint32_t> offs = flat.offsets();
     const std::uint64_t tag = static_cast<std::uint64_t>(qi) << kQposBits;
-    for (std::size_t k = 0; k < flat.keys().size(); ++k)
-      for (std::uint32_t j = offs[k]; j < offs[k + 1]; ++j)
-        pairs.push_back({flat.keys()[k], tag | flat.entries()[j]});
+    for_each_dna_word(queries[qi].residues(), queries[qi].params().word_size,
+                      [&](std::size_t pos, std::uint64_t word) {
+                        pairs.push_back(
+                            {word, tag | static_cast<std::uint32_t>(pos)});
+                      });
   }
   std::stable_sort(pairs.begin(), pairs.end(),
                    [](const Pair& a, const Pair& b) { return a.word < b.word; });
@@ -513,6 +550,11 @@ PreparedBatch::PreparedBatch(std::vector<QueryContext> contexts)
                        "batched queries must share word size and type");
   }
   const bool dna = params.type == seqdb::SeqType::kNucleotide;
+  // The packings' limits: 2 bits a base in one 64-bit word, with room for
+  // FragmentIndex::kInvalidWord; base-24 3-mers for blastp.
+  PIOBLAST_CHECK_MSG(!dna || (params.word_size >= 4 && params.word_size <= 31),
+                     "blastn word size must be in [4,31]");
+  PIOBLAST_CHECK_MSG(dna || params.word_size == 3, "blastp word size must be 3");
   for (const QueryContext& qc : contexts_) {
     if (!dna && qc.residues().size() > BatchNeighborhood::kMaxQueryResidues)
       throw util::RuntimeError(

@@ -1,7 +1,7 @@
 // Prepared query sets: parsed queries plus the prepared search batch.
 //
-// Building a QueryContext (neighborhood table + statistics) and the
-// kernel's merged neighborhoods (PreparedBatch) is identical on every rank
+// Building the QueryContexts (encoded residues + statistics) and the
+// kernel's word tables over them (PreparedBatch) is identical on every rank
 // and for every fragment, so the drivers prepare one QuerySet per job and
 // share it read-only across all simulated processes, and the kernel shares it
 // across the pool threads searching one fragment's chunks. This is a

@@ -14,26 +14,26 @@ constexpr int kDnaSize = 5;       // ACGTN
 constexpr std::uint8_t kProteinX = 22;
 constexpr std::uint8_t kDnaN = 4;
 
-std::array<std::uint8_t, 256> build_encode_table(std::string_view letters,
-                                                 std::uint8_t wildcard) {
+/// Byte -> code: each letter and its lower case to its index in `letters`,
+/// every other byte to `wildcard`. Built at compile time, so it needs no
+/// guard and no locale.
+constexpr std::array<std::uint8_t, 256> make_encode_table(
+    std::string_view letters, std::uint8_t wildcard) {
   std::array<std::uint8_t, 256> table{};
   table.fill(wildcard);
   for (std::size_t i = 0; i < letters.size(); ++i) {
-    const char c = letters[i];
-    table[static_cast<unsigned char>(c)] = static_cast<std::uint8_t>(i);
-    table[static_cast<unsigned char>(std::tolower(c))] = static_cast<std::uint8_t>(i);
+    const auto c = static_cast<unsigned char>(letters[i]);
+    table[c] = static_cast<std::uint8_t>(i);
+    if (c >= 'A' && c <= 'Z') table[c - 'A' + 'a'] = static_cast<std::uint8_t>(i);
   }
   return table;
 }
 
-const std::array<std::uint8_t, 256>& protein_table() {
-  static const auto table = build_encode_table(kProteinLetters, kProteinX);
-  return table;
-}
+constexpr auto kProteinCodes = make_encode_table(kProteinLetters, kProteinX);
+constexpr auto kDnaCodes = make_encode_table(kDnaLetters, kDnaN);
 
-const std::array<std::uint8_t, 256>& dna_table() {
-  static const auto table = build_encode_table(kDnaLetters, kDnaN);
-  return table;
+const std::array<std::uint8_t, 256>& codes_of(SeqType type) {
+  return type == SeqType::kProtein ? kProteinCodes : kDnaCodes;
 }
 
 }  // namespace
@@ -43,8 +43,7 @@ int alphabet_size(SeqType type) {
 }
 
 std::uint8_t encode_residue(SeqType type, char c) {
-  return type == SeqType::kProtein ? protein_table()[static_cast<unsigned char>(c)]
-                                   : dna_table()[static_cast<unsigned char>(c)];
+  return codes_of(type)[static_cast<unsigned char>(c)];
 }
 
 char decode_residue(SeqType type, std::uint8_t code) {
@@ -56,9 +55,10 @@ char decode_residue(SeqType type, std::uint8_t code) {
 }
 
 std::vector<std::uint8_t> encode_sequence(SeqType type, std::string_view seq) {
-  std::vector<std::uint8_t> codes;
-  codes.reserve(seq.size());
-  for (char c : seq) codes.push_back(encode_residue(type, c));
+  const std::array<std::uint8_t, 256>& table = codes_of(type);
+  std::vector<std::uint8_t> codes(seq.size());
+  for (std::size_t i = 0; i < seq.size(); ++i)
+    codes[i] = table[static_cast<unsigned char>(seq[i])];
   return codes;
 }
 

@@ -3,8 +3,8 @@
 # processes, unreadable and malformed FASTA files, a --conformance run
 # wider than the protocol monitor's bound, out-of-range sizes and counts,
 # more fragments than database sequences, a blastp query record too long
-# for the kernel's position tag and the removed --kernel and --exec-model
-# options.
+# for the kernel's position tag (in --queries-fasta, or sampled from
+# --db-fasta) and the removed --kernel and --exec-model options.
 # Every case must exit 2 with the option's name on stderr and nothing on
 # stdout: it is rejected before any driver runs, instead of aborting or
 # running with a half-parsed value.
@@ -21,6 +21,16 @@ string(REPEAT "A" 4194304 long_record)
 set(long_fasta "${WORK}/long_protein_query.fa")
 file(WRITE "${long_fasta}" ">long\n${long_record}\n")
 
+# A database of a 4194314-residue record and eight short ones: a sampled
+# query set of 5000000 bytes takes every record, the long one included.
+string(APPEND long_record "AAAAAAAAAA")
+set(long_db_text ">long\n${long_record}\n")
+foreach(i RANGE 1 8)
+  string(APPEND long_db_text ">short${i}\nMKVLAARNDCQEGHILKMFPSTWYV\n")
+endforeach()
+set(long_db "${WORK}/long_protein_db.fa")
+file(WRITE "${long_db}" "${long_db_text}")
+
 # "<argument>|...|<text stderr must contain>"
 set(cases
   "--queries-fasta=${DATA}/fasta_data_before_defline.fa|--queries-fasta: FASTA line 1"
@@ -35,6 +45,7 @@ set(cases
   "--scheduler=bogus|--scheduler"
   "--queries-fasta=${MISSING}|--queries-fasta"
   "--queries-fasta=${long_fasta}|--queries-fasta: ${long_fasta}: record 'long' has 4194304 residues, more than the 4194303 a blastp query may have"
+  "--db-fasta=${long_db}|--query-bytes=5000000|--query-bytes: the sampled query set: record 'query_5' (sampled from long) has 4194314 residues, more than the 4194303 a blastp query may have"
   "--procs=abc|--procs"
   "--hitlist=1e3|--hitlist"
   "--check=schedules=abc|--check: schedules"

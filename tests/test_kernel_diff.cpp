@@ -9,8 +9,8 @@
 //   * corpus diffs — realistic family databases, protein and DNA;
 //   * deterministic fuzz — randomized corpora and parameter sets, with a
 //     reproduction dump to stderr on the first mismatch;
-//   * properties — FlatNeighborhood and the merged blastn table vs the
-//     oracle's WordIndex under random scoring matrices, thresholds and
+//   * properties — the merged blastp and blastn tables vs the oracle's
+//     WordIndex under random scoring matrices, thresholds and
 //     word sizes, FragmentIndex codes vs scalar packing, extension scores
 //     vs traceback replay, and gapped extensions aimed at the DP's
 //     three-part rows;
@@ -38,7 +38,6 @@
 #include "blast/extend.h"
 #include "blast/fragment_index.h"
 #include "blast/query_set.h"
-#include "blast/seed.h"
 #include "mpiblast/mpiblast.h"
 #include "pario/vfs.h"
 #include "pioblast/pioblast.h"
@@ -627,6 +626,37 @@ TEST(KernelPrepared, MixedTypesOrWordSizesRejected) {
   expect_rejected(std::move(words), "word sizes 11 + 8");
 }
 
+TEST(KernelPrepared, BadWordSizeRejected) {
+  // A context takes any word size; the batch rejects one its packing
+  // cannot hold: blastp packs base-24 3-mers, blastn 2 bits a base into a
+  // 64-bit word beside FragmentIndex::kInvalidWord.
+  const GlobalDbStats gstats{100'000, 100};
+  const auto pq = seqdb::encode_sequence(SeqType::kProtein, "MKVLAARNDCQEGHILK");
+  const auto dq =
+      seqdb::encode_sequence(SeqType::kNucleotide, "ACGTACGTACGTACGTACGT");
+  for (const auto& [type, word_size, what] :
+       {std::tuple{SeqType::kProtein, 2, "blastp word size must be 3"},
+        std::tuple{SeqType::kProtein, 4, "blastp word size must be 3"},
+        std::tuple{SeqType::kNucleotide, 3, "blastn word size must be in [4,31]"},
+        std::tuple{SeqType::kNucleotide, 32,
+                   "blastn word size must be in [4,31]"}}) {
+    auto params = type == SeqType::kProtein ? SearchParams::blastp_defaults()
+                                            : SearchParams::blastn_defaults();
+    params.word_size = word_size;
+    const auto m = make_matrix(params);
+    std::vector<QueryContext> contexts;
+    contexts.emplace_back(0, type == SeqType::kProtein ? pq : dq, params, m,
+                          gstats);
+    try {
+      const PreparedBatch batch(std::move(contexts));
+      ADD_FAILURE() << "word size " << word_size << " accepted";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(KernelPrepared, OverlongBlastpQueryIsAnInputError) {
   // A blastp query too long for BatchNeighborhood's position tag comes from
   // the user, so it is a util::RuntimeError; one residue less is accepted.
@@ -873,13 +903,34 @@ TEST(KernelFlatPlan, ConcurrentCallersMatchSerialResults) {
   }
 }
 
-// ---------- FlatNeighborhood / FragmentIndex properties ---------------------
+// ---------- merged word tables / FragmentIndex properties -------------------
+//
+// PreparedBatch builds each sub-batch's word table straight from the
+// queries' residues. Every word's bucket must be the oracle's per-query
+// position lists concatenated in query order, each entry tagged with its
+// query's id. (The FlatNeighborhoodProperty names predate the merged
+// tables: they once tested a per-query table.)
+
+/// 1 to 5 random queries of up to `max_len` residues; later ones repeat a
+/// slice of an earlier one, so buckets hold several query ids.
+std::vector<std::string> related_queries(std::mt19937& rng, SeqType type,
+                                         std::size_t max_len) {
+  std::vector<std::string> texts;
+  const std::size_t nq = 1 + rng() % 5;
+  for (std::size_t i = 0; i < nq; ++i) {
+    std::string qs = random_sequence(
+        rng, type, static_cast<std::size_t>(rng() % (max_len + 1)), 0.05);
+    if (i > 0) qs += texts[rng() % i].substr(0, 40);
+    texts.push_back(std::move(qs));
+  }
+  return texts;
+}
 
 TEST(FlatNeighborhoodProperty, MatchesWordIndexUnderRandomMatrices) {
   std::mt19937 rng(0xF1A7u);
   std::uniform_int_distribution<int> cell(-5, 7);
   std::uniform_int_distribution<int> thr(-2, 18);
-  std::uniform_int_distribution<std::size_t> qlen(0, 80);
+  const GlobalDbStats gstats{100'000, 100};
 
   const KarlinParams kp{0.27, 0.04, 0.25};
   for (int round = 0; round < 20; ++round) {
@@ -889,31 +940,47 @@ TEST(FlatNeighborhoodProperty, MatchesWordIndexUnderRandomMatrices) {
 
     auto params = SearchParams::blastp_defaults();
     params.threshold = thr(rng);
-    const std::string qs =
-        random_sequence(rng, SeqType::kProtein, qlen(rng), 0.05);
-    const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
+    std::vector<QueryContext> contexts;
+    std::vector<oracle::WordIndex> words;
+    std::vector<bool> indexed;  // queries of at least one word
+    std::size_t total = 0;
+    for (const std::string& qs : related_queries(rng, SeqType::kProtein, 80)) {
+      const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
+      contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()), q,
+                            params, m, gstats);
+      words.emplace_back(q, m, params);
+      indexed.push_back(q.size() >= 3);
+      total += words.back().total_entries();
+    }
+    const PreparedBatch batch(std::move(contexts));
+    ASSERT_EQ(batch.merged().size(), 1u);
+    ASSERT_TRUE(batch.merged_dna().empty());
+    const BatchNeighborhood& table = batch.merged()[0];
+    EXPECT_EQ(table.entries.size(), total);
+    const auto lookup = table.lookup();
 
-    const oracle::WordIndex words(q, m, params);
-    const FlatNeighborhood flat(q, m, params);
-
-    EXPECT_EQ(flat.total_entries(), words.total_entries());
-    // Every packed word's bucket must equal the oracle's position list —
-    // same contents, same (query-position-ascending) order.
+    // Every packed word's bucket must equal the oracle's position lists —
+    // same contents, same order: query-id-major, positions ascending.
     for (std::uint32_t code = 0; code < 24u * 24u * 24u; ++code) {
       const std::uint8_t word[3] = {
           static_cast<std::uint8_t>(code / (24 * 24)),
           static_cast<std::uint8_t>((code / 24) % 24),
           static_cast<std::uint8_t>(code % 24)};
-      const oracle::PositionList* expected =
-          q.size() >= 3 ? words.probe(word) : nullptr;
-      const auto got = flat.neighbors(code);
-      if (expected == nullptr) {
-        EXPECT_TRUE(got.empty()) << "code " << code;
-      } else {
-        ASSERT_EQ(got.size(), expected->size()) << "code " << code;
-        for (std::size_t k = 0; k < got.size(); ++k)
-          EXPECT_EQ(got[k], (*expected)[k]) << "code " << code << " entry " << k;
+      std::vector<std::uint32_t> expected;
+      for (std::size_t qi = 0; qi < words.size(); ++qi) {
+        const oracle::PositionList* list =
+            indexed[qi] ? words[qi].probe(word) : nullptr;
+        if (list == nullptr) continue;
+        for (const std::uint32_t qpos : *list)
+          expected.push_back(static_cast<std::uint32_t>(qi)
+                                 << BatchNeighborhood::kQposBits |
+                             qpos);
       }
+      const auto [first, last] = lookup(code);
+      ASSERT_LE(first, last);
+      const std::vector<std::uint32_t> got(table.entries.begin() + first,
+                                           table.entries.begin() + last);
+      ASSERT_EQ(got, expected) << "round " << round << " code " << code;
     }
   }
 }
@@ -922,20 +989,34 @@ TEST(FlatNeighborhoodProperty, OffsetsMonotoneAndCovering) {
   std::mt19937 rng(0x0FF5E75u);
   const auto m = ScoringMatrix::blosum62();
   const auto params = SearchParams::blastp_defaults();
+  const GlobalDbStats gstats{100'000, 100};
   for (int round = 0; round < 10; ++round) {
-    const std::string qs = random_sequence(
-        rng, SeqType::kProtein, 20 + static_cast<std::size_t>(rng() % 120), 0.05);
-    const auto q = seqdb::encode_sequence(SeqType::kProtein, qs);
-    const FlatNeighborhood flat(q, m, params);
-    const auto offsets = flat.offsets();
+    std::vector<QueryContext> contexts;
+    for (const std::string& qs : related_queries(rng, SeqType::kProtein, 140)) {
+      contexts.emplace_back(static_cast<std::uint32_t>(contexts.size()),
+                            seqdb::encode_sequence(SeqType::kProtein, qs),
+                            params, m, gstats);
+    }
+    const PreparedBatch batch(std::move(contexts));
+    const BatchNeighborhood& table = batch.merged().at(0);
+    const std::vector<std::uint32_t>& offsets = table.offsets;
     ASSERT_EQ(offsets.size(), 24u * 24u * 24u + 1);
     EXPECT_EQ(offsets.front(), 0u);
-    for (std::size_t i = 1; i < offsets.size(); ++i)
-      EXPECT_LE(offsets[i - 1], offsets[i]) << "offset " << i;
-    EXPECT_EQ(offsets.back(), flat.entries().size());
-    // Every entry is a valid word start position.
-    for (const std::uint32_t pos : flat.entries())
-      EXPECT_LE(pos + 3, q.size());
+    for (std::size_t i = 1; i < offsets.size(); ++i) {
+      ASSERT_LE(offsets[i - 1], offsets[i]) << "offset " << i;
+      // Query-id-major with positions ascending: tags strictly increase
+      // within a bucket.
+      for (std::uint32_t k = offsets[i - 1] + 1; k < offsets[i]; ++k)
+        EXPECT_LT(table.entries[k - 1], table.entries[k]) << "entry " << k;
+    }
+    EXPECT_EQ(offsets.back(), table.entries.size());
+    // Every entry names a query of the batch and one of its word starts.
+    for (const std::uint32_t tag : table.entries) {
+      const std::uint32_t qi = tag >> BatchNeighborhood::kQposBits;
+      ASSERT_LT(qi, batch.size());
+      EXPECT_LE((tag & BatchNeighborhood::kQposMask) + 3,
+                batch[qi].residues().size());
+    }
   }
 }
 
@@ -1232,7 +1313,7 @@ TEST(ExtendEdge, GappedScoreMatchesTracebackReplay) {
 // ---------- gapped DP rows --------------------------------------------------
 //
 // extend_gapped_fast runs each DP row as a loop over the previous row's
-// window and a per-cell tail past it (DESIGN "Kernel fast path", item 4).
+// window and a per-cell tail past it (DESIGN "Kernel fast path", item 3).
 // These cases aim at what that split could get wrong — rows that run past
 // the previous window, E runs that keep a row alive there, ties between
 // the diagonal, E and F, the X-drop extremes, both scoring systems, and

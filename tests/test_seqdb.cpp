@@ -49,6 +49,32 @@ TEST(Alphabet, UnknownMapsToWildcard) {
             'N');
 }
 
+TEST(Alphabet, EveryByteEncodesToItsLetterOrTheWildcard) {
+  // All 256 byte values, through both entry points: an upper- or
+  // lower-case letter of the alphabet (and '*' for protein) to its code,
+  // anything else to the wildcard.
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes.push_back(static_cast<char>(b));
+  for (const SeqType type : {SeqType::kProtein, SeqType::kNucleotide}) {
+    const std::string_view letters =
+        type == SeqType::kProtein ? kProteinLetters : kDnaLetters;
+    const std::uint8_t wildcard = type == SeqType::kProtein ? 22 : 4;
+    const auto codes = encode_sequence(type, bytes);
+    ASSERT_EQ(codes.size(), 256u);
+    for (int b = 0; b < 256; ++b) {
+      const char c = static_cast<char>(b);
+      const char upper = b >= 'a' && b <= 'z' ? static_cast<char>(b - 'a' + 'A') : c;
+      const std::size_t at = letters.find(upper);
+      const std::uint8_t want =
+          at == std::string_view::npos ? wildcard : static_cast<std::uint8_t>(at);
+      EXPECT_EQ(encode_residue(type, c), want) << "byte " << b;
+      EXPECT_EQ(codes[static_cast<std::size_t>(b)], want) << "byte " << b;
+    }
+  }
+  EXPECT_EQ(kProteinLetters[22], 'X');
+  EXPECT_EQ(kDnaLetters[4], 'N');
+}
+
 TEST(Alphabet, SequenceRoundTrip) {
   const std::string seq = "MKVLAW";
   const auto codes = encode_sequence(SeqType::kProtein, seq);

@@ -59,6 +59,26 @@ std::vector<seqdb::FastaRecord> parse_records(const std::string& text,
   return records;
 }
 
+/// The blastp query-length rule: seeds carry the query position in
+/// BatchNeighborhood's 22-bit tag, so a longer blastp query in the final
+/// query set is refused here, with `where` naming the set, before any
+/// driver runs.
+void check_query_lengths(seqdb::SeqType type,
+                         const std::vector<seqdb::FastaRecord>& queries,
+                         const std::string& where) {
+  constexpr std::size_t kMax = blast::BatchNeighborhood::kMaxQueryResidues;
+  if (type != seqdb::SeqType::kProtein) return;
+  for (const seqdb::FastaRecord& r : queries) {
+    if (r.sequence.size() > kMax)
+      throw util::RuntimeError(
+          where + ": record '" + r.id + "'" +
+          (r.description.empty() ? "" : " (" + r.description + ")") +
+          " has " + std::to_string(r.sequence.size()) +
+          " residues, more than the " + std::to_string(kMax) +
+          " a blastp query may have");
+  }
+}
+
 void print_metrics(const char* name, const blast::DriverResult& r) {
   // One machine-readable line per driver: METRICS <driver> {json}.
   std::printf("METRICS %s %s\n", name, driver::metrics_json(r.metrics).c_str());
@@ -225,24 +245,16 @@ Setup configure(const util::ArgParser& args) {
   if (!args.get("queries-fasta").empty()) {
     s.query_fasta = parse_option(
         args, "queries-fasta", [type](const std::string& path) {
-          const std::string text = read_file(path);
-          // blastp seeds carry the query position in a 22-bit tag.
-          constexpr std::size_t kMax =
-              blast::BatchNeighborhood::kMaxQueryResidues;
-          for (const seqdb::FastaRecord& r : parse_records(text, path)) {
-            if (type == seqdb::SeqType::kProtein && r.sequence.size() > kMax)
-              throw util::RuntimeError(
-                  path + ": record '" + r.id + "' has " +
-                  std::to_string(r.sequence.size()) +
-                  " residues, more than the " + std::to_string(kMax) +
-                  " a blastp query may have");
-          }
+          std::string text = read_file(path);
+          check_query_lengths(type, parse_records(text, path), path);
           return text;
         });
   } else {
-    s.query_fasta = seqdb::write_fasta(seqdb::sample_queries(
+    const auto queries = seqdb::sample_queries(
         s.db, int_option<std::uint64_t>(args, "query-bytes", 1),
-        static_cast<std::uint64_t>(args.get_int("seed")) + 1));
+        static_cast<std::uint64_t>(args.get_int("seed")) + 1);
+    check_query_lengths(type, queries, "--query-bytes: the sampled query set");
+    s.query_fasta = seqdb::write_fasta(queries);
   }
 
   blast::JobConfig& job = s.run.job;
