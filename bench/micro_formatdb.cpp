@@ -1,18 +1,12 @@
 // Micro-benchmark: database formatting and partitioning (google-benchmark,
-// real wall time) plus the paper's §3.1 motivation numbers — formatdb cost
-// at full GenBank scale under the calibrated cost model (the paper quotes
-// ~6 minutes for the 1 GB nr and ~22 minutes for the 11 GB nt on an Altix
-// head node, a cost mpiBLAST users pay again at every re-partitioning and
-// pioBLAST users pay once).
+// real wall time). The §3.1 formatdb cost at paper scale is virtual time:
+// `bench/paper sec31`.
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
 
 #include "pario/vfs.h"
 #include "seqdb/formatdb.h"
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
-#include "workloads.h"
 
 using namespace pioblast;
 
@@ -90,16 +84,4 @@ BENCHMARK(BM_LoadFragmentFromSlices);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // §3.1 motivation numbers at full paper scale, from the cost model.
-  const auto cost = bench::bench_cost_model();
-  std::printf(
-      "formatdb cost at paper scale (calibrated model): nr (1 GB) = %.1f min, "
-      "nt (11 GB) = %.1f min\n(the paper reports ~6 and ~22 minutes; "
-      "re-partitioning pays this again, virtual partitioning does not)\n\n",
-      cost.formatdb_seconds(1ull << 30) / 60.0,
-      cost.formatdb_seconds(11ull << 30) / 60.0);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

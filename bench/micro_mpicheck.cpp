@@ -66,8 +66,8 @@ struct Mode {
 }  // namespace
 
 int main() {
-  bench::print_banner("Micro: mpicheck exploration & race-detector cost",
-                      "serve_work queue, wall-clock time");
+  std::printf("=== Micro: mpicheck exploration & race-detector cost ===\n"
+              "serve_work queue, wall-clock time\n\n");
   const auto cluster = bench::altix();
 
   std::printf("exploration modes (4 ranks, 8 tasks):\n");

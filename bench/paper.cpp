@@ -1,9 +1,12 @@
 // The paper's evaluation from one table of configurations: Tables 1 and 2
 // and Figures 1(a), 1(b), 3(a), 3(b) and 4 of Lin et al. (IPDPS'05), the
-// pioBLAST ablations of §5, and Figure 3(a) past the paper's 62 processes.
+// formatdb cost of §3.1 and the output write of §3.3, the pioBLAST
+// ablations of §5, Figure 3(a) past the paper's 62 processes, and what
+// recovering from a lost or slow worker costs both drivers.
 //
 //   paper [figure...]    figures: fig1a fig1b table1 table2 fig3a fig3b
-//                        fig4 ablation scale (default: all of them)
+//                        fig4 ablation scale sec31 sec33 fault
+//                        (default: all of them)
 //
 // Each distinct configuration runs once, on the event backend, so its
 // virtual seconds repeat bit-for-bit and one run serves every figure that
@@ -15,14 +18,20 @@
 // DESIGN.md are checked, one `SHAPE` line each; a failed one makes the
 // exit status 1.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "driver/metrics.h"
+#include "driver/tags.h"
 #include "mpisim/runtime.h"
+#include "mpisim/trace.h"
+#include "pario/collective.h"
 #include "pario/env.h"
 #include "pario/file.h"
 #include "util/error.h"
@@ -38,15 +47,19 @@ namespace {
 struct Config {
   const char* figures;  ///< space-separated names of the figures showing it
   const char* cluster;  ///< altix | nt-altix | blade
-  const char* db;       ///< nr | nt ("" for the pario sweep)
-  std::uint64_t query;  ///< query-set sample target, FASTA bytes
+  const char* db;       ///< nr | nt ("" for the pario sweep and the write)
+  /// A driver run's query-set sample target (FASTA bytes), the volume of
+  /// an output write, or the raw database size formatdb is priced at.
+  std::uint64_t bytes;
   int procs;
   /// mpiBLAST's physical fragments; pioBLAST's virtual ones (0 = one per
   /// worker).
   int fragments;
-  const char* program;  ///< mpiblast | pioblast | pario
-  /// pioBLAST's option set (see pio_options), or the pario sweep's access
-  /// mode.
+  const char* program;  ///< mpiblast | pioblast | pario | write | formatdb
+  /// A driver run's options (pioBLAST's, see pio_options; mpiBLAST has
+  /// only "default"), then in the fault figure a space and a fault
+  /// condition: armed, crash or straggler. The pario sweep's access mode;
+  /// the output write's mode, serial or cb_nodes=N.
   const char* variant;
 
   bool in(std::string_view figure) const {
@@ -58,17 +71,29 @@ struct Config {
     return false;
   }
   bool is(std::string_view p) const { return program == p; }
+
+  // The variant's options and its fault condition ("" for a clean run).
+  std::string_view options() const {
+    const std::string_view v = variant;
+    return v.substr(0, v.find(' '));
+  }
+  std::string_view fault() const {
+    const std::string_view v = variant;
+    return v.substr(std::min(options().size() + 1, v.size()));
+  }
 };
 
 constexpr std::uint64_t kS = bench::QuerySizes::kSmall;
 constexpr std::uint64_t kM = bench::QuerySizes::kMedium;
 constexpr std::uint64_t kD = bench::QuerySizes::kDefault;
 constexpr std::uint64_t kL = bench::QuerySizes::kLarge;
+constexpr std::uint64_t kMiB = 1ull << 20;
+constexpr std::uint64_t kGiB = 1ull << 30;
 
 // Runs go in this order, and each figure prints its rows in this order.
 // clang-format off
 const Config kConfigs[] = {
-  // figures                 cluster     db    query procs frags program     variant
+  // figures                 cluster     db    bytes procs frags program     variant
   {"fig1a",                  "nt-altix", "nt", kL,   16,   15,   "mpiblast", "default"},
   {"fig1a",                  "nt-altix", "nt", kL,   32,   31,   "mpiblast", "default"},
   {"fig1a",                  "nt-altix", "nt", kL,   64,   63,   "mpiblast", "default"},
@@ -135,6 +160,49 @@ const Config kConfigs[] = {
   {"scale",                  "altix",    "nr", kD, 1024,    0,   "pioblast", "default"},
   {"scale",                  "altix",    "nr", kD, 4096, 4095,   "mpiblast", "default"},
   {"scale",                  "altix",    "nr", kD, 4096,    0,   "pioblast", "default"},
+  // §3.1: formatdb at the paper's database sizes, on the Altix head node
+  {"sec31",                  "altix",    "nr", kGiB,      1, 0, "formatdb", "default"},
+  {"sec31",                  "altix",    "nt", 11 * kGiB, 1, 0, "formatdb", "default"},
+  // §3.3: per storage, ranks and volume, serial then 4-aggregator output;
+  // at 32 ranks and 4 MiB on XFS, the other aggregator counts
+  {"sec33",                  "altix",    "",   kMiB,      4, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   kMiB,      4, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   4 * kMiB,  4, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   4 * kMiB,  4, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   kMiB,     16, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   kMiB,     16, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 16, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 16, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   kMiB,     32, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   kMiB,     32, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "serial"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=1"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=2"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=8"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=16"},
+  {"sec33",                  "altix",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=31"},
+  {"sec33",                  "blade",    "",   kMiB,      4, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   kMiB,      4, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "blade",    "",   4 * kMiB,  4, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   4 * kMiB,  4, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "blade",    "",   kMiB,     16, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   kMiB,     16, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "blade",    "",   4 * kMiB, 16, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   4 * kMiB, 16, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "blade",    "",   kMiB,     32, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   kMiB,     32, 0, "write", "cb_nodes=4"},
+  {"sec33",                  "blade",    "",   4 * kMiB, 32, 0, "write", "serial"},
+  {"sec33",                  "blade",    "",   4 * kMiB, 32, 0, "write", "cb_nodes=4"},
+  // fault recovery: each driver clean, armed, with a crash, with a straggler
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "mpiblast", "default"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "mpiblast", "default armed"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "mpiblast", "default crash"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "mpiblast", "default straggler"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "pioblast", "dynamic"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "pioblast", "dynamic armed"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "pioblast", "dynamic crash"},
+  {"fault",                  "altix",    "nr", kM,    8,   14,   "pioblast", "dynamic straggler"},
 };
 // clang-format on
 
@@ -161,18 +229,14 @@ std::uint8_t fill(std::uint64_t offset) {
   return static_cast<std::uint8_t>((offset / kBlock) * 131 + offset);
 }
 
-struct SweepResult {
-  double io_s = 0;
-  pario::ListIoStats stats;  ///< zero for the collective mode
-};
-
 /// Stages the shared file and reads it one way across `nranks` ranks,
-/// returning the virtual makespan of the I/O. The file lives on an
-/// *unscaled* NFS model (sim::StorageModel::nfs_server()) so the sweep
-/// measures the storage regime of Figure 4, not the bench's additional
-/// database-size scaling.
-SweepResult run_sweep(const sim::ClusterConfig& cluster, int nranks,
-                      std::string_view mode) {
+/// returning the virtual makespan of the I/O and adding the ranks' list-I/O
+/// counts (none for cbuf) to `reads`. The file lives on an *unscaled* NFS
+/// model (sim::StorageModel::nfs_server()) so the sweep measures the
+/// storage regime of Figure 4, not the bench's additional database-size
+/// scaling.
+double run_sweep(const sim::ClusterConfig& cluster, int nranks,
+                 std::string_view mode, pario::ListIoStats& reads) {
   pario::VirtualFS fs(sim::StorageModel::nfs_server());
   std::vector<std::uint8_t> file(static_cast<std::size_t>(nranks) *
                                  kBandSpan);
@@ -208,10 +272,91 @@ SweepResult run_sweep(const sim::ClusterConfig& cluster, int nranks,
                            "sweep read returned wrong bytes");
   });
 
-  SweepResult out;
-  out.io_s = report.makespan();
-  for (const pario::ListIoStats& s : per_rank) out.stats.add(s);
-  return out;
+  for (const pario::ListIoStats& s : per_rank) reads.add(s);
+  return report.makespan();
+}
+
+// ---- §3.3 output write -----------------------------------------------------
+
+constexpr std::uint64_t kRecord = 1536;  ///< an alignment-sized record
+
+/// Writes `total` bytes of interleaved records to one file on the
+/// cluster's shared storage and returns the virtual makespan. `serial` is
+/// mpiBLAST's pattern: rank 0 fetches record i from worker i mod (P-1) + 1
+/// and writes it. `cb_nodes=N` is pioBLAST's: record i lives on rank
+/// i mod P, and all ranks write in one two-phase collective write through
+/// N aggregators.
+double run_write(const sim::ClusterConfig& cluster, int nranks,
+                 std::uint64_t total, std::string_view mode) {
+  pario::VirtualFS fs(cluster.shared_storage);
+  const std::uint64_t records = total / kRecord;
+  constexpr int kTag = 1;
+  const auto report = mpisim::run(nranks, cluster, [&](mpisim::Process& p) {
+    const auto size = static_cast<std::uint64_t>(p.size());
+    if (mode != "serial") {
+      pario::FileView view;
+      std::vector<std::uint8_t> data;
+      for (auto r = static_cast<std::uint64_t>(p.rank()); r < records;
+           r += size) {
+        view.append({r * kRecord, kRecord});
+        data.insert(data.end(), kRecord, static_cast<std::uint8_t>(r));
+      }
+      pario::collective_write(
+          p, fs, "out", view, data,
+          pario::Hints::parse(std::string(mode)).collective());
+      return;
+    }
+    if (p.rank() == 0) {
+      for (std::uint64_t r = 0; r < records; ++r) {
+        const int owner = static_cast<int>(r % (size - 1)) + 1;
+        p.send_value<std::uint64_t>(owner, kTag, r);
+        pario::timed_write(p, fs, "out", r * kRecord,
+                           p.recv(owner, kTag).payload, 1);
+      }
+      for (int w = 1; w < p.size(); ++w)
+        p.send_value<std::uint64_t>(w, kTag, ~0ull);
+    } else {
+      for (auto r = p.recv_value<std::uint64_t>(0, kTag); r != ~0ull;
+           r = p.recv_value<std::uint64_t>(0, kTag))
+        p.send(0, kTag, std::vector<std::uint8_t>(
+                            kRecord, static_cast<std::uint8_t>(r)));
+    }
+    p.barrier();
+  });
+  return report.makespan();
+}
+
+// ---- fault recovery ---------------------------------------------------------
+//
+// Not a paper figure. Each driver runs clean; with the failure detector
+// armed (the fault-tolerant machinery alone); with worker procs/2
+// crashing at its kCrashRequest-th work request, so the survivors
+// re-search what it banked; and with that worker kStraggle times slower.
+// The armed run's trace is the probe that finds the crash point; on the
+// event backend it repeats.
+
+constexpr int kCrashRequest = 3;
+constexpr double kStraggle = 4.0;
+
+/// 1-based comm-event ordinal of `rank`'s `nth` work-request send in a
+/// probe trace; 0 when the rank sent fewer requests.
+std::uint64_t nth_work_request_event(const mpisim::Tracer& tracer, int rank,
+                                     int nth) {
+  std::uint64_t events = 0;
+  int requests = 0;
+  for (const mpisim::TraceEvent& e : tracer.for_rank(rank)) {
+    const bool send = e.kind == mpisim::TraceKind::kSend;
+    events += send || e.kind == mpisim::TraceKind::kRecv;
+    if (send && e.tag == driver::kTagWorkReq && ++requests == nth)
+      return events;
+  }
+  return 0;
+}
+
+/// A driver run's structured counter; 0 when the run never counted it.
+std::uint64_t metric(const blast::DriverResult& d, const char* name) {
+  const auto it = d.metrics.find(name);
+  return it == d.metrics.end() ? 0 : it->second;
 }
 
 // ---- runs -------------------------------------------------------------------
@@ -221,9 +366,31 @@ struct Run {
   std::size_t query_bytes = 0;  ///< the sampled query set's FASTA bytes
   std::size_t queries = 0;
   blast::DriverResult result;  ///< driver runs
-  SweepResult io;              ///< pario sweep runs
+  double seconds = 0;          ///< pario sweep, output-write and formatdb runs
+  pario::ListIoStats reads;    ///< pario sweep runs
+  /// Fault-figure runs: the report the job wrote, whether it equals the
+  /// clean run's, and (armed runs) the crash point the probe found.
+  std::vector<std::uint8_t> report;
+  bool identical = false;
+  std::uint64_t crash_at = 0;
 };
 using Rows = std::vector<const Run*>;
+
+/// The run in `done` of `c`'s job under fault condition `fault` ("" for
+/// the clean run).
+const Run& sibling(const std::vector<Run>& done, const Config& c,
+                   std::string_view fault) {
+  for (const Run& r : done) {
+    const Config& o = *r.config;
+    if (std::string_view(o.cluster) == c.cluster && o.bytes == c.bytes &&
+        std::string_view(o.db) == c.db && o.procs == c.procs &&
+        o.fragments == c.fragments && o.is(c.program) &&
+        o.options() == c.options() && o.fault() == fault)
+      return r;
+  }
+  throw util::RuntimeError(std::string(c.variant) + " has no '" +
+                           std::string(fault) + "' run before it");
+}
 
 sim::ClusterConfig cluster_of(std::string_view name) {
   if (name == "nt-altix") return bench::nt_altix();
@@ -252,29 +419,65 @@ pio::PioBlastOptions pio_options(std::string_view variant) {
   return o;
 }
 
-Run run(const Config& c) {
+/// Runs `c`; `done` holds the runs before it, where a fault run finds
+/// its clean run and a crash run its armed probe.
+Run run(const Config& c, const std::vector<Run>& done) {
   Run r;
   r.config = &c;
   const auto cluster = cluster_of(c.cluster);
-  if (c.is("pario")) {
-    r.io = run_sweep(cluster, c.procs, c.variant);
+  if (c.is("pario") || c.is("write") || c.is("formatdb")) {
+    r.seconds =
+        c.is("pario")   ? run_sweep(cluster, c.procs, c.variant, r.reads)
+        : c.is("write") ? run_write(cluster, c.procs, c.bytes, c.variant)
+                        : cluster.cost.formatdb_seconds(c.bytes);
     return r;
   }
   const bool nt = std::string_view(c.db) == "nt";
   const auto& db = nt ? bench::nt_database() : bench::nr_database();
   auto job = nt ? bench::nt_job() : bench::nr_job();
-  const auto queries = bench::make_query_set(db, c.query);
+  const auto queries = bench::make_query_set(db, c.bytes);
   r.query_bytes = queries.size();
   r.queries = static_cast<std::size_t>(
       std::count(queries.begin(), queries.end(), '>'));
+
+  const std::string_view fault = c.fault();
+  const int victim = c.procs / 2;
+  mpisim::Tracer probe;
+  const auto inject = [&](driver::RunConfig& o) {
+    if (fault == "armed") {
+      o.faults.arm_detector = true;
+      o.tracer = &probe;
+    } else if (fault == "crash") {
+      o.faults.at(victim).crash_at = sibling(done, c, "armed").crash_at;
+    } else if (fault == "straggler") {
+      o.faults.at(victim).slow = kStraggle;
+    } else {
+      PIOBLAST_CHECK_MSG(fault.empty(), "unknown fault " << fault);
+    }
+  };
+  std::vector<std::uint8_t>* report = c.in("fault") ? &r.report : nullptr;
   if (c.is("mpiblast")) {
+    mpiblast::MpiBlastOptions o;
+    inject(o);
     r.result = bench::run_mpiblast_job(cluster, c.procs, db, queries, job,
-                                       c.fragments);
+                                       c.fragments, o, report);
   } else {
     job.nfragments = c.fragments;
-    r.result = bench::run_pioblast_job(cluster, c.procs, db, queries, job,
-                                       pio_options(c.variant));
+    pio::PioBlastOptions o = pio_options(c.options());
+    inject(o);
+    r.result =
+        bench::run_pioblast_job(cluster, c.procs, db, queries, job, o, report);
   }
+  if (fault == "armed") {
+    // crash_at = 0 would inject nothing and show a clean run as a crash.
+    r.crash_at = nth_work_request_event(probe, victim, kCrashRequest);
+    if (r.crash_at == 0)
+      throw util::RuntimeError(std::string(c.variant) + ": rank " +
+                               std::to_string(victim) +
+                               " sent too few work requests");
+  }
+  if (report)
+    r.identical = fault.empty() || r.report == sibling(done, c, "").report;
   return r;
 }
 
@@ -292,8 +495,13 @@ void emit_row(const Run& r) {
   if (c.is("pario")) {
     std::printf(",\"io_s\":%.6f,\"device_reads\":%llu,\"bytes_wanted\":%llu,"
                 "\"bytes_read\":%llu}\n",
-                r.io.io_s, ull{r.io.stats.reads_issued},
-                ull{r.io.stats.bytes_wanted}, ull{r.io.stats.bytes_read});
+                r.seconds, ull{r.reads.reads_issued},
+                ull{r.reads.bytes_wanted}, ull{r.reads.bytes_read});
+  } else if (c.is("write")) {
+    std::printf(",\"bytes\":%llu,\"io_s\":%.6f}\n", ull{c.bytes}, r.seconds);
+  } else if (c.is("formatdb")) {
+    std::printf(",\"db\":\"%s\",\"bytes\":%llu,\"formatdb_s\":%.6f}\n", c.db,
+                ull{c.bytes}, r.seconds);
   } else {
     const blast::DriverResult& d = r.result;
     const blast::PhaseBreakdown& p = d.phases;
@@ -302,11 +510,17 @@ void emit_row(const Run& r) {
         "\"query_bytes\":%zu,\"queries\":%zu,\"copy_input_s\":%.6f,"
         "\"search_s\":%.6f,\"output_s\":%.6f,\"other_s\":%.6f,"
         "\"total_s\":%.6f,\"candidates\":%llu,\"alignments\":%llu,"
-        "\"output_bytes\":%llu,\"rank1_bytes_sent\":%llu}\n",
-        c.db, ull{c.query}, c.fragments, r.query_bytes, r.queries,
+        "\"output_bytes\":%llu,\"rank1_bytes_sent\":%llu",
+        c.db, ull{c.bytes}, c.fragments, r.query_bytes, r.queries,
         p.copy_input, p.search, p.output, p.other, p.total,
         ull{d.candidates_merged}, ull{d.alignments_reported},
         ull{d.output_bytes}, worker_bytes(d));
+    if (c.in("fault"))
+      std::printf(",\"tasks_reassigned\":%llu,\"ranks_lost\":%llu,"
+                  "\"report_identical\":%s",
+                  ull{metric(d, "tasks_reassigned")},
+                  ull{metric(d, "ranks_lost")}, r.identical ? "true" : "false");
+    std::printf("}\n");
   }
   std::fflush(stdout);  // one line per run as it lands, through `| tee`
 }
@@ -356,6 +570,10 @@ bool rises(const std::vector<double>& v) {
 bool falls(const std::vector<double>& v) {
   return std::adjacent_find(v.begin(), v.end(), std::less_equal<>()) ==
          v.end();
+}
+/// Whether a[i] < b[i] at every i, the two of one length.
+bool below(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), std::less<>());
 }
 
 /// "a -> b -> c", each value formatted by `fmt`.
@@ -440,8 +658,9 @@ void table1(const Rows& rows, Shapes& shapes) {
               static_cast<unsigned long long>(mpi.candidates_merged),
               static_cast<unsigned long long>(pio.candidates_merged),
               worker_bytes(mpi), worker_bytes(pio), speedup, output);
-  bench::emit_metrics("mpiblast", mpi);
-  bench::emit_metrics("pioblast", pio);
+  for (const auto* d : {&mpi, &pio})
+    std::printf("METRICS %s %s\n", d == &mpi ? "mpiblast" : "pioblast",
+                driver::metrics_json(d->metrics).c_str());
 
   shapes.check("table1",
                "search times comparable: within 15% (paper: 281.7 vs 318.5 "
@@ -548,9 +767,8 @@ void fig4(const Rows& rows, Shapes& shapes) {
   phase_table(rows, "Program-Procs", program_procs, "Search %", search_pct);
   const Rows mpi = of(rows, "mpiblast"), pio = of(rows, "pioblast");
   const auto mt = series(mpi, total), pt = series(pio, total);
-  bool faster = true;
-  for (std::size_t i = 0; i < pt.size(); ++i) faster &= pt[i] < mt[i];
-  shapes.check("fig4", "pioBLAST is faster at every process count", faster,
+  shapes.check("fig4", "pioBLAST is faster at every process count",
+               below(pt, mt),
                "pioBLAST " + path(pt, secs) + " s vs mpiBLAST " +
                    path(mt, secs) + " s");
   const auto ps = series(pio, share);
@@ -568,8 +786,8 @@ void fig4(const Rows& rows, Shapes& shapes) {
   std::string measured;
   for (std::size_t i = 0; i + 2 < io.size(); i += 3) {
     const int n = io[i]->config->procs;
-    const double naive = io[i]->io.io_s, sieve = io[i + 1]->io.io_s,
-                 cbuf = io[i + 2]->io.io_s;
+    const double naive = io[i]->seconds, sieve = io[i + 1]->seconds,
+                 cbuf = io[i + 2]->seconds;
     sweep.add_row({std::to_string(n), util::fixed(naive, 3),
                    util::fixed(sieve, 3), util::fixed(cbuf, 3),
                    util::fixed(naive / sieve, 1) + "x",
@@ -587,7 +805,7 @@ void fig4(const Rows& rows, Shapes& shapes) {
                v2_clear, measured);
 }
 
-void ablation(const Rows& rows, Shapes&) {
+void ablation(const Rows& rows, Shapes& shapes) {
   util::Table t({"Variant", "Fragments", "Input (s)", "Search (s)",
                  "Output (s)", "Total (s)", "Candidates"});
   for (const Run* r : rows) {
@@ -600,10 +818,135 @@ void ablation(const Rows& rows, Shapes&) {
                std::to_string(r->result.candidates_merged)});
   }
   t.print(std::cout);
+  // Table order: the baseline, then early-score broadcast.
+  const blast::DriverResult& base = rows.at(0)->result;
+  PIOBLAST_CHECK(rows[0]->config->variant == std::string_view("default") &&
+                 rows.at(1)->config->variant ==
+                     std::string_view("early-score-broadcast"));
+  const auto same = std::count_if(rows.begin(), rows.end(), [&](const Run* r) {
+    return r->result.output_bytes == base.output_bytes &&
+           r->result.alignments_reported == base.alignments_reported;
+  });
+  shapes.check("ablation",
+               "every variant writes the baseline's output bytes and "
+               "alignment count (DESIGN key decisions 2, 5 and 7)",
+               same == static_cast<long>(rows.size()),
+               std::to_string(same) + " of " + std::to_string(rows.size()) +
+                   " at " + std::to_string(base.output_bytes) + " bytes, " +
+                   std::to_string(base.alignments_reported) + " alignments");
+  const std::uint64_t early = rows[1]->result.candidates_merged;
+  shapes.check("ablation",
+               "early-score broadcast screens fewer candidates than the "
+               "baseline",
+               early < base.candidates_merged,
+               std::to_string(early) + " vs " +
+                   std::to_string(base.candidates_merged));
 }
 
-void scale(const Rows& rows, Shapes&) {
+void scale(const Rows& rows, Shapes& shapes) {
   phase_table(rows, "Program-Procs", program_procs, "Search %", search_pct);
+  const auto mt = series(of(rows, "mpiblast"), total);
+  const auto pt = series(of(rows, "pioblast"), total);
+  shapes.check("scale", "pioBLAST's total is below mpiBLAST's at every "
+               "process count", below(pt, mt),
+               "pioBLAST " + path(pt, secs) + " s vs mpiBLAST " +
+                   path(mt, secs) + " s");
+}
+
+void sec31(const Rows& rows, Shapes& shapes) {
+  // Table order: nr, then nt; the paper's Altix head node took ~6 and ~22
+  // minutes.
+  const double nr = rows.at(0)->seconds / 60, nt = rows.at(1)->seconds / 60;
+  util::Table t({"Database", "Raw size", "formatdb (min)", "Paper (~min)"});
+  for (const Run* r : rows)
+    t.add_row({r->config->db, util::format_bytes(r->config->bytes),
+               util::fixed(r->seconds / 60, 1), r == rows[0] ? "6" : "22"});
+  t.print(std::cout);
+  shapes.check("sec31", "nr's formatdb cost rounds to the paper's ~6 minutes",
+               std::lround(nr) == 6, util::fixed(nr, 1) + " min");
+  shapes.check("sec31", "nt's costs more than nr's (paper: ~22 vs ~6 min)",
+               nt > nr, util::fixed(nt, 1) + " vs " + util::fixed(nr, 1));
+}
+
+void sec33(const Rows& rows, Shapes& shapes) {
+  util::Table t({"Storage", "Ranks", "Volume", "Serial (s)", "Collective (s)",
+                 "Speedup"});
+  std::map<std::string, std::vector<double>> gain;  // per cell, by storage
+  std::map<int, double> sweep;  // XFS, 32 ranks, 4 MiB: aggregators -> s
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Config& c = *rows[i]->config;
+    const std::string storage = cluster_of(c.cluster).shared_storage.name();
+    if (c.variant != std::string_view("serial")) {
+      if (storage == "xfs" && c.procs == 32 && c.bytes == 4 * kMiB)
+        sweep[pario::Hints::parse(c.variant).cb_nodes] = rows[i]->seconds;
+      continue;
+    }
+    // Each cell's serial row comes right before its 4-aggregator one.
+    const Run& col = *rows.at(i + 1);
+    PIOBLAST_CHECK(col.config->variant == std::string_view("cb_nodes=4") &&
+                   col.config->procs == c.procs &&
+                   col.config->bytes == c.bytes);
+    gain[storage].push_back(rows[i]->seconds / col.seconds);
+    t.add_row({storage, std::to_string(c.procs), util::format_bytes(c.bytes),
+               util::fixed(rows[i]->seconds, 3), util::fixed(col.seconds, 3),
+               util::fixed(gain[storage].back(), 1) + "x"});
+  }
+  t.print(std::cout);
+  std::printf("\naggregator sweep (xfs, 32 ranks, 4 MiB):\n");
+  util::Table agg({"Aggregators", "Collective (s)"});
+  for (const auto& [n, io_s] : sweep)
+    agg.add_row({std::to_string(n), util::fixed(io_s, 3)});
+  agg.print(std::cout);
+
+  // Both storages list their cells in one order.
+  const std::vector<double>& xfs = gain["xfs"];
+  const std::vector<double>& nfs = gain["nfs"];
+  const std::string measured = "serial/collective XFS " + path(xfs, times) +
+                               "; NFS " + path(nfs, times);
+  const std::vector<double> even(xfs.size(), 1.0);
+  shapes.check("sec33",
+               "the collective write beats serial output in every cell",
+               below(even, xfs) && below(even, nfs), measured);
+  shapes.check("sec33",
+               "its advantage persists but degrades on NFS: smaller there "
+               "than on XFS in every cell (DESIGN: Figure 4's reading)",
+               below(nfs, xfs), measured);
+}
+
+void fault_recovery(const Rows& rows, Shapes& shapes) {
+  util::Table t({"Driver", "Condition", "Total (s)", "Overhead",
+                 "Reassigned", "Lost ranks", "Report identical"});
+  std::size_t identical = 0;
+  bool recovered = true, intact = true;
+  std::string counts;  // lost ranks / reassigned tasks per run
+  double clean = 0;    // each driver's clean run comes first in the table
+  for (const Run* r : rows) {
+    const std::string_view fault = r->config->fault();
+    const double total = r->result.phases.total;
+    const std::uint64_t lost = metric(r->result, "ranks_lost");
+    const std::uint64_t moved = metric(r->result, "tasks_reassigned");
+    if (fault.empty()) clean = total;
+    t.add_row({r->config->is("mpiblast") ? "mpiBLAST" : "pioBLAST",
+               fault.empty() ? "clean" : std::string(fault), secs(total),
+               pct(total / clean - 1.0), std::to_string(moved),
+               std::to_string(lost), r->identical ? "yes" : "NO"});
+    identical += r->identical;
+    if (fault == "crash") recovered &= lost == 1 && moved >= 1;
+    else intact &= lost == 0;
+    counts += (counts.empty() ? "lost/reassigned " : ", ") +
+              std::to_string(lost) + "/" + std::to_string(moved);
+  }
+  t.print(std::cout);
+  shapes.check("fault",
+               "every armed, crash and straggler report is byte-identical "
+               "to its driver's clean report (DESIGN: fault model, scope)",
+               identical == rows.size(),
+               std::to_string(identical) + " of " +
+                   std::to_string(rows.size()) + " identical");
+  shapes.check("fault",
+               "each crash run loses 1 rank and reassigns at least 1 task",
+               recovered, counts);
+  shapes.check("fault", "no other run loses a rank", intact, counts);
 }
 
 struct Figure {
@@ -624,6 +967,9 @@ const Figure kFigures[] = {
     {"fig4", "Figure 4: process scalability on the NFS blade cluster", fig4},
     {"ablation", "Ablation: pioBLAST variants (nr, 32 procs)", ablation},
     {"scale", "Figure 3(a) past the paper: 64 to 4096 procs", scale},
+    {"sec31", "§3.1: formatdb cost at paper scale", sec31},
+    {"sec33", "§3.3: collective vs serial output (1.5 KiB records)", sec33},
+    {"fault", "Fault recovery (nr, 8 procs, 14 fragments)", fault_recovery},
 };
 
 }  // namespace
@@ -648,12 +994,17 @@ int main(int argc, char** argv) {
 
   // Every configuration a chosen figure shows, once, in table order.
   std::vector<Run> runs;
-  for (const Config& c : kConfigs) {
-    if (std::none_of(figures.begin(), figures.end(),
-                     [&](const Figure* f) { return c.in(f->name); }))
-      continue;
-    runs.push_back(run(c));
-    emit_row(runs.back());
+  try {
+    for (const Config& c : kConfigs) {
+      if (std::none_of(figures.begin(), figures.end(),
+                       [&](const Figure* f) { return c.in(f->name); }))
+        continue;
+      runs.push_back(run(c, runs));
+      emit_row(runs.back());
+    }
+  } catch (const util::RuntimeError& e) {
+    std::fprintf(stderr, "paper: %s\n", e.what());
+    return 1;
   }
 
   Shapes shapes;

@@ -1,13 +1,7 @@
 #include "workloads.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "driver/metrics.h"
 #include "pario/env.h"
 #include "seqdb/partition.h"
-#include "util/error.h"
 
 namespace pioblast::bench {
 
@@ -80,7 +74,7 @@ sim::CostModel bench_cost_model() {
   p.sec_per_format_byte = 150e-9;
   p.sec_per_memcpy_byte = 0.5e-9;
   p.per_alignment_fetch_handling = 40e-3;
-  // Database preparation (reported at full paper scale by micro_formatdb).
+  // Database preparation (bench/paper sec31 prices it at paper scale).
   p.sec_per_formatdb_byte = 360e-9;
   return sim::CostModel(p);
 }
@@ -182,73 +176,38 @@ void stage_queries(pario::ClusterStorage& storage, const blast::JobConfig& job,
 
 }  // namespace
 
-blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
-                                     int nprocs,
-                                     const std::vector<seqdb::FastaRecord>& db,
-                                     const std::string& query_fasta,
-                                     const blast::JobConfig& job,
-                                     int nfragments) {
+blast::DriverResult run_mpiblast_job(
+    const sim::ClusterConfig& cluster, int nprocs,
+    const std::vector<seqdb::FastaRecord>& db, const std::string& query_fasta,
+    const blast::JobConfig& job, int nfragments,
+    mpiblast::MpiBlastOptions opts, std::vector<std::uint8_t>* report) {
   pario::ClusterStorage storage(cluster, nprocs);
   stage_queries(storage, job, query_fasta);
   const auto parts = seqdb::mpiformatdb(storage.shared(), db, job.db_base,
                                         job.params.type, job.db_title,
                                         nfragments);
-  mpiblast::MpiBlastOptions opts;
   opts.job = job;
   opts.fragment_bases = parts.fragment_bases;
   opts.fragment_ranges = parts.ranges;
   opts.global_index = parts.global_index;
-  return mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
+  auto result = mpiblast::run_mpiblast(cluster, nprocs, storage, opts);
+  if (report) *report = storage.shared().read_all(job.output_path);
+  return result;
 }
 
-blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
-                                     int nprocs,
-                                     const std::vector<seqdb::FastaRecord>& db,
-                                     const std::string& query_fasta,
-                                     const blast::JobConfig& job,
-                                     pio::PioBlastOptions opts) {
+blast::DriverResult run_pioblast_job(
+    const sim::ClusterConfig& cluster, int nprocs,
+    const std::vector<seqdb::FastaRecord>& db, const std::string& query_fasta,
+    const blast::JobConfig& job, pio::PioBlastOptions opts,
+    std::vector<std::uint8_t>* report) {
   pario::ClusterStorage storage(cluster, nprocs);
   stage_queries(storage, job, query_fasta);
   seqdb::format_db(storage.shared(), db, job.db_base, job.params.type,
                    job.db_title);
   opts.job = job;
-  return pio::run_pioblast(cluster, nprocs, storage, opts);
-}
-
-void print_banner(const std::string& title, const std::string& detail) {
-  std::printf("=== %s ===\n%s\n\n", title.c_str(), detail.c_str());
-}
-
-std::vector<int> parse_ranks(const std::string& spec) {
-  std::vector<int> out;
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const int n = std::stoi(field);
-    if (n < 2) throw util::RuntimeError("--ranks: world size must be >= 2");
-    out.push_back(n);
-  }
-  if (out.empty()) throw util::RuntimeError("--ranks: empty list");
-  return out;
-}
-
-void emit_metrics(const std::string& label, const blast::DriverResult& result) {
-  std::printf("METRICS %s %s\n", label.c_str(),
-              driver::metrics_json(result.metrics).c_str());
-}
-
-int finish(const util::Table& table, int argc, const char* const* argv) {
-  if (argc > 1) {
-    std::ofstream csv(argv[1]);
-    if (!csv) {
-      std::fprintf(stderr, "cannot write %s\n", argv[1]);
-      return 1;
-    }
-    table.print_csv(csv);
-    std::printf("(csv written to %s)\n", argv[1]);
-  }
-  return 0;
+  auto result = pio::run_pioblast(cluster, nprocs, storage, opts);
+  if (report) *report = storage.shared().read_all(job.output_path);
+  return result;
 }
 
 }  // namespace pioblast::bench

@@ -16,7 +16,6 @@
 #include "pioblast/pioblast.h"
 #include "seqdb/generator.h"
 #include "sim/cluster.h"
-#include "util/table.h"
 
 namespace pioblast::bench {
 
@@ -59,38 +58,25 @@ std::string make_query_set(const std::vector<seqdb::FastaRecord>& db,
                            std::uint64_t bytes, std::uint64_t seed = 4242);
 
 /// Runs mpiBLAST end to end on a fresh ClusterStorage: stages queries,
-/// mpiformatdb's the database into `nfragments`, runs, returns the result.
-/// Runs on the default event backend, where the greedy master serves
-/// requests in virtual-time order, so the virtual seconds repeat
-/// bit-for-bit.
-blast::DriverResult run_mpiblast_job(const sim::ClusterConfig& cluster,
-                                     int nprocs,
-                                     const std::vector<seqdb::FastaRecord>& db,
-                                     const std::string& query_fasta,
-                                     const blast::JobConfig& job, int nfragments);
+/// mpiformatdb's the database into `nfragments`, runs with `opts` (its job
+/// and fragment fields are set here; its fault plan and tracer are the
+/// caller's), returns the result, and copies the report it wrote to
+/// `*report` when given. Runs on the default event backend, where the
+/// greedy master serves requests in virtual-time order, so the virtual
+/// seconds repeat bit-for-bit.
+blast::DriverResult run_mpiblast_job(
+    const sim::ClusterConfig& cluster, int nprocs,
+    const std::vector<seqdb::FastaRecord>& db, const std::string& query_fasta,
+    const blast::JobConfig& job, int nfragments,
+    mpiblast::MpiBlastOptions opts = {},
+    std::vector<std::uint8_t>* report = nullptr);
 
 /// Runs pioBLAST end to end on a fresh ClusterStorage (plain formatdb, no
 /// physical fragments), on the event backend like run_mpiblast_job.
-blast::DriverResult run_pioblast_job(const sim::ClusterConfig& cluster,
-                                     int nprocs,
-                                     const std::vector<seqdb::FastaRecord>& db,
-                                     const std::string& query_fasta,
-                                     const blast::JobConfig& job,
-                                     pio::PioBlastOptions opts = {});
-
-/// Prints a one-line experiment banner (database/query/cluster summary).
-void print_banner(const std::string& title, const std::string& detail);
-
-/// Parses a `--ranks` list ("64,512,4096"). Throws util::RuntimeError on an
-/// empty list or a world size below 2.
-std::vector<int> parse_ranks(const std::string& spec);
-
-/// Prints the run's structured counters as one machine-readable line:
-/// `METRICS <label> {"name":value,...}` (names sorted; see driver/metrics.h).
-void emit_metrics(const std::string& label, const blast::DriverResult& result);
-
-/// If argv[1] is given, writes `table` there as CSV (so figure data can be
-/// re-plotted); always returns 0 so benches can `return finish(...)`.
-int finish(const util::Table& table, int argc, const char* const* argv);
+blast::DriverResult run_pioblast_job(
+    const sim::ClusterConfig& cluster, int nprocs,
+    const std::vector<seqdb::FastaRecord>& db, const std::string& query_fasta,
+    const blast::JobConfig& job, pio::PioBlastOptions opts = {},
+    std::vector<std::uint8_t>* report = nullptr);
 
 }  // namespace pioblast::bench

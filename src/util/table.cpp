@@ -43,29 +43,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const std::string& cell = row[c];
-      const bool quote = cell.find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        os << '"';
-        for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fixed(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);

@@ -1,5 +1,5 @@
 // Minimal fixed-width table printer used by the bench harnesses to emit
-// paper-style tables (Table 1, Table 2) and figure series to stdout/CSV.
+// paper-style tables (Table 1, Table 2) and figure series to stdout.
 #pragma once
 
 #include <cstddef>
@@ -9,7 +9,7 @@
 
 namespace pioblast::util {
 
-/// Column-aligned text table with an optional CSV rendering.
+/// Column-aligned text table.
 ///
 /// Usage:
 ///   Table t({"Program", "Copy/Input", "Search", "Output"});
@@ -26,9 +26,6 @@ class Table {
 
   /// Renders with padded columns, a rule under the header.
   void print(std::ostream& os) const;
-
-  /// Renders as RFC-4180-ish CSV (fields containing commas are quoted).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -142,15 +142,6 @@ TEST(Table, RejectsMismatchedRow) {
   EXPECT_THROW(t.add_row({"only-one"}), ContractViolation);
 }
 
-TEST(Table, CsvQuotesSpecialCells) {
-  Table t({"name", "value"});
-  t.add_row({"with,comma", "with\"quote"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_NE(os.str().find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"with\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, FixedFormatsPrecision) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(2.0, 0), "2");
