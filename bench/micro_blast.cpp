@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "blast/engine.h"
 #include "blast/format.h"
@@ -178,27 +179,61 @@ void BM_FragmentSearchDna(benchmark::State& state) {
 }
 BENCHMARK(BM_FragmentSearchDna);
 
+/// The top self-hit of database sequence 5: BM_FormatAlignment renders it,
+/// BM_AlignmentSize only sizes it.
+struct TopHit {
+  std::vector<std::uint8_t> query;
+  blast::Hsp hsp;
+};
+
+std::optional<TopHit> top_hit() {
+  const auto& fx = ProteinFixture::get();
+  TopHit hit;
+  hit.query =
+      seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[5].sequence);
+  auto result = blast::search_fragment_batch(
+      one_query(
+          blast::QueryContext(0, hit.query, fx.params, fx.matrix, fx.stats)),
+      fx.frag)[0];
+  if (result.hsps.empty()) return std::nullopt;
+  hit.hsp = std::move(result.hsps.front());
+  return hit;
+}
+
 void BM_FormatAlignment(benchmark::State& state) {
   const auto& fx = ProteinFixture::get();
-  const auto query =
-      seqdb::encode_sequence(seqdb::SeqType::kProtein, fx.db[5].sequence);
-  const auto result = blast::search_fragment_batch(
-      one_query(blast::QueryContext(0, query, fx.params, fx.matrix, fx.stats)),
-      fx.frag)[0];
-  if (result.hsps.empty()) {
+  const auto hit = top_hit();
+  if (!hit) {
     state.SkipWithError("no HSPs to format");
     return;
   }
-  const auto& hsp = result.hsps.front();
-  const auto local = hsp.subject_global_id;
+  const auto local = hit->hsp.subject_global_id;
   for (auto _ : state) {
     auto text = blast::format_alignment(
-        hsp, seqdb::SeqType::kProtein, query, fx.frag.sequence(local),
-        fx.frag.defline(local), fx.frag.sequence(local).size(), fx.matrix);
+        hit->hsp, seqdb::SeqType::kProtein, hit->query,
+        fx.frag.sequence(local), fx.frag.defline(local),
+        fx.frag.sequence(local).size(), fx.matrix);
     benchmark::DoNotOptimize(text.size());
   }
 }
 BENCHMARK(BM_FormatAlignment);
+
+void BM_AlignmentSize(benchmark::State& state) {
+  const auto& fx = ProteinFixture::get();
+  const auto hit = top_hit();
+  if (!hit) {
+    state.SkipWithError("no HSPs to size");
+    return;
+  }
+  const auto local = hit->hsp.subject_global_id;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(blast::alignment_size(
+        hit->hsp, seqdb::SeqType::kProtein, hit->query,
+        fx.frag.sequence(local), fx.frag.defline(local),
+        fx.frag.sequence(local).size(), fx.matrix));
+  }
+}
+BENCHMARK(BM_AlignmentSize);
 
 }  // namespace
 

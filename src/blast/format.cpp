@@ -1,5 +1,7 @@
 #include "blast/format.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -122,34 +124,24 @@ std::string format_tabular_line(const Hsp& hsp, std::string_view query_id,
   return buf;
 }
 
-std::string format_alignment(const Hsp& hsp, seqdb::SeqType type,
-                             std::span<const std::uint8_t> query_residues,
-                             std::span<const std::uint8_t> subject_residues,
-                             std::string_view subject_defline,
-                             std::uint64_t subject_length,
-                             const ScoringMatrix& matrix) {
-  std::string out;
-  out += ">" + std::string(subject_defline) + "\n";
-  out += "          Length = " + with_commas(subject_length) + "\n\n";
+namespace {
 
-  char line[160];
-  std::snprintf(line, sizeof line, " Score = %.1f bits (%d), Expect = %s\n",
-                hsp.bits, hsp.score, format_evalue(hsp.evalue).c_str());
-  out += line;
-  const std::uint32_t alen = std::max<std::uint32_t>(hsp.align_len, 1);
-  std::snprintf(line, sizeof line,
-                " Identities = %u/%u (%u%%), Positives = %u/%u (%u%%), "
-                "Gaps = %u/%u (%u%%)\n\n",
-                hsp.identities, hsp.align_len, 100 * hsp.identities / alen,
-                hsp.positives, hsp.align_len, 100 * hsp.positives / alen,
-                hsp.gaps, hsp.align_len, 100 * hsp.gaps / alen);
-  out += line;
+/// An alignment's three residue rows, one column per traceback op.
+struct Rows {
+  std::string query, mid, subject;
+};
 
-  // Build the three gapped strings once, then emit 60-column panels.
-  std::string qline, mline, sline;
-  qline.reserve(hsp.ops.size());
-  mline.reserve(hsp.ops.size());
-  sline.reserve(hsp.ops.size());
+/// Decodes every residue the traceback aligns, in traceback order, into
+/// the three rows; decode_residue rejects an out-of-range code (a corrupt
+/// .psq byte).
+Rows decode_rows(const Hsp& hsp, seqdb::SeqType type,
+                 std::span<const std::uint8_t> query_residues,
+                 std::span<const std::uint8_t> subject_residues,
+                 const ScoringMatrix& matrix) {
+  Rows rows;
+  rows.query.reserve(hsp.ops.size());
+  rows.mid.reserve(hsp.ops.size());
+  rows.subject.reserve(hsp.ops.size());
   std::uint32_t qi = hsp.qstart;
   std::uint64_t si = hsp.sstart;
   for (AlignOp op : hsp.ops) {
@@ -159,63 +151,157 @@ std::string format_alignment(const Hsp& hsp, seqdb::SeqType type,
         const std::uint8_t b = subject_residues[si];
         const char qc = seqdb::decode_residue(type, a);
         const char sc = seqdb::decode_residue(type, b);
-        qline.push_back(qc);
-        sline.push_back(sc);
+        rows.query.push_back(qc);
+        rows.subject.push_back(sc);
         if (a == b) {
-          mline.push_back(type == seqdb::SeqType::kProtein ? qc : '|');
+          rows.mid.push_back(type == seqdb::SeqType::kProtein ? qc : '|');
         } else if (type == seqdb::SeqType::kProtein && matrix.score(a, b) > 0) {
-          mline.push_back('+');
+          rows.mid.push_back('+');
         } else {
-          mline.push_back(' ');
+          rows.mid.push_back(' ');
         }
         ++qi;
         ++si;
         break;
       }
       case AlignOp::kInsert:
-        qline.push_back(seqdb::decode_residue(type, query_residues[qi]));
-        mline.push_back(' ');
-        sline.push_back('-');
+        rows.query.push_back(seqdb::decode_residue(type, query_residues[qi]));
+        rows.mid.push_back(' ');
+        rows.subject.push_back('-');
         ++qi;
         break;
       case AlignOp::kDelete:
-        qline.push_back('-');
-        mline.push_back(' ');
-        sline.push_back(seqdb::decode_residue(type, subject_residues[si]));
+        rows.query.push_back('-');
+        rows.mid.push_back(' ');
+        rows.subject.push_back(seqdb::decode_residue(type, subject_residues[si]));
         ++si;
         break;
     }
   }
+  return rows;
+}
+
+/// The one layout of an alignment block: subject defline, score and
+/// identity lines, then 60-column Query/midline/Sbjct panels. Appends the
+/// block to `out`, reading its columns from `rows`, or, when `out` is null,
+/// only measures it and reads no row. Returns the block's length.
+std::uint64_t write_block(std::string* out, const Hsp& hsp, const Rows& rows,
+                          std::string_view subject_defline,
+                          std::uint64_t subject_length) {
+  std::uint64_t size = 0;
+  const auto put = [&](std::string_view text) {
+    size += text.size();
+    if (out != nullptr) out->append(text);
+  };
+  const auto put_columns = [&](const std::string& row, std::size_t off,
+                               std::size_t len) {
+    size += len;
+    if (out != nullptr) out->append(row, off, len);
+  };
+
+  put(">");
+  put(subject_defline);
+  put("\n");
+  put("          Length = ");
+  put(with_commas(subject_length));
+  put("\n\n");
+
+  char line[160];
+  std::snprintf(line, sizeof line, " Score = %.1f bits (%d), Expect = %s\n",
+                hsp.bits, hsp.score, format_evalue(hsp.evalue).c_str());
+  put(line);
+  const std::uint32_t alen = std::max<std::uint32_t>(hsp.align_len, 1);
+  std::snprintf(line, sizeof line,
+                " Identities = %u/%u (%u%%), Positives = %u/%u (%u%%), "
+                "Gaps = %u/%u (%u%%)\n\n",
+                hsp.identities, hsp.align_len, 100 * hsp.identities / alen,
+                hsp.positives, hsp.align_len, 100 * hsp.positives / alen,
+                hsp.gaps, hsp.align_len, 100 * hsp.gaps / alen);
+  put(line);
+
+  // printf's "%-*u": the number left-justified in at least `width` columns.
+  const auto put_number = [&](std::uint64_t v, std::size_t width) {
+    char digits[24];
+    const auto n = static_cast<std::size_t>(
+        std::to_chars(digits, digits + sizeof digits, v).ptr - digits);
+    put(std::string_view(digits, n));
+    if (n < width) put(std::string_view("     ", width - n));
+  };
 
   constexpr std::size_t kWidth = 60;
   std::uint32_t qcursor = hsp.qstart;
   std::uint64_t scursor = hsp.sstart;
-  for (std::size_t off = 0; off < qline.size(); off += kWidth) {
-    const std::size_t len = std::min(kWidth, qline.size() - off);
-    const std::string qseg = qline.substr(off, len);
-    const std::string mseg = mline.substr(off, len);
-    const std::string sseg = sline.substr(off, len);
+  for (std::size_t off = 0; off < hsp.ops.size(); off += kWidth) {
+    const std::size_t len = std::min(kWidth, hsp.ops.size() - off);
     std::uint32_t qconsumed = 0;
     std::uint64_t sconsumed = 0;
-    for (char c : qseg)
-      if (c != '-') ++qconsumed;
-    for (char c : sseg)
-      if (c != '-') ++sconsumed;
+    for (std::size_t i = off; i < off + len; ++i) {
+      qconsumed += hsp.ops[i] != AlignOp::kDelete;
+      sconsumed += hsp.ops[i] != AlignOp::kInsert;
+    }
 
-    std::snprintf(line, sizeof line, "Query: %-5u %s %u\n", qcursor + 1,
-                  qseg.c_str(), qcursor + qconsumed);
-    out += line;
-    out += "             " + mseg + "\n";
-    std::snprintf(line, sizeof line, "Sbjct: %-5llu %s %llu\n",
-                  static_cast<unsigned long long>(scursor + 1), sseg.c_str(),
-                  static_cast<unsigned long long>(scursor + sconsumed));
-    out += line;
-    out += "\n";
+    put("Query: ");
+    put_number(qcursor + 1, 5);
+    put(" ");
+    put_columns(rows.query, off, len);
+    put(" ");
+    put_number(qcursor + qconsumed, 0);
+    put("\n             ");
+    put_columns(rows.mid, off, len);
+    put("\nSbjct: ");
+    put_number(scursor + 1, 5);
+    put(" ");
+    put_columns(rows.subject, off, len);
+    put(" ");
+    put_number(scursor + sconsumed, 0);
+    put("\n\n");
     qcursor += qconsumed;
     scursor += sconsumed;
   }
-  out += "\n";
+  put("\n");
+  return size;
+}
+
+}  // namespace
+
+std::string format_alignment(const Hsp& hsp, seqdb::SeqType type,
+                             std::span<const std::uint8_t> query_residues,
+                             std::span<const std::uint8_t> subject_residues,
+                             std::string_view subject_defline,
+                             std::uint64_t subject_length,
+                             const ScoringMatrix& matrix) {
+  const Rows rows =
+      decode_rows(hsp, type, query_residues, subject_residues, matrix);
+  std::string out;
+  write_block(&out, hsp, rows, subject_defline, subject_length);
   return out;
+}
+
+std::uint64_t alignment_size(const Hsp& hsp, seqdb::SeqType type,
+                             std::span<const std::uint8_t> query_residues,
+                             std::span<const std::uint8_t> subject_residues,
+                             std::string_view subject_defline,
+                             std::uint64_t subject_length,
+                             const ScoringMatrix& matrix) {
+  // The aligned spans hold exactly the residues rendering decodes. When
+  // one of them is out of range, render: decode_residue then rejects the
+  // first bad code in traceback order, with its own message.
+  const auto qlen = static_cast<std::size_t>(
+      std::count_if(hsp.ops.begin(), hsp.ops.end(),
+                    [](AlignOp op) { return op != AlignOp::kDelete; }));
+  const auto slen = static_cast<std::size_t>(
+      std::count_if(hsp.ops.begin(), hsp.ops.end(),
+                    [](AlignOp op) { return op != AlignOp::kInsert; }));
+  const auto in_alphabet = [&](std::span<const std::uint8_t> codes) {
+    const int size = seqdb::alphabet_size(type);
+    return std::all_of(codes.begin(), codes.end(),
+                       [&](std::uint8_t c) { return c < size; });
+  };
+  if (!in_alphabet(query_residues.subspan(hsp.qstart, qlen)) ||
+      !in_alphabet(subject_residues.subspan(hsp.sstart, slen)))
+    format_alignment(hsp, type, query_residues, subject_residues,
+                     subject_defline, subject_length, matrix);
+  return write_block(nullptr, hsp, Rows{}, subject_defline, subject_length);
 }
 
 }  // namespace pioblast::blast

@@ -4,9 +4,10 @@
 // master formats everything centrally, pioBLAST's workers format their own
 // alignments into memory buffers (paper §3.2: a "modified NCBI BLAST output
 // routine that redirects the formatted result data from file output to
-// memory buffers") — so the final output files are byte-identical, which
-// the integration tests assert. All numeric rendering is locale-free and
-// deterministic.
+// memory buffers"; the simulated workers size every block with
+// alignment_size and render only the ones the master selects) — so the
+// final output files are byte-identical, which the integration tests
+// assert. All numeric rendering is locale-free and deterministic.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,17 @@ std::string format_query_header(const seqdb::FastaRecord& query,
 /// One alignment block: subject defline, score/identity lines, and the
 /// 60-column Query/midline/Sbjct panels.
 std::string format_alignment(const Hsp& hsp, seqdb::SeqType type,
+                             std::span<const std::uint8_t> query_residues,
+                             std::span<const std::uint8_t> subject_residues,
+                             std::string_view subject_defline,
+                             std::uint64_t subject_length,
+                             const ScoringMatrix& matrix);
+
+/// `format_alignment(...).size()` for the same arguments, computed from the
+/// HSP's numbers and traceback without rendering a residue. It rejects an
+/// out-of-range residue code exactly as format_alignment does, so a
+/// corrupt byte fails a block that is sized but never written.
+std::uint64_t alignment_size(const Hsp& hsp, seqdb::SeqType type,
                              std::span<const std::uint8_t> query_residues,
                              std::span<const std::uint8_t> subject_residues,
                              std::string_view subject_defline,

@@ -431,6 +431,9 @@ void finish_fragment(const PreparedBatch& queries, FragmentProgress& progress,
 /// Calls emit(word, pos) for every base-24 word whose score against the
 /// query's 3-mer at pos reaches the threshold, pos ascending: the query's
 /// blastp neighborhood, the oracle's WordIndex listed position by position.
+/// Each loop walks its row's letters best first and stops at the first one
+/// that cannot reach the threshold, so only the order of the words within
+/// one position differs from a walk in letter order.
 template <class Emit>
 void for_each_neighbor(const QueryContext& query, const Emit& emit) {
   const std::span<const std::uint8_t> q = query.residues();
@@ -440,17 +443,23 @@ void for_each_neighbor(const QueryContext& query, const Emit& emit) {
     const int* row0 = matrix.row(q[pos]);
     const int* row1 = matrix.row(q[pos + 1]);
     const int* row2 = matrix.row(q[pos + 2]);
+    const std::uint8_t* by0 = matrix.by_score(q[pos]);
+    const std::uint8_t* by1 = matrix.by_score(q[pos + 1]);
+    const std::uint8_t* by2 = matrix.by_score(q[pos + 2]);
     const int max1 = matrix.row_max(q[pos + 1]);
     const int max2 = matrix.row_max(q[pos + 2]);
-    for (std::uint8_t a = 0; a < 24; ++a) {
+    for (int i = 0; i < ScoringMatrix::kMaxAlphabet; ++i) {
+      const std::uint8_t a = by0[i];
       const int s0 = row0[a];
-      if (s0 + max1 + max2 < threshold) continue;
-      for (std::uint8_t b = 0; b < 24; ++b) {
+      if (s0 + max1 + max2 < threshold) break;
+      for (int j = 0; j < ScoringMatrix::kMaxAlphabet; ++j) {
+        const std::uint8_t b = by1[j];
         const int s01 = s0 + row1[b];
-        if (s01 + max2 < threshold) continue;
+        if (s01 + max2 < threshold) break;
         const std::uint32_t ab = (static_cast<std::uint32_t>(a) * 24u + b) * 24u;
-        for (std::uint8_t c = 0; c < 24; ++c) {
-          if (s01 + row2[c] < threshold) continue;
+        for (int k = 0; k < ScoringMatrix::kMaxAlphabet; ++k) {
+          const std::uint8_t c = by2[k];
+          if (s01 + row2[c] < threshold) break;
           emit(ab + c, static_cast<std::uint32_t>(pos));
         }
       }

@@ -1,6 +1,7 @@
 #include "blast/scoring.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace pioblast::blast {
 
@@ -50,6 +51,7 @@ ScoringMatrix ScoringMatrix::blosum62() {
   // Published Karlin–Altschul values for BLOSUM62 (NCBI blast_stat.c).
   m.ungapped_ = {0.3176, 0.134, 0.4012};
   m.gapped_ = {0.267, 0.041, 0.14};  // gap open 11, gap extend 1
+  m.sort_rows();
   return m;
 }
 
@@ -68,6 +70,7 @@ ScoringMatrix ScoringMatrix::dna(int match, int mismatch) {
   // pairs reuse them as approximations — fine for relative comparisons.
   m.ungapped_ = {1.374, 0.711, 1.31};
   m.gapped_ = {1.28, 0.46, 0.85};  // gap open 5, gap extend 2
+  m.sort_rows();
   return m;
 }
 
@@ -89,7 +92,20 @@ ScoringMatrix ScoringMatrix::custom(int size, std::span<const int> scores,
   }
   m.ungapped_ = ungapped;
   m.gapped_ = gapped;
+  m.sort_rows();
   return m;
+}
+
+void ScoringMatrix::sort_rows() {
+  for (int a = 0; a < kMaxAlphabet; ++a) {
+    std::uint8_t* order = by_score_.data() + a * kMaxAlphabet;
+    std::iota(order, order + kMaxAlphabet, std::uint8_t{0});
+    const int* scores = row(static_cast<std::uint8_t>(a));
+    std::stable_sort(order, order + kMaxAlphabet,
+                     [&](std::uint8_t x, std::uint8_t y) {
+                       return scores[x] > scores[y];
+                     });
+  }
 }
 
 }  // namespace pioblast::blast

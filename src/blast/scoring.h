@@ -57,15 +57,25 @@ class ScoringMatrix {
   /// Highest score in row `a` (used for neighborhood-word pruning).
   int row_max(std::uint8_t a) const { return row_max_[a]; }
 
+  /// All kMaxAlphabet letters ordered by descending `score(a, ·)`, so a
+  /// neighborhood loop can stop at the first letter below its threshold.
+  const std::uint8_t* by_score(std::uint8_t a) const {
+    return by_score_.data() + static_cast<std::size_t>(a) * kMaxAlphabet;
+  }
+
   const KarlinParams& ungapped() const { return ungapped_; }
   const KarlinParams& gapped() const { return gapped_; }
 
  private:
   ScoringMatrix() { table_.fill(0); row_max_.fill(0); }
 
+  /// Fills by_score_ from table_; each factory calls it last.
+  void sort_rows();
+
   int size_ = 0;
   std::array<int, kMaxAlphabet * kMaxAlphabet> table_{};
   std::array<int, kMaxAlphabet> row_max_{};
+  std::array<std::uint8_t, kMaxAlphabet * kMaxAlphabet> by_score_{};
   KarlinParams ungapped_{};
   KarlinParams gapped_{};
 };

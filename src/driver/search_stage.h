@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "blast/hsp.h"
@@ -22,12 +21,12 @@
 namespace pioblast::driver {
 
 /// One cached local result: the HSP, where its subject lives, and (for
-/// drivers with buffered output) its formatted output buffer.
+/// drivers with buffered output) the size of its formatted output block.
 struct CachedHit {
   blast::Hsp hsp;
   std::size_t frag_slot = 0;   ///< index into the stage's loaded fragments
   std::uint64_t local_id = 0;  ///< sequence ordinal within that fragment
-  std::string text;  ///< formatted alignment block (paper: "output buffers")
+  std::uint64_t output_size = 0;  ///< formatted block length (paper §3.2)
 };
 
 class SearchStage {

@@ -16,6 +16,8 @@ namespace pioblast::mpisim {
 
 namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
+/// The source of a taken message's key: below every rank and kAnySource.
+constexpr int kHole = std::numeric_limits<int>::min();
 constexpr const char* kDefaultPoisonReason =
     "mpisim: receive aborted (job poisoned)";
 }  // namespace
@@ -32,8 +34,10 @@ void Mailbox::push(Message msg) {
     std::lock_guard lock(mu_);
     if (sealed_) return;  // the owning rank crashed; its mail vanishes
     seq = next_seq_++;
+    keys_.push_back({src, tag});
     queue_.push_back(std::move(msg));
     seq_.push_back(seq);
+    ++live_;
   }
   // Called unlocked, like on_block in pop_any: the verifier takes mailbox
   // locks under its own. The arrival ordinal keeps a late call from
@@ -44,18 +48,23 @@ void Mailbox::push(Message msg) {
 }
 
 std::size_t Mailbox::find_match(int src, std::span<const int> tags) const {
+  const auto listed = [&](int tag) {
+    return std::find(tags.begin(), tags.end(), tag) != tags.end();
+  };
+  if (src != kAnySource) {
+    // Point-to-point matching preserves per-sender FIFO order: take the
+    // first queued message from that sender with a listed tag. A hole's
+    // source is no rank, so it never matches.
+    for (std::size_t i = head_; i < keys_.size(); ++i)
+      if (keys_[i].src == src && listed(keys_[i].tag)) return i;
+    return kNpos;
+  }
+  // Wildcard: earliest virtual arrival wins; ties broken by sender rank,
+  // then by queue order, so the choice is stable.
   std::size_t best = kNpos;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
+  for (std::size_t i = head_; i < keys_.size(); ++i) {
+    if (keys_[i].src == kHole || !listed(keys_[i].tag)) continue;
     const Message& m = queue_[i];
-    if (std::find(tags.begin(), tags.end(), m.tag) == tags.end()) continue;
-    if (src != kAnySource) {
-      // Point-to-point matching preserves per-sender FIFO order: take the
-      // first queued message from that sender with this tag.
-      if (m.src == src) return i;
-      continue;
-    }
-    // Wildcard: earliest virtual arrival wins; ties broken by sender rank
-    // so the choice is stable.
     if (best == kNpos || m.arrival < queue_[best].arrival ||
         (m.arrival == queue_[best].arrival && m.src < queue_[best].src)) {
       best = i;
@@ -66,9 +75,41 @@ std::size_t Mailbox::find_match(int src, std::span<const int> tags) const {
 
 Message Mailbox::take_at(std::size_t idx) {
   Message msg = std::move(queue_[idx]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  seq_.erase(seq_.begin() + static_cast<std::ptrdiff_t>(idx));
+  keys_[idx].src = kHole;
+  if (--live_ == 0) {
+    clear_queue();
+  } else {
+    while (keys_[head_].src == kHole) ++head_;
+    if (keys_.size() - live_ > live_) compact();
+  }
   return msg;
+}
+
+void Mailbox::compact() {
+  std::size_t out = 0;
+  for (std::size_t i = head_; i < keys_.size(); ++i) {
+    if (keys_[i].src == kHole) continue;
+    // Never move an element onto itself: a self-move-assigned vector
+    // leaves the payload empty.
+    if (out != i) {
+      keys_[out] = keys_[i];
+      queue_[out] = std::move(queue_[i]);
+      seq_[out] = seq_[i];
+    }
+    ++out;
+  }
+  keys_.resize(out);
+  queue_.resize(out);
+  seq_.resize(out);
+  head_ = 0;
+}
+
+void Mailbox::clear_queue() {
+  keys_.clear();
+  queue_.clear();
+  seq_.clear();
+  head_ = 0;
+  live_ = 0;
 }
 
 Message Mailbox::pop(int src, int tag) {
@@ -126,8 +167,7 @@ void Mailbox::seal() {
   {
     std::lock_guard lock(mu_);
     sealed_ = true;
-    queue_.clear();
-    seq_.clear();
+    clear_queue();
   }
   cv_.notify_all();
   if (loop_ != nullptr) loop_->wake(rank_);
@@ -183,7 +223,7 @@ std::optional<Message> Mailbox::try_pop(int src, int tag) {
 
 std::size_t Mailbox::pending() const {
   std::lock_guard lock(mu_);
-  return queue_.size();
+  return live_;
 }
 
 bool Mailbox::has_match(int src, int tag) const {
@@ -200,9 +240,10 @@ bool Mailbox::has_match_any(int src, std::span<const int> tags) const {
 std::vector<Mailbox::PendingInfo> Mailbox::pending_info() const {
   std::lock_guard lock(mu_);
   std::vector<PendingInfo> out;
-  out.reserve(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    out.push_back({queue_[i].src, queue_[i].tag, queue_[i].size(), seq_[i]});
+  out.reserve(live_);
+  for (std::size_t i = head_; i < keys_.size(); ++i) {
+    if (keys_[i].src == kHole) continue;
+    out.push_back({keys_[i].src, keys_[i].tag, queue_[i].size(), seq_[i]});
   }
   // (src, tag, seq) order keeps leak reports byte-stable across schedules
   // that deliver the same message set in different arrival orders.

@@ -8,11 +8,18 @@
 // that finds no match registers the rank as blocked and every push reports
 // the queued message, which is the event stream the verifier's deadlock
 // detection runs on.
+//
+// Matching scans a compact array of (source, tag) keys kept in arrival
+// order beside the messages. A take leaves a hole that later scans skip;
+// holes at the front are trimmed, and the arrays are compacted when holes
+// outnumber live messages. So a receive whose message is deep in the
+// queue reads 8 bytes per message ahead of it, a take costs amortized
+// constant time, and every scan still sees the live messages in arrival
+// order.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -111,16 +118,31 @@ class Mailbox {
   void notify_dead(int rank);
 
  private:
+  /// A queued message's match fields; `src == kHole` marks a taken one.
+  struct Key {
+    int src = 0;
+    int tag = 0;
+  };
+
   /// Index of best match in queue_, or npos. Caller holds the lock.
   std::size_t find_match(int src, std::span<const int> tags) const;
 
-  /// Removes and returns queue_[idx]. Caller holds the lock.
+  /// Removes and returns queue_[idx], leaving a hole. Caller holds the lock.
   Message take_at(std::size_t idx);
+
+  /// Moves the live messages to the front, in order, and drops the holes.
+  void compact();
+
+  /// Empties the queue, keeping the arrays' capacity.
+  void clear_queue();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Message> queue_;
-  std::deque<std::uint64_t> seq_;  ///< arrival ordinal of queue_[i]
+  std::vector<Key> keys_;            ///< arrival order, holes included
+  std::vector<Message> queue_;       ///< queue_[i] is keys_[i]'s message
+  std::vector<std::uint64_t> seq_;   ///< arrival ordinal of queue_[i]
+  std::size_t head_ = 0;             ///< no live message before this index
+  std::size_t live_ = 0;             ///< queued messages not yet taken
   std::uint64_t next_seq_ = 0;
   std::set<int> dead_;  ///< crashed peers (see notify_dead)
   bool sealed_ = false;

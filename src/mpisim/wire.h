@@ -46,20 +46,19 @@ class Encoder {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   Encoder& put(const T& value) {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
+    append(&value, sizeof(T));
     return *this;
   }
 
   Encoder& put_string(const std::string& s) {
     put<std::uint64_t>(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    append(s.data(), s.size());
     return *this;
   }
 
   Encoder& put_bytes(std::span<const std::uint8_t> data) {
     put<std::uint64_t>(data.size());
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    append(data.data(), data.size());
     return *this;
   }
 
@@ -67,8 +66,7 @@ class Encoder {
     requires std::is_trivially_copyable_v<T>
   Encoder& put_vector(const std::vector<T>& v) {
     put<std::uint64_t>(v.size());
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
-    buf_.insert(buf_.end(), bytes, bytes + v.size() * sizeof(T));
+    append(v.data(), v.size() * sizeof(T));
     return *this;
   }
 
@@ -84,6 +82,15 @@ class Encoder {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  /// Appends `n` raw bytes. Resize plus memcpy: g++ 12 at -O3 misreads an
+  /// inlined vector::insert of a few bytes as an overflow.
+  void append(const void* data, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

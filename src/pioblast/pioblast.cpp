@@ -239,6 +239,29 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
     my_data.insert(my_data.end(), text.begin(), text.end());
   };
 
+  // A cached hit's output block: its alignment panels, or one tabular line.
+  const bool tabular = opts_.job.output_format == blast::OutputFormat::kTabular;
+  auto render = [&](std::uint32_t q, const driver::CachedHit& hit) {
+    const seqdb::LoadedFragment& frag = stage.fragment(hit.frag_slot);
+    return tabular ? blast::format_tabular_line(hit.hsp, query_list[q].id,
+                                                frag.defline(hit.local_id))
+                   : blast::format_alignment(
+                         hit.hsp, type, contexts[q].residues(),
+                         frag.sequence(hit.local_id),
+                         frag.defline(hit.local_id),
+                         frag.sequence(hit.local_id).size(), qset.matrix());
+  };
+  auto block_size = [&](std::uint32_t q,
+                        const driver::CachedHit& hit) -> std::uint64_t {
+    if (tabular) return render(q, hit).size();
+    const seqdb::LoadedFragment& frag = stage.fragment(hit.frag_slot);
+    return blast::alignment_size(hit.hsp, type, contexts[q].residues(),
+                                 frag.sequence(hit.local_id),
+                                 frag.defline(hit.local_id),
+                                 frag.sequence(hit.local_id).size(),
+                                 qset.matrix());
+  };
+
   // §5 extension: query batching. Queries are merged and flushed in
   // batches of `query_batch` (0 = everything at once), bounding the
   // cached-output memory footprint — "adaptive approaches, such as query
@@ -253,22 +276,14 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
     // Workers format this batch's cached candidates into memory buffers
     // — the "modified NCBI BLAST output routine that redirects formatted
     // result data from file output to memory buffers" (§3.2). This is
-    // the bulk of output preparation and it runs in parallel.
+    // the bulk of output preparation and it runs in parallel. Every block
+    // is charged at its formatted size, but on the host a worker only
+    // sizes it here and renders it once the master selects it below.
     if (!p.is_root()) {
-      const bool tabular =
-          opts_.job.output_format == blast::OutputFormat::kTabular;
       for (std::uint32_t q = batch_start; q < batch_end; ++q) {
         for (driver::CachedHit& hit : stage.hits(q)) {
-          const seqdb::LoadedFragment& frag = stage.fragment(hit.frag_slot);
-          hit.text =
-              tabular
-                  ? blast::format_tabular_line(hit.hsp, query_list[q].id,
-                                               frag.defline(hit.local_id))
-                  : blast::format_alignment(
-                        hit.hsp, type, contexts[q].residues(),
-                        frag.sequence(hit.local_id), frag.defline(hit.local_id),
-                        frag.sequence(hit.local_id).size(), qset.matrix());
-          p.compute(p.cost().format_seconds(hit.text.size()));
+          hit.output_size = block_size(q, hit);
+          p.compute(p.cost().format_seconds(hit.output_size));
         }
       }
     }
@@ -322,7 +337,7 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
           meta.score = hit.hsp.score;
           meta.owner = p.rank();
           meta.evalue = hit.hsp.evalue;
-          meta.output_size = hit.text.size();
+          meta.output_size = hit.output_size;
           meta.qstart = hit.hsp.qstart;
           meta.sstart32 = static_cast<std::uint32_t>(hit.hsp.sstart);
           blast::encode_candidate(body, meta);
@@ -358,8 +373,6 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
         reported += candidates.size();
 
         // Header + offsets: the master knows every output size up front.
-        const bool tabular =
-            opts_.job.output_format == blast::OutputFormat::kTabular;
         std::string header =
             tabular ? blast::format_tabular_query_header(
                           query_list[q], opts_.job.db_title, candidates.size())
@@ -388,8 +401,10 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
         for (const auto& slot : selection.slots) {
           PIOBLAST_CHECK(slot.local_index < stage.hits(q).size());
           const driver::CachedHit& hit = stage.hits(q)[slot.local_index];
-          add_region(slot.offset, hit.text);
-          p.compute(p.cost().memcpy_seconds(hit.text.size()));
+          const std::string text = render(q, hit);
+          PIOBLAST_CHECK(text.size() == hit.output_size);
+          add_region(slot.offset, text);
+          p.compute(p.cost().memcpy_seconds(text.size()));
         }
       }
     }  // queries in batch
@@ -403,16 +418,6 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
                             opts_.hints.collective());
     my_regions.clear();
     my_data.clear();
-    // Release this batch's cached output buffers (the memory-bounding
-    // point of batching).
-    if (!p.is_root()) {
-      for (std::uint32_t q = batch_start; q < batch_end; ++q) {
-        for (driver::CachedHit& hit : stage.hits(q)) {
-          hit.text.clear();
-          hit.text.shrink_to_fit();
-        }
-      }
-    }
   }  // batches
 
   if (p.is_root()) {

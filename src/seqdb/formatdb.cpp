@@ -19,14 +19,15 @@ std::vector<std::uint8_t> DbIndex::serialize() const {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + (num_seqs + 1) * 16);
 
-  auto put_u32 = [&](std::uint32_t v) {
-    const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
-    out.insert(out.end(), b, b + 4);
+  // Resize plus memcpy: g++ 12 at -O3 misreads an inlined vector::insert
+  // of a few bytes as an overflow.
+  auto put_raw = [&](const void* data, std::size_t n) {
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, data, n);
   };
-  auto put_u64 = [&](std::uint64_t v) {
-    const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
-    out.insert(out.end(), b, b + 8);
-  };
+  auto put_u32 = [&](std::uint32_t v) { put_raw(&v, 4); };
+  auto put_u64 = [&](std::uint64_t v) { put_raw(&v, 8); };
 
   put_u32(kMagic);
   put_u32(kVersion);
@@ -37,7 +38,7 @@ std::vector<std::uint8_t> DbIndex::serialize() const {
   put_u64(max_seq_len);
   char title_buf[kTitleBytes] = {};
   std::memcpy(title_buf, title.data(), std::min(title.size(), kTitleBytes - 1));
-  out.insert(out.end(), title_buf, title_buf + kTitleBytes);
+  put_raw(title_buf, kTitleBytes);
   PIOBLAST_CHECK(out.size() == kHeaderBytes);
 
   for (std::uint64_t v : seq_offsets) put_u64(v);

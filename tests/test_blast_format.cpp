@@ -1,11 +1,16 @@
 // Output-formatting tests: E-value rendering, query headers, alignment
-// panels, and serialization of HSPs / candidate metadata.
+// panels and their sizes, and serialization of HSPs / candidate metadata.
 #include <gtest/gtest.h>
 
 #include "blast/engine.h"
 #include "blast/format.h"
+#include "blast/query_set.h"
 #include "blast/serialize.h"
+#include "pario/vfs.h"
 #include "seqdb/alphabet.h"
+#include "seqdb/formatdb.h"
+#include "seqdb/generator.h"
+#include "util/error.h"
 
 namespace pioblast::blast {
 namespace {
@@ -132,6 +137,164 @@ TEST(AlignmentFormat, PositiveSubstitutionGetsPlus) {
   const auto m = ScoringMatrix::blosum62();
   const auto text = format_alignment(h, SeqType::kProtein, q, s, "s", 7, m);
   EXPECT_NE(text.find("WWW+WWW"), std::string::npos);
+}
+
+// ---------- alignment_size ----------------------------------------------------
+
+/// alignment_size must equal the rendered block's length for every input.
+void expect_size_matches(const Hsp& h, SeqType type,
+                         std::span<const std::uint8_t> q,
+                         std::span<const std::uint8_t> s,
+                         std::string_view defline, std::uint64_t slen,
+                         const ScoringMatrix& m) {
+  EXPECT_EQ(alignment_size(h, type, q, s, defline, slen, m),
+            format_alignment(h, type, q, s, defline, slen, m).size())
+      << "qstart " << h.qstart << " sstart " << h.sstart << " columns "
+      << h.ops.size() << " evalue " << h.evalue;
+}
+
+/// Every HSP of the golden reports' search (test_kernel_diff's
+/// make_workload): a 100 KiB family database, 3 KiB of sampled queries,
+/// hit lists of 25, the whole database as one fragment.
+void expect_sizes_match_search(SeqType type, std::uint64_t seed) {
+  seqdb::GeneratorConfig gen;
+  gen.type = type;
+  gen.target_residues = 100u << 10;
+  gen.seed = seed;
+  gen.family_fraction = 0.55;
+  const auto db = seqdb::generate_database(gen);
+  pario::VirtualFS fs;
+  seqdb::format_db(fs, db, "db", type, "t");
+  const auto frag = seqdb::load_volumes(fs, "db", type);
+  GlobalDbStats stats;
+  stats.num_seqs = db.size();
+  for (const auto& r : db) stats.total_residues += r.sequence.size();
+  auto params = type == SeqType::kProtein ? SearchParams::blastp_defaults()
+                                          : SearchParams::blastn_defaults();
+  params.hitlist_size = 25;
+  const auto qset = QuerySet::build(
+      seqdb::write_fasta(seqdb::sample_queries(db, 3u << 10, seed + 1)),
+      params, stats);
+  const auto results = search_fragments(qset->contexts(), std::span(&frag, 1));
+  std::size_t hsps = 0;
+  for (std::size_t qi = 0; qi < qset->size(); ++qi) {
+    for (const Hsp& h : results[0][qi].hsps) {
+      const auto subject = frag.sequence(h.subject_global_id);
+      expect_size_matches(h, type, qset->contexts()[qi].residues(), subject,
+                          frag.defline(h.subject_global_id), subject.size(),
+                          qset->matrix());
+      ++hsps;
+    }
+  }
+  EXPECT_GT(hsps, 20u);
+}
+
+TEST(AlignmentSize, EqualsRenderedLengthOnBlastpSearch) {
+  expect_sizes_match_search(SeqType::kProtein, 777);
+}
+
+TEST(AlignmentSize, EqualsRenderedLengthOnBlastnSearch) {
+  expect_sizes_match_search(SeqType::kNucleotide, 778);
+}
+
+TEST(AlignmentSize, PanelWidthsAroundSixtyColumns) {
+  const auto m = ScoringMatrix::blosum62();
+  for (std::size_t len : {0, 1, 59, 60, 61, 119, 120, 121}) {
+    const auto codes =
+        seqdb::encode_sequence(SeqType::kProtein, std::string(len, 'W'));
+    expect_size_matches(identity_hsp(len), SeqType::kProtein, codes, codes,
+                        "s", len, m);
+  }
+}
+
+TEST(AlignmentSize, PanelsEndingInGaps) {
+  // 59 matches, then a query residue against a subject gap closes panel 1;
+  // the alignment also ends on a subject residue against a query gap.
+  const auto m = ScoringMatrix::blosum62();
+  const auto q = seqdb::encode_sequence(SeqType::kProtein,
+                                        std::string(59, 'A') + "CDE");
+  const auto s = seqdb::encode_sequence(SeqType::kProtein,
+                                        std::string(59, 'A') + "DEK");
+  Hsp h = identity_hsp(63);
+  h.ops.assign(59, AlignOp::kMatch);
+  h.ops.insert(h.ops.end(), {AlignOp::kInsert, AlignOp::kMatch,
+                             AlignOp::kMatch, AlignOp::kDelete});
+  h.qend = 62;
+  h.send = 62;
+  const std::string text =
+      format_alignment(h, SeqType::kProtein, q, s, "gapped", 62, m);
+  EXPECT_NE(text.find("Sbjct: 1     " + std::string(59, 'A') + "- 59\n"),
+            std::string::npos)
+      << text;
+  expect_size_matches(h, SeqType::kProtein, q, s, "gapped", 62, m);
+}
+
+TEST(AlignmentSize, CoordinateFieldsWiden) {
+  // "%-5u" pads to five digits: the query column crosses 9,999 -> 10,000
+  // and the subject column 99,999 -> 100,000 inside or between panels.
+  const auto m = ScoringMatrix::dna();
+  const auto q = seqdb::encode_sequence(SeqType::kNucleotide,
+                                        std::string(10'200, 'A'));
+  const auto s = seqdb::encode_sequence(SeqType::kNucleotide,
+                                        std::string(100'200, 'A'));
+  for (std::uint32_t back = 0; back <= 130; back += 13) {
+    Hsp h = identity_hsp(150);
+    h.qstart = 10'000 - back;
+    h.qend = h.qstart + 150;
+    h.sstart = 100'000 - back;
+    h.send = h.sstart + 150;
+    expect_size_matches(h, SeqType::kNucleotide, q, s, "long subject",
+                        s.size(), m);
+  }
+}
+
+TEST(AlignmentSize, EveryEvalueRegime) {
+  const auto m = ScoringMatrix::blosum62();
+  const auto codes = seqdb::encode_sequence(SeqType::kProtein, "MKVLAW");
+  for (double e : {0.0, 1e-200, 3.2e-31, 9.6e-100, 1e-5, 0.001, 0.05, 2.54,
+                   9.99, 42.0, 123456.0}) {
+    Hsp h = identity_hsp(6);
+    h.evalue = e;
+    h.bits = e * 3.0 + 0.05;
+    expect_size_matches(h, SeqType::kProtein, codes, codes, "s", 1'234'567,
+                        m);
+  }
+}
+
+TEST(AlignmentSize, RejectsACorruptResidueCodeLikeTheRenderer) {
+  // A code outside the alphabet, as a corrupt .psq byte would read, in a
+  // matched column, a subject-only column and a query-only column.
+  const auto m = ScoringMatrix::blosum62();
+  auto q = seqdb::encode_sequence(SeqType::kProtein, "MKVLAW");
+  auto s = seqdb::encode_sequence(SeqType::kProtein, "MKVLAW");
+  Hsp h = identity_hsp(6);
+  h.ops = {AlignOp::kMatch, AlignOp::kDelete, AlignOp::kInsert,
+           AlignOp::kMatch, AlignOp::kMatch,  AlignOp::kMatch};
+  const auto message_of = [&](auto&& call) {
+    try {
+      call();
+    } catch (const util::ContractViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const auto& [where, index] :
+       {std::pair{&s, 0}, std::pair{&s, 1}, std::pair{&q, 1}}) {
+    SCOPED_TRACE(index);
+    const std::uint8_t saved = (*where)[index];
+    (*where)[index] = 200;
+    const std::string rendered = message_of([&] {
+      format_alignment(h, SeqType::kProtein, q, s, "s", 6, m);
+    });
+    EXPECT_NE(rendered.find("residue code out of range: 200"),
+              std::string::npos)
+        << rendered;
+    EXPECT_EQ(message_of([&] {
+                alignment_size(h, SeqType::kProtein, q, s, "s", 6, m);
+              }),
+              rendered);
+    (*where)[index] = saved;
+  }
 }
 
 // ---------- tabular format ----------------------------------------------------

@@ -330,8 +330,8 @@ TEST(KernelDiff, FuzzProteinCorpora) {
     const int n = nseq(rng);
     for (int i = 0; i < n; ++i) {
       std::string s = random_sequence(rng, SeqType::kProtein, slen(rng), 0.05);
-      if (s.empty()) s = "A";  // formatted volumes hold non-empty sequences
-      db.push_back({"f" + std::to_string(i), "", std::move(s)});
+      if (s.empty()) s.push_back('A');  // formatted volumes hold non-empty sequences
+      db.push_back({std::string("f").append(std::to_string(i)), "", std::move(s)});
     }
     // Half the queries are mutated copies of a database sequence (long
     // identical runs exercise the SWAR skip); half are fresh random.
@@ -385,8 +385,8 @@ TEST(KernelDiff, FuzzDnaCorpora) {
     const int n = nseq(rng);
     for (int i = 0; i < n; ++i) {
       std::string s = random_sequence(rng, SeqType::kNucleotide, slen(rng), 0.08);
-      if (s.empty()) s = "A";
-      db.push_back({"f" + std::to_string(i), "", std::move(s)});
+      if (s.empty()) s.push_back('A');
+      db.push_back({std::string("f").append(std::to_string(i)), "", std::move(s)});
     }
     std::string qs;
     if (iter % 2 == 0) {

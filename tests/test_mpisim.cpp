@@ -3,10 +3,14 @@
 // poisoning, and virtual-clock behaviour under communication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <random>
 #include <thread>
+#include <tuple>
 
 #include "mpisim/mailbox.h"
 #include "mpisim/runtime.h"
@@ -197,6 +201,148 @@ TEST(Mailbox, HasMatchChecksWithoutDraining) {
   EXPECT_FALSE(mb.has_match(2, 5));
   EXPECT_FALSE(mb.has_match(1, 6));
   EXPECT_EQ(mb.pending(), 1u);
+}
+
+// ---------- mailbox against a reference queue -----------------------------
+
+/// The matching rule on a plain arrival-order list: a receive from a named
+/// sender takes the first queued message from it with a listed tag; a
+/// wildcard receive takes the earliest virtual arrival, ties going to the
+/// lowest sender and then to queue order.
+class ReferenceQueue {
+ public:
+  void push(const Message& m) { queue_.push_back({m, next_seq_++}); }
+
+  std::optional<std::size_t> find(int src, std::span<const int> tags) const {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const Message& m = queue_[i].msg;
+      if (std::find(tags.begin(), tags.end(), m.tag) == tags.end()) continue;
+      if (src != kAnySource) {
+        if (m.src == src) return i;
+        continue;
+      }
+      const Message* b = best ? &queue_[*best].msg : nullptr;
+      if (b == nullptr || m.arrival < b->arrival ||
+          (m.arrival == b->arrival && m.src < b->src))
+        best = i;
+    }
+    return best;
+  }
+
+  Message take(std::size_t i) {
+    Message m = queue_[i].msg;
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+    return m;
+  }
+
+  std::size_t size() const { return queue_.size(); }
+
+  std::vector<Mailbox::PendingInfo> pending_info() const {
+    std::vector<Mailbox::PendingInfo> out;
+    for (const Entry& e : queue_)
+      out.push_back({e.msg.src, e.msg.tag, e.msg.size(), e.seq});
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.src, a.tag, a.seq) < std::tie(b.src, b.tag, b.seq);
+    });
+    return out;
+  }
+
+ private:
+  struct Entry {
+    Message msg;
+    std::uint64_t seq;
+  };
+  std::vector<Entry> queue_;
+  std::uint64_t next_seq_ = 0;
+};
+
+void expect_same_message(const Message& got, const Message& want) {
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.arrival, want.arrival);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+void expect_same_pending(const Mailbox& mb, const ReferenceQueue& ref) {
+  ASSERT_EQ(mb.pending(), ref.size());
+  const auto got = mb.pending_info();
+  const auto want = ref.pending_info();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].src, want[i].src);
+    EXPECT_EQ(got[i].tag, want[i].tag);
+    EXPECT_EQ(got[i].bytes, want[i].bytes);
+    EXPECT_EQ(got[i].seq, want[i].seq);
+  }
+}
+
+TEST(Mailbox, MatchesAReferenceQueue) {
+  constexpr int kSenders = 48;
+  const int kTags[] = {3, 5, 7};
+  for (const unsigned seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    const auto pick = [&](int n) {
+      return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    Mailbox mb;
+    ReferenceQueue ref;
+    int serial = 0;
+    // Few distinct arrivals, so wildcard ties are common; every payload is
+    // non-empty and distinct, so a lost or swapped payload shows.
+    const auto message = [&](int src, int tag) {
+      return Message{src, tag, 0.5 * pick(6),
+                     bytes_of(std::to_string(serial++))};
+    };
+    const auto push = [&](const Message& m) {
+      ref.push(m);
+      mb.push(m);
+    };
+    // Blocking receives are made only when the reference holds a match.
+    const auto receive = [&](int src, std::span<const int> tags) {
+      const auto want = ref.find(src, tags);
+      ASSERT_EQ(mb.has_match_any(src, tags), want.has_value());
+      if (want) expect_same_message(mb.pop_any(src, tags), ref.take(*want));
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const int op = pick(20);
+      const int src = pick(kSenders);
+      const int tag = kTags[pick(3)];
+      if (op < 8) {
+        push(message(src, tag));
+      } else if (op < 12) {
+        receive(src, std::span(&tag, 1));
+      } else if (op < 14) {
+        receive(kAnySource, std::span(kTags).first(1 + pick(3)));
+      } else if (op < 17) {
+        const int from = op == 16 ? kAnySource : src;
+        const auto want = ref.find(from, std::span(&tag, 1));
+        ASSERT_EQ(mb.has_match(from, tag), want.has_value());
+        const auto got = mb.try_pop(from, tag);
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (got) expect_same_message(*got, ref.take(*want));
+      } else if (op < 19) {
+        // The two-phase write's aggregator: one message from every sender,
+        // queued in a shuffled order, taken in rank order.
+        std::vector<int> order(kSenders);
+        std::iota(order.begin(), order.end(), 0);
+        std::shuffle(order.begin(), order.end(), rng);
+        for (const int r : order) push(message(r, tag));
+        for (int r = 0; r < kSenders; ++r) receive(r, std::span(&tag, 1));
+      } else {
+        expect_same_pending(mb, ref);
+      }
+      if (HasFatalFailure()) return;
+    }
+    // Drain what is left, oldest first, then check the mailbox is empty.
+    while (ref.size() > 0) {
+      const auto want = ref.find(kAnySource, kTags);
+      expect_same_message(mb.pop_any(kAnySource, kTags), ref.take(*want));
+    }
+    expect_same_pending(mb, ref);
+  }
 }
 
 // ---------- runtime / process --------------------------------------------

@@ -259,7 +259,7 @@ TEST(LoadedFragment, ExposesSequencesAndDeflines) {
 std::vector<FastaRecord> sized_db(int n, int len_step) {
   std::vector<FastaRecord> db;
   for (int i = 0; i < n; ++i) {
-    db.push_back({"s" + std::to_string(i), "",
+    db.push_back({std::string("s") + std::to_string(i), "",
                   std::string(static_cast<std::size_t>(20 + (i % 7) * len_step),
                               'A')});
   }

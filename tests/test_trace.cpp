@@ -39,7 +39,7 @@ TEST(Tracer, ForRankFilters) {
 TEST(Tracer, RenderTruncates) {
   Tracer t;
   for (int i = 0; i < 10; ++i)
-    t.record(0, i, TraceKind::kMark, "e" + std::to_string(i));
+    t.record(0, i, TraceKind::kMark, std::string("e") + std::to_string(i));
   std::ostringstream os;
   t.render(os, 3);
   EXPECT_NE(os.str().find("e0"), std::string::npos);
