@@ -44,6 +44,7 @@
 #include "seqdb/partition.h"
 #include "support/scalar_oracle.h"
 #include "util/args.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/units.h"
 #include "workloads.h"
@@ -262,13 +263,26 @@ int main(int argc, char** argv) {
     std::cerr << args.error();
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
-  const auto residues = static_cast<std::uint64_t>(args.get_int("residues"));
-  const auto query_bytes =
-      static_cast<std::uint64_t>(args.get_int("query-bytes"));
-  const auto query_chunk =
-      static_cast<std::uint64_t>(args.get_int("query-chunk"));
-  const int repeats = args.get_int("repeats");
+  // Option `name`'s whole number, at least `min`.
+  const auto number = [&args](const std::string& name, auto min) {
+    return util::named("--" + name,
+                       [&] { return util::read_number(args.get(name), min); });
+  };
+  std::uint64_t residues = 0, query_bytes = 0, query_chunk = 0;
+  int repeats = 0;
   const std::string types = args.get("types");
+  try {
+    residues = number("residues", std::uint64_t{1});
+    query_bytes = number("query-bytes", std::uint64_t{1});
+    query_chunk = number("query-chunk", std::uint64_t{0});
+    repeats = number("repeats", 1);
+    util::named("--types", [&] {
+      return util::read_choice(types, {"both", "protein", "dna"});
+    });
+  } catch (const util::RuntimeError& e) {
+    std::cerr << "micro_kernel: " << e.what() << '\n';
+    return 2;
+  }
 
   util::Table table({"Type", "Kernel", "Fragments", "Wall (ms)", "us/call",
                      "Mcells/s", "Mseeds/s", "HSPs", "Speedup"});

@@ -19,7 +19,6 @@
 // ranks.
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +30,7 @@
 
 #include "mpisim/runtime.h"
 #include "util/args.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "workloads.h"
 
@@ -39,28 +39,6 @@ using namespace pioblast;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Parses a `--ranks` list ("64,512,4096"). Each field must be a whole
-/// integer of at least 2; on anything else it names the field on stderr
-/// and returns an empty list.
-std::vector<int> parse_ranks(std::string_view spec) {
-  std::vector<int> out;
-  for (std::size_t at = 0; at <= spec.size();) {
-    const std::string_view field =
-        spec.substr(at, std::min(spec.find(',', at), spec.size()) - at);
-    at += field.size() + 1;
-    int n = 0;
-    const char* const end = field.data() + field.size();
-    const auto [ptr, ec] = std::from_chars(field.data(), end, n);
-    if (ec != std::errc{} || ptr != end || n < 2) {
-      std::cerr << "micro_mpisim: --ranks: '" << field
-                << "' is not a world size of at least 2\n";
-      return {};
-    }
-    out.push_back(n);
-  }
-  return out;
-}
 
 /// Jobs per (ranks, verify) cell; the median is reported.
 constexpr int kRepeats = 3;
@@ -170,8 +148,19 @@ int main(int argc, char** argv) {
     std::cerr << args.error();
     return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
-  const auto ranks = parse_ranks(args.get("ranks"));
-  if (ranks.empty()) return 2;
+  // Each world size is a whole integer of at least 2.
+  const std::string list = args.get("ranks");
+  std::vector<int> ranks;
+  try {
+    util::named("--ranks", [&] {
+      for (const std::string_view n : util::read_list(list))
+        ranks.push_back(util::read_number<int>(n, 2));
+      if (ranks.empty()) throw util::RuntimeError("names no world size");
+    });
+  } catch (const util::RuntimeError& e) {
+    std::cerr << "micro_mpisim: " << e.what() << '\n';
+    return 2;
+  }
 
   util::Table table({"Ranks", "Verify", "p2p msgs/s", "barrier (us)",
                      "bcast (us)", "allreduce (us)", "gather (us)",

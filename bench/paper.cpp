@@ -35,6 +35,7 @@
 #include "pario/env.h"
 #include "pario/file.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/units.h"
 #include "workloads.h"
@@ -63,12 +64,8 @@ struct Config {
   const char* variant;
 
   bool in(std::string_view figure) const {
-    for (std::string_view names = figures; !names.empty();) {
-      const std::size_t end = std::min(names.find(' '), names.size());
-      if (names.substr(0, end) == figure) return true;
-      names.remove_prefix(std::min(end + 1, names.size()));
-    }
-    return false;
+    const auto names = util::read_list(figures, ' ');
+    return std::find(names.begin(), names.end(), figure) != names.end();
   }
   bool is(std::string_view p) const { return program == p; }
 
@@ -301,9 +298,8 @@ double run_write(const sim::ClusterConfig& cluster, int nranks,
         view.append({r * kRecord, kRecord});
         data.insert(data.end(), kRecord, static_cast<std::uint8_t>(r));
       }
-      pario::collective_write(
-          p, fs, "out", view, data,
-          pario::Hints::parse(std::string(mode)).collective());
+      pario::collective_write(p, fs, "out", view, data,
+                              pario::Hints::parse(mode).collective());
       return;
     }
     if (p.rank() == 0) {
@@ -409,10 +405,10 @@ pio::PioBlastOptions pio_options(std::string_view variant) {
   } else if (variant == "dynamic") {
     o.scheduler = driver::SchedulerKind::kGreedyDynamic;
   } else if (variant.starts_with("cb_nodes=")) {
-    o.hints = pario::Hints::parse(std::string(variant));
+    o.hints = pario::Hints::parse(variant);
   } else if (variant.starts_with("query_batch=")) {
-    o.query_batch = static_cast<std::uint32_t>(
-        std::stoul(std::string(variant.substr(variant.find('=') + 1))));
+    o.query_batch = util::read_number<std::uint32_t>(
+        variant.substr(variant.find('=') + 1));
   } else {
     PIOBLAST_CHECK_MSG(variant == "default", "unknown variant " << variant);
   }

@@ -5,27 +5,22 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace pioblast::driver {
 
+namespace {
+/// The scheduler names, in SchedulerKind's order.
+constexpr std::string_view kSchedulerNames[] = {"greedy", "roundrobin",
+                                                "speed-weighted"};
+}  // namespace
+
 std::string_view to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kGreedyDynamic:
-      return "greedy";
-    case SchedulerKind::kStaticRoundRobin:
-      return "roundrobin";
-    case SchedulerKind::kSpeedWeighted:
-      return "speed-weighted";
-  }
-  return "unknown";
+  return kSchedulerNames[static_cast<int>(kind)];
 }
 
 SchedulerKind parse_scheduler(std::string_view name) {
-  if (name == "greedy") return SchedulerKind::kGreedyDynamic;
-  if (name == "roundrobin") return SchedulerKind::kStaticRoundRobin;
-  if (name == "speed-weighted") return SchedulerKind::kSpeedWeighted;
-  throw util::RuntimeError("unknown scheduler: " + std::string(name) +
-                           " (want greedy | roundrobin | speed-weighted)");
+  return static_cast<SchedulerKind>(util::read_choice(name, kSchedulerNames));
 }
 
 WorkerTopology WorkerTopology::from_cluster(const sim::ClusterConfig& cluster,

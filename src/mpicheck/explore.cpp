@@ -9,10 +9,28 @@
 
 #include "mpicheck/por.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace pioblast::mpicheck {
 
 namespace {
+
+/// The --check keys.
+constexpr util::Key<CheckOptions> kCheckKeys[] = {
+    {"schedules",
+     [](auto& o, auto v) {
+       o.random_schedules = util::read_number<int>(v, 0);
+     }},
+    {"seed",
+     [](auto& o, auto v) { o.seed = util::read_number<std::uint64_t>(v); }},
+    {"preempt",
+     [](auto& o, auto v) { o.preemption_bound = util::read_number<int>(v); }},
+    {"dpor", [](auto& o, auto v) { o.dpor = util::read_switch(v); }},
+    {"races", [](auto& o, auto v) { o.detect_races = util::read_switch(v); }},
+    {"shrink", [](auto& o, auto v) { o.shrink = util::read_switch(v); }},
+    {"max",
+     [](auto& o, auto v) { o.max_schedules = util::read_number<int>(v, 1); }},
+};
 
 /// Forced-by-index directives on top of the non-preemptive default
 /// (continue the previously chosen rank while it stays runnable).
@@ -44,6 +62,14 @@ const mpisim::YieldPoint* op_of(const DecisionRecord& rec, int rank) {
 }
 
 }  // namespace
+
+CheckOptions CheckOptions::parse(std::string_view spec) {
+  CheckOptions opts;
+  if (spec != "default")
+    util::read_fields(spec, ',', kCheckKeys, opts,
+                      /*empty_keeps_default=*/true);
+  return opts;
+}
 
 Checker::Checker(Job job, CheckOptions opts)
     : job_(std::move(job)), opts_(opts) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mpicheck/coop.h"
@@ -47,6 +48,11 @@ struct CheckOptions {
   /// When non-empty: skip exploration, run this one forced trace
   /// (the CLI's --schedule mode), and report its outcome.
   std::string replay_trace;
+
+  /// Parses the CLI's --check spec: "default", or optional fields
+  /// "schedules=50,seed=1,preempt=2,dpor=on,races=on,shrink=on,max=2000"
+  /// (`schedules` ≥ 0, `max` ≥ 1; an empty value keeps the default).
+  static CheckOptions parse(std::string_view spec);
 };
 
 struct CheckResult {

@@ -1,8 +1,6 @@
 #include "mpicheck/schedule.h"
 
-#include <sstream>
-
-#include "util/error.h"
+#include "util/parse.h"
 
 namespace pioblast::mpicheck {
 
@@ -15,26 +13,10 @@ std::string format_schedule(const Schedule& schedule) {
   return out;
 }
 
-Schedule parse_schedule(const std::string& text) {
+Schedule parse_schedule(std::string_view text, int nranks) {
   Schedule out;
-  if (text.empty()) return out;
-  std::istringstream in(text);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    std::size_t pos = 0;
-    int rank = -1;
-    try {
-      rank = std::stoi(field, &pos);
-    } catch (const std::exception&) {
-      throw util::RuntimeError("mpicheck: bad schedule field '" + field +
-                               "' (want a rank number)");
-    }
-    if (pos != field.size() || rank < 0) {
-      throw util::RuntimeError("mpicheck: bad schedule field '" + field +
-                               "' (want a non-negative rank number)");
-    }
-    out.push_back(Decision{rank, {}});
-  }
+  for (const std::string_view rank : util::read_list(text))
+    out.push_back(Decision{util::read_number<int>(rank, 0, nranks - 1), {}});
   return out;
 }
 

@@ -7,7 +7,9 @@
 // the CLI's --schedule flag and printed in failure reports.
 #pragma once
 
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pioblast::mpicheck {
@@ -26,8 +28,10 @@ using Schedule = std::vector<Decision>;
 /// (replay re-derives them and falls back gracefully on divergence).
 std::string format_schedule(const Schedule& schedule);
 
-/// Parses the comma-separated rank list. Throws util::RuntimeError on
-/// malformed input (non-integer fields, negative ranks).
-Schedule parse_schedule(const std::string& text);
+/// Parses the comma-separated rank list; each rank lies in [0, nranks).
+/// Throws util::RuntimeError on anything else (non-integer or empty
+/// fields, ranks outside the job).
+Schedule parse_schedule(std::string_view text,
+                        int nranks = std::numeric_limits<int>::max());
 
 }  // namespace pioblast::mpicheck

@@ -2,51 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace pioblast::mpisim {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
+/// What FaultPlan::parse fills: the plan, and the rank the current spec's
+/// rank=K names.
+struct PlanReader {
+  FaultPlan plan;
+  std::optional<int> rank;
 
-[[noreturn]] void bad_spec(std::string_view spec, const std::string& why) {
-  throw util::RuntimeError("fault spec \"" + std::string(spec) + "\": " + why +
-                           " (want e.g. rank=2,crash_at=9 | rank=1,slow=4 | "
-                           "rank=3,drop_send=2 | detect=0.01 | arm)");
-}
-
-std::uint64_t parse_u64(std::string_view spec, std::string_view value) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(std::string(value), &used);
-    if (used != value.size()) bad_spec(spec, "trailing junk in number");
-    return v;
-  } catch (const util::RuntimeError&) {
-    throw;
-  } catch (...) {
-    bad_spec(spec, "bad integer \"" + std::string(value) + "\"");
+  RankFault& target() {
+    if (!rank) throw util::RuntimeError("needs rank=K before it");
+    return plan.at(*rank);
   }
-}
+};
 
-double parse_f64(std::string_view spec, std::string_view value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(value), &used);
-    if (used != value.size()) bad_spec(spec, "trailing junk in number");
-    return v;
-  } catch (const util::RuntimeError&) {
-    throw;
-  } catch (...) {
-    bad_spec(spec, "bad number \"" + std::string(value) + "\"");
-  }
-}
+constexpr util::Key<PlanReader> kFaultKeys[] = {
+    {"rank",
+     [](auto& r, auto v) {
+       const int rank = util::read_number<int>(v);
+       r.rank = rank;
+       r.plan.at(rank);
+     }},
+    {"crash_at",
+     [](auto& r, auto v) {
+       r.target().crash_at = util::read_number<std::uint64_t>(v, 1);
+     }},
+    {"slow",
+     [](auto& r, auto v) { r.target().slow = util::read_number<double>(v); }},
+    {"drop_send",
+     [](auto& r, auto v) {
+       r.target().drop_sends.push_back(util::read_number<std::uint64_t>(v, 1));
+     }},
+    {"detect",
+     [](auto& r, auto v) {
+       r.plan.detection_delay = util::read_number<double>(v);
+     }},
+};
 
 }  // namespace
 
@@ -93,55 +92,15 @@ void FaultPlan::validate(int nranks) const {
 }
 
 FaultPlan FaultPlan::parse(std::string_view specs) {
-  FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos <= specs.size()) {
-    const std::size_t sep = std::min(specs.find(';', pos), specs.size());
-    const std::string_view spec = trim(specs.substr(pos, sep - pos));
-    pos = sep + 1;
-    if (spec.empty()) continue;
-
-    if (spec == "arm") {
-      plan.arm_detector = true;
-      continue;
-    }
-
-    RankFault* target = nullptr;
-    std::size_t kpos = 0;
-    while (kpos <= spec.size()) {
-      const std::size_t ksep = std::min(spec.find(',', kpos), spec.size());
-      const std::string_view pair = trim(spec.substr(kpos, ksep - kpos));
-      kpos = ksep + 1;
-      if (pair.empty()) continue;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) bad_spec(spec, "expected key=value");
-      const std::string_view key = trim(pair.substr(0, eq));
-      const std::string_view value = trim(pair.substr(eq + 1));
-
-      if (key == "detect") {
-        plan.detection_delay = parse_f64(spec, value);
-        continue;
-      }
-      if (key == "rank") {
-        target = &plan.at(static_cast<int>(parse_u64(spec, value)));
-        continue;
-      }
-      if (target == nullptr)
-        bad_spec(spec, "rank=K must precede " + std::string(key));
-      if (key == "crash_at") {
-        const std::uint64_t event = parse_u64(spec, value);
-        if (event == 0) bad_spec(spec, "crash_at events are 1-based");
-        target->crash_at = event;
-      } else if (key == "slow") {
-        target->slow = parse_f64(spec, value);
-      } else if (key == "drop_send") {
-        target->drop_sends.push_back(parse_u64(spec, value));
-      } else {
-        bad_spec(spec, "unknown key \"" + std::string(key) + "\"");
-      }
-    }
+  PlanReader r;
+  for (const std::string_view spec : util::read_list(specs, ';')) {
+    r.rank.reset();
+    if (spec == "arm")
+      r.plan.arm_detector = true;
+    else
+      util::read_fields(spec, ',', kFaultKeys, r);
   }
-  return plan;
+  return r.plan;
 }
 
 FaultPlan FaultPlan::random_crash(std::uint64_t seed, int nranks,

@@ -105,7 +105,9 @@ struct FaultPlan {
   /// Parses ';'-separated injection specs, each a comma-separated list of
   /// key=value pairs: "rank=2,crash_at=9", "rank=1,slow=4",
   /// "rank=3,drop_send=2". Plan-wide keys: "detect=<seconds>" and the
-  /// bare word "arm". Throws util::RuntimeError on malformed input.
+  /// bare word "arm". `rank` is an int, `crash_at` and `drop_send` are
+  /// 1-based std::uint64_t ordinals; no space around items or keys.
+  /// Throws util::RuntimeError naming the key on malformed input.
   static FaultPlan parse(std::string_view specs);
 
   /// Seeded helper: a deterministic single-worker crash derived from

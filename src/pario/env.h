@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pario/collective.h"
@@ -60,9 +61,11 @@ struct Hints {
   CollectiveConfig collective() const { return {cb_nodes, cb_buffer_size}; }
 
   /// Parses "cb_nodes=8,cb_buffer_size=1m,ds_read=auto,ds_buffer_size=4m,
-  /// ds_density=0.5,list=on". Sizes accept k/m/g binary suffixes. Throws
-  /// util::RuntimeError on unknown keys or malformed values.
-  static Hints parse(const std::string& spec);
+  /// ds_density=0.5,list=on" (ds_read takes auto | enable | disable, list
+  /// on | off). Sizes are whole numbers with an optional k/m/g binary
+  /// suffix that fit in 64 bits. Throws util::RuntimeError naming the key
+  /// on unknown keys or malformed values.
+  static Hints parse(std::string_view spec);
 
   /// Canonical one-line rendering (parseable back through parse()).
   std::string describe() const;

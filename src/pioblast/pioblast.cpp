@@ -149,18 +149,20 @@ void PioBlastApp::body(mpisim::Process& p) {
           },
           &metrics());
     } else {
+      // A worker waits for work in "search", as mpiBLAST's does (a fault
+      // plan can park it there until the search ends); reading is input.
+      p.set_phase("search");
       while (true) {
-        p.set_phase("input");
         const auto range = driver::request_work<seqdb::FragmentRange>(
             p, [](std::uint32_t, mpisim::Decoder& dec) {
               return seqdb::decode_range(dec);
             });
         if (!range) break;
+        p.set_phase("input");
         stage.add_fragment(read_range(*range));
         p.set_phase("search");
         stage.search_latest(p);
       }
-      p.set_phase("search");
     }
   } else if (opts_.collective_input) {
     // Collective-input extension: all ranks participate in the same

@@ -1,10 +1,9 @@
 #include "util/args.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace pioblast::util {
 
@@ -59,7 +58,12 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (opt->is_flag) {
-      values_[arg] = has_value ? value : "true";
+      if (has_value) {
+        error_ = "option --" + arg + " is a flag and takes no value, got '" +
+                 argv[i] + "'\n" + usage();
+        return false;
+      }
+      values_[arg] = "true";
       continue;
     }
     if (!has_value) {
@@ -82,29 +86,16 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  const std::string v = get(name);
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE)
-    throw RuntimeError("option --" + name + " expects an integer, got '" + v +
-                       "'");
-  return parsed;
+  return named("--" + name,
+               [&] { return read_number<std::int64_t>(get(name)); });
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  const std::string v = get(name);
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    throw RuntimeError("option --" + name + " expects a number, got '" + v +
-                       "'");
-  return parsed;
+  return named("--" + name, [&] { return read_number<double>(get(name)); });
 }
 
 bool ArgParser::get_flag(const std::string& name) const {
-  const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes";
+  return get(name) == "true";
 }
 
 std::string ArgParser::usage() const {

@@ -1,8 +1,8 @@
 // Minimal command-line argument parser for the tools and examples.
 //
 // Supports --key=value, --key value, and boolean --flag forms, with typed
-// accessors, defaults, and a generated usage string. Unknown options are
-// rejected so typos fail loudly.
+// accessors, defaults, and a generated usage string. Unknown options, and
+// a flag given a value (--flag=on), are rejected so typos fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,9 @@ class ArgParser {
   const std::string& error() const { return error_; }
 
   std::string get(const std::string& name) const;
-  /// Typed accessors; a value that does not parse whole (or an integer out
-  /// of range) throws util::RuntimeError naming the option.
+  /// Typed accessors, read by util::read_number (util/parse.h): a value
+  /// that is not a whole number of the type throws util::RuntimeError
+  /// naming the option. get_flag is true when the flag was given.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;

@@ -1,5 +1,6 @@
-# Runs pioblast_cli on malformed or unknown option values (--check keys
-# and --schedule traces among them), an invalid fault plan, too few
+# Runs pioblast_cli on malformed or unknown option values (--check keys,
+# --fault and --pario-hints fields and --schedule traces among them, and
+# a flag given a value), an invalid fault plan, too few
 # processes, unreadable and malformed FASTA files, a --conformance run
 # wider than the protocol monitor's bound, out-of-range sizes and counts,
 # more fragments than database sequences, a blastp query record too long
@@ -84,7 +85,24 @@ set(cases
   "--fault=rank=0,crash_at=3|--fault"
   "--procs=1|--procs"
   "--procs=0|--procs"
-  "--procs=4294967298|--procs")
+  "--procs=4294967298|--procs"
+  # Values that must not be misread: a rank or an ordinal outside its
+  # type, a flag given a value, spaces and '+' signs, a trace rank outside
+  # the job, and spellings the languages no longer take.
+  "--fault=rank=4294967297,crash_at=3|--fault: rank"
+  "--fault=rank=-4294967295,crash_at=3|--fault: rank"
+  "--fault=rank=1,crash_at=-1|--fault: crash_at"
+  "--fault=rank=1,drop_send=-1|--fault: drop_send"
+  "--fault=rank=1, crash_at=3|--fault: key: expects rank"
+  "--metrics=on|option --metrics is a flag"
+  "--pario-hints=cb_nodes= +8|--pario-hints: cb_nodes"
+  "--pario-hints=list=true|--pario-hints: list"
+  "--pario-hints=ds_read=on|--pario-hints: ds_read"
+  "--pario-hints=list_io=off|--pario-hints: key: expects cb_nodes"
+  "--schedule| 1,+2|--schedule"
+  "--fragments| 3|--fragments"
+  "--schedule=0,99|--schedule: expects an integer in [0, 3], got '99'"
+  "--seed=-1|--seed")
 
 set(failures)
 foreach(case IN LISTS cases)

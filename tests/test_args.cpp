@@ -67,15 +67,45 @@ TEST(Args, HelpProducesUsage) {
 }
 
 TEST(Args, BadIntegerThrows) {
-  auto p = make();
-  ASSERT_TRUE(parse(p, {"--count=abc"}));
-  EXPECT_THROW(p.get_int("count"), RuntimeError);
+  for (const char* arg : {"--count=abc", "--count= 9", "--count=+9",
+                          "--count=9x", "--count=", "--count=1e3"}) {
+    auto p = make();
+    ASSERT_TRUE(parse(p, {arg}));
+    EXPECT_THROW(p.get_int("count"), RuntimeError) << arg;
+  }
 }
 
 TEST(Args, BadDoubleThrows) {
+  for (const char* arg : {"--rate=xyz", "--rate=nan", "--rate=inf",
+                          "--rate=1e400", "--rate= 1", "--rate=+1"}) {
+    auto p = make();
+    ASSERT_TRUE(parse(p, {arg}));
+    EXPECT_THROW(p.get_double("rate"), RuntimeError) << arg;
+  }
+}
+
+// The values pbbench/run_benchmark.py passes keep their meaning.
+TEST(Args, WholeNumbersRead) {
   auto p = make();
-  ASSERT_TRUE(parse(p, {"--rate=xyz"}));
-  EXPECT_THROW(p.get_double("rate"), RuntimeError);
+  ASSERT_TRUE(parse(p, {"--count", "4242", "--rate", "20"}));
+  EXPECT_EQ(p.get_int("count"), 4242);
+  EXPECT_DOUBLE_EQ(p.get_double("rate"), 20.0);
+  ASSERT_TRUE(parse(p, {"--count=-3", "--rate=1.0"}));
+  EXPECT_EQ(p.get_int("count"), -3);
+  EXPECT_DOUBLE_EQ(p.get_double("rate"), 1.0);
+}
+
+TEST(Args, ErrorNamesTheOption) {
+  auto p = make();
+  ASSERT_TRUE(parse(p, {"--count=abc"}));
+  try {
+    p.get_int("count");
+    FAIL() << "expected an error";
+  } catch (const RuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("--count: expects an integer", 0),
+              0u)
+        << e.what();
+  }
 }
 
 TEST(Args, UnregisteredAccessThrows) {
@@ -90,12 +120,16 @@ TEST(Args, DuplicateRegistrationThrows) {
   EXPECT_THROW(p.add("x", "2", "h"), ContractViolation);
 }
 
+// A flag is given or not: any value, even one that reads as a boolean,
+// is a parse error naming the flag.
 TEST(Args, FlagWithExplicitValue) {
-  auto p = make();
-  ASSERT_TRUE(parse(p, {"--verbose=false"}));
-  EXPECT_FALSE(p.get_flag("verbose"));
-  ASSERT_TRUE(parse(p, {"--verbose=yes"}));
-  EXPECT_TRUE(p.get_flag("verbose"));
+  for (const char* arg :
+       {"--verbose=false", "--verbose=yes", "--verbose=on", "--verbose="}) {
+    auto p = make();
+    EXPECT_FALSE(parse(p, {arg})) << arg;
+    EXPECT_NE(p.error().find("option --verbose is a flag"), std::string::npos)
+        << p.error();
+  }
 }
 
 TEST(Args, ReparseResetsState) {

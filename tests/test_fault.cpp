@@ -74,6 +74,35 @@ TEST(FaultPlan, MalformedSpecsRejected) {
   EXPECT_THROW(mpisim::FaultPlan::parse("rank=,slow=2"), util::RuntimeError);
 }
 
+// `rank` reads as an int and the ordinals as 1-based 64-bit counts, each
+// whole: nothing wraps into range, and no space is trimmed.
+TEST(FaultPlan, ReadsEachValueWholeInItsType) {
+  for (const char* spec :
+       {"rank=4294967297,crash_at=3", "rank=-4294967295,crash_at=3",
+        "rank=1,crash_at=-1", "rank=1,drop_send=-1", "rank=1,crash_at=0",
+        "rank=1,drop_send=0", "rank=1, crash_at=3", " rank=1", "rank=+1",
+        "rank=1,crash_at=3;", "rank=1,slow=nan", "rank=1,slow=inf",
+        "detect=1e400", "arm ", "rank=1,crash_at=18446744073709551616"})
+    EXPECT_THROW(mpisim::FaultPlan::parse(spec), util::RuntimeError) << spec;
+  try {
+    mpisim::FaultPlan::parse("rank=1,crash_at=-1");
+    FAIL() << "expected an error";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "crash_at: expects an integer in [1, 18446744073709551615], "
+              "got '-1'");
+  }
+  // A negative rank is an int the plan's validation rejects.
+  const auto plan = mpisim::FaultPlan::parse("rank=-1,slow=2");
+  ASSERT_EQ(plan.injections.size(), 1u);
+  EXPECT_EQ(plan.injections[0].rank, -1);
+  EXPECT_THROW(plan.validate(4), util::RuntimeError);
+  EXPECT_EQ(mpisim::FaultPlan::parse("rank=2,crash_at=18446744073709551615")
+                .find(2)
+                ->crash_at,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
 TEST(FaultPlan, ValidateRejectsBadPlans) {
   {
     mpisim::FaultPlan plan;  // crash on the master/detector rank
@@ -825,6 +854,35 @@ TEST(FaultMatrix, PioBlastDynamicSurvivesCrashWithIdenticalOutput) {
   EXPECT_EQ(storage.shared().read_all("out.pio.txt"), baseline);
   EXPECT_EQ(result.metrics.at("ranks_lost"), 1u);
   EXPECT_GE(result.metrics.at("tasks_reassigned"), 1u);
+}
+
+// A dynamic pioBLAST worker waits for work in the search phase, as an
+// mpiBLAST worker does, and only reading a range it was handed is input.
+// Under a fault plan the master parks an early finisher until the search
+// ends; charged to input, that wait would become the job's input time,
+// and the phase split would clamp the master's output work to zero.
+TEST(FaultMatrix, PioBlastDynamicWaitForWorkIsNotInput) {
+  const int nprocs = 8;
+  pio::PioBlastOptions dyn;
+  dyn.scheduler = driver::SchedulerKind::kGreedyDynamic;
+  dyn.job.nfragments = 14;
+  const auto phases = [&](const mpisim::FaultPlan& faults) {
+    pario::ClusterStorage storage(altix(), nprocs);
+    stage_queries(storage);
+    return run_pio(storage, nprocs, faults, nullptr, dyn).phases;
+  };
+  mpisim::FaultPlan armed;
+  armed.arm_detector = true;
+  mpisim::FaultPlan straggler;
+  straggler.at(2).slow = 4.0;
+  const auto clean = phases({});
+  EXPECT_GT(clean.output, 0.0);
+  for (const auto& [name, plan] :
+       {std::pair{"armed", armed}, std::pair{"straggler", straggler}}) {
+    const auto faulted = phases(plan);
+    EXPECT_NEAR(faulted.copy_input, clean.copy_input, 1e-3) << name;
+    EXPECT_GT(faulted.output, 0.0) << name;
+  }
 }
 
 TEST(FaultMatrix, BufferedRoundsAndSievingPreserveOutputAcrossCrash) {

@@ -79,6 +79,55 @@ TEST(ScheduleTrace, ParseRejectsGarbage) {
   EXPECT_THROW(parse_schedule("-3"), util::RuntimeError);
 }
 
+TEST(ScheduleTrace, RanksMustBelongToTheJob) {
+  EXPECT_EQ(parse_schedule("0,3,1", 4).size(), 3u);
+  EXPECT_THROW(parse_schedule("0,4", 4), util::RuntimeError);
+  EXPECT_THROW(parse_schedule("0,99", 4), util::RuntimeError);
+  EXPECT_THROW(parse_schedule(" 1,2", 4), util::RuntimeError);
+  EXPECT_THROW(parse_schedule("1,+2", 4), util::RuntimeError);
+  EXPECT_THROW(parse_schedule("1,", 4), util::RuntimeError);
+  EXPECT_TRUE(parse_schedule("").empty());
+}
+
+// ---------- the --check language --------------------------------------------
+
+TEST(CheckOptionsParse, ReadsEveryKey) {
+  const CheckOptions o = CheckOptions::parse(
+      "schedules=5,seed=7,preempt=-1,dpor=off,races=off,shrink=off,max=9");
+  EXPECT_EQ(o.random_schedules, 5);
+  EXPECT_EQ(o.seed, 7u);
+  EXPECT_EQ(o.preemption_bound, -1);
+  EXPECT_FALSE(o.dpor);
+  EXPECT_FALSE(o.detect_races);
+  EXPECT_FALSE(o.shrink);
+  EXPECT_EQ(o.max_schedules, 9);
+}
+
+TEST(CheckOptionsParse, DefaultAndEmptyValuesKeepTheDefaults) {
+  const CheckOptions defaults;
+  for (const char* spec : {"default", "schedules=,max=", "dpor="}) {
+    const CheckOptions o = CheckOptions::parse(spec);
+    EXPECT_EQ(o.random_schedules, defaults.random_schedules) << spec;
+    EXPECT_EQ(o.max_schedules, defaults.max_schedules) << spec;
+    EXPECT_EQ(o.dpor, defaults.dpor) << spec;
+  }
+}
+
+TEST(CheckOptionsParse, RejectsBadFieldsNamingTheKey) {
+  for (const char* spec :
+       {"schedules=+3", "schedules=-3", "schedules= 3", "max=0",
+        "max=99999999999", "seed=-1", "dpor=maybe", "races=true", "shrink=1",
+        "bogus=1", "schedules", "schedules=5,,max=9", "default,max=5"})
+    EXPECT_THROW(CheckOptions::parse(spec), util::RuntimeError) << spec;
+  try {
+    CheckOptions::parse("dpor=on,schedules=+3");
+    FAIL() << "expected an error";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "schedules: expects an integer in [0, 2147483647], got '+3'");
+  }
+}
+
 // ---------- cooperative scheduler: determinism and replay ------------------
 
 /// Two workers race their messages to an any-source master; every

@@ -468,6 +468,26 @@ TEST(Hints, RejectsMalformedSpecs) {
   EXPECT_THROW(Hints::parse("list=maybe"), util::RuntimeError);
 }
 
+// Every value is read whole by the shared reader, and each error names its
+// key; on|off is the one boolean vocabulary.
+TEST(Hints, ReadsEachValueWholeAndNamesTheKey) {
+  for (const char* spec :
+       {"cb_nodes= +8", "cb_nodes=+8", "cb_nodes=8 ", "cb_nodes=4294967297",
+        "list=true", "list=1", "list_io=off", "ds_read=on", "ds_read=off",
+        "ds_density=inf", "ds_buffer_size=0", "cb_nodes=8,", ",cb_nodes=8",
+        "cb_nodes=8,,list=on", "cb_buffer_size=k", "cb_buffer_size=1kk"})
+    EXPECT_THROW(Hints::parse(spec), util::RuntimeError) << spec;
+  try {
+    Hints::parse("list=on,cb_nodes= +8");
+    FAIL() << "expected an error";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cb_nodes: expects an integer in [1, 2147483647], got ' +8'");
+  }
+  EXPECT_EQ(Hints::parse("cb_buffer_size=2K").cb_buffer_size, 2048u);
+  EXPECT_EQ(Hints::parse("cb_buffer_size=0").cb_buffer_size, 0u);
+}
+
 // ---------- merge_regions ----------------------------------------------------
 
 TEST(MergeRegions, CoalescesAdjacentAndOverlappingUnsortedInput) {

@@ -1,16 +1,23 @@
 // Unit tests for util: RNG determinism, tables, unit formatting, phase
-// accounting, the contract-check macros, and the fork-join pool.
+// accounting, the contract-check macros, the value reader, and the
+// fork-join pool.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.h"
 #include "util/fork_join.h"
+#include "util/parse.h"
 #include "util/phase_timer.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -170,6 +177,208 @@ TEST(PhaseTimer, ClearResets) {
   t.add("x", 1.0);
   t.clear();
   EXPECT_DOUBLE_EQ(t.total(), 0.0);
+}
+
+// ---------- the value reader (util/parse.h) ---------------------------------
+
+/// T's lowest and highest values as text, then one past each.
+template <class T>
+std::array<std::string_view, 4> extremes() {
+  if constexpr (std::is_same_v<T, std::int8_t>)
+    return {"-128", "127", "-129", "128"};
+  else if constexpr (std::is_same_v<T, std::int16_t>)
+    return {"-32768", "32767", "-32769", "32768"};
+  else if constexpr (std::is_same_v<T, std::int32_t>)
+    return {"-2147483648", "2147483647", "-2147483649", "2147483648"};
+  else if constexpr (std::is_same_v<T, std::int64_t>)
+    return {"-9223372036854775808", "9223372036854775807",
+            "-9223372036854775809", "9223372036854775808"};
+  else if constexpr (std::is_same_v<T, std::uint8_t>)
+    return {"0", "255", "-1", "256"};
+  else if constexpr (std::is_same_v<T, std::uint16_t>)
+    return {"0", "65535", "-1", "65536"};
+  else if constexpr (std::is_same_v<T, std::uint32_t>)
+    return {"0", "4294967295", "-1", "4294967296"};
+  else if constexpr (std::is_same_v<T, std::uint64_t>)
+    return {"0", "18446744073709551615", "-1", "18446744073709551616"};
+  else
+    return {"-1.7976931348623157e308", "1.7976931348623157e308", "-1e309",
+            "1e309"};
+}
+
+template <class T>
+class ReadNumber : public ::testing::Test {};
+using NumberTypes =
+    ::testing::Types<std::int8_t, std::int16_t, std::int32_t, std::int64_t,
+                     std::uint8_t, std::uint16_t, std::uint32_t, std::uint64_t,
+                     double>;
+TYPED_TEST_SUITE(ReadNumber, NumberTypes);
+
+TYPED_TEST(ReadNumber, ReadsTheExtremesThatFit) {
+  using T = TypeParam;
+  const auto text = extremes<T>();
+  EXPECT_EQ(read_number<T>(text[0]), std::numeric_limits<T>::lowest());
+  EXPECT_EQ(read_number<T>(text[1]), std::numeric_limits<T>::max());
+  EXPECT_EQ(read_number<T>("0"), T{0});
+  EXPECT_EQ(read_number<T>("42"), T{42});
+}
+
+TYPED_TEST(ReadNumber, RejectsOnePastEachExtreme) {
+  using T = TypeParam;
+  const auto text = extremes<T>();
+  EXPECT_THROW(read_number<T>(text[2]), RuntimeError) << text[2];
+  EXPECT_THROW(read_number<T>(text[3]), RuntimeError) << text[3];
+}
+
+// Whole text only: no spaces, no '+', no trailing characters, no hex, and
+// nothing non-finite.
+TYPED_TEST(ReadNumber, RejectsTextThatIsNotOneNumber) {
+  for (const char* text :
+       {"", " 1", "1 ", "+1", "1x", "0x10", "1e400", "nan", "inf", "-",
+        "--1", "1,2"})
+    EXPECT_THROW(read_number<TypeParam>(text), RuntimeError) << text;
+}
+
+TYPED_TEST(ReadNumber, SignFollowsTheType) {
+  using T = TypeParam;
+  if constexpr (std::is_unsigned_v<T>) {
+    EXPECT_THROW(read_number<T>("-1"), RuntimeError);
+    EXPECT_THROW(read_number<T>("-0"), RuntimeError);
+  } else {
+    EXPECT_EQ(read_number<T>("-1"), T{-1});
+  }
+}
+
+TYPED_TEST(ReadNumber, BoundsAreInclusive) {
+  using T = TypeParam;
+  EXPECT_EQ(read_number<T>("3", T{3}, T{5}), T{3});
+  EXPECT_EQ(read_number<T>("5", T{3}, T{5}), T{5});
+  EXPECT_THROW(read_number<T>("2", T{3}, T{5}), RuntimeError);
+  EXPECT_THROW(read_number<T>("6", T{3}, T{5}), RuntimeError);
+}
+
+TEST(ReadNumber, ErrorStatesTheRangeAndTheText) {
+  const auto message = [](const auto& read) {
+    try {
+      read();
+    } catch (const RuntimeError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { read_number<std::uint8_t>("0", 1); }),
+            "expects an integer in [1, 255], got '0'");
+  EXPECT_EQ(message([] { read_number<int>(" 7"); }),
+            "expects an integer in [-2147483648, 2147483647], got ' 7'");
+  EXPECT_EQ(message([] { read_number<double>("nan"); }),
+            "expects a finite number, got 'nan'");
+  EXPECT_EQ(message([] { read_number<double>("1.5", 0.0, 1.0); }),
+            "expects a number in [0, 1], got '1.5'");
+  EXPECT_DOUBLE_EQ(read_number<double>("2.5e-3"), 0.0025);
+}
+
+TEST(ReadChoice, ReturnsTheIndexOfTheWord) {
+  EXPECT_EQ(read_choice("auto", {"auto", "enable", "disable"}), 0u);
+  EXPECT_EQ(read_choice("disable", {"auto", "enable", "disable"}), 2u);
+}
+
+TEST(ReadChoice, RejectsAnyOtherTextListingTheWords) {
+  for (const char* text : {"", "Auto", "auto ", " auto", "enabled", "on"}) {
+    try {
+      read_choice(text, {"auto", "enable", "disable"});
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const RuntimeError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "expects auto | enable | disable, got '" + std::string(text) +
+                    "'");
+    }
+  }
+}
+
+// on and off are the one boolean vocabulary.
+TEST(ReadSwitch, OnAndOffOnly) {
+  EXPECT_TRUE(read_switch("on"));
+  EXPECT_FALSE(read_switch("off"));
+  for (const char* text : {"", "true", "false", "1", "0", "yes", "ON"})
+    EXPECT_THROW(read_switch(text), RuntimeError) << text;
+}
+
+TEST(ReadList, SplitsAtTheSeparator) {
+  using Items = std::vector<std::string_view>;
+  EXPECT_EQ(read_list(""), Items{});
+  EXPECT_EQ(read_list("a"), Items{"a"});
+  EXPECT_EQ(read_list("a,bc, d"), (Items{"a", "bc", " d"}));
+  EXPECT_EQ(read_list("a,b;c", ';'), (Items{"a,b", "c"}));
+}
+
+TEST(ReadList, RejectsAnEmptyItem) {
+  for (const char* text : {",", "a,", ",a", "a,,b"})
+    EXPECT_THROW(read_list(text), RuntimeError) << text;
+}
+
+struct Pair {
+  int n = 7;
+  bool on = false;
+};
+
+constexpr Key<Pair> kPairKeys[] = {
+    {"n", [](Pair& p, std::string_view v) { p.n = read_number<int>(v, 0); }},
+    {"on", [](Pair& p, std::string_view v) { p.on = read_switch(v); }},
+};
+
+/// The error `read_fields` throws on `text`, or "no error".
+std::string fields_error(std::string_view text, bool empty_keeps_default) {
+  Pair p;
+  try {
+    read_fields(text, ',', kPairKeys, p, empty_keeps_default);
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(ReadFields, ReadsEachKeyInOrder) {
+  Pair p;
+  read_fields("n=3,on=on,n=4", ',', kPairKeys, p);
+  EXPECT_EQ(p.n, 4);
+  EXPECT_TRUE(p.on);
+  Pair q;
+  read_fields("", ',', kPairKeys, q);
+  EXPECT_EQ(q.n, 7);
+}
+
+TEST(ReadFields, ErrorsNameTheKey) {
+  EXPECT_EQ(fields_error("n=-1", false),
+            "n: expects an integer in [0, 2147483647], got '-1'");
+  EXPECT_EQ(fields_error("on=yes", false), "on: expects off | on, got 'yes'");
+  EXPECT_EQ(fields_error("m=1", false), "key: expects n | on, got 'm'");
+  EXPECT_EQ(fields_error(" n=1", false), "key: expects n | on, got ' n'");
+  EXPECT_EQ(fields_error("n", false), "expected key=value, got 'n'");
+  EXPECT_EQ(fields_error("n=1,,on=on", false), "empty item in 'n=1,,on=on'");
+}
+
+TEST(ReadFields, EmptyValueKeepsTheDefaultOnlyWhenAsked) {
+  EXPECT_EQ(fields_error("n=", false),
+            "n: expects an integer in [0, 2147483647], got ''");
+  EXPECT_EQ(fields_error("n=,on=", true), "no error");
+  Pair p;
+  read_fields("n=,on=on", ',', kPairKeys, p, /*empty_keeps_default=*/true);
+  EXPECT_EQ(p.n, 7);
+  EXPECT_TRUE(p.on);
+}
+
+TEST(Named, EachLayerPutsItsNameInFront) {
+  try {
+    named("--fault", [] {
+      return named("rank", [] { return read_number<int>("x"); });
+    });
+    FAIL() << "expected an error";
+  } catch (const RuntimeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--fault: rank: expects an integer in [-2147483648, "
+              "2147483647], got 'x'");
+  }
+  EXPECT_EQ(named("--procs", [] { return read_number<int>("4"); }), 4);
 }
 
 // ---------- fork-join pool --------------------------------------------------

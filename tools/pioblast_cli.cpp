@@ -11,16 +11,13 @@
 //   pioblast_cli --db-fasta my.fa --queries-fasta q.fa --output report.txt
 //   pioblast_cli --procs 4 --check schedules=50,preempt=2   # explore
 //   pioblast_cli --procs 4 --schedule 0,2,1,1               # replay
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
-#include <utility>
 
 #include "blast/engine.h"
 #include "blast/job.h"
@@ -36,6 +33,7 @@
 #include "seqdb/generator.h"
 #include "seqdb/partition.h"
 #include "util/args.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -84,69 +82,6 @@ void print_metrics(const char* name, const blast::DriverResult& r) {
   std::printf("METRICS %s %s\n", name, driver::metrics_json(r.metrics).c_str());
 }
 
-/// Parses a --check field's whole value into `out`; an empty value keeps
-/// the default. Anything else that is not a whole T (trailing characters,
-/// a value out of T's range) throws naming the key.
-template <class T>
-void check_number(const std::string& key, const std::string& val, T& out) {
-  if (val.empty()) return;
-  const char* const end = val.data() + val.size();
-  const auto [ptr, ec] = std::from_chars(val.data(), end, out);
-  if (ec == std::errc::result_out_of_range)
-    throw util::RuntimeError("--check: " + key + "=" + val + " is out of range");
-  if (ec != std::errc{} || ptr != end)
-    throw util::RuntimeError("--check: " + key + " expects an integer, got '" +
-                             val + "'");
-}
-
-/// Parses a --check on|off field into `out`; an empty value keeps the
-/// default.
-void check_switch(const std::string& key, const std::string& val, bool& out) {
-  if (val.empty()) return;
-  if (val != "on" && val != "off")
-    throw util::RuntimeError("--check: " + key + " expects on | off, got '" +
-                             val + "'");
-  out = val == "on";
-}
-
-/// Throws naming `key` when `value` is below `min`.
-void check_at_least(const std::string& key, int value, int min) {
-  if (value < min)
-    throw util::RuntimeError("--check: " + key + " must be at least " +
-                             std::to_string(min) + ", got " +
-                             std::to_string(value));
-}
-
-/// Parses the --check spec ("schedules=50,seed=1,preempt=2,dpor=on,
-/// races=on,shrink=on,max=2000"; every field optional; a negative preempt
-/// turns the preemption sweep off).
-mpicheck::CheckOptions parse_check(const std::string& spec) {
-  mpicheck::CheckOptions opts;
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    if (field.empty()) continue;
-    const auto eq = field.find('=');
-    if (eq == std::string::npos)
-      throw util::RuntimeError("--check: bad field '" + field +
-                               "' (want key=value)");
-    const std::string key = field.substr(0, eq);
-    const std::string val = field.substr(eq + 1);
-    if (key == "schedules") check_number(key, val, opts.random_schedules);
-    else if (key == "seed") check_number(key, val, opts.seed);
-    else if (key == "preempt") check_number(key, val, opts.preemption_bound);
-    else if (key == "dpor") check_switch(key, val, opts.dpor);
-    else if (key == "races") check_switch(key, val, opts.detect_races);
-    else if (key == "shrink") check_switch(key, val, opts.shrink);
-    else if (key == "max") check_number(key, val, opts.max_schedules);
-    else
-      throw util::RuntimeError("--check: unknown key '" + key + "'");
-  }
-  check_at_least("schedules", opts.random_schedules, 0);
-  check_at_least("max", opts.max_schedules, 1);
-  return opts;
-}
-
 /// Explores (or replays) `drive` under mpicheck and prints the CHECK
 /// metrics line. Returns false when a failing schedule was found.
 bool run_checked(
@@ -168,37 +103,24 @@ bool run_checked(
 template <class Parse>
 auto parse_option(const util::ArgParser& args, const std::string& name,
                   const Parse& parse) {
-  try {
-    return parse(args.get(name));
-  } catch (const util::RuntimeError& e) {
-    throw util::RuntimeError("--" + name + ": " + e.what());
-  }
+  return util::named("--" + name, [&] { return parse(args.get(name)); });
 }
 
 /// Returns option `name`'s value, which must be one of `allowed`.
 std::string choice(const util::ArgParser& args, const std::string& name,
-                   std::initializer_list<const char*> allowed) {
-  const std::string value = args.get(name);
-  std::string want;
-  for (const char* a : allowed) {
-    if (value == a) return value;
-    want += (want.empty() ? "" : " | ") + std::string(a);
-  }
-  throw util::RuntimeError("--" + name + ": unknown value '" + value +
-                           "' (want " + want + ")");
+                   std::initializer_list<std::string_view> allowed) {
+  return parse_option(args, name, [&](const std::string& v) {
+    return std::string(allowed.begin()[util::read_choice(v, allowed)]);
+  });
 }
 
 /// Returns option `name`'s integer value, which must lie in [min, T's
 /// maximum].
 template <class T>
 T int_option(const util::ArgParser& args, const std::string& name, T min) {
-  const std::int64_t value = args.get_int(name);
-  const T max = std::numeric_limits<T>::max();
-  if (std::cmp_less(value, min) || std::cmp_greater(value, max))
-    throw util::RuntimeError("--" + name + ": must be in [" +
-                             std::to_string(min) + ", " + std::to_string(max) +
-                             "], got " + std::to_string(value));
-  return static_cast<T>(value);
+  return parse_option(args, name, [min](const std::string& v) {
+    return util::read_number<T>(v, min);
+  });
 }
 
 /// Everything the options and input files ask for, read before any driver
@@ -229,6 +151,7 @@ Setup configure(const util::ArgParser& args) {
   s.cluster = choice(args, "cluster", {"altix", "blade"}) == "blade"
                   ? sim::ClusterConfig::ncsu_blade()
                   : sim::ClusterConfig::ornl_altix();
+  const auto seed = int_option<std::uint64_t>(args, "seed", 0);
 
   if (!args.get("db-fasta").empty()) {
     s.db = parse_option(args, "db-fasta", [](const std::string& path) {
@@ -238,7 +161,7 @@ Setup configure(const util::ArgParser& args) {
     seqdb::GeneratorConfig gen;
     gen.type = type;
     gen.target_residues = int_option<std::uint64_t>(args, "db-residues", 1);
-    gen.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    gen.seed = seed;
     gen.family_fraction = 0.6;
     s.db = seqdb::generate_database(gen);
   }
@@ -251,8 +174,7 @@ Setup configure(const util::ArgParser& args) {
         });
   } else {
     const auto queries = seqdb::sample_queries(
-        s.db, int_option<std::uint64_t>(args, "query-bytes", 1),
-        static_cast<std::uint64_t>(args.get_int("seed")) + 1);
+        s.db, int_option<std::uint64_t>(args, "query-bytes", 1), seed + 1);
     check_query_lengths(type, queries, "--query-bytes: the sampled query set");
     s.query_fasta = seqdb::write_fasta(queries);
   }
@@ -266,9 +188,8 @@ Setup configure(const util::ArgParser& args) {
                    : blast::SearchParams::blastn_defaults();
   job.params.hitlist_size = int_option(args, "hitlist", 0);
   job.params.evalue_cutoff = args.get_double("evalue");
-  if (!std::isfinite(job.params.evalue_cutoff) ||
-      job.params.evalue_cutoff <= 0)
-    throw util::RuntimeError("--evalue: must be finite and above 0, got " +
+  if (job.params.evalue_cutoff <= 0)
+    throw util::RuntimeError("--evalue: must be above 0, got " +
                              args.get("evalue"));
   job.nfragments = int_option(args, "fragments", 0);
   // Every fragment holds at least one database sequence; 0 fragments
@@ -282,7 +203,7 @@ Setup configure(const util::ArgParser& args) {
                              std::to_string(s.db.size()));
   }
 
-  s.run.verify = choice(args, "verify", {"on", "off"}) == "on";
+  s.run.verify = parse_option(args, "verify", util::read_switch);
   s.run.conformance = args.get_flag("conformance");
   if (s.run.conformance && s.nprocs > protospec::Env::kMaxRanks)
     throw util::RuntimeError(
@@ -290,11 +211,8 @@ Setup configure(const util::ArgParser& args) {
         "protospec::Env::kMaxRanks = " +
         std::to_string(protospec::Env::kMaxRanks) + " ranks, got " +
         std::to_string(s.nprocs));
-  if (!args.get("scheduler").empty()) {
-    s.scheduler = parse_option(args, "scheduler", [](const std::string& v) {
-      return driver::parse_scheduler(v);
-    });
-  }
+  if (!args.get("scheduler").empty())
+    s.scheduler = parse_option(args, "scheduler", driver::parse_scheduler);
   if (!args.get("fault").empty()) {
     s.run.faults = parse_option(args, "fault", [&s](const std::string& v) {
       const mpisim::FaultPlan plan = mpisim::FaultPlan::parse(v);
@@ -303,17 +221,18 @@ Setup configure(const util::ArgParser& args) {
     });
   }
   if (!args.get("pario-hints").empty())
-    s.run.hints = pario::Hints::parse(args.get("pario-hints"));
+    s.run.hints = parse_option(args, "pario-hints", pario::Hints::parse);
 
   s.checking = !args.get("check").empty() || !args.get("schedule").empty();
-  if (!args.get("check").empty() && args.get("check") != "default")
-    s.check = parse_check(args.get("check"));
+  if (!args.get("check").empty())
+    s.check = parse_option(args, "check", mpicheck::CheckOptions::parse);
   if (!args.get("schedule").empty()) {
-    s.check.replay_trace = parse_option(args, "schedule",
-                                        [](const std::string& v) {
-                                          mpicheck::parse_schedule(v);
-                                          return v;
-                                        });
+    // Every rank the trace names must be a rank of this job.
+    s.check.replay_trace =
+        parse_option(args, "schedule", [&s](const std::string& v) {
+          mpicheck::parse_schedule(v, s.nprocs);
+          return v;
+        });
   }
   return s;
 }
@@ -360,7 +279,9 @@ void report(const char* name, const blast::DriverResult& r) {
 
 int main(int argc, char** argv) {
   util::ArgParser args("pioblast_cli",
-                       "simulated parallel BLAST (pioBLAST vs mpiBLAST)");
+                       "simulated parallel BLAST (pioBLAST vs mpiBLAST); "
+                       "numbers are plain decimals (no spaces or '+'), "
+                       "switches on | off, and flags take no value");
   args.add("driver", "pioblast", "pioblast | mpiblast | both")
       .add("cluster", "altix", "altix (XFS parallel FS) | blade (NFS + local disks)")
       .add("procs", "16", "number of simulated processes (1 master + workers)")
@@ -386,17 +307,17 @@ int main(int argc, char** argv) {
            "\"detect=<seconds>\", \"arm\"")
       .add("check", "",
            "explore schedules with mpicheck: \"schedules=N,seed=S,preempt=P,"
-           "dpor=on|off,races=on|off,shrink=on|off,max=M\" (empty value "
-           "fields use defaults; pass \"default\" for all defaults)")
+           "dpor=on|off,races=on|off,shrink=on|off,max=M\" (an empty value "
+           "keeps its default; pass \"default\" for all defaults)")
       .add("schedule", "",
-           "replay one forced schedule (a comma-separated rank trace as "
-           "printed by a failing --check run)")
+           "replay one forced schedule (a comma-separated trace of ranks "
+           "below --procs, as printed by a failing --check run)")
       .add("pario-hints", "",
            "MPI-IO-style access hints, comma-separated key=value: "
            "cb_nodes=N, cb_buffer_size=SIZE (0 = unbounded), ds_read="
            "auto|enable|disable, ds_buffer_size=SIZE, ds_density=FRACTION, "
-           "list=on|off; sizes accept k/m/g suffixes "
-           "(e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
+           "list=on|off; sizes are whole numbers with an optional k/m/g "
+           "suffix (e.g. \"cb_nodes=8,cb_buffer_size=1m,ds_read=enable\")")
       .add_flag("early-score-broadcast", "enable the §5 pruning extension")
       .add_flag("metrics", "print one machine-readable METRICS line per run")
       .add_flag("trace", "print the head of the event timeline")

@@ -1,23 +1,25 @@
 // Exhaustive protocol model checking, as run by CI.
 //
 // Sweeps every protocol spec across world sizes and crash budgets and
-// model-checks each instance. One human line and one machine-readable
-// `ROW {...}` line per instance (fold the ROWs into BENCH_protospec.json
-// with tools/bench_to_json.py). Exit status is nonzero on the first
-// violation.
+// model-checks each instance. One human line (with the host time) and
+// one machine-readable `ROW {...}` line per instance, which holds only
+// what the check determines: fold the ROWs into BENCH_protospec.json, or
+// compare them with it, with tools/bench_to_json.py. Exit status is 1 on
+// a violation, and 2 on a bad option value, before any instance runs.
 //
 //   ./tools/protospec_check --max-ranks 6
 //   ./tools/protospec_check --spec pioblast --crashes 1 --no-por
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "protospec/check.h"
 #include "protospec/spec.h"
+#include "util/args.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -60,7 +62,7 @@ int run_instance(const Instance& inst, const ModelCheckOptions& base,
               "\"states_explored\":%llu,\"states_pruned\":%llu,"
               "\"transitions\":%llu,\"terminal_states\":%llu,"
               "\"crash_branches\":%llu,\"max_queue_depth\":%zu,"
-              "\"max_depth\":%zu,\"por\":%s,\"ms\":%lld,\"result\":\"%s\"}\n",
+              "\"max_depth\":%zu,\"por\":%s,\"result\":\"%s\"}\n",
               inst.spec->name, inst.variant.c_str(), inst.params.nranks,
               inst.crashes, inst.params.fault_tolerant ? "true" : "false",
               static_cast<unsigned long long>(res.stats.states_explored),
@@ -69,8 +71,7 @@ int run_instance(const Instance& inst, const ModelCheckOptions& base,
               static_cast<unsigned long long>(res.stats.terminal_states),
               static_cast<unsigned long long>(res.stats.crash_branches),
               res.stats.max_queue_depth, res.stats.max_depth,
-              opts.por ? "true" : "false", static_cast<long long>(ms),
-              res.ok ? "ok" : "violation");
+              opts.por ? "true" : "false", res.ok ? "ok" : "violation");
   if (!res.ok) {
     std::printf("  first violation: %s\n", res.error.c_str());
     failed = true;
@@ -81,46 +82,49 @@ int run_instance(const Instance& inst, const ModelCheckOptions& base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int min_ranks = 2;
-  int max_ranks = 6;
-  int crashes_arg = -1;   // -1 = both 0 and 1
-  int tasks_arg = -1;     // -1 = scaled default
-  int queries_arg = -1;   // -1 = scaled default
-  std::string spec_filter;
+  namespace util = pioblast::util;
+  using pioblast::protospec::Env;
   ModelCheckOptions base;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--min-ranks") {
-      min_ranks = std::atoi(next());
-    } else if (arg == "--max-ranks") {
-      max_ranks = std::atoi(next());
-    } else if (arg == "--crashes") {
-      crashes_arg = std::atoi(next());
-    } else if (arg == "--tasks") {
-      tasks_arg = std::atoi(next());
-    } else if (arg == "--queries") {
-      queries_arg = std::atoi(next());
-    } else if (arg == "--spec") {
-      spec_filter = next();
-    } else if (arg == "--no-por") {
-      base.por = false;
-    } else if (arg == "--max-states") {
-      base.max_states = static_cast<std::uint64_t>(std::atoll(next()));
-    } else {
-      std::fprintf(stderr,
-                   "usage: protospec_check [--min-ranks N] [--max-ranks N] "
-                   "[--crashes 0|1] [--tasks N] [--queries N] [--spec NAME] "
-                   "[--no-por] [--max-states N]\n");
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
+  util::ArgParser args("protospec_check",
+                       "exhaustive model check of every protocol spec");
+  args.add("min-ranks", "2", "smallest world size, at least 2")
+      .add("max-ranks", "6",
+           "largest world size, at most " + std::to_string(Env::kMaxRanks))
+      .add("crashes", "-1", "crash budget (-1: 0, then 1)")
+      .add("tasks", "-1", "work-queue tasks (-1: scaled by world size)")
+      .add("queries", "-1", "queries (-1: scaled by world size)")
+      .add("spec", "", "check only the specs and variants whose name has this")
+      .add("max-states", std::to_string(base.max_states),
+           "distinct states one instance may reach")
+      .add_flag("no-por", "explore the full product, without sleep sets");
+  if (!args.parse(argc, argv)) {
+    std::fprintf(stderr, "%s", args.error().c_str());
+    return args.error().rfind("usage:", 0) == 0 ? 0 : 2;
   }
+  // A bad value exits 2 naming its option, before any instance runs.
+  int min_ranks = 0, max_ranks = 0, crashes_arg = 0, tasks_arg = 0,
+      queries_arg = 0;
+  try {
+    const auto number = [&args](const std::string& name, auto lo, auto hi) {
+      return util::named("--" + name, [&] {
+        return util::read_number(args.get(name), lo, hi);
+      });
+    };
+    if (!args.positional().empty())
+      throw util::RuntimeError("unexpected argument " + args.positional()[0]);
+    min_ranks = number("min-ranks", 2, Env::kMaxRanks);
+    max_ranks = number("max-ranks", min_ranks, Env::kMaxRanks);
+    crashes_arg = number("crashes", -1, Env::kMaxRanks - 1);
+    tasks_arg = number("tasks", -1, std::numeric_limits<int>::max());
+    queries_arg = number("queries", -1, std::numeric_limits<int>::max());
+    base.max_states = number("max-states", std::uint64_t{1},
+                             std::numeric_limits<std::uint64_t>::max());
+  } catch (const util::RuntimeError& e) {
+    std::fprintf(stderr, "protospec_check: %s\n", e.what());
+    return 2;
+  }
+  base.por = !args.get_flag("no-por");
+  const std::string spec_filter = args.get("spec");
 
   std::vector<Instance> instances;
   auto add = [&](const ProtocolSpec* spec, const std::string& variant,
