@@ -101,50 +101,84 @@ void BM_UngappedExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_UngappedExtension);
 
-/// Two members of one generated family: the first derived record of at
-/// least 300 residues and the record it was mutated from (substitutions
-/// and 1-8 residue indels), so the X-drop band has to follow the shifted
-/// diagonals instead of staying on one. The anchor is the parent's
-/// midpoint and the child position within 16 residues of it that agrees
-/// with it best over a 24-residue window.
-void BM_GappedExtension(benchmark::State& state) {
-  const auto& fx = ProteinFixture::get();
-  const auto derived = std::find_if(fx.db.begin(), fx.db.end(), [](const auto& r) {
+/// One gapped extension's inputs: two members of one generated family,
+/// the first derived record of at least 300 residues and the record it was
+/// mutated from (substitutions and 1-8 residue indels), so the X-drop band
+/// has to follow the shifted diagonals instead of staying on one. The
+/// anchor is the parent's midpoint and the child position within 16
+/// residues of it that agrees with it best over a 24-residue window.
+struct GappedPair {
+  std::vector<std::uint8_t> q, s;
+  std::uint32_t anchor_q = 0;
+  std::uint64_t anchor_s = 0;
+  SearchParams params;
+  ScoringMatrix matrix;
+};
+
+GappedPair family_pair(const std::vector<seqdb::FastaRecord>& db,
+                       const SearchParams& params) {
+  const auto derived = std::find_if(db.begin(), db.end(), [](const auto& r) {
     return r.description.starts_with("homolog of ") && r.sequence.size() >= 300;
   });
-  const auto parent = std::find_if(fx.db.begin(), fx.db.end(), [&](const auto& r) {
+  const auto parent = std::find_if(db.begin(), db.end(), [&](const auto& r) {
     return "homolog of " + r.id == derived->description;
   });
-  const auto q =
-      seqdb::encode_sequence(seqdb::SeqType::kProtein, parent->sequence);
-  const auto s =
-      seqdb::encode_sequence(seqdb::SeqType::kProtein, derived->sequence);
-  const std::size_t anchor_q = q.size() / 2;
-  std::size_t anchor_s = 0;
+  GappedPair p{seqdb::encode_sequence(params.type, parent->sequence),
+               seqdb::encode_sequence(params.type, derived->sequence),
+               0,
+               0,
+               params,
+               blast::make_matrix(params)};
+  const std::size_t anchor_q = p.q.size() / 2;
+  p.anchor_q = static_cast<std::uint32_t>(anchor_q);
   int best_window = -1;
   for (std::size_t c = anchor_q - 16; c <= anchor_q + 16; ++c) {
     int same = 0;
-    for (std::size_t k = 0; k < 24 && c + k < s.size(); ++k)
-      same += q[anchor_q - 12 + k] == s[c - 12 + k];
+    for (std::size_t k = 0; k < 24 && c + k < p.s.size(); ++k)
+      same += p.q[anchor_q - 12 + k] == p.s[c - 12 + k];
     if (same > best_window) {
       best_window = same;
-      anchor_s = c;
+      p.anchor_s = c;
     }
   }
+  return p;
+}
+
+/// Arg 0: a blastp pair (BLOSUM62, 11/1, X-drop 38) from the protein
+/// fixture. Arg 1: a blastn pair (+1/-3, 5/2, X-drop 30) from a generated
+/// nucleotide database.
+void BM_GappedExtension(benchmark::State& state) {
+  static const GappedPair protein =
+      family_pair(ProteinFixture::get().db, SearchParams::blastp_defaults());
+  static const GappedPair dna = [] {
+    seqdb::GeneratorConfig cfg;
+    cfg.type = seqdb::SeqType::kNucleotide;
+    cfg.target_residues = 256u << 10;
+    cfg.seed = 8;
+    cfg.family_fraction = 0.5;
+    return family_pair(seqdb::generate_database(cfg),
+                       SearchParams::blastn_defaults());
+  }();
+  const GappedPair& p = state.range(0) == 0 ? protein : dna;
   blast::GappedScratch scratch;
   std::uint64_t cells = 0;
   for (auto _ : state) {
     auto ext = blast::extend_gapped_fast(
-        q, s, static_cast<std::uint32_t>(anchor_q), anchor_s, fx.matrix, 11,
-        1, 38, scratch);
+        p.q, p.s, p.anchor_q, p.anchor_s, p.matrix, p.params.gap_open,
+        p.params.gap_extend, p.params.xdrop_gapped, scratch);
     cells = ext.cells;
     benchmark::DoNotOptimize(ext.score);
   }
   state.counters["dp_cells"] = static_cast<double>(cells);
   state.counters["cells_per_s"] = benchmark::Counter(
       static_cast<double>(cells), benchmark::Counter::kIsIterationInvariantRate);
+  // Seconds per 10^9 cells: nanoseconds per cell.
+  state.counters["ns_per_cell"] = benchmark::Counter(
+      static_cast<double>(cells) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_GappedExtension);
+BENCHMARK(BM_GappedExtension)->Arg(0)->Arg(1);
 
 void BM_FragmentSearchDna(benchmark::State& state) {
   static const auto* setup = [] {

@@ -37,11 +37,12 @@ struct GappedExtension {
 // The extensions below give bit-identical outputs (scores, coordinates,
 // tracebacks, cell counts) to the scalar extend_ungapped / extend_gapped of
 // the reference oracle in tests/support/ — the differential kernel tests
-// enforce this. The speed comes from mechanical restructuring only. The
-// ungapped pass skips 8 identical residues at a time. The gapped DP splits
-// each row into a loop over what the previous row fixes and a short loop
-// carrying only E (DESIGN "Kernel fast path", item 3), hoists the scoring
-// row pointer, and reuses scratch with a traceback arena that only grows.
+// enforce this. The speed comes from restructuring that moves no decision.
+// The ungapped pass skips 8 identical residues at a time. The gapped DP
+// computes each row's cells inside the previous row's window 8 (or 4) at a
+// time in the lanes of a 16-byte vector, its E chain and X-drop floor as
+// prefix scans (DESIGN "Kernel fast path", item 3), and reuses scratch
+// with a traceback arena that only grows.
 
 /// Per-query precomputation for the SWAR ungapped skip: prefix sums of the
 /// query's self-alignment scores and a prefix count of positions whose
@@ -70,10 +71,17 @@ UngappedExtension extend_ungapped_fast(std::span<const std::uint8_t> query,
 
 /// Reusable DP buffers for extend_gapped_fast; one per chunk of subjects a
 /// kernel task scans. Holding them across calls removes per-cell
-/// push_backs and per-call allocations; the buffers only grow.
+/// push_backs and per-call allocations; the buffers only grow, and only
+/// the lane width a call runs at allocates.
 struct GappedScratch {
-  std::vector<int> H, F;
-  std::vector<int> DF;  ///< a row's max(diagonal, F), from part 1 to part 2
+  /// One lane width's columns: H and F of the most recent row, and the
+  /// row's diagonal scores.
+  template <typename T>
+  struct Columns {
+    std::vector<T> H, F, score;
+  };
+  Columns<std::int16_t> narrow;  ///< passes within the int16 bound
+  Columns<std::int32_t> wide;    ///< every other pass
   std::vector<std::uint8_t> dirs;  ///< traceback bytes, all rows contiguous
   struct Row {
     std::size_t lo;     ///< first column of the row's window
@@ -84,9 +92,17 @@ struct GappedScratch {
   std::vector<std::uint8_t> qrev, srev;  ///< reversed prefixes (left pass)
 };
 
+/// True when extend_gapped_fast runs a pass with these parameters in
+/// int16 lanes: xdrop <= 8192, gap_open + gap_extend <= 1024,
+/// gap_extend <= 512 and matrix.score_span() <= 1024. Every other pass
+/// runs in int32 lanes. Either width gives the same result.
+bool gapped_fits_int16(const ScoringMatrix& matrix, int gap_open,
+                       int gap_extend, int xdrop);
+
 /// Gapped X-drop extension anchored at the aligned pair (anchor_q,
 /// anchor_s), which must lie inside a seeded match. Gap costs follow the
-/// NCBI convention: a gap of length k costs open + k * extend.
+/// NCBI convention: a gap of length k costs open + k * extend. gap_open,
+/// gap_extend and xdrop must not be negative.
 GappedExtension extend_gapped_fast(std::span<const std::uint8_t> query,
                                    std::span<const std::uint8_t> subject,
                                    std::uint32_t anchor_q,

@@ -18,7 +18,8 @@
 //      query keeps a table of its own. One scan loop, scan_batch, serves
 //      both.
 //   3. Extensions run through extend_ungapped_fast (SWAR 8-residue skips)
-//      and extend_gapped_fast (reusable DP scratch + traceback arena).
+//      and extend_gapped_fast (DP rows in vector lanes, reusable scratch
+//      and traceback arena).
 //   4. search_fragments plans every (fragment, chunk) pair of a call —
 //      one chunk per sub-grain fragment, consecutive-subject chunks for a
 //      fragment of two grains or more (kSplitGrainResidues) — and runs

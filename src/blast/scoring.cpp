@@ -1,6 +1,7 @@
 #include "blast/scoring.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <numeric>
 
 namespace pioblast::blast {
@@ -97,6 +98,8 @@ ScoringMatrix ScoringMatrix::custom(int size, std::span<const int> scores,
 }
 
 void ScoringMatrix::sort_rows() {
+  score_span_ = 0;
+  for (const int s : table_) score_span_ = std::max(score_span_, std::abs(s));
   for (int a = 0; a < kMaxAlphabet; ++a) {
     std::uint8_t* order = by_score_.data() + a * kMaxAlphabet;
     std::iota(order, order + kMaxAlphabet, std::uint8_t{0});

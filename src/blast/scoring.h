@@ -57,6 +57,10 @@ class ScoringMatrix {
   /// Highest score in row `a` (used for neighborhood-word pruning).
   int row_max(std::uint8_t a) const { return row_max_[a]; }
 
+  /// Largest |score(a, b)| over the whole table: the gapped DP picks its
+  /// lane width from it.
+  int score_span() const { return score_span_; }
+
   /// All kMaxAlphabet letters ordered by descending `score(a, ·)`, so a
   /// neighborhood loop can stop at the first letter below its threshold.
   const std::uint8_t* by_score(std::uint8_t a) const {
@@ -69,12 +73,14 @@ class ScoringMatrix {
  private:
   ScoringMatrix() { table_.fill(0); row_max_.fill(0); }
 
-  /// Fills by_score_ from table_; each factory calls it last.
+  /// Fills by_score_ and score_span_ from table_; each factory calls it
+  /// last.
   void sort_rows();
 
   int size_ = 0;
   std::array<int, kMaxAlphabet * kMaxAlphabet> table_{};
   std::array<int, kMaxAlphabet> row_max_{};
+  int score_span_ = 0;
   std::array<std::uint8_t, kMaxAlphabet * kMaxAlphabet> by_score_{};
   KarlinParams ungapped_{};
   KarlinParams gapped_{};

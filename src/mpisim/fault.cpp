@@ -84,6 +84,9 @@ void FaultPlan::validate(int nranks) const {
              "crash-injected");
     if (!(std::isfinite(f.slow) && f.slow > 0))
       reject("rank ", f.rank, " slowdown ", f.slow, " must be finite and > 0");
+    if (f.crash_at == 0 && f.slow == 1.0 && f.drop_sends.empty())
+      reject("rank ", f.rank, " injects nothing: give it crash_at, slow or ",
+             "drop_send, or arm the detector alone with 'arm'");
     for (const std::uint64_t s : f.drop_sends) {
       if (s < 1)
         reject("drop_send ordinals are 1-based; got 0 for rank ", f.rank);

@@ -99,7 +99,9 @@ struct FaultPlan {
   /// Rejects malformed plans with util::RuntimeError (a plan is user
   /// input, e.g. the CLI's --fault): out-of-range ranks, a crash on rank 0
   /// (the master/detector rank cannot be crash-injected), non-positive
-  /// slowdowns, zero event/send ordinals.
+  /// slowdowns, zero event/send ordinals, and a rank record that injects
+  /// nothing (no crash, a slowdown of 1, no drop), which would only arm
+  /// the detector: `arm_detector` is the one way to do that.
   void validate(int nranks) const;
 
   /// Parses ';'-separated injection specs, each a comma-separated list of

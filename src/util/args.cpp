@@ -31,13 +31,12 @@ const ArgParser::Option* ArgParser::find(const std::string& name) const {
 
 bool ArgParser::parse(int argc, const char* const* argv) {
   values_.clear();
-  positional_.clear();
   error_.clear();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      error_ = "unexpected argument '" + arg + "'\n" + usage();
+      return false;
     }
     arg.erase(0, 2);
     if (arg == "help") {

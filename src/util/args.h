@@ -1,8 +1,10 @@
 // Minimal command-line argument parser for the tools and examples.
 //
 // Supports --key=value, --key value, and boolean --flag forms, with typed
-// accessors, defaults, and a generated usage string. Unknown options, and
-// a flag given a value (--flag=on), are rejected so typos fail loudly.
+// accessors, defaults, and a generated usage string. Unknown options, a
+// flag given a value (--flag=on) and any other argument that does not
+// start with "--" (-procs, a stray word) are rejected so typos fail
+// loudly.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,8 @@ class ArgParser {
   ArgParser& add_flag(const std::string& name, const std::string& help);
 
   /// Parses argv. Returns false (and fills error()) on unknown options,
-  /// missing values, or --help (which also fills usage into error()).
+  /// missing values, an argument that is not an option, or --help (which
+  /// also fills usage into error()).
   bool parse(int argc, const char* const* argv);
 
   const std::string& error() const { return error_; }
@@ -47,9 +50,6 @@ class ArgParser {
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 
-  /// Positional arguments (everything not starting with "--").
-  const std::vector<std::string>& positional() const { return positional_; }
-
   std::string usage() const;
 
  private:
@@ -59,7 +59,6 @@ class ArgParser {
   std::string description_;
   std::vector<Option> options_;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
   std::string error_;
 };
 

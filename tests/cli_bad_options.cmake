@@ -5,7 +5,8 @@
 # wider than the protocol monitor's bound, out-of-range sizes and counts,
 # more fragments than database sequences, a blastp query record too long
 # for the kernel's position tag (in --queries-fasta, or sampled from
-# --db-fasta) and the removed --kernel and --exec-model options.
+# --db-fasta), the removed --kernel and --exec-model options, and
+# arguments that do not start with "--".
 # Every case must exit 2 with the option's name on stderr and nothing on
 # stdout: it is rejected before any driver runs, instead of aborting or
 # running with a half-parsed value.
@@ -102,7 +103,13 @@ set(cases
   "--schedule| 1,+2|--schedule"
   "--fragments| 3|--fragments"
   "--schedule=0,99|--schedule: expects an integer in [0, 3], got '99'"
-  "--seed=-1|--seed")
+  "--seed=-1|--seed"
+  # A rank record that injects nothing (arm the detector with "arm"), and
+  # arguments that are not options: a one-dash option and a flag's value
+  # given after a space.
+  "--fault=rank=2|--fault: fault plan: rank 2 injects nothing"
+  "-procs|4|unexpected argument '-procs'"
+  "--metrics|on|unexpected argument 'on'")
 
 set(failures)
 foreach(case IN LISTS cases)

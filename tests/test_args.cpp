@@ -38,12 +38,23 @@ TEST(Args, EqualsAndSpaceForms) {
   EXPECT_EQ(p.get("name"), "zig");
 }
 
+// No program takes positional arguments, so anything that is not an
+// option fails, naming it: a one-dash option, a stray word, and a value
+// given to a flag with a space.
 TEST(Args, FlagsAndPositionals) {
-  auto p = make();
-  ASSERT_TRUE(parse(p, {"--verbose", "input.fa", "more.fa"}));
-  EXPECT_TRUE(p.get_flag("verbose"));
-  ASSERT_EQ(p.positional().size(), 2u);
-  EXPECT_EQ(p.positional()[0], "input.fa");
+  const auto rejects = [](std::initializer_list<const char*> args,
+                          const std::string& culprit) {
+    auto p = make();
+    EXPECT_FALSE(parse(p, args)) << culprit;
+    EXPECT_NE(p.error().find("unexpected argument '" + culprit + "'"),
+              std::string::npos)
+        << p.error();
+    EXPECT_NE(p.error().find("usage:"), std::string::npos);
+  };
+  rejects({"--verbose", "input.fa"}, "input.fa");
+  rejects({"-count", "4"}, "-count");
+  rejects({"--verbose", "on"}, "on");
+  rejects({"-"}, "-");
 }
 
 TEST(Args, UnknownOptionFails) {
@@ -134,10 +145,12 @@ TEST(Args, FlagWithExplicitValue) {
 
 TEST(Args, ReparseResetsState) {
   auto p = make();
-  ASSERT_TRUE(parse(p, {"--count=9", "pos"}));
+  ASSERT_TRUE(parse(p, {"--count=9", "--verbose"}));
+  EXPECT_FALSE(parse(p, {"stray"}));
   ASSERT_TRUE(parse(p, {}));
   EXPECT_EQ(p.get_int("count"), 5);
-  EXPECT_TRUE(p.positional().empty());
+  EXPECT_FALSE(p.get_flag("verbose"));
+  EXPECT_TRUE(p.error().empty());
 }
 
 }  // namespace

@@ -127,6 +127,29 @@ TEST(FaultPlan, ValidateRejectsBadPlans) {
   }
 }
 
+// A rank record that injects nothing would only arm the detector, which is
+// what "arm" says; validation rejects it naming the rank, so a typo such as
+// "rank=2" alone does not run a fault-tolerant job with no fault in it.
+TEST(FaultPlan, ValidateRejectsARecordThatInjectsNothing) {
+  const auto plan = mpisim::FaultPlan::parse("rank=2");
+  ASSERT_TRUE(plan.active());
+  try {
+    plan.validate(4);
+    FAIL() << "expected an error";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 2 injects nothing"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(mpisim::FaultPlan::parse("rank=1,slow=1").validate(4),
+               util::RuntimeError);
+  EXPECT_THROW(mpisim::FaultPlan::parse("rank=1,crash_at=2;rank=3").validate(4),
+               util::RuntimeError);
+  for (const char* spec : {"arm", "rank=1,slow=1.5", "rank=1,drop_send=1",
+                           "rank=1,crash_at=2;arm"})
+    EXPECT_NO_THROW(mpisim::FaultPlan::parse(spec).validate(4)) << spec;
+}
+
 TEST(FaultPlan, RandomCrashIsDeterministicAndInRange) {
   const auto a = mpisim::FaultPlan::random_crash(7, 8, 100);
   const auto b = mpisim::FaultPlan::random_crash(7, 8, 100);

@@ -1312,11 +1312,12 @@ TEST(ExtendEdge, GappedScoreMatchesTracebackReplay) {
 
 // ---------- gapped DP rows --------------------------------------------------
 //
-// extend_gapped_fast runs each DP row as a loop over the previous row's
-// window and a per-cell tail past it (DESIGN "Kernel fast path", item 3).
-// These cases aim at what that split could get wrong — rows that run past
-// the previous window, E runs that keep a row alive there, ties between
-// the diagonal, E and F, the X-drop extremes, both scoring systems, and
+// extend_gapped_fast runs each DP row as a vector loop over the previous
+// row's window, its E chain and X-drop floor as prefix scans, and a
+// per-cell tail past it (DESIGN "Kernel fast path", item 3). These cases
+// aim at what that construction could get wrong — rows that run past the
+// previous window, E runs that keep a row alive there, ties between the
+// diagonal, E and F, the X-drop extremes, both scoring systems, and
 // scratch reuse — each diffed against the oracle on score, coordinates,
 // ops and cells, and checked by replaying its traceback.
 
@@ -1374,10 +1375,12 @@ struct DpCase {
 };
 
 /// One extension of `qs` against `ss` anchored at (anchor_q, anchor_s),
-/// kernel (with `scratch`) against oracle.
-void expect_dp_matches_oracle(const DpCase& c, const std::string& qs,
-                              const std::string& ss, std::uint32_t anchor_q,
-                              std::uint64_t anchor_s, GappedScratch& scratch) {
+/// kernel (with `scratch`) against oracle; returns the kernel's.
+GappedExtension expect_dp_matches_oracle(const DpCase& c, const std::string& qs,
+                                         const std::string& ss,
+                                         std::uint32_t anchor_q,
+                                         std::uint64_t anchor_s,
+                                         GappedScratch& scratch) {
   const auto q = seqdb::encode_sequence(c.type, qs);
   const auto s = seqdb::encode_sequence(c.type, ss);
   const auto a = oracle::extend_gapped(q, s, anchor_q, anchor_s, c.matrix,
@@ -1391,6 +1394,7 @@ void expect_dp_matches_oracle(const DpCase& c, const std::string& qs,
   expect_gapped_identical(a, b);
   EXPECT_EQ(replay_gapped_score(b, q, s, c.matrix, c.open, c.extend),
             b.score);
+  return b;
 }
 
 /// `rounds` queries of 8-80 residues, each against a relative embedded in a
@@ -1476,8 +1480,8 @@ TEST(ExtendRows, BlastnMatrixOnRunnyDna) {
 
 TEST(ExtendRows, ScratchReusedAsSubjectsShrinkAndGrow) {
   // One scratch across subjects that shrink and then grow: its rows, the
-  // traceback arena and the H/F/DF columns keep what earlier, longer calls
-  // left, and every call must still match the oracle.
+  // traceback arena and the H/F/score columns keep what earlier, longer
+  // calls left, and every call must still match the oracle.
   std::mt19937 rng(0x5C7A7Cu);
   const auto m = ScoringMatrix::blosum62();
   GappedScratch scratch;
@@ -1493,6 +1497,147 @@ TEST(ExtendRows, ScratchReusedAsSubjectsShrinkAndGrow) {
       expect_dp_matches_oracle({m, SeqType::kProtein, 11, 1, 38}, qs, ss,
                                anchor_q, anchor_s, scratch);
     }
+  }
+}
+
+// ---------- the gapped DP's two lane widths -----------------------------------
+//
+// extend_gapped_fast runs a pass in int16 lanes, relative to a bias it
+// re-bases as the score climbs, when gapped_fits_int16 holds, and in int32
+// lanes otherwise (DESIGN "Kernel fast path", item 3). These cases pin the
+// width choice at the edge of the int16 bound, run each width at that
+// edge, make the int16 lanes re-bias on long alignments of both sequence
+// types, and run both widths with free gap opens and a zero X-drop.
+
+/// BLOSUM62 times 93 (entries up to 1023) with W/W raised to `span`, so
+/// the matrix's score span is exactly `span`.
+ScoringMatrix span_matrix(int span) {
+  const auto b62 = ScoringMatrix::blosum62();
+  std::vector<int> scores(24 * 24);
+  for (std::uint8_t a = 0; a < 24; ++a)
+    for (std::uint8_t b = 0; b < 24; ++b)
+      scores[a * 24u + b] = 93 * b62.score(a, b);
+  const std::size_t w = seqdb::kProteinLetters.find('W');
+  scores[w * 24 + w] = span;
+  return ScoringMatrix::custom(24, scores, b62.ungapped(), b62.gapped());
+}
+
+/// `qs` with substitutions at `sub_rate` and 1-3 residue indels at
+/// `indel_rate`: a relative that stays aligned over a long stretch.
+std::string long_relative(std::mt19937& rng, SeqType type,
+                          const std::string& qs, double sub_rate,
+                          double indel_rate) {
+  std::bernoulli_distribution sub(sub_rate), indel(indel_rate), coin(0.5);
+  std::string rel;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    if (indel(rng)) {
+      const std::size_t k = 1 + rng() % 3;
+      if (coin(rng)) {
+        i += k - 1;
+        continue;
+      }
+      for (std::size_t t = 0; t < k; ++t) rel += random_letter(rng, type);
+    }
+    rel += sub(rng) ? random_letter(rng, type) : qs[i];
+  }
+  return rel;
+}
+
+TEST(ExtendWidths, Int16BoundIsTheDerivedLimits) {
+  const auto at = span_matrix(1024);
+  const auto past = span_matrix(1025);
+  EXPECT_EQ(at.score_span(), 1024);
+  EXPECT_EQ(past.score_span(), 1025);
+  EXPECT_TRUE(gapped_fits_int16(at, 512, 512, 8192));
+  EXPECT_FALSE(gapped_fits_int16(at, 512, 512, 8193));  // xdrop
+  EXPECT_FALSE(gapped_fits_int16(at, 513, 512, 8192));  // open + extend
+  EXPECT_FALSE(gapped_fits_int16(at, 511, 513, 8192));  // extend
+  EXPECT_FALSE(gapped_fits_int16(past, 512, 512, 8192));  // score span
+  // Every search the repository runs: blastp 11/1 and blastn 5/2 at the
+  // X-drops its jobs use. The no-X-drop test cases take the int32 lanes.
+  const auto b62 = ScoringMatrix::blosum62();
+  const auto dna = make_matrix(SearchParams::blastn_defaults());
+  EXPECT_EQ(b62.score_span(), 11);
+  EXPECT_EQ(dna.score_span(), 3);
+  for (const int xdrop : {0, 25, 30, 38}) {
+    EXPECT_TRUE(gapped_fits_int16(b62, 11, 1, xdrop));
+    EXPECT_TRUE(gapped_fits_int16(dna, 5, 2, xdrop));
+  }
+  EXPECT_FALSE(gapped_fits_int16(b62, 11, 1, 1 << 20));
+}
+
+TEST(ExtendWidths, EachWidthAtTheInt16Edge) {
+  // At the bound every limit is reached at once, and scores of ~460 a
+  // residue pass the re-bias point within a few dozen rows; one past it
+  // on any one limit, the same passes run in int32 lanes.
+  struct Edge {
+    int span, open, extend, xdrop;
+  };
+  std::uint32_t seed = 0xED6Eu;
+  for (const Edge e : {Edge{1024, 512, 512, 8192}, Edge{1024, 512, 512, 8193},
+                       Edge{1024, 513, 512, 8192}, Edge{1024, 511, 513, 8192},
+                       Edge{1025, 512, 512, 8192}}) {
+    const auto m = span_matrix(e.span);
+    SCOPED_TRACE(testing::Message() << "span " << e.span << " open " << e.open
+                                    << " extend " << e.extend << " xdrop "
+                                    << e.xdrop);
+    fuzz_long_subjects(seed++, 30, m, SeqType::kProtein, [e](std::mt19937&) {
+      return std::tuple{e.open, e.extend, e.xdrop};
+    });
+  }
+}
+
+TEST(ExtendWidths, LongProteinAlignmentsPassInt16Max) {
+  // A self-alignment of 8,000 residues scores over 32,767, the int16
+  // maximum, so the lanes re-bias at least once; so does each direction
+  // of a relative's extension from its middle.
+  std::mt19937 rng(0x5E1Fu);
+  const auto m = ScoringMatrix::blosum62();
+  GappedScratch scratch;
+  const DpCase c{m, SeqType::kProtein, 11, 1, 38};
+  const std::string qs = runny_sequence(rng, SeqType::kProtein, 8000, 0.1);
+  EXPECT_GT(expect_dp_matches_oracle(c, qs, qs, 0, 0, scratch).score, 32767);
+  const std::string ss =
+      long_relative(rng, SeqType::kProtein, qs + qs, 0.02, 0.002);
+  const std::uint32_t mid = static_cast<std::uint32_t>(qs.size());
+  EXPECT_GT(
+      expect_dp_matches_oracle(c, qs + qs, ss, mid,
+                               std::min<std::uint64_t>(mid, ss.size() - 1),
+                               scratch)
+          .score,
+      2 * 32767);
+}
+
+TEST(ExtendWidths, LongBlastnAlignmentPassesInt16Max) {
+  // +1/-3 over 40,000 bases at 1% substitutions: the score passes the
+  // int16 maximum, so the lanes re-bias, on the blastn costs (5/2, 30).
+  std::mt19937 rng(0xB1A57u);
+  const auto m = make_matrix(SearchParams::blastn_defaults());
+  GappedScratch scratch;
+  const std::string qs = runny_sequence(rng, SeqType::kNucleotide, 40000, 0.1);
+  const std::string ss =
+      long_relative(rng, SeqType::kNucleotide, qs, 0.01, 0.001);
+  EXPECT_GT(expect_dp_matches_oracle({m, SeqType::kNucleotide, 5, 2, 30}, qs,
+                                     ss, 0, 0, scratch)
+                .score,
+            32767);
+}
+
+TEST(ExtendWidths, FreeGapOpensAndZeroXdropOnBothWidths) {
+  // gap_open 0 leaves E extending never ahead of E opening, so no E-from-E
+  // bit; xdrop 0 kills every cell below the running best. span_matrix(1024)
+  // runs in int16 lanes, span_matrix(1025) in int32 lanes.
+  std::uint32_t seed = 0xF0E0u;
+  for (const int span : {1024, 1025}) {
+    const auto m = span_matrix(span);
+    ASSERT_EQ(gapped_fits_int16(m, 0, 93, 40 * 93), span == 1024);
+    fuzz_long_subjects(seed++, 40, m, SeqType::kProtein, [](std::mt19937& r) {
+      return std::tuple{0, 93 * (1 + static_cast<int>(r() % 2)),
+                        93 * (20 + static_cast<int>(r() % 40))};
+    });
+    fuzz_long_subjects(seed++, 40, m, SeqType::kProtein, [](std::mt19937& r) {
+      return std::tuple{93 * (5 + static_cast<int>(r() % 4)), 93, 0};
+    });
   }
 }
 

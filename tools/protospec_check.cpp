@@ -110,8 +110,6 @@ int main(int argc, char** argv) {
         return util::read_number(args.get(name), lo, hi);
       });
     };
-    if (!args.positional().empty())
-      throw util::RuntimeError("unexpected argument " + args.positional()[0]);
     min_ranks = number("min-ranks", 2, Env::kMaxRanks);
     max_ranks = number("max-ranks", min_ranks, Env::kMaxRanks);
     crashes_arg = number("crashes", -1, Env::kMaxRanks - 1);
