@@ -15,6 +15,9 @@
 // hits examined, both identical across kernels by construction. One
 // machine-readable `ROW {...}` line per (type, kernel) plus a summary row
 // per type; tools/bench_to_json.py folds them into BENCH_kernel.json.
+// Every rate row carries `vs_oracle`, its cells/s over the same run's
+// scalar row of its type: the host's speed moves both rates together, so
+// this ratio, unlike a raw rate, compares across runs and host states.
 //
 // Each type gets two more rows: the same database cut into fragments of
 // about kCutResidues residues, every one searched with the same prepared
@@ -104,18 +107,24 @@ double us_per_call(const KernelRun& r) {
   return r.wall / static_cast<double>(r.calls) * 1e6;
 }
 
-void emit_row(const char* type, const char* kernel, const KernelRun& r) {
+double cells_per_s(const KernelRun& r) {
+  return static_cast<double>(r.cells) / r.wall;
+}
+
+/// One row; `oracle` is the same run's scalar row of this type.
+void emit_row(const char* type, const char* kernel, const KernelRun& r,
+              const KernelRun& oracle) {
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"%s\","
       "\"nproc\":%u,\"fragments\":%zu,\"wall_s\":%.6f,\"us_per_call\":%.1f,"
       "\"cells\":%llu,\"cells_per_s\":%.0f,\"seeds\":%llu,"
-      "\"seeds_per_s\":%.0f,\"hsps\":%llu}\n",
+      "\"seeds_per_s\":%.0f,\"hsps\":%llu,\"vs_oracle\":%.3f}\n",
       type, kernel, std::thread::hardware_concurrency(), r.calls, r.wall,
       us_per_call(r), static_cast<unsigned long long>(r.cells),
-      static_cast<double>(r.cells) / r.wall,
-      static_cast<unsigned long long>(r.seeds),
+      cells_per_s(r), static_cast<unsigned long long>(r.seeds),
       static_cast<double>(r.seeds) / r.wall,
-      static_cast<unsigned long long>(r.hsps));
+      static_cast<unsigned long long>(r.hsps),
+      cells_per_s(r) / cells_per_s(oracle));
 }
 
 /// True when `got` did the work `want` did: equal cells, seeds and HSPs.
@@ -142,7 +151,7 @@ void add_table_row(util::Table& table, const char* type, const char* kernel,
   table.add_row(
       {type, kernel, std::to_string(r.calls), util::fixed(r.wall * 1e3, 1),
        util::fixed(us_per_call(r), 1),
-       util::fixed(static_cast<double>(r.cells) / r.wall / 1e6, 1),
+       util::fixed(cells_per_s(r) / 1e6, 1),
        util::fixed(static_cast<double>(r.seeds) / r.wall / 1e6, 1),
        std::to_string(r.hsps), speedup});
 }
@@ -216,9 +225,9 @@ bool bench_type(seqdb::SeqType type, std::uint64_t residues,
   const auto fast = run_kernel({&frag, 1}, fast_search, repeats, false);
   const double speedup = scalar.wall / fast.wall;
 
-  emit_row(name, "scalar", scalar);
+  emit_row(name, "scalar", scalar, scalar);
   add_table_row(table, name, "scalar", scalar, "1.00x");
-  emit_row(name, "fast", fast);
+  emit_row(name, "fast", fast, scalar);
   add_table_row(table, name, "fast", fast, util::fixed(speedup, 2) + "x");
   std::printf(
       "ROW {\"bench\":\"micro_kernel\",\"type\":\"%s\",\"kernel\":\"speedup\","
@@ -235,10 +244,10 @@ bool bench_type(seqdb::SeqType type, std::uint64_t residues,
     cut.push_back(seqdb::load_volumes(fs, cut_db.fragment_bases[i], type,
                                       cut_db.ranges[i].first));
   const auto cut_fast = run_kernel(cut, fast_search, repeats, false);
-  emit_row(name, "fast", cut_fast);
+  emit_row(name, "fast", cut_fast, scalar);
   add_table_row(table, name, "fast", cut_fast, "");
   const auto cut_flat = run_kernel(cut, flat_search, repeats, true);
-  emit_row(name, "flat", cut_flat);
+  emit_row(name, "flat", cut_flat, scalar);
   add_table_row(table, name, "flat", cut_flat,
                 util::fixed(cut_fast.wall / cut_flat.wall, 2) + "x");
   const bool fast_ok = same_work(name, "fast vs scalar", scalar, fast);

@@ -4,6 +4,14 @@
 // default in every driver run, so the gap between the two rows is what that
 // audit costs the simulator.
 //
+// Two more rows per world size, verifier off, price the fibers under the
+// event loop. "switch": ranks 0 and 1 ping-pong one-word messages while
+// the other ranks have returned; every round blocks each of the two once,
+// which is four fiber switches (into and out of each), so switches/s is
+// 4 x rounds over the timed rounds' wall time. "spawn": a world whose
+// ranks do nothing, created, run and destroyed, in microseconds per rank
+// — the fixed cost every rank of a job pays before its first message.
+//
 // Each job runs a ring of point-to-point messages (every rank sends 64
 // bytes to its successor, then receives from its predecessor), then
 // barriers, broadcasts, allreduces and gathers at rank 0. Every section is
@@ -40,8 +48,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
 /// Jobs per (ranks, verify) cell; the median is reported.
 constexpr int kRepeats = 3;
+
+/// Ping-pong rounds of the switch row, and untimed ones before them (the
+/// first round also runs every other rank to its end).
+constexpr int kPingPongRounds = 100000;
+constexpr int kPingPongWarmup = 16;
 
 /// Timed sections of one job, in run order.
 enum Section { kRing, kBarrier, kBcast, kAllreduce, kGather, kSections };
@@ -92,8 +109,45 @@ Cell run_job(int n, bool verify) {
       },
       opts);
   for (std::size_t s = 0; s < kSections; ++s)
-    cell.secs[s] = std::chrono::duration<double>(t[s + 1] - t[s]).count();
+    cell.secs[s] = seconds(t[s + 1] - t[s]);
   return cell;
+}
+
+mpisim::RunOptions unverified() {
+  mpisim::RunOptions opts;
+  opts.verify.enabled = false;
+  return opts;
+}
+
+/// Fiber switches per second: ranks 0 and 1 ping-pong, four switches a
+/// round; the other ranks return at once.
+double switches_per_s(int n) {
+  constexpr int kTag = 1;
+  Clock::time_point t0, t1;
+  mpisim::run(
+      n, bench::altix(),
+      [&](mpisim::Process& p) {
+        if (p.rank() > 1) return;
+        const std::vector<std::uint8_t> word(8, 0);
+        const int peer = 1 - p.rank();
+        for (int i = 0; i < kPingPongWarmup + kPingPongRounds; ++i) {
+          if (p.rank() == 0 && i == kPingPongWarmup) t0 = Clock::now();
+          if (p.rank() == 0) p.send(peer, kTag, word);
+          (void)p.recv(peer, kTag);
+          if (p.rank() == 1) p.send(peer, kTag, word);
+        }
+        if (p.rank() == 0) t1 = Clock::now();
+      },
+      unverified());
+  return 4.0 * kPingPongRounds / seconds(t1 - t0);
+}
+
+/// Host microseconds per rank to create, run and destroy a world of `n`
+/// ranks that do nothing.
+double spawn_us_per_rank(int n) {
+  const auto t0 = Clock::now();
+  mpisim::run(n, bench::altix(), [](mpisim::Process&) {}, unverified());
+  return seconds(Clock::now() - t0) * 1e6 / n;
 }
 
 double median(std::vector<double> v) {
@@ -142,7 +196,8 @@ void emit_row(int n, bool verify, const Cell& c) {
 int main(int argc, char** argv) {
   util::ArgParser args("micro_mpisim",
                        "mpisim host wall time on the event backend: ring "
-                       "p2p rate and collective latency, verifier on vs off");
+                       "p2p rate and collective latency, verifier on vs "
+                       "off; fiber switch rate and per-rank spawn cost");
   args.add("ranks", "64,512,4096", "comma-separated world sizes");
   if (!args.parse(argc, argv)) {
     std::cerr << args.error();
@@ -165,6 +220,7 @@ int main(int argc, char** argv) {
   util::Table table({"Ranks", "Verify", "p2p msgs/s", "barrier (us)",
                      "bcast (us)", "allreduce (us)", "gather (us)",
                      "total (s)", "on/off"});
+  util::Table fibers({"Ranks", "switches/s", "spawn (us/rank)"});
   const int largest = *std::max_element(ranks.begin(), ranks.end());
   double largest_ratio = 0;
   for (const int n : ranks) {
@@ -192,8 +248,30 @@ int main(int argc, char** argv) {
         "ROW {\"bench\":\"micro_mpisim\",\"exec\":\"events\",\"ranks\":%d,"
         "\"verify\":\"on/off\",\"nproc\":%u,\"ratio\":%.3f}\n",
         n, std::thread::hardware_concurrency(), ratio);
+
+    std::vector<double> switch_runs, spawn_runs;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      switch_runs.push_back(switches_per_s(n));
+      spawn_runs.push_back(spawn_us_per_rank(n));
+    }
+    const double switch_rate = median(std::move(switch_runs));
+    const double spawn_us = median(std::move(spawn_runs));
+    std::printf(
+        "ROW {\"bench\":\"micro_mpisim\",\"exec\":\"events\",\"ranks\":%d,"
+        "\"probe\":\"switch\",\"verify\":\"off\",\"nproc\":%u,"
+        "\"repeats\":%d,\"rounds\":%d,\"switches_per_s\":%.0f}\n",
+        n, std::thread::hardware_concurrency(), kRepeats, kPingPongRounds,
+        switch_rate);
+    std::printf(
+        "ROW {\"bench\":\"micro_mpisim\",\"exec\":\"events\",\"ranks\":%d,"
+        "\"probe\":\"spawn\",\"verify\":\"off\",\"nproc\":%u,"
+        "\"repeats\":%d,\"us_per_rank\":%.3f}\n",
+        n, std::thread::hardware_concurrency(), kRepeats, spawn_us);
+    fibers.add_row({std::to_string(n), util::fixed(switch_rate, 0),
+                    util::fixed(spawn_us, 3)});
   }
   table.print(std::cout);
+  fibers.print(std::cout);
   const bool pass = largest_ratio <= 2.0;
   std::printf("verified <= 2x unverified at %d ranks: %s (%.2fx)\n", largest,
               pass ? "yes" : "NO", largest_ratio);

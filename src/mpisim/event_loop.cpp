@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "mpisim/exec.h"
 #include "mpisim/fiber.h"
 #include "util/error.h"
 
@@ -29,8 +28,7 @@ void EventLoop::run(const std::function<void(int)>& body) {
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
-    fibers_.push_back(std::make_unique<Fiber>(kDefaultFiberStackBytes,
-                                              [&body, r] { body(r); }));
+    fibers_.push_back(std::make_unique<Fiber>([&body, r] { body(r); }));
   }
   const bool checked = opts_.schedule != nullptr;
   while (done_ < nranks_) {

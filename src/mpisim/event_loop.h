@@ -5,7 +5,9 @@
 // (yield) and the mailbox's blocking pop (block); a push, poison, seal or
 // peer death wakes the mailbox's owner. A blocked rank costs one parked
 // fiber (a few KB of touched stack) instead of a kernel thread, which is
-// what lets one process host a 4096-rank world.
+// what lets one process host a 4096-rank world. The loop creates a
+// world's fibers when run() starts and destroys them when it returns, so
+// the thread's next world runs on the same stacks (fiber.h).
 //
 // Two modes:
 //
@@ -62,7 +64,7 @@ class EventLoop {
 
   /// Runs `body(rank)` for every rank to completion on the calling
   /// thread. The body must not let exceptions escape (it runs on a fiber
-  /// stack with no OS frame to unwind into).
+  /// whose entry frame ends unwinding: an escaping exception terminates).
   void run(const std::function<void(int)>& body);
 
   // ---- called from inside rank fibers -------------------------------------

@@ -3,11 +3,13 @@
 // The runtime can execute a job's ranks two ways:
 //
 //   * kEvents (the default) — one OS thread total. Every rank runs on a
-//     stackful fiber (see fiber.h); a blocked rank parks on the event
-//     loop's ready queue instead of holding a kernel thread, and the loop
-//     resumes whichever rank became runnable in a fixed order. A job's
-//     virtual time and output are therefore a function of its inputs
-//     alone, and a 4096-rank world runs in one process.
+//     stackful fiber (see fiber.h; x86-64 only) whose switch costs about
+//     a function call and whose stack is reused from the thread's last
+//     world; a blocked rank parks on the event loop's ready queue instead
+//     of holding a kernel thread, and the loop resumes whichever rank
+//     became runnable in a fixed order. A job's virtual time and output
+//     are therefore a function of its inputs alone, and a 4096-rank world
+//     runs in one process.
 //
 //   * kThreads — one OS thread per rank. Blocked receives park the host
 //     thread on a condition variable, and wildcard receives match in host
@@ -22,8 +24,6 @@
 // a time.
 #pragma once
 
-#include <cstddef>
-
 namespace pioblast::mpisim {
 
 enum class ExecModel {
@@ -37,10 +37,5 @@ enum class ExecModel {
   /// off it (ROADMAP item 1).
   kThreads,
 };
-
-/// Stack size for rank fibers under the event backend. Stacks are lazily
-/// committed (mmap), so a 4096-rank world reserves virtual address space
-/// only; the touched pages are what it actually costs.
-inline constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
 
 }  // namespace pioblast::mpisim

@@ -19,6 +19,7 @@
 #include "driver/work_queue.h"
 #include "mpisim/runtime.h"
 #include "mpisim/verify.h"
+#include "workloads.h"
 
 namespace pioblast {
 namespace {
@@ -111,6 +112,31 @@ TEST(Scale, VerifierReports4096RankDeadlock) {
   ASSERT_NE(cycle, std::string::npos);
   EXPECT_TRUE(report.ends_with(" -> 4095 -> 0\n"))
       << report.substr(report.size() - std::min<std::size_t>(report.size(), 80));
+}
+
+TEST(Scale, FourThousandRankPioBlastJobRepeatsOnReusedStacks) {
+  // The benchmark's pio-nr-4096-events job (1 KiB of queries), twice in
+  // one process: the second world runs on the first one's fiber stacks
+  // and must repeat its report and virtual time exactly.
+  const int nranks = 4096;
+  const auto& db = bench::nr_database();
+  const std::string queries = bench::make_query_set(db, 1u << 10);
+  std::vector<std::uint8_t> report[2];
+  blast::DriverResult result[2];
+  for (int i = 0; i < 2; ++i) {
+    result[i] = bench::run_pioblast_job(bench::altix(), nranks, db, queries,
+                                        bench::nr_job(), {}, &report[i]);
+  }
+  ASSERT_FALSE(report[0].empty());
+  EXPECT_EQ(report[0], report[1]);
+  EXPECT_EQ(result[0].metrics, result[1].metrics);
+  for (const auto& r : result)
+    ASSERT_EQ(r.report.ranks.size(), static_cast<std::size_t>(nranks));
+  for (std::size_t r = 0; r < static_cast<std::size_t>(nranks); ++r) {
+    EXPECT_EQ(result[0].report.ranks[r].final_clock,
+              result[1].report.ranks[r].final_clock)
+        << "rank " << r;
+  }
 }
 
 }  // namespace
