@@ -1,11 +1,17 @@
 // Micro-study (wall time): cost of mpicheck's schedule exploration and of
 // the happens-before race detector. Reports schedules/second for the
-// master/worker queue under each exploration mode, and the overhead a
+// master/worker queue under each exploration mode, and the µs per run a
 // checked run (one fiber at a time on the event loop, every yield point a
 // decision) and the detector add over a plain run — the numbers that size
 // CI's mpicheck job budget. Checked runs always run on the event loop, so
 // only the plain rows have a threads variant.
+//
+// Each table row also prints one `ROW {...}` line holding only what the
+// run determines (schedules, pruned, decisions, the detector's accesses
+// and races per run), never host time, so
+// tools/bench_to_json.py --check BENCH_mpicheck.json pins them exactly.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 
@@ -87,19 +93,27 @@ int main() {
   modes[2].opts.dpor = true;
   modes[2].opts.max_schedules = 400;
 
-  util::Table table({"Mode", "Schedules", "Pruned", "Decisions", "Wall (s)",
-                     "Sched/s"});
+  util::Table table({"Mode", "Schedules", "Pruned", "Decisions", "Races",
+                     "us/schedule", "Sched/s"});
   for (const Mode& mode : modes) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto res =
         mpicheck::Checker(checker_job(cluster, 4, 8), mode.opts).run();
     const double wall = seconds_since(t0);
+    const auto schedules = static_cast<double>(res.schedules_explored);
     table.add_row({mode.name, std::to_string(res.schedules_explored),
                    std::to_string(res.schedules_pruned),
-                   std::to_string(res.max_decisions), util::fixed(wall, 2),
-                   util::fixed(static_cast<double>(res.schedules_explored) /
-                                   wall,
-                               0)});
+                   std::to_string(res.max_decisions),
+                   std::to_string(res.races_found),
+                   util::fixed(wall * 1e6 / schedules, 1),
+                   util::fixed(schedules / wall, 0)});
+    std::printf("ROW {\"bench\":\"micro_mpicheck\",\"probe\":\"explore\","
+                "\"mode\":\"%s\",\"ranks\":4,\"tasks\":8,"
+                "\"schedules\":%d,\"pruned\":%d,\"decisions\":%zu,"
+                "\"races\":%llu}\n",
+                mode.name, res.schedules_explored, res.schedules_pruned,
+                res.max_decisions,
+                static_cast<unsigned long long>(res.races_found));
   }
   table.print(std::cout);
 
@@ -121,10 +135,13 @@ int main() {
       {"coop + race detector", "events", mpisim::ExecModel::kEvents, true,
        true},
   };
-  util::Table over({"Harness", "Exec", "Wall (s)", "vs plain threads"});
+  util::Table over({"Harness", "Exec", "us/run", "Runs/s", "vs plain threads",
+                    "Accesses/run", "Races/run"});
   constexpr int kRepeats = 100;
   double plain = 0;
   for (const Harness& h : harnesses) {
+    std::uint64_t accesses = 0;
+    std::uint64_t races = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kRepeats; ++i) {
       mpicheck::CoopScheduler coop;
@@ -137,12 +154,24 @@ int main() {
       mpisim::run(
           4, cluster,
           [&](mpisim::Process& p) { queue_job(p, 4, 8, &metrics); }, opts);
+      accesses += det.accesses();
+      races += det.races_found();
     }
     const double wall = seconds_since(t0);
     const bool is_baseline = &h == &harnesses[0];
     if (is_baseline) plain = wall;
-    over.add_row({h.name, h.exec_name, util::fixed(wall, 2),
-                  is_baseline ? "1.0x" : util::fixed(wall / plain, 1) + "x"});
+    const double accesses_per_run = static_cast<double>(accesses) / kRepeats;
+    const double races_per_run = static_cast<double>(races) / kRepeats;
+    over.add_row({h.name, h.exec_name, util::fixed(wall * 1e6 / kRepeats, 1),
+                  util::fixed(kRepeats / wall, 0),
+                  is_baseline ? "1.0x" : util::fixed(wall / plain, 1) + "x",
+                  util::fixed(accesses_per_run, 1),
+                  util::fixed(races_per_run, 1)});
+    std::printf("ROW {\"bench\":\"micro_mpicheck\",\"probe\":\"overhead\","
+                "\"harness\":\"%s\",\"exec\":\"%s\",\"ranks\":4,"
+                "\"tasks\":8,\"repeats\":%d,\"accesses_per_run\":%.1f,"
+                "\"races_per_run\":%.1f}\n",
+                h.name, h.exec_name, kRepeats, accesses_per_run, races_per_run);
   }
   over.print(std::cout);
   return 0;

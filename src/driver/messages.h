@@ -92,7 +92,7 @@ struct WireCodec<driver::RangeAssignment> {
   static void encode(Encoder& enc, const driver::RangeAssignment& a) {
     enc.put(a.total_fragments).put(a.rounds);
     enc.put(static_cast<std::uint32_t>(a.ranges.size()));
-    for (const auto& r : a.ranges) seqdb::encode_range(enc, r);
+    for (const auto& r : a.ranges) enc.put_obj(r);
   }
   static driver::RangeAssignment decode(Decoder& dec) {
     driver::RangeAssignment a;
@@ -101,7 +101,7 @@ struct WireCodec<driver::RangeAssignment> {
     const auto count = dec.get<std::uint32_t>();
     a.ranges.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i)
-      a.ranges.push_back(seqdb::decode_range(dec));
+      a.ranges.push_back(dec.get_obj<seqdb::FragmentRange>());
     return a;
   }
 };

@@ -2,18 +2,9 @@
 
 #include <sstream>
 
-#include "mpisim/hooks.h"
-
 namespace pioblast::driver {
 
-// The race-detector annotations below pass &mu_ as the protecting lock
-// identity and run outside the critical section (a detector report
-// unwinds the run; throwing with mu_ held could wedge it). Cross-rank
-// counter bumps carry no happens-before edge — the lockset exemption is
-// what keeps these legal, and mpicheck's tests assert exactly that.
-
 void RunMetrics::add(std::string_view name, std::uint64_t delta) {
-  mpisim::annotate_access(this, "RunMetrics::add", /*write=*/true, {&mu_});
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -24,7 +15,6 @@ void RunMetrics::add(std::string_view name, std::uint64_t delta) {
 }
 
 void RunMetrics::set(std::string_view name, std::uint64_t value) {
-  mpisim::annotate_access(this, "RunMetrics::set", /*write=*/true, {&mu_});
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -35,15 +25,12 @@ void RunMetrics::set(std::string_view name, std::uint64_t value) {
 }
 
 std::uint64_t RunMetrics::get(std::string_view name) const {
-  mpisim::annotate_access(this, "RunMetrics::get", /*write=*/false, {&mu_});
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
 std::map<std::string, std::uint64_t> RunMetrics::snapshot() const {
-  mpisim::annotate_access(this, "RunMetrics::snapshot", /*write=*/false,
-                          {&mu_});
   std::lock_guard<std::mutex> lock(mu_);
   return {counters_.begin(), counters_.end()};
 }

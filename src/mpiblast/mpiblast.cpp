@@ -90,7 +90,7 @@ void MpiBlastApp::master(mpisim::Process& p) {
       const auto count = dec.get<std::uint32_t>();
       for (std::uint32_t i = 0; i < count; ++i) {
         Candidate c;
-        c.hsp = blast::decode_hsp(dec);
+        c.hsp = dec.get_obj<blast::Hsp>();
         c.owner = w;
         c.local_index = i;
         candidates.push_back(std::move(c));
@@ -210,7 +210,7 @@ void MpiBlastApp::worker(mpisim::Process& p) {
     const auto& hits = stage.hits(q);
     mpisim::Encoder enc;
     enc.put(static_cast<std::uint32_t>(hits.size()));
-    for (const driver::CachedHit& hit : hits) blast::encode_hsp(enc, hit.hsp);
+    for (const driver::CachedHit& hit : hits) enc.put_obj(hit.hsp);
     p.gather(enc.bytes(), 0);
 
     // Serve the master's per-alignment sequence-data fetches.

@@ -7,8 +7,6 @@
 
 namespace pioblast::mpicheck {
 
-RaceDetector::RaceDetector(Options opts) : opts_(opts) {}
-
 void RaceDetector::start(int nranks) {
   std::lock_guard lock(mu_);
   PIOBLAST_CHECK(nranks >= 1);
@@ -19,10 +17,9 @@ void RaceDetector::start(int nranks) {
   for (std::size_t r = 0; r < vc_.size(); ++r) vc_[r][r] = 1;
   next_token_ = 1;
   in_flight_.clear();
-  objs_.clear();
+  last_write_.clear();
   races_ = 0;
   accesses_ = 0;
-  reports_.clear();
 }
 
 std::uint64_t RaceDetector::on_send(int src) {
@@ -45,70 +42,26 @@ void RaceDetector::on_recv(int dst, std::uint64_t hb) {
   in_flight_.erase(it);
 }
 
-bool RaceDetector::ordered_locked(const Epoch& prev, int rank) const {
-  // prev's whole past is summarized by its own-clock component: rank has
-  // seen it iff a message chain carried that component over.
-  return prev.clock <=
-         vc_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(prev.rank)];
-}
-
-bool RaceDetector::locks_disjoint(const Epoch& prev,
-                                  std::span<const void* const> locks) {
-  for (const void* l : locks)
-    if (std::find(prev.locks.begin(), prev.locks.end(), l) != prev.locks.end())
-      return false;
-  return true;
-}
-
-void RaceDetector::report_locked(const Epoch& prev, int rank,
-                                 std::string_view what, bool write,
-                                 const void* obj) {
-  ++races_;
-  std::ostringstream out;
-  out << "mpicheck: data race on shared state " << obj << "\n  rank "
-      << prev.rank << " "
-      << (prev.what.empty() ? "access" : prev.what) << " is unordered with rank "
-      << rank << " " << what << " (" << (write ? "write" : "read")
-      << ")\n  no happens-before edge (message/collective) connects them and "
-         "they share no lock";
-  reports_.push_back(out.str());
-  if (opts_.throw_on_race) throw RaceError(reports_.back());
-}
-
-void RaceDetector::on_access(int rank, const void* obj, std::string_view what,
-                             bool write, std::span<const void* const> locks) {
+void RaceDetector::on_write(int rank, const void* obj, std::string_view what) {
   std::lock_guard lock(mu_);
   if (vc_.empty()) return;  // not started (job without a detector)
   ++accesses_;
-  ObjState& st = objs_[obj];
-  const Epoch cur{rank,
-                  vc_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(rank)],
-                  {locks.begin(), locks.end()},
-                  std::string(what)};
-  // A write conflicts with the last write and with every rank's reads
-  // since then; a read conflicts with the last write only.
-  if (st.write.rank >= 0 && st.write.rank != rank &&
-      !ordered_locked(st.write, rank) && locks_disjoint(st.write, locks)) {
-    report_locked(st.write, rank, what, write, obj);
+  const auto& vc = vc_[static_cast<std::size_t>(rank)];
+  Epoch& last = last_write_[obj];
+  // The last write's whole past is summarized by its own-clock component:
+  // this rank has seen it iff a message chain carried that component over.
+  if (last.rank >= 0 && last.rank != rank &&
+      last.clock > vc[static_cast<std::size_t>(last.rank)]) {
+    ++races_;
+    std::ostringstream out;
+    out << "mpicheck: data race on shared state " << obj << "\n  rank "
+        << last.rank << " " << (last.what.empty() ? "write" : last.what)
+        << " is unordered with rank " << rank << " " << what
+        << " (write)\n  no happens-before edge (message/collective) "
+           "connects them";
+    throw RaceError(out.str());
   }
-  if (write) {
-    for (const Epoch& rd : st.reads) {
-      if (rd.rank == rank) continue;
-      if (!ordered_locked(rd, rank) && locks_disjoint(rd, locks))
-        report_locked(rd, rank, what, write, obj);
-    }
-    st.write = cur;
-    st.reads.clear();
-  } else {
-    // Keep only the newest read per rank — older ones are ordered behind
-    // it on the same rank's timeline.
-    auto it = std::find_if(st.reads.begin(), st.reads.end(),
-                           [rank](const Epoch& e) { return e.rank == rank; });
-    if (it != st.reads.end())
-      *it = cur;
-    else
-      st.reads.push_back(cur);
-  }
+  last = Epoch{rank, vc[static_cast<std::size_t>(rank)], std::string(what)};
 }
 
 std::uint64_t RaceDetector::races_found() const {
@@ -119,11 +72,6 @@ std::uint64_t RaceDetector::races_found() const {
 std::uint64_t RaceDetector::accesses() const {
   std::lock_guard lock(mu_);
   return accesses_;
-}
-
-std::vector<std::string> RaceDetector::reports() const {
-  std::lock_guard lock(mu_);
-  return reports_;
 }
 
 }  // namespace pioblast::mpicheck

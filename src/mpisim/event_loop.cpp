@@ -79,12 +79,7 @@ int EventLoop::choose_checked() {
 void EventLoop::resume_rank(int rank) {
   auto& fiber = fibers_[static_cast<std::size_t>(rank)];
   states_[static_cast<std::size_t>(rank)] = State::kRunning;
-  // Thread-locals do not follow fibers: the race-detection context of
-  // whichever rank ran last is still installed and must be replaced
-  // before this rank touches instrumented state.
-  set_thread_check_context(opts_.race, rank);
   fiber->resume();
-  clear_thread_check_context();
   if (fiber->finished()) {
     states_[static_cast<std::size_t>(rank)] = State::kDone;
     ++done_;

@@ -44,9 +44,6 @@ class EventLoop {
     /// Decision chooser of a checked run (borrowed; e.g. a CoopScheduler).
     /// Null selects the fast run-to-block mode.
     ScheduleHook* schedule = nullptr;
-    /// Race detector whose thread-local context must be re-installed on
-    /// every fiber resume (thread-locals do not follow fibers).
-    RaceHook* race = nullptr;
     /// Called when the loop finds no runnable rank while some are still
     /// blocked (a wedged job the protocol verifier did not claim first,
     /// e.g. with verification off). It must wake every blocked receive

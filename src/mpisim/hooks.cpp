@@ -1,7 +1,5 @@
 #include "mpisim/hooks.h"
 
-#include <span>
-
 namespace pioblast::mpisim {
 
 const char* to_string(YieldPoint::Kind kind) {
@@ -32,34 +30,6 @@ bool independent(const YieldPoint& a, const YieldPoint& b) {
     return p.kind == Kind::kSend ? p.peer : p.rank;
   };
   return mailbox_of(a) != mailbox_of(b);
-}
-
-namespace {
-
-struct ThreadCheckContext {
-  RaceHook* race = nullptr;
-  int rank = -1;
-};
-
-thread_local ThreadCheckContext t_check;
-
-}  // namespace
-
-void set_thread_check_context(RaceHook* race, int rank) {
-  t_check.race = race;
-  t_check.rank = rank;
-}
-
-void clear_thread_check_context() {
-  t_check.race = nullptr;
-  t_check.rank = -1;
-}
-
-void annotate_access(const void* obj, std::string_view what, bool write,
-                     std::initializer_list<const void*> locks) {
-  if (t_check.race == nullptr || t_check.rank < 0) return;
-  t_check.race->on_access(t_check.rank, obj, what, write,
-                          std::span(locks.begin(), locks.size()));
 }
 
 }  // namespace pioblast::mpisim

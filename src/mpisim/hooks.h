@@ -13,17 +13,16 @@
 //     possible.
 //
 //   * RaceHook — a happens-before observer. The runtime reports message
-//     edges (send/recv carry a token through Message::hb) and instrumented
-//     shared-state accesses; the hook maintains vector clocks and flags
-//     conflicting accesses no edge orders (see mpicheck/race.h).
+//     edges (send/recv carry a token through Message::hb) and the writes
+//     rank code annotates through Process::annotate_write, the one way an
+//     access reaches the hook; it maintains vector clocks and flags two
+//     writes no edge orders (see mpicheck/race.h).
 //
 // Both hooks are borrowed pointers owned by the caller of mpisim::run and
 // must outlive the job.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -82,29 +81,9 @@ class RaceHook {
   virtual void start(int nranks) = 0;
   virtual std::uint64_t on_send(int src) = 0;
   virtual void on_recv(int dst, std::uint64_t hb) = 0;
-  /// An instrumented access to shared state. `obj` identifies the state,
-  /// `what` labels the access site for reports, `locks` is the set of
-  /// lock identities protecting the access (two unordered accesses that
-  /// share a lock are exempt — the lockset half of the detector).
-  virtual void on_access(int rank, const void* obj, std::string_view what,
-                         bool write, std::span<const void* const> locks) = 0;
+  /// An annotated write to shared state by `rank`. `obj` identifies the
+  /// state, `what` labels the access site for reports.
+  virtual void on_write(int rank, const void* obj, std::string_view what) = 0;
 };
-
-// ---- thread-local annotation context --------------------------------------
-//
-// Library code that has no Process& at hand (RunMetrics, Mailbox) reports
-// accesses through a thread-local {RaceHook*, rank} context the runtime
-// installs around each rank body. Outside a checked run every annotation
-// is a no-op, so instrumentation costs one thread-local load.
-
-/// Installs/clears the calling thread's race context (runtime only).
-void set_thread_check_context(RaceHook* race, int rank);
-void clear_thread_check_context();
-
-/// Reports an access to `obj` on behalf of the calling rank thread.
-/// `locks` names the locks that protect it (for code that annotates just
-/// outside its critical section).
-void annotate_access(const void* obj, std::string_view what, bool write,
-                     std::initializer_list<const void*> locks = {});
 
 }  // namespace pioblast::mpisim

@@ -8,7 +8,6 @@
 
 #include "mpisim/event_loop.h"
 #include "mpisim/fault.h"
-#include "mpisim/hooks.h"
 #include "mpisim/verifier.h"
 #include "util/error.h"
 
@@ -23,10 +22,6 @@ constexpr const char* kDefaultPoisonReason =
 }  // namespace
 
 void Mailbox::push(Message msg) {
-  // Annotated outside the critical section on purpose: the race detector
-  // may poison mailboxes on a report, which would self-deadlock under mu_.
-  // The mailbox's own lock identity is passed explicitly instead.
-  annotate_access(this, "Mailbox::push", /*write=*/true, {this});
   const int src = msg.src;
   const int tag = msg.tag;
   std::uint64_t seq = 0;
@@ -118,7 +113,6 @@ Message Mailbox::pop(int src, int tag) {
 }
 
 Message Mailbox::pop_any(int src, std::span<const int> tags) {
-  annotate_access(this, "Mailbox::pop", /*write=*/true, {this});
   for (;;) {
     std::uint64_t seq = 0;  // first arrival ordinal this wait has not seen
     {

@@ -32,7 +32,7 @@ void Process::maybe_crash() {
 }
 
 void Process::annotate_write(const void* obj, std::string_view what) {
-  if (RaceHook* r = world_.race()) r->on_access(rank_, obj, what, true, {});
+  if (RaceHook* r = world_.race()) r->on_write(rank_, obj, what);
 }
 
 void Process::accrue_phase() {

@@ -47,7 +47,6 @@ struct JobState {
 /// land in `job.first_error` and poison the world.
 void rank_body(JobState& job, int rank) {
   World& world = job.world;
-  set_thread_check_context(world.race(), rank);
   Process proc(rank, world);
   bool crashed = false;
   try {
@@ -79,7 +78,6 @@ void rank_body(JobState& job, int rank) {
   rr.bytes_sent = proc.bytes_sent();
   rr.messages_sent = proc.messages_sent();
   rr.crashed = crashed;
-  clear_thread_check_context();
 }
 
 /// Thread-per-rank backend: one OS thread per rank, go/no-go gated so a
@@ -122,7 +120,6 @@ void run_events(int nranks, JobState& job, const RunOptions& opts) {
   World& world = job.world;
   EventLoop::Options lo;
   lo.schedule = opts.schedule;
-  lo.race = opts.race;
   // The stuck handler covers the verifier-off case: when the loop finds no
   // runnable rank but blocked ones remain, it wakes them all with the
   // report so the job unwinds instead of hanging.

@@ -109,9 +109,11 @@ class Decoder {
     return value;
   }
 
+  // Lengths are checked against remaining(): a corrupt length near 2^64
+  // would wrap `pos_ + n` back below the buffer size.
   std::string get_string() {
     const auto n = get<std::uint64_t>();
-    PIOBLAST_CHECK_MSG(pos_ + n <= data_.size(), "decode past end");
+    PIOBLAST_CHECK_MSG(n <= remaining(), "decode past end");
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -119,7 +121,7 @@ class Decoder {
 
   std::vector<std::uint8_t> get_bytes() {
     const auto n = get<std::uint64_t>();
-    PIOBLAST_CHECK_MSG(pos_ + n <= data_.size(), "decode past end");
+    PIOBLAST_CHECK_MSG(n <= remaining(), "decode past end");
     std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                   data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -130,7 +132,7 @@ class Decoder {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
     const auto n = get<std::uint64_t>();
-    PIOBLAST_CHECK_MSG(pos_ + n * sizeof(T) <= data_.size(), "decode past end");
+    PIOBLAST_CHECK_MSG(n <= remaining() / sizeof(T), "decode past end");
     std::vector<T> out(n);
     std::memcpy(out.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);

@@ -145,7 +145,7 @@ void PioBlastApp::body(mpisim::Process& p) {
           p, *scheduler_, static_cast<std::uint32_t>(all_ranges.size()),
           topology(),
           [&](mpisim::Encoder& enc, std::uint32_t task) {
-            seqdb::encode_range(enc, all_ranges[task]);
+            enc.put_obj(all_ranges[task]);
           },
           &metrics());
     } else {
@@ -155,7 +155,7 @@ void PioBlastApp::body(mpisim::Process& p) {
       while (true) {
         const auto range = driver::request_work<seqdb::FragmentRange>(
             p, [](std::uint32_t, mpisim::Decoder& dec) {
-              return seqdb::decode_range(dec);
+              return dec.get_obj<seqdb::FragmentRange>();
             });
         if (!range) break;
         p.set_phase("input");
@@ -342,7 +342,7 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
           meta.output_size = hit.output_size;
           meta.qstart = hit.hsp.qstart;
           meta.sstart32 = static_cast<std::uint32_t>(hit.hsp.sstart);
-          blast::encode_candidate(body, meta);
+          body.put_obj(meta);
           ++submitted;
         }
       }
@@ -364,7 +364,7 @@ void PioBlastApp::output_stage(mpisim::Process& p, driver::SearchStage& stage,
           const auto raw = dec.get_bytes();
           mpisim::Decoder body_dec(raw);
           for (std::uint32_t i = 0; i < count; ++i)
-            candidates.push_back(blast::decode_candidate(body_dec));
+            candidates.push_back(body_dec.get_obj<blast::CandidateMeta>());
         }
         merged += candidates.size();
         p.compute(p.cost().merge_seconds(candidates.size(), submitted_bytes));

@@ -39,36 +39,6 @@ std::vector<SeqRange> balanced_split(const DbIndex& index, int nfragments) {
   return ranges;
 }
 
-void encode_range(mpisim::Encoder& enc, const FragmentRange& r) {
-  enc.put(r.fragment_id)
-      .put(r.seqs.first)
-      .put(r.seqs.count)
-      .put(r.psq.offset)
-      .put(r.psq.length)
-      .put(r.phr.offset)
-      .put(r.phr.length)
-      .put(r.pin_seq_off.offset)
-      .put(r.pin_seq_off.length)
-      .put(r.pin_hdr_off.offset)
-      .put(r.pin_hdr_off.length);
-}
-
-FragmentRange decode_range(mpisim::Decoder& dec) {
-  FragmentRange r;
-  r.fragment_id = dec.get<int>();
-  r.seqs.first = dec.get<std::uint64_t>();
-  r.seqs.count = dec.get<std::uint64_t>();
-  r.psq.offset = dec.get<std::uint64_t>();
-  r.psq.length = dec.get<std::uint64_t>();
-  r.phr.offset = dec.get<std::uint64_t>();
-  r.phr.length = dec.get<std::uint64_t>();
-  r.pin_seq_off.offset = dec.get<std::uint64_t>();
-  r.pin_seq_off.length = dec.get<std::uint64_t>();
-  r.pin_hdr_off.offset = dec.get<std::uint64_t>();
-  r.pin_hdr_off.length = dec.get<std::uint64_t>();
-  return r;
-}
-
 std::vector<FragmentRange> virtual_partition(const DbIndex& index, int nfragments) {
   const auto splits = balanced_split(index, nfragments);
   std::vector<FragmentRange> out;
@@ -141,3 +111,38 @@ StaticPartitionResult mpiformatdb(pario::VirtualFS& fs,
 }
 
 }  // namespace pioblast::seqdb
+
+namespace pioblast::mpisim {
+
+void WireCodec<seqdb::FragmentRange>::encode(Encoder& enc,
+                                             const seqdb::FragmentRange& r) {
+  enc.put(r.fragment_id)
+      .put(r.seqs.first)
+      .put(r.seqs.count)
+      .put(r.psq.offset)
+      .put(r.psq.length)
+      .put(r.phr.offset)
+      .put(r.phr.length)
+      .put(r.pin_seq_off.offset)
+      .put(r.pin_seq_off.length)
+      .put(r.pin_hdr_off.offset)
+      .put(r.pin_hdr_off.length);
+}
+
+seqdb::FragmentRange WireCodec<seqdb::FragmentRange>::decode(Decoder& dec) {
+  seqdb::FragmentRange r;
+  r.fragment_id = dec.get<int>();
+  r.seqs.first = dec.get<std::uint64_t>();
+  r.seqs.count = dec.get<std::uint64_t>();
+  r.psq.offset = dec.get<std::uint64_t>();
+  r.psq.length = dec.get<std::uint64_t>();
+  r.phr.offset = dec.get<std::uint64_t>();
+  r.phr.length = dec.get<std::uint64_t>();
+  r.pin_seq_off.offset = dec.get<std::uint64_t>();
+  r.pin_seq_off.length = dec.get<std::uint64_t>();
+  r.pin_hdr_off.offset = dec.get<std::uint64_t>();
+  r.pin_hdr_off.length = dec.get<std::uint64_t>();
+  return r;
+}
+
+}  // namespace pioblast::mpisim

@@ -42,13 +42,6 @@ struct FragmentRange {
   pario::Region pin_hdr_off;   ///< the fragment's slice of hdr_offsets in .pin
 };
 
-/// Shared wire serialization of a FragmentRange — the one encoding both
-/// drivers (and any future scheduler or fault-injection plugin) use when a
-/// range crosses a simulated message boundary. Field-by-field so the wire
-/// size is exact (no struct padding).
-void encode_range(mpisim::Encoder& enc, const FragmentRange& r);
-FragmentRange decode_range(mpisim::Decoder& dec);
-
 /// Computes the virtual fragment ranges for a formatted database. The
 /// index slices cover count+1 offsets so workers can rebase locally.
 std::vector<FragmentRange> virtual_partition(const DbIndex& index, int nfragments);
@@ -79,16 +72,13 @@ StaticPartitionResult mpiformatdb(pario::VirtualFS& fs,
 
 namespace pioblast::mpisim {
 
-/// Typed-channel binding for FragmentRange (delegates to the shared
-/// seqdb::encode_range/decode_range serializers above).
+/// The one wire encoding of a FragmentRange, used wherever a range
+/// crosses a simulated message boundary. Field-by-field so the wire size
+/// is exact (no struct padding).
 template <>
 struct WireCodec<seqdb::FragmentRange> {
-  static void encode(Encoder& enc, const seqdb::FragmentRange& r) {
-    seqdb::encode_range(enc, r);
-  }
-  static seqdb::FragmentRange decode(Decoder& dec) {
-    return seqdb::decode_range(dec);
-  }
+  static void encode(Encoder& enc, const seqdb::FragmentRange& r);
+  static seqdb::FragmentRange decode(Decoder& dec);
 };
 
 }  // namespace pioblast::mpisim

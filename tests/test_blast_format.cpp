@@ -347,9 +347,9 @@ TEST(Serialize, HspRoundTrip) {
   h.evalue = 1.5e-7;
   h.ops = {AlignOp::kMatch, AlignOp::kInsert, AlignOp::kDelete, AlignOp::kMatch};
   mpisim::Encoder enc;
-  encode_hsp(enc, h);
+  enc.put_obj(h);
   mpisim::Decoder dec(enc.bytes());
-  const Hsp back = decode_hsp(dec);
+  const Hsp back = dec.get_obj<Hsp>();
   EXPECT_EQ(back.query_id, h.query_id);
   EXPECT_EQ(back.subject_global_id, h.subject_global_id);
   EXPECT_EQ(back.score, h.score);
@@ -370,12 +370,12 @@ TEST(Serialize, CandidateRoundTripAndSize) {
   c.qstart = 10;
   c.sstart32 = 20;
   mpisim::Encoder enc;
-  encode_candidate(enc, c);
+  enc.put_obj(c);
   // The lean record must stay small and fixed-size — this is the paper's
   // message-volume reduction.
   EXPECT_EQ(enc.size(), 48u);
   mpisim::Decoder dec(enc.bytes());
-  const CandidateMeta back = decode_candidate(dec);
+  const CandidateMeta back = dec.get_obj<CandidateMeta>();
   EXPECT_EQ(back.local_index, c.local_index);
   EXPECT_EQ(back.output_size, c.output_size);
   EXPECT_EQ(back.owner, c.owner);
@@ -385,10 +385,10 @@ TEST(Serialize, CandidateRoundTripAndSize) {
 TEST(Serialize, CandidateIsMuchSmallerThanHsp) {
   Hsp h = identity_hsp(400);  // realistic alignment length
   mpisim::Encoder full;
-  encode_hsp(full, h);
+  full.put_obj(h);
   CandidateMeta c;
   mpisim::Encoder lean;
-  encode_candidate(lean, c);
+  lean.put_obj(c);
   EXPECT_GT(full.size(), 5 * lean.size());
 }
 

@@ -47,6 +47,22 @@ TEST(Wire, DecodePastEndThrows) {
   EXPECT_THROW(dec.get<std::uint64_t>(), util::ContractViolation);
 }
 
+TEST(Wire, CorruptLengthThrowsInsteadOfWrapping) {
+  // Each length wraps `position + length` (or `length * 8`) below the
+  // buffer size; the decoder must still see that it runs past the end.
+  const auto framed = [](std::uint64_t length) {
+    Encoder enc;
+    enc.put(length).put<std::uint64_t>(0);
+    return enc.take();
+  };
+  const auto near_wrap = framed(~std::uint64_t{0} - 6);  // 2^64 - 7
+  EXPECT_THROW(Decoder(near_wrap).get_string(), util::ContractViolation);
+  EXPECT_THROW(Decoder(near_wrap).get_bytes(), util::ContractViolation);
+  const auto times_eight_wraps = framed((std::uint64_t{1} << 61) + 1);
+  EXPECT_THROW(Decoder(times_eight_wraps).get_vector<std::uint64_t>(),
+               util::ContractViolation);
+}
+
 TEST(Wire, EmptyBytesRoundTrip) {
   Encoder enc;
   enc.put_bytes({});
